@@ -1,14 +1,10 @@
-"""Reverse-mode autodiff over small dense matrices, with two tape backends.
+"""Reverse-mode autodiff over small dense matrices, on one numpy tape.
 
-The compiled backend (_ctape, Cython) is picked by default when the
-extension built; the pure numpy backend is always available and produces the
-same results.  Selection can be forced with the TRACKLEARN_TAPE environment
-variable ("pure" or "compiled") or per call via make_tape(backend=...).
+make_tape() returns a fresh PyTape; var and const record leaves on it, and
+the functional layer in api.py records every other operation.
 """
 
 from __future__ import annotations
-
-import os
 
 from .api import (
     Var,
@@ -37,41 +33,13 @@ from .api import (
     transpose,
     vsum,
 )
-from .optim import GradientOptimizer, adam_step, clip_by_global_norm
+from .optim import GradientOptimizer, clip_by_global_norm
 from .pure import PyTape
 
-try:
-    from ._ctape import CTape
 
-    _HAVE_COMPILED = True
-except ImportError:
-    CTape = None
-    _HAVE_COMPILED = False
-
-
-def available_backends() -> list[str]:
-    return ["pure", "compiled"] if _HAVE_COMPILED else ["pure"]
-
-
-def default_backend() -> str:
-    env = os.environ.get("TRACKLEARN_TAPE", "").strip().lower()
-    if env in ("pure", "compiled"):
-        if env == "compiled" and not _HAVE_COMPILED:
-            raise RuntimeError("TRACKLEARN_TAPE=compiled but the extension is not built")
-        return env
-    return "compiled" if _HAVE_COMPILED else "pure"
-
-
-def make_tape(backend: str | None = None):
-    """New empty tape on the requested (or default) backend."""
-    backend = backend or default_backend()
-    if backend == "pure":
-        return PyTape()
-    if backend == "compiled":
-        if not _HAVE_COMPILED:
-            raise RuntimeError("compiled tape backend is not available")
-        return CTape()
-    raise ValueError(f"unknown tape backend {backend!r}")
+def make_tape() -> PyTape:
+    """New empty tape."""
+    return PyTape()
 
 
 def var(tape, value) -> Var:

@@ -1,4 +1,4 @@
-"""User-facing Var wrapper and functional layer over the tape backends."""
+"""User-facing Var wrapper and the functional layer that records onto a tape."""
 
 from __future__ import annotations
 

@@ -17,19 +17,15 @@ def clip_by_global_norm(grads: dict, max_norm: float) -> dict:
 
 
 class GradientOptimizer:
-    """Adam, or plain gradient descent (theta - lr * grad) when mode='plain'.
+    """Adam.
 
     Parameters and gradients travel as {name: ndarray} dicts; moment state is
-    kept per name.  With mode='plain' the update is exactly the textbook
-    rule, no moments involved.
+    kept per name.
     """
 
-    def __init__(self, lr: float, mode: str = "adam", beta1: float = 0.9,
-                 beta2: float = 0.999, eps: float = 1e-8):
-        if mode not in ("adam", "plain"):
-            raise ValueError(f"unknown optimizer mode {mode!r}")
+    def __init__(self, lr: float, beta1: float = 0.9, beta2: float = 0.999,
+                 eps: float = 1e-8):
         self.lr = lr
-        self.mode = mode
         self.beta1 = beta1
         self.beta2 = beta2
         self.eps = eps
@@ -42,9 +38,6 @@ class GradientOptimizer:
         out = {}
         for name, theta in params.items():
             g = grads[name]
-            if self.mode == "plain":
-                out[name] = theta - self.lr * g
-                continue
             m = self._m.get(name)
             v = self._v.get(name)
             if m is None:
@@ -59,7 +52,3 @@ class GradientOptimizer:
             out[name] = theta - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
         return out
 
-
-def adam_step(params: dict, grads: dict, opt: GradientOptimizer) -> dict:
-    """One optimizer step; thin functional alias over GradientOptimizer."""
-    return opt.step(params, grads)

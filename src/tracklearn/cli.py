@@ -18,7 +18,7 @@ import numpy as np
 
 from . import __version__
 from .config import ExperimentConfig
-from .errors import ConfigError
+from .errors import ConfigError, CsvFormatError, EmptyDatasetError, GeometryError
 from .evaluate import RunRecord, make_report
 from .gp import GpHyper, gp_fit, load_gp, save_gp
 from .imm import ImmConfig, default_params, load_imm, save_imm, train_imm
@@ -67,15 +67,6 @@ def _load_manifest(directory: Path) -> dict:
     return json.loads(path.read_text())
 
 
-def _sensor_of(cfg_dict: dict) -> SensorConfig:
-    sec = cfg_dict["sensor"]
-    return SensorConfig(
-        origin=(float(sec["origin_x"]), float(sec["origin_y"])),
-        sigma_r=float(sec["sigma_r"]),
-        sigma_a=float(sec["sigma_a"]),
-    )
-
-
 def _check_sensor_match(a: SensorConfig, b: SensorConfig, what: str) -> None:
     same = (
         np.allclose(a.origin, b.origin, rtol=0, atol=1e-12)
@@ -96,7 +87,7 @@ def _dataset_dir(cfg: ExperimentConfig, args) -> Path:
 def _load_split(cfg: ExperimentConfig, args, role: str) -> Dataset:
     root = _dataset_dir(cfg, args)
     manifest = _load_manifest(root)
-    stored_sensor = _sensor_of(manifest["config"])
+    stored_sensor = ExperimentConfig(manifest["config"]).sensor()
     _check_sensor_match(cfg.sensor(), stored_sensor, "the experiment config")
     dt = float(manifest["config"]["dataset"]["dt"])
     return load_dataset(root / role, stored_sensor, dt=dt, role=role)
@@ -123,8 +114,11 @@ def cmd_simulate(args) -> int:
         if not csv_path.exists():
             raise ConfigError(f"[dataset] csv_path {csv_path} does not exist")
         inputs[str(csv_path)] = _sha256(csv_path)
-        whole = ingest_csv(csv_path, sensor, cfg.inum("dataset", "tracklet_len"),
-                           rng_seed=args.seed, dt=cfg.fnum("dataset", "dt"))
+        try:
+            whole = ingest_csv(csv_path, sensor, cfg.inum("dataset", "tracklet_len"),
+                               rng_seed=args.seed, dt=cfg.fnum("dataset", "dt"))
+        except (CsvFormatError, EmptyDatasetError, GeometryError) as exc:
+            raise ConfigError(f"[dataset] csv_path {csv_path}: {exc}") from exc
         n_train = int(round(len(whole) * cfg.fnum("dataset", "train_fraction")))
         if n_train == 0 or n_train == len(whole):
             raise ConfigError("train_fraction leaves an empty split")
@@ -208,8 +202,7 @@ def cmd_train(args) -> int:
         for step, loss in history:
             fh.write(f"{step},{loss:.17g}\n")
     data_root = _dataset_dir(cfg, args)
-    inputs = {str(data_root): _load_manifest(data_root)["outputs"].get("manifest.json", "")
-              or _sha256(data_root / "manifest.json")}
+    inputs = {str(data_root): _sha256(data_root / "manifest.json")}
     _write_manifest(out, f"train --method {args.method}", cfg, args.seed, inputs, wallclock)
     print(f"train {args.method}: wallclock {wallclock:.1f} s -> {out}")
     return 0
@@ -258,9 +251,12 @@ def cmd_evaluate(args) -> int:
             if method == "ekf":
                 per_method["ekf"] = run_ekf_method(test, q=cfg.fnum("ekf", "q"))
                 continue
-            model_path = Path(cfg.text("models", method))
-            if not str(model_path) or not model_path.exists():
-                raise ConfigError(f"[models] {method} not set or missing: {model_path}")
+            model_text = cfg.text("models", method)
+            if not model_text:
+                raise ConfigError(f"[models] {method} not set")
+            model_path = Path(model_text)
+            if not model_path.exists():
+                raise ConfigError(f"[models] {method} missing: {model_path}")
             inputs[str(model_path)] = _sha256(model_path)
             if method == "gp":
                 models, dt, sensor = load_gp(model_path)

@@ -141,18 +141,3 @@ def run_ekf(tracklet, sensor: SensorConfig, model: CwnaModel):
         total_nll += nll_term(innovation, s)
     return pred_means, post_means, total_nll
 
-
-def tune_q(tracklets, sensor: SensorConfig, dt: float, grid=None) -> float:
-    """Pick the CV process-noise intensity minimizing measurement NLL on a
-    training set; this is the same objective the learned filters optimize."""
-    if grid is None:
-        grid = np.logspace(-2.0, 3.0, 11)
-    best_q, best_nll = None, np.inf
-    for q in grid:
-        model = CwnaModel(dt=dt, q=float(q))
-        nll = 0.0
-        for trk in tracklets:
-            nll += run_ekf(trk, sensor, model)[2]
-        if nll < best_nll:
-            best_q, best_nll = float(q), nll
-    return best_q

@@ -142,7 +142,7 @@ def fit_hyper(inputs: np.ndarray, outputs: np.ndarray, hyper0: GpHyper,
         return loss, leaves
 
     rho = np.log([hyper0.sigma0_sq, hyper0.length_sq, hyper0.noise_sq])
-    opt = GradientOptimizer(lr=lr, mode="adam")
+    opt = GradientOptimizer(lr=lr)
     start_loss = None
     best_rho, best_loss = rho.copy(), np.inf
     try:
@@ -189,12 +189,6 @@ def gp_fit(tracklets, hyper0: GpHyper | None = None, max_pairs: int = 2000,
         )
         models.append(GpModel(inputs, outputs[:, axis], hyper))
     return models[0], models[1]
-
-
-def gp_predict(models: tuple[GpModel, GpModel], u) -> tuple[np.ndarray, np.ndarray]:
-    """Per-axis posterior (means, variances) at one velocity-pair input."""
-    means, variances = zip(*(m.predict(u) for m in models))
-    return np.array(means), np.array(variances)
 
 
 # -- serialization (GPM1) ----------------------------------------------------
@@ -363,13 +357,19 @@ def pf_step(ps: ParticleSet, z: Measurement, models, sensor: SensorConfig,
             resample: str = "systematic", ess_fraction: float = 0.5):
     """One SIR cycle: propagate, reweight, estimate, resample.
 
-    The estimate is computed from the normalized weights before resampling.
-    resample='ess' only resamples when the effective sample size drops below
-    ess_fraction * M.
+    Returns (particles, prior estimate, posterior estimate).  The prior is
+    taken after propagation, the posterior from the normalized weights before
+    resampling.  When every weight underflows, the cloud is reseeded around z
+    instead of raising.  resample='ess' only resamples when the effective
+    sample size drops below ess_fraction * M.
     """
     ps = pf_propagate(ps, models, sigma_p, dt, rng)
-    ps = pf_reweight(ps, z, sensor)
-    est = pf_estimate(ps, t=z.t)
+    prior = pf_estimate(ps, t=z.t)
+    try:
+        ps = pf_reweight(ps, z, sensor)
+    except WeightCollapseError:
+        ps = pf_reseed(ps, z, sensor, rng)
+    post = pf_estimate(ps, t=z.t)
     if resample == "systematic" or (resample == "ess" and ps.ess < ess_fraction * len(ps)):
         ps = pf_resample(ps, rng)
-    return ps, est
+    return ps, prior, post

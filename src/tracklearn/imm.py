@@ -11,7 +11,7 @@ rows through a softmax, variances through exp.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -152,13 +152,13 @@ def _softmax_rows(logits: Var) -> list:
 
 
 def _transition_vars(tape, params: ImmParams, mode_idx: int, dt: float,
-                     omega_var: Var | None):
-    """(F, Q) Vars for one mode; ct builds the exact-arc transition from omega."""
+                     omega_var: Var | None) -> Var:
+    """Transition matrix Var for one mode; ct builds the exact arc from omega."""
     kind = params.modes[mode_idx]
     if kind == MODE_CV:
         f_mat = np.eye(4)
         f_mat[0, 2] = f_mat[1, 3] = dt
-        return ad.const(tape, f_mat), None
+        return ad.const(tape, f_mat)
     theta = omega_var * dt
     # near zero turn rate the ratios a = sin(th)/w, b = (1-cos(th))/w are
     # evaluated by series so the cv limit is exact and differentiable
@@ -176,7 +176,7 @@ def _transition_vars(tape, params: ImmParams, mode_idx: int, dt: float,
         + ad.scale_template(ad.cos(theta), _T_C)
         + ad.scale_template(ad.sin(theta), _T_S)
     )
-    return f_var, None
+    return f_var
 
 
 def _measure_vars(tape, x: Var, origin: np.ndarray):
@@ -220,11 +220,11 @@ class ImmGraph:
     """One tape holding the IMM recursion over a measurement sequence."""
 
     def __init__(self, params: ImmParams, init: StateEstimate, dt: float,
-                 origin: np.ndarray, cfg: ImmConfig, backend: str | None = None):
+                 origin: np.ndarray, cfg: ImmConfig):
         self.cfg = cfg
         self.dt = dt
         self.origin = np.asarray(origin, dtype=float)
-        self.tape = ad.make_tape(backend)
+        self.tape = ad.make_tape()
         tape = self.tape
         m = params.n_modes
 
@@ -249,9 +249,8 @@ class ImmGraph:
         wna = wna_template(dt)
         for j in range(m):
             omega_var = ad.item(self.leaves["omega"], 0, j) if params.modes[j] == MODE_CT else None
-            f_var, _ = _transition_vars(tape, params, j, dt, omega_var)
+            self.f_vars.append(_transition_vars(tape, params, j, dt, omega_var))
             q_scale = ad.exp(ad.item(self.leaves["log_q"], 0, j))
-            self.f_vars.append(f_var)
             self.q_vars.append(ad.scale_template(q_scale, wna))
 
         self.modes_x = [ad.const(tape, init.mean.reshape(4, 1)) for _ in range(m)]
@@ -360,7 +359,7 @@ class ImmGraph:
 
 
 def imm_nll(params: ImmParams, tracklet: Tracklet, sensor: SensorConfig,
-            cfg: ImmConfig = ImmConfig(), backend: str | None = None):
+            cfg: ImmConfig = ImmConfig()):
     """Measurement NLL of one tracklet on a fresh tape.
 
     Returns (loss Var, leaves dict) with the recursion initialized from the
@@ -369,14 +368,14 @@ def imm_nll(params: ImmParams, tracklet: Tracklet, sensor: SensorConfig,
     if len(tracklet) < 3:
         raise ValueError("need at least 3 measurements")
     init = init_track(tracklet.measurement(0), tracklet.measurement(1), sensor, tracklet.dt)
-    graph = ImmGraph(params, init, tracklet.dt, sensor.origin, cfg, backend)
+    graph = ImmGraph(params, init, tracklet.dt, sensor.origin, cfg)
     for t in range(2, len(tracklet)):
         graph.step(tracklet.meas[t, 0], tracklet.meas[t, 1])
     return graph.loss(), graph.leaves
 
 
 def run_imm(params: ImmParams, tracklet: Tracklet, sensor: SensorConfig,
-            cfg: ImmConfig = ImmConfig(), backend: str | None = None):
+            cfg: ImmConfig = ImmConfig()):
     """Filter one tracklet; returns (pred_means, post_means, post_covs, nll).
 
     Rows 0..1 carry the two-point initialization, filtering starts at t=2,
@@ -384,7 +383,7 @@ def run_imm(params: ImmParams, tracklet: Tracklet, sensor: SensorConfig,
     """
     n = len(tracklet)
     init = init_track(tracklet.measurement(0), tracklet.measurement(1), sensor, tracklet.dt)
-    graph = ImmGraph(params, init, tracklet.dt, sensor.origin, cfg, backend)
+    graph = ImmGraph(params, init, tracklet.dt, sensor.origin, cfg)
     pred_means = np.full((n, 4), np.nan)
     post_means = np.full((n, 4), np.nan)
     post_covs = np.full((n, 4, 4), np.nan)
@@ -408,8 +407,7 @@ def dataset_nll(params: ImmParams, tracklets, sensor: SensorConfig,
 
 
 def train_imm(params0: ImmParams, tracklets, sensor: SensorConfig, steps: int,
-              lr: float = 5e-4, seed: int = 0, cfg: ImmConfig = ImmConfig(),
-              backend: str | None = None, log_every: int = 0):
+              lr: float = 5e-4, seed: int = 0, cfg: ImmConfig = ImmConfig()):
     """Minibatch NLL descent over tracklets (one tracklet per step).
 
     Deterministic given the seed.  Divergence (non-finite loss or a numerical
@@ -419,13 +417,13 @@ def train_imm(params0: ImmParams, tracklets, sensor: SensorConfig, steps: int,
     if not tracklets:
         raise ValueError("empty training set")
     rng = np.random.default_rng(seed)
-    opt = GradientOptimizer(lr=lr, mode="adam")
+    opt = GradientOptimizer(lr=lr)
     params = params0
     history = []
     for step in range(steps):
         idx = int(rng.integers(len(tracklets)))
         try:
-            loss, leaves = imm_nll(params, tracklets[idx], sensor, cfg, backend)
+            loss, leaves = imm_nll(params, tracklets[idx], sensor, cfg)
             value = loss.scalar()
             if not np.isfinite(value):
                 break
@@ -439,8 +437,6 @@ def train_imm(params0: ImmParams, tracklets, sensor: SensorConfig, steps: int,
         history.append((step, value))
         updated = opt.step(params.to_dict(train_r=cfg.train_r), grads)
         params = params.with_dict(updated)
-        if log_every and step % log_every == 0:
-            print(f"imm step {step}: nll {value:.3f}")
     return params, history
 
 

@@ -9,8 +9,7 @@ with inputs and labels built purely from Cartesian-converted measurements
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from pathlib import Path
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -192,11 +191,6 @@ def mkf_predict(prior: StateEstimate, s: LstmState, w: LstmWeights, dt: float,
     return pred, s_new, NnPrediction(v_nn=v_phys, c_nn=c_phys)
 
 
-def mkf_update(pred: StateEstimate, z, sensor: SensorConfig):
-    """Measurement update; delegates to the shared EKF routine."""
-    return ekf_update(pred, z, sensor)
-
-
 def training_sequences(tracklet: Tracklet, sensor: SensorConfig, scale: float):
     """Inputs and labels from measurements only: scaled finite-difference
     velocities of the Cartesian-converted returns, shifted by one step."""
@@ -236,8 +230,7 @@ def mkf_loss(wvars: dict, inputs: np.ndarray, labels: np.ndarray, hidden: int,
 
 
 def train_mkf(w0: LstmWeights, tracklets, sensor: SensorConfig, iterations: int,
-              lr: float = 5e-4, seed: int = 0, cfg: MkfConfig = None,
-              backend: str | None = None, log_every: int = 0):
+              lr: float = 5e-4, seed: int = 0, cfg: MkfConfig = None):
     """BPTT over one sampled tracklet per iteration with Adam and global-norm
     gradient clipping.  Aborts on a non-finite loss, returning the last good
     weights.  Returns (weights, history) with history rows (iter, loss)."""
@@ -245,13 +238,13 @@ def train_mkf(w0: LstmWeights, tracklets, sensor: SensorConfig, iterations: int,
     if not tracklets:
         raise ValueError("empty training set")
     rng = np.random.default_rng(seed)
-    opt = GradientOptimizer(lr=lr, mode="adam")
+    opt = GradientOptimizer(lr=lr)
     weights = w0
     history = []
     for it in range(iterations):
         trk = tracklets[int(rng.integers(len(tracklets)))]
         inputs, labels = training_sequences(trk, sensor, weights.input_scale)
-        tape = ad.make_tape(backend)
+        tape = ad.make_tape()
         wvars = _tape_weights(tape, weights)
         try:
             loss = mkf_loss(wvars, inputs, labels, weights.hidden, cfg.loss)
@@ -265,8 +258,6 @@ def train_mkf(w0: LstmWeights, tracklets, sensor: SensorConfig, iterations: int,
         grads = clip_by_global_norm(grads, cfg.clip_norm)
         weights = weights.with_dict(opt.step(weights.to_dict(), grads))
         history.append((it, value))
-        if log_every and it % log_every == 0:
-            print(f"mkf iter {it}: loss {value:.4f}")
     return weights, history
 
 
@@ -299,7 +290,7 @@ def run_mkf(tracklet: Tracklet, sensor: SensorConfig, w: LstmWeights,
     post_covs[:2] = est.cov
     for t in range(2, n):
         pred, state, _ = mkf_predict(est, state, w, tracklet.dt, cfg.q_reg)
-        est, _, _ = mkf_update(pred, tracklet.measurement(t), sensor)
+        est, _, _ = ekf_update(pred, tracklet.measurement(t), sensor)
         pred_means[t] = pred.mean
         post_means[t] = est.mean
         post_covs[t] = est.cov

@@ -12,16 +12,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ekf import CwnaModel, init_track, run_ekf
-from .errors import WeightCollapseError
 from .evaluate import RunRecord
-from .gp import (
-    init_particles,
-    pf_estimate,
-    pf_propagate,
-    pf_reseed,
-    pf_resample,
-    pf_reweight,
-)
+from .gp import init_particles, pf_step
 from .imm import ImmConfig, ImmParams, run_imm
 from .mkf import LstmWeights, MkfConfig, run_mkf
 from .simulate import Dataset
@@ -74,8 +66,9 @@ class PfSettings:
 
 
 def run_gp_method(dataset: Dataset, models, settings: PfSettings, seed: int) -> list[RunRecord]:
-    """SIR particle filter over the test set; weight collapse re-seeds the
-    cloud from the current measurement and continues."""
+    """SIR particle filter (gp.pf_step) over the test set, one RNG stream per
+    tracklet; weight collapse re-seeds the cloud from the current measurement
+    and continues."""
     records = []
     sensor = dataset.sensor
     rngs = np.random.SeedSequence(seed).spawn(len(dataset.tracklets))
@@ -89,17 +82,10 @@ def run_gp_method(dataset: Dataset, models, settings: PfSettings, seed: int) -> 
         pred[:EVAL_START] = init.mean
         post[:EVAL_START] = init.mean
         for t in range(EVAL_START, n):
-            z = trk.measurement(t)
-            ps = pf_propagate(ps, models, settings.sigma_p, trk.dt, rng)
-            pred[t] = pf_estimate(ps, t=t).mean
-            try:
-                ps = pf_reweight(ps, z, sensor)
-            except WeightCollapseError:
-                ps = pf_reseed(ps, z, sensor, rng)
-            post[t] = pf_estimate(ps, t=t).mean
-            if settings.resample == "systematic" or (
-                settings.resample == "ess" and ps.ess < settings.ess_fraction * len(ps)
-            ):
-                ps = pf_resample(ps, rng)
+            ps, prior, est = pf_step(ps, trk.measurement(t), models, sensor, settings.sigma_p,
+                                     rng, dt=trk.dt, resample=settings.resample,
+                                     ess_fraction=settings.ess_fraction)
+            pred[t] = prior.mean
+            post[t] = est.mean
         records.append(_record(pred, post, trk, sensor))
     return records

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 
-def write_config(path, **overrides):
-    """Small GCT experiment INI; overrides are (section, key) -> value."""
+def write_config(path, overrides=None):
+    """Small GCT experiment INI; overrides is a dict of (section, key) -> value."""
     base = {
         ("dataset", "n_steps"): "40",
         ("dataset", "n_train"): "6",
@@ -21,7 +21,7 @@ def write_config(path, **overrides):
         ("mkf", "dense"): "8",
         ("mkf", "iterations"): "5",
     }
-    base.update(overrides)
+    base.update(overrides or {})
     sections = {}
     for (section, key), value in base.items():
         sections.setdefault(section, {})[key] = value
@@ -43,6 +43,8 @@ def tiny_config(tmp_path):
 def synthesize_gps_csv(path, n_rows=4300, dt=0.1, speed=8.0, seed=99):
     """CV legs alternating with coordinated turns, GPS-like sampling.
 
+    The path starts at (0, 0), which is the default sensor origin: a config
+    reading this CSV must move [sensor] origin_x/origin_y off the path.
     Returns the path; CSV is in the t,x,y,vx,vy interchange format.
     """
     rng = np.random.default_rng(seed)

@@ -1,0 +1,138 @@
+"""End-to-end CLI runs: simulate -> train gp/imm/mkf -> evaluate -> report,
+driven in-process through cli.main on tiny configs."""
+
+import csv
+
+import numpy as np
+import pytest
+
+from conftest import write_config
+from tracklearn.cli import main
+
+TRAINED = {"gp": "gp.gpm", "imm": "imm.txt", "mkf": "mkf.npz"}
+# the GPS-like CSV path starts at the default sensor origin (0, 0)
+OFF_PATH_ORIGIN = {("sensor", "origin_x"): "-2000", ("sensor", "origin_y"): "-1500"}
+
+
+def experiment(path, root, overrides=None):
+    """Config at path whose [models] point at the train outputs under root."""
+    models = {("models", m): str(root / "model" / m / f) for m, f in TRAINED.items()}
+    return write_config(path, {("gp", "optimize_hyper"): "false", **models, **(overrides or {})})
+
+
+def run_pipeline(root, overrides=None, seed=3):
+    """Every stage in order; returns {stage: exit code}."""
+    cfg = str(experiment(root / "exp.ini", root, overrides))
+    data = str(root / "data")
+    codes = {"simulate": main(["simulate", "--config", cfg, "--out", data, "--seed", str(seed)])}
+    for method in TRAINED:
+        codes[method] = main(["train", "--config", cfg, "--out", str(root / "model" / method),
+                              "--data", data, "--method", method, "--seed", "7"])
+    codes["evaluate"] = main(["evaluate", "--config", cfg, "--out", str(root / "eval"),
+                              "--data", data, "--seed", "7"])
+    codes["report"] = main(["report", "--out", str(root / "eval")])
+    return codes
+
+
+def scored_methods(eval_dir):
+    with (eval_dir / "scores.csv").open(newline="") as fh:
+        return {row["method"] for row in csv.DictReader(fh)}
+
+
+def assert_pipeline_outputs(root, codes):
+    assert codes == dict.fromkeys(codes, 0)
+    for split in ("train", "test"):
+        assert (root / "data" / split / "truth_0000.csv").is_file()
+        assert (root / "data" / split / "meas_0000.csv").is_file()
+    for method, name in TRAINED.items():
+        for f in (name, "loss_history.csv", "manifest.json"):
+            assert (root / "model" / method / f).is_file()
+    for f in ("records.npz", "scores.csv", "summary.txt", "noise_level.csv", "manifest.json"):
+        assert (root / "eval" / f).is_file()
+    assert not (root / "eval" / "failure_report.txt").exists()
+    assert scored_methods(root / "eval") == {"ekf", "gp", "imm", "mkf"}
+
+
+def load_records(path):
+    with np.load(path, allow_pickle=False) as data:
+        return {k: data[k] for k in data.files}
+
+
+@pytest.fixture(scope="module")
+def gct_runs(tmp_path_factory):
+    """The tiny gct pipeline twice with the same seeds."""
+    roots = [tmp_path_factory.mktemp(f"gct{i}") for i in range(2)]
+    return [(root, run_pipeline(root)) for root in roots]
+
+
+def test_gct_pipeline_writes_every_output(gct_runs):
+    for root, codes in gct_runs:
+        assert_pipeline_outputs(root, codes)
+
+
+def test_same_seeds_give_identical_records(gct_runs):
+    (a, _), (b, _) = gct_runs
+    rec_a = load_records(a / "eval" / "records.npz")
+    rec_b = load_records(b / "eval" / "records.npz")
+    assert rec_a.keys() == rec_b.keys()
+    for key in rec_a:
+        assert np.array_equal(rec_a[key], rec_b[key]), key
+
+
+def test_csv_pipeline_writes_every_output(tmp_path, gps_csv):
+    overrides = {("dataset", "kind"): "csv", ("dataset", "csv_path"): str(gps_csv),
+                 ("dataset", "dt"): "0.1", **OFF_PATH_ORIGIN}
+    assert_pipeline_outputs(tmp_path, run_pipeline(tmp_path, overrides))
+
+
+@pytest.mark.parametrize("model_path, message", [
+    ("", "error: [models] gp not set"),
+    ("no/such/gp.gpm", "error: [models] gp missing"),
+])
+def test_missing_model_path_exits_2(gct_runs, tmp_path, capsys, model_path, message):
+    root, _ = gct_runs[0]
+    cfg = experiment(tmp_path / "exp.ini", root, {("models", "gp"): model_path})
+    code = main(["evaluate", "--config", str(cfg), "--out", str(tmp_path / "eval"),
+                 "--data", str(root / "data"), "--seed", "7", "--method", "gp"])
+    assert code == 2
+    assert message in capsys.readouterr().err
+
+
+def test_corrupt_model_is_reported_and_the_others_still_score(gct_runs, tmp_path):
+    root, _ = gct_runs[0]
+    bad = tmp_path / "gp.gpm"
+    bad.write_text("GPM1\nn_pairs oops\n")
+    cfg = experiment(tmp_path / "exp.ini", root, {("models", "gp"): str(bad)})
+    out = tmp_path / "eval"
+    code = main(["evaluate", "--config", str(cfg), "--out", str(out),
+                 "--data", str(root / "data"), "--seed", "7"])
+    assert code == 1
+    assert (out / "failure_report.txt").read_text().startswith("gp: ")
+    assert scored_methods(out) == {"ekf", "imm", "mkf"}
+
+
+@pytest.mark.parametrize("case, cause", [
+    ("through_origin", "coincides with the sensor origin"),
+    ("bad_header", "expected header"),
+    ("too_few_rows", "< tracklet length"),
+])
+def test_simulate_rejects_bad_csv_with_one_error_line(tmp_path, capsys, case, cause):
+    header = "t,x,y,vx,vy"
+    n_rows = 300
+    if case == "bad_header":
+        header = "time,x,y,vx,vy"
+    elif case == "too_few_rows":
+        n_rows = 50  # fewer than one 100-row tracklet
+    # along the x axis from (0, 0), the default sensor origin
+    rows = [f"{k},{k},0,1,0" for k in range(n_rows)]
+    csv_path = tmp_path / "track.csv"
+    csv_path.write_text("\n".join([header] + rows) + "\n")
+    cfg = write_config(tmp_path / "exp.ini", {("dataset", "kind"): "csv",
+                                              ("dataset", "csv_path"): str(csv_path)})
+    code = main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "data"),
+                 "--seed", "1"])
+    err = capsys.readouterr().err.strip().splitlines()
+    assert code == 2
+    assert len(err) == 1
+    assert err[0].startswith("error: ") and str(csv_path) in err[0]
+    assert cause in err[0]

@@ -7,7 +7,6 @@ from tracklearn.gp import (
     GpModel,
     ParticleSet,
     gp_fit,
-    gp_predict,
     init_particles,
     kernel,
     kernel_matrix,
@@ -22,7 +21,14 @@ from tracklearn.gp import (
     systematic_resample,
     velocity_pairs,
 )
-from tracklearn.statespace import Measurement, SensorConfig, StateEstimate, Tracklet, measure
+from tracklearn.statespace import (
+    Measurement,
+    SensorConfig,
+    StateEstimate,
+    Tracklet,
+    measure,
+    polar_to_cartesian,
+)
 
 
 def make_tracklet(velocities, dt=1.0):
@@ -152,14 +158,6 @@ def test_gp_fit_subsamples_to_budget():
     assert len(my) == 50
 
 
-def test_gp_predict_pair_interface():
-    trk = make_tracklet(np.tile([1.0, 2.0], (20, 1)))
-    models = gp_fit([trk], optimize=False)
-    means, variances = gp_predict(models, [1.0, 2.0])
-    assert means.shape == (2,)
-    assert np.all(variances >= 0)
-
-
 def test_serialization_roundtrip(tmp_path):
     rng = np.random.default_rng(13)
     vels = rng.standard_normal((40, 2)) * 3.0
@@ -278,9 +276,24 @@ def test_pf_step_tracks_constant_velocity():
                 range=r + sensor.sigma_r * rng.standard_normal(),
                 bearing=a + sensor.sigma_a * rng.standard_normal(),
             )
-            ps, est = pf_step(ps, z, models, sensor, sigma_p=1e-3, rng=rng, dt=1.0)
+            ps, _, est = pf_step(ps, z, models, sensor, sigma_p=1e-3, rng=rng, dt=1.0)
             pf_err.append(np.linalg.norm(est.position - truth[k]))
-            from tracklearn.statespace import polar_to_cartesian
-
             meas_err.append(np.linalg.norm(polar_to_cartesian(z, sensor) - truth[k]))
     assert np.sqrt(np.mean(np.square(pf_err))) <= np.sqrt(np.mean(np.square(meas_err)))
+
+
+def test_pf_step_reseeds_around_measurement_after_collapse():
+    """Every particle starts kilometres from z, so every weight underflows:
+    pf_step re-draws the cloud around z instead of raising."""
+    rng = np.random.default_rng(41)
+    sensor = SensorConfig(origin=(0.0, 0.0), sigma_r=1.0, sigma_a=0.002)
+    models = gp_fit([make_tracklet(np.tile([3.0, 1.0], (40, 1)))], GpHyper(noise_sq=1e-4),
+                    optimize=False)
+    init = StateEstimate(mean=[5000.0, 5000.0, 3.0, 1.0], cov=np.diag([1.0, 1.0, 0.2, 0.2]))
+    ps = init_particles(init, 200, rng)
+    z = Measurement(t=1, range=500.0, bearing=0.3)
+    ps, prior, post = pf_step(ps, z, models, sensor, sigma_p=1e-3, rng=rng)
+    target = polar_to_cartesian(z, sensor)
+    assert np.linalg.norm(prior.position - target) > 5000.0
+    assert np.linalg.norm(post.position - target) < 5.0
+    assert np.all(np.linalg.norm(ps.positions - target, axis=1) < 50.0)

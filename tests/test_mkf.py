@@ -14,7 +14,6 @@ from tracklearn.mkf import (
     lstm_step,
     mkf_loss,
     mkf_predict,
-    mkf_update,
     run_mkf,
     save_mkf,
     train_mkf,
@@ -22,7 +21,7 @@ from tracklearn.mkf import (
 )
 from tracklearn.ekf import ekf_update
 from tracklearn.simulate import GctConfig, generate_gct, make_dataset, simulate_measurements
-from tracklearn.statespace import Measurement, SensorConfig, StateEstimate, Tracklet
+from tracklearn.statespace import SensorConfig, StateEstimate, Tracklet
 
 SENSOR = SensorConfig(origin=(0.0, 0.0), sigma_r=1.5, sigma_a=0.00523)
 
@@ -124,17 +123,6 @@ def test_mkf_predict_growth_is_psd():
         growth = pred.cov - prior.cov
         assert np.min(np.linalg.eigvalsh(growth)) >= -1e-12
         assert np.trace(pred.cov) >= np.trace(prior.cov)
-
-
-def test_update_delegates_to_ekf():
-    pred = StateEstimate(mean=[100.0, 50.0, 1.0, 0.0], cov=4.0 * np.eye(4))
-    z = Measurement(t=3, range=112.0, bearing=0.45)
-    post_a, nu_a, s_a = mkf_update(pred, z, SENSOR)
-    post_b, nu_b, s_b = ekf_update(pred, z, SENSOR)
-    assert np.array_equal(post_a.mean, post_b.mean)
-    assert np.array_equal(post_a.cov, post_b.cov)
-    assert np.array_equal(nu_a, nu_b)
-    assert np.array_equal(s_a, s_b)
 
 
 def test_loss_zero_residual_identity_chol():
@@ -315,7 +303,7 @@ def test_pipeline_matches_composed_calls():
     est = init_track(trk.measurement(0), trk.measurement(1), SENSOR, trk.dt)
     state = LstmState.zeros(w.hidden)
     pred, state, _ = mkf_predict(est, state, w, trk.dt, MkfConfig().q_reg)
-    post, _, _ = mkf_update(pred, trk.measurement(2), SENSOR)
+    post, _, _ = ekf_update(pred, trk.measurement(2), SENSOR)
     assert np.allclose(pred_all[2], pred.mean, rtol=0, atol=0)
     assert np.allclose(post_all[2], post.mean, rtol=0, atol=0)
 
