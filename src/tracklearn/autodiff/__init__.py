@@ -2,6 +2,13 @@
 
 make_tape() returns a fresh PyTape; var and const record leaves on it, and
 the functional layer in api.py records every other operation.
+
+The same functions also run on plain 2-D float64 arrays: given no Var
+operand, a function returns at once, without a tape, the value the tape
+would record, computed by the same expression.  A model written once
+against this layer therefore filters on arrays and trains on a tape;
+const_like and scalar let it create constants and read 1x1 values without
+knowing which.
 """
 
 from __future__ import annotations
@@ -16,6 +23,8 @@ from .api import (
     cols,
     concat_cols,
     concat_rows,
+    const,
+    const_like,
     cos,
     exp,
     finite_difference,
@@ -23,30 +32,18 @@ from .api import (
     log,
     logdet,
     logsumexp,
+    make_tape,
     matmul,
     rows,
+    scalar,
     scale_template,
     sigmoid,
     sin,
     sqrt,
     tanh,
     transpose,
+    var,
     vsum,
 )
 from .optim import GradientOptimizer, clip_by_global_norm
 from .pure import PyTape
-
-
-def make_tape() -> PyTape:
-    """New empty tape."""
-    return PyTape()
-
-
-def var(tape, value) -> Var:
-    """New differentiable leaf."""
-    return Var(tape, tape.leaf(value))
-
-
-def const(tape, value) -> Var:
-    """New constant node (no gradient accumulated into it)."""
-    return Var(tape, tape.const(value))

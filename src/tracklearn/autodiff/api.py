@@ -1,8 +1,24 @@
-"""User-facing Var wrapper and the functional layer that records onto a tape."""
+"""Var, the functional layer, and its array path.
+
+Every function here computes its value with one numpy expression.  When an
+operand is a Var, the value is recorded as a node on the operand's tape and
+a Var is returned; when the operands are plain 2-D float64 arrays, the same
+value is returned at once, with no tape.  The operand's type is the only
+switch.  Var and ndarray share + - * / @ with the same values, so a model
+written against this layer filters on arrays and trains on a tape.
+"""
 
 from __future__ import annotations
 
 import numpy as np
+from scipy.linalg import cho_solve as _cho_solve
+
+from ..errors import NumericsError
+from .pure import (
+    ABS, ADD, ADDC, ATAN2, CHO_SOLVE, COS, DIV, EMBED, EXP, LOG, LOGDET, MATMUL, MUL, MULC,
+    NEG, SCALE_TMPL, SDIV, SIGMOID, SIN, SLICE, SMUL, SQRT, SUB, SUM, TANH, TRANSPOSE,
+    PyTape, as_matrix,
+)
 
 
 class Var:
@@ -16,7 +32,7 @@ class Var:
 
     @property
     def value(self) -> np.ndarray:
-        return self.tape.value(self.i)
+        return self.tape.values[self.i]
 
     @property
     def grad(self) -> np.ndarray:
@@ -24,21 +40,17 @@ class Var:
 
     @property
     def shape(self):
-        return self.tape.value(self.i).shape
-
-    @property
-    def is_scalar(self) -> bool:
-        return self.shape == (1, 1)
+        return self.tape.values[self.i].shape
 
     def scalar(self) -> float:
-        return float(self.tape.value(self.i)[0, 0])
+        return float(self.tape.values[self.i][0, 0])
 
     @property
     def T(self) -> "Var":
-        return Var(self.tape, self.tape.transpose(self.i))
+        return transpose(self)
 
-    def _wrap(self, i: int) -> "Var":
-        return Var(self.tape, i)
+    def _push(self, opcode: int, b: int, aux, value: np.ndarray) -> "Var":
+        return Var(self.tape, self.tape.push(opcode, self.i, b, aux, value))
 
     def _coerce(self, other) -> "Var":
         if isinstance(other, Var):
@@ -47,149 +59,265 @@ class Var:
             return other
         raise TypeError(f"expected Var or float, got {type(other)!r}")
 
+    # the operators read node values straight from the tape's list: they run
+    # for every node, so they skip the value property's call
     def __add__(self, other):
+        vals = self.tape.values
         if isinstance(other, (int, float)):
-            return self._wrap(self.tape.addc(self.i, float(other)))
-        return self._wrap(self.tape.add(self.i, self._coerce(other).i))
+            c = float(other)
+            return self._push(ADDC, -1, c, vals[self.i] + c)
+        other = self._coerce(other)
+        return self._push(ADD, other.i, None, vals[self.i] + vals[other.i])
 
     __radd__ = __add__
 
     def __sub__(self, other):
+        vals = self.tape.values
         if isinstance(other, (int, float)):
-            return self._wrap(self.tape.addc(self.i, -float(other)))
-        return self._wrap(self.tape.sub(self.i, self._coerce(other).i))
+            c = float(other)
+            return self._push(ADDC, -1, -c, vals[self.i] - c)
+        other = self._coerce(other)
+        return self._push(SUB, other.i, None, vals[self.i] - vals[other.i])
 
     def __rsub__(self, other):
         if isinstance(other, (int, float)):
-            return self._wrap(self.tape.addc(self.tape.neg(self.i), float(other)))
+            c = float(other)
+            return (-self)._push(ADDC, -1, c, c - self.value)
         return NotImplemented
 
     def __neg__(self):
-        return self._wrap(self.tape.neg(self.i))
+        return self._push(NEG, -1, None, -self.value)
 
     def __mul__(self, other):
+        vals = self.tape.values
+        a = vals[self.i]
         if isinstance(other, (int, float)):
-            return self._wrap(self.tape.mulc(self.i, float(other)))
+            c = float(other)
+            return self._push(MULC, -1, c, a * c)
         other = self._coerce(other)
-        if self.shape == other.shape:
-            return self._wrap(self.tape.mul(self.i, other.i))
-        if self.is_scalar:
-            return self._wrap(self.tape.smul(self.i, other.i))
-        if other.is_scalar:
-            return self._wrap(self.tape.smul(other.i, self.i))
-        raise ValueError(f"shape mismatch in mul: {self.shape} vs {other.shape}")
+        b = vals[other.i]
+        if a.shape == b.shape:
+            return self._push(MUL, other.i, None, a * b)
+        if a.shape == (1, 1):
+            return self._push(SMUL, other.i, None, a * b)
+        if b.shape == (1, 1):
+            return other._push(SMUL, self.i, None, a * b)
+        raise ValueError(f"shape mismatch in mul: {a.shape} vs {b.shape}")
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
+        vals = self.tape.values
+        a = vals[self.i]
         if isinstance(other, (int, float)):
-            return self._wrap(self.tape.mulc(self.i, 1.0 / float(other)))
+            c = float(other)
+            return self._push(MULC, -1, 1.0 / c, a / c)
         other = self._coerce(other)
-        if self.shape == other.shape:
-            return self._wrap(self.tape.div(self.i, other.i))
-        if other.is_scalar:
-            return self._wrap(self.tape.sdiv(self.i, other.i))
-        raise ValueError(f"shape mismatch in div: {self.shape} vs {other.shape}")
+        b = vals[other.i]
+        if a.shape == b.shape:
+            return self._push(DIV, other.i, None, a / b)
+        if b.shape == (1, 1):
+            return self._push(SDIV, other.i, None, a / b)
+        raise ValueError(f"shape mismatch in div: {a.shape} vs {b.shape}")
 
     def __rtruediv__(self, other):
         if isinstance(other, (int, float)):
-            num = self.tape.const(np.full_like(self.value, float(other)))
-            return self._wrap(self.tape.div(num, self.i))
+            c = float(other)
+            num = self.tape.const(np.full_like(self.value, c))
+            return Var(self.tape, self.tape.push(DIV, num, self.i, None, c / self.value))
         return NotImplemented
 
     def __matmul__(self, other):
-        return self._wrap(self.tape.matmul(self.i, self._coerce(other).i))
+        other = self._coerce(other)
+        vals = self.tape.values
+        return self._push(MATMUL, other.i, None, vals[self.i] @ vals[other.i])
 
 
-def _unary(name):
-    def fn(v: Var) -> Var:
-        return Var(v.tape, getattr(v.tape, name)(v.i))
+def make_tape() -> PyTape:
+    """New empty tape."""
+    return PyTape()
 
-    fn.__name__ = name
+
+def var(tape, value) -> Var:
+    """New differentiable leaf."""
+    return Var(tape, tape.leaf(value))
+
+
+def const(tape, value) -> Var:
+    """New constant node (no gradient accumulated into it)."""
+    return Var(tape, tape.const(value))
+
+
+def const_like(like, value):
+    """value as a constant beside `like`: a constant node on like's tape when
+    like is a Var, else the value itself as a 2-D matrix."""
+    if isinstance(like, Var):
+        return const(like.tape, value)
+    return as_matrix(value)
+
+
+def scalar(x) -> float:
+    """The float held by a 1x1 Var or array."""
+    return float(_value(x)[0, 0])
+
+
+def _value(x) -> np.ndarray:
+    return x.tape.values[x.i] if isinstance(x, Var) else x
+
+
+def _record(x, opcode: int, aux, value: np.ndarray, other=None):
+    """value as a node on x's tape when x is a Var (other, if given, is the
+    second operand); value itself when the operands are arrays."""
+    if isinstance(x, Var):
+        return x._push(opcode, -1 if other is None else x._coerce(other).i, aux, value)
+    if isinstance(other, Var):
+        raise TypeError("cannot mix a Var with an array operand")
+    return value
+
+
+# -- forward expressions --------------------------------------------------------
+
+
+def _log(v: np.ndarray) -> np.ndarray:
+    if (v <= 0.0).any():
+        raise ValueError("log of non-positive value")
+    return np.log(v)
+
+
+def _sqrt(v: np.ndarray) -> np.ndarray:
+    if (v <= 0.0).any():
+        raise ValueError("sqrt of non-positive value")
+    return np.sqrt(v)
+
+
+def _logistic(v: np.ndarray) -> np.ndarray:
+    out = np.empty_like(v)
+    pos = v >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-v[pos]))
+    ev = np.exp(v[~pos])
+    out[~pos] = ev / (1.0 + ev)
+    return out
+
+
+def _transpose(v: np.ndarray) -> np.ndarray:
+    return np.ascontiguousarray(v.T)
+
+
+def _vsum(v: np.ndarray) -> np.ndarray:
+    return np.array([[v.sum()]])
+
+
+def _cholesky(spd: np.ndarray, *operands) -> np.ndarray:
+    """Lower Cholesky factor; NumericsError when an operand is not finite or
+    spd is not positive definite."""
+    if not all(np.isfinite(x).all() for x in (spd, *operands)):
+        raise NumericsError("non-finite operand of a Cholesky solve")
+    try:
+        return np.linalg.cholesky(spd)
+    except np.linalg.LinAlgError as exc:
+        raise NumericsError(f"matrix is not positive definite: {exc}") from exc
+
+
+def _unary(opcode: int, forward):
+    def fn(v):
+        if isinstance(v, Var):
+            return v._push(opcode, -1, None, forward(v.tape.values[v.i]))
+        return forward(v)
+
     return fn
 
 
-exp = _unary("exp")
-log = _unary("log")
-tanh = _unary("tanh")
-sigmoid = _unary("sigmoid")
-sqrt = _unary("sqrt")
-sin = _unary("sin")
-cos = _unary("cos")
-absval = _unary("absv")
-transpose = _unary("transpose")
-vsum = _unary("vsum")
+exp = _unary(EXP, np.exp)
+log = _unary(LOG, _log)
+tanh = _unary(TANH, np.tanh)
+sigmoid = _unary(SIGMOID, _logistic)
+sqrt = _unary(SQRT, _sqrt)
+sin = _unary(SIN, np.sin)
+cos = _unary(COS, np.cos)
+absval = _unary(ABS, np.abs)
+transpose = _unary(TRANSPOSE, _transpose)
+vsum = _unary(SUM, _vsum)
 
 
-def atan2(a: Var, b: Var) -> Var:
-    return Var(a.tape, a.tape.atan2(a.i, b.i))
+def atan2(a, b):
+    return _record(a, ATAN2, None, np.arctan2(_value(a), _value(b)), b)
 
 
-def matmul(a: Var, b: Var) -> Var:
+def matmul(a, b):
     return a @ b
 
 
-def cho_solve(spd: Var, rhs: Var) -> Var:
+def cho_solve(spd, rhs):
     """Solve spd @ X = rhs for symmetric positive definite spd."""
-    return Var(spd.tape, spd.tape.cho_solve(spd.i, rhs.i))
+    spd_v, rhs_v = _value(spd), _value(rhs)
+    low = _cholesky(spd_v, rhs_v)
+    sol = _cho_solve((low, True), rhs_v, check_finite=False)
+    return _record(spd, CHO_SOLVE, [low, sol], sol, rhs)
 
 
-def logdet(spd: Var) -> Var:
+def logdet(spd):
     """log det of a symmetric positive definite matrix, via Cholesky."""
-    return Var(spd.tape, spd.tape.logdet(spd.i))
+    low = _cholesky(_value(spd))
+    return _record(spd, LOGDET, [low], np.array([[2.0 * np.sum(np.log(np.diag(low)))]]))
 
 
-def block(v: Var, r0: int, r1: int, c0: int, c1: int) -> Var:
-    return Var(v.tape, v.tape.slice(v.i, r0, r1, c0, c1))
+def block(v, r0: int, r1: int, c0: int, c1: int):
+    return _record(v, SLICE, (r0, r1, c0, c1), np.ascontiguousarray(_value(v)[r0:r1, c0:c1]))
 
 
-def rows(v: Var, r0: int, r1: int) -> Var:
+def rows(v, r0: int, r1: int):
     return block(v, r0, r1, 0, v.shape[1])
 
 
-def cols(v: Var, c0: int, c1: int) -> Var:
+def cols(v, c0: int, c1: int):
     return block(v, 0, v.shape[0], c0, c1)
 
 
-def item(v: Var, r: int, c: int) -> Var:
+def item(v, r: int, c: int):
     return block(v, r, r + 1, c, c + 1)
 
 
-def scale_template(s: Var, template) -> Var:
-    """Scalar Var times a constant matrix template."""
-    return Var(s.tape, s.tape.scale_template(s.i, template))
+def scale_template(s, template):
+    """1x1 s times a constant matrix template."""
+    tmpl = as_matrix(template)
+    return _record(s, SCALE_TMPL, tmpl, _value(s)[0, 0] * tmpl)
 
 
-def concat_rows(parts: list[Var]) -> Var:
+def _embed(v, rows_n: int, cols_n: int, r0: int, c0: int):
+    src = _value(v)
+    val = np.zeros((rows_n, cols_n))
+    val[r0 : r0 + src.shape[0], c0 : c0 + src.shape[1]] = src
+    return _record(v, EMBED, (rows_n, cols_n, r0, c0), val)
+
+
+def concat_rows(parts: list):
     rows_total = sum(p.shape[0] for p in parts)
     cols_n = parts[0].shape[1]
-    tape = parts[0].tape
     out = None
     r = 0
     for p in parts:
-        piece = Var(tape, tape.embed(p.i, rows_total, cols_n, r, 0))
+        piece = _embed(p, rows_total, cols_n, r, 0)
         out = piece if out is None else out + piece
         r += p.shape[0]
     return out
 
 
-def concat_cols(parts: list[Var]) -> Var:
+def concat_cols(parts: list):
     cols_total = sum(p.shape[1] for p in parts)
     rows_n = parts[0].shape[0]
-    tape = parts[0].tape
     out = None
     c = 0
     for p in parts:
-        piece = Var(tape, tape.embed(p.i, rows_n, cols_total, 0, c))
+        piece = _embed(p, rows_n, cols_total, 0, c)
         out = piece if out is None else out + piece
         c += p.shape[1]
     return out
 
 
-def logsumexp(terms: list[Var]) -> Var:
-    """Stable log(sum(exp(t))) over 1x1 Vars; the max is detached, so the
+def logsumexp(terms: list):
+    """Stable log(sum(exp(t))) over 1x1 terms; the max is detached, so the
     gradient is exact."""
-    m = max(t.scalar() for t in terms)
+    m = max(scalar(t) for t in terms)
     acc = None
     for t in terms:
         e = exp(t + (-m))

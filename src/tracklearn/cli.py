@@ -175,9 +175,13 @@ def _train_mkf(cfg: ExperimentConfig, train: Dataset, out: Path, seed: int):
     scale = (
         input_scale_from(train.tracklets, train.sensor)
         if scale_text == "auto"
-        else float(scale_text)
+        else cfg.fnum("mkf", "input_scale")
     )
-    w0 = init_weights(seed=seed, hidden=mkf_cfg.hidden, dense=mkf_cfg.dense, input_scale=scale)
+    try:
+        w0 = init_weights(seed=seed, hidden=mkf_cfg.hidden, dense=mkf_cfg.dense,
+                          input_scale=scale)
+    except ValueError as exc:
+        raise ConfigError(f"[mkf] {exc}") from exc
     weights, history = train_mkf(w0, train.tracklets, train.sensor,
                                  iterations=cfg.inum("mkf", "iterations"),
                                  lr=cfg.fnum("mkf", "lr"), seed=seed, cfg=mkf_cfg)

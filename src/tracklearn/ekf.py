@@ -1,7 +1,11 @@
 """Constant-velocity EKF benchmark and the shared range-bearing update.
 
-The update routine here (Joseph-form covariance) is reused by the IMM and
-the LSTM filter, so its numerical hygiene carries the whole package.
+The CV model, the range-bearing measurement model, the Joseph-form update
+and the Gaussian innovation NLL are written once here, against the autodiff
+functions.  ekf_update runs them on plain arrays; the IMM records the same
+functions on its tape for every mode (imm.ImmGraph.step), and the LSTM
+filter reaches them through ekf_update.  Their numerical hygiene therefore
+carries the whole package.
 """
 
 from __future__ import annotations
@@ -9,21 +13,41 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
+from . import autodiff as ad
 from .errors import NumericsError
 from .statespace import (
+    LOG_2PI,
     Measurement,
     SensorConfig,
     StateEstimate,
-    measure,
-    measure_jacobian,
     measurement_noise_cartesian,
     polar_to_cartesian,
     wrap_angle,
 )
 
-LOG_2PI = np.log(2.0 * np.pi)
+# templates for assembling the 2x4 range-bearing Jacobian from its entries
+_H00 = np.zeros((2, 4)); _H00[0, 0] = 1.0
+_H01 = np.zeros((2, 4)); _H01[0, 1] = 1.0
+_H10 = np.zeros((2, 4)); _H10[1, 0] = 1.0
+_H11 = np.zeros((2, 4)); _H11[1, 1] = 1.0
+_EYE4 = np.eye(4)
+
+
+def cv_transition(dt: float) -> np.ndarray:
+    """Constant-velocity transition matrix over one step of dt."""
+    f = np.eye(4)
+    f[0, 2] = f[1, 3] = dt
+    return f
+
+
+def wna_template(dt: float) -> np.ndarray:
+    """White-noise-acceleration process noise over dt at unit intensity."""
+    q = np.zeros((4, 4))
+    q[0, 0] = q[1, 1] = dt**3 / 3.0
+    q[2, 2] = q[3, 3] = dt
+    q[0, 2] = q[2, 0] = q[1, 3] = q[3, 1] = dt**2 / 2.0
+    return q
 
 
 @dataclass(frozen=True)
@@ -41,22 +65,11 @@ class CwnaModel:
 
     @property
     def transition(self) -> np.ndarray:
-        f = np.eye(4)
-        f[0, 2] = self.dt
-        f[1, 3] = self.dt
-        return f
+        return cv_transition(self.dt)
 
     @property
     def process_noise(self) -> np.ndarray:
-        dt = self.dt
-        q_pp = self.q * dt**3 / 3.0
-        q_pv = self.q * dt**2 / 2.0
-        q_vv = self.q * dt
-        q = np.zeros((4, 4))
-        q[0, 0] = q[1, 1] = q_pp
-        q[2, 2] = q[3, 3] = q_vv
-        q[0, 2] = q[2, 0] = q[1, 3] = q[3, 1] = q_pv
-        return q
+        return self.q * wna_template(self.dt)
 
 
 def predict_cwna(prior: StateEstimate, model: CwnaModel) -> StateEstimate:
@@ -67,37 +80,63 @@ def predict_cwna(prior: StateEstimate, model: CwnaModel) -> StateEstimate:
     return StateEstimate(mean=mean, cov=0.5 * (cov + cov.T), t=prior.t + 1)
 
 
-def ekf_update(pred: StateEstimate, z: Measurement, sensor: SensorConfig):
-    """Range-bearing EKF update with Joseph-form covariance.
+def range_bearing(x, origin: np.ndarray):
+    """(range, bearing, 2x4 Jacobian) of a 4x1 state column x, seen from origin.
 
-    Returns (posterior, innovation, innovation covariance).  The bearing
-    residual is wrapped into (-pi, pi] before use.
+    Raises NumericsError when the state coincides with the origin.
     """
-    r_pred, a_pred = measure(pred.position, sensor)
-    jac = measure_jacobian(pred.mean, sensor)
-    innovation = np.array([z.range - r_pred, wrap_angle(z.bearing - a_pred)])
-    s = jac @ pred.cov @ jac.T + sensor.noise_cov
-    try:
-        s_fac = cho_factor(s, lower=True)
-    except np.linalg.LinAlgError as exc:
-        raise NumericsError(f"innovation covariance not positive definite: {exc}") from exc
-    gain = cho_solve(s_fac, jac @ pred.cov).T
-    mean = pred.mean + gain @ innovation
-    i_kh = np.eye(4) - gain @ jac
-    cov = i_kh @ pred.cov @ i_kh.T + gain @ sensor.noise_cov @ gain.T
-    post = StateEstimate(mean=mean, cov=0.5 * (cov + cov.T), t=pred.t)
-    return post, innovation, s
+    dx = ad.item(x, 0, 0) - float(origin[0])
+    dy = ad.item(x, 1, 0) - float(origin[1])
+    r_sq = dx * dx + dy * dy
+    if ad.scalar(r_sq) == 0.0:
+        raise NumericsError("state coincides with the sensor origin")
+    r = ad.sqrt(r_sq)
+    bearing = ad.atan2(dy, dx)
+    jac = (
+        ad.scale_template(dx / r, _H00)
+        + ad.scale_template(dy / r, _H01)
+        + ad.scale_template(-(dy / r_sq), _H10)
+        + ad.scale_template(dx / r_sq, _H11)
+    )
+    return r, bearing, jac
 
 
-def nll_term(innovation: np.ndarray, s: np.ndarray) -> float:
-    """Negative log density of one Gaussian innovation: 0.5 (v' S^-1 v + log det S + 2 log 2pi)."""
-    try:
-        s_fac = cho_factor(s, lower=True)
-    except np.linalg.LinAlgError as exc:
-        raise NumericsError(f"innovation covariance not positive definite: {exc}") from exc
-    quad = float(innovation @ cho_solve(s_fac, innovation))
-    logdet = 2.0 * float(np.sum(np.log(np.diag(s_fac[0]))))
-    return 0.5 * (quad + logdet + 2.0 * LOG_2PI)
+def joseph_update(x, p, z_range: float, z_bearing: float, r_noise, origin: np.ndarray):
+    """Range-bearing EKF update of a 4x1 mean x and 4x4 covariance p.
+
+    r_noise is the 2x2 measurement noise covariance.  The bearing residual is
+    wrapped into (-pi, pi]; the covariance update is in Joseph form.
+    Returns (posterior mean, posterior covariance, 2x1 innovation, S).
+    """
+    r, bearing, jac = range_bearing(x, origin)
+    dr = -(r - z_range)
+    raw = z_bearing - ad.scalar(bearing)
+    da = (-(bearing - z_bearing)) + (float(wrap_angle(raw)) - raw)
+    nu = ad.concat_rows([dr, da])
+    s = jac @ p @ ad.transpose(jac) + r_noise
+    k = ad.transpose(ad.cho_solve(s, jac @ p))
+    x_post = x + k @ nu
+    i_kh = ad.const_like(x, _EYE4) - k @ jac
+    p_post = i_kh @ p @ ad.transpose(i_kh) + k @ r_noise @ ad.transpose(k)
+    p_post = (p_post + ad.transpose(p_post)) * 0.5
+    return x_post, p_post, nu, s
+
+
+def gaussian_nll(nu, s):
+    """Negative log density of a 2x1 Gaussian innovation nu with covariance s:
+    0.5 (nu' s^-1 nu + log det s + 2 log 2pi)."""
+    quad = ad.vsum(nu * ad.cho_solve(s, nu))
+    return (quad + ad.logdet(s) + 2.0 * LOG_2PI) * 0.5
+
+
+def ekf_update(pred: StateEstimate, z: Measurement, sensor: SensorConfig):
+    """Range-bearing EKF update of a StateEstimate (joseph_update on arrays).
+
+    Returns (posterior, innovation, innovation covariance).
+    """
+    x, p, nu, s = joseph_update(pred.mean.reshape(4, 1), pred.cov, z.range, z.bearing,
+                                sensor.noise_cov, sensor.origin)
+    return StateEstimate(mean=x.ravel(), cov=p, t=pred.t), nu.ravel(), s
 
 
 def init_track(z0: Measurement, z1: Measurement, sensor: SensorConfig, dt: float) -> StateEstimate:
@@ -138,6 +177,5 @@ def run_ekf(tracklet, sensor: SensorConfig, model: CwnaModel):
         est, innovation, s = ekf_update(pred, tracklet.measurement(t), sensor)
         pred_means[t] = pred.mean
         post_means[t] = est.mean
-        total_nll += nll_term(innovation, s)
+        total_nll += ad.scalar(gaussian_nll(innovation.reshape(2, 1), s))
     return pred_means, post_means, total_nll
-

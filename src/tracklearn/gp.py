@@ -22,6 +22,7 @@ from . import autodiff as ad
 from .autodiff import GradientOptimizer
 from .errors import NumericsError, WeightCollapseError
 from .statespace import (
+    LOG_2PI,
     Measurement,
     SensorConfig,
     StateEstimate,
@@ -29,8 +30,6 @@ from .statespace import (
     polar_to_cartesian,
     wrap_angle,
 )
-
-LOG_2PI = np.log(2.0 * np.pi)
 
 
 @dataclass(frozen=True)
@@ -103,13 +102,25 @@ def velocity_pairs(tracklets) -> tuple[np.ndarray, np.ndarray]:
     return np.concatenate(ins), np.concatenate(outs)
 
 
+def negative_lml(s0, l2, sv, sq: np.ndarray, y_col: np.ndarray):
+    """Negative log marginal likelihood of the N x 1 outputs y_col under the
+    squared-exponential GP, given the N x N squared input distances sq.
+
+    s0, l2 and sv (signal variance, squared length scale, noise variance) are
+    1x1 Vars, which record the objective on their tape, or 1x1 arrays.
+    """
+    n_pts = len(y_col)
+    arg = ad.const_like(l2, -0.5 * sq) * (1.0 / l2)
+    gram = s0 * ad.exp(arg) + ad.scale_template(sv, np.eye(n_pts))
+    alpha = ad.cho_solve(gram, ad.const_like(s0, y_col))
+    quad = ad.vsum(ad.const_like(s0, y_col) * alpha)
+    return 0.5 * quad + 0.5 * ad.logdet(gram) + 0.5 * n_pts * LOG_2PI
+
+
 def log_marginal_likelihood(inputs: np.ndarray, outputs: np.ndarray, hyper: GpHyper) -> float:
-    gram = kernel_matrix(inputs, inputs, hyper)
-    gram[np.diag_indices_from(gram)] += hyper.noise_sq
-    low = np.linalg.cholesky(gram)
-    alpha = _np_cho_solve((low, True), outputs)
-    logdet = 2.0 * np.sum(np.log(np.diag(low)))
-    return -0.5 * float(outputs @ alpha) - 0.5 * logdet - 0.5 * len(outputs) * LOG_2PI
+    sq = cdist(inputs, inputs, "sqeuclidean")
+    hypers = (np.array([[v]]) for v in (hyper.sigma0_sq, hyper.length_sq, hyper.noise_sq))
+    return -ad.scalar(negative_lml(*hypers, sq, np.reshape(outputs, (-1, 1))))
 
 
 def fit_hyper(inputs: np.ndarray, outputs: np.ndarray, hyper0: GpHyper,
@@ -126,20 +137,12 @@ def fit_hyper(inputs: np.ndarray, outputs: np.ndarray, hyper0: GpHyper,
         inputs, outputs = inputs[keep], outputs[keep]
     sq = cdist(inputs, inputs, "sqeuclidean")
     y_col = outputs.reshape(-1, 1)
-    n_pts = len(inputs)
 
-    def negative_lml(rho: np.ndarray):
+    def recorded_loss(rho: np.ndarray):
         tape = ad.make_tape()
-        leaves = {"rho": ad.var(tape, rho.reshape(1, 3))}
-        s0 = ad.exp(ad.item(leaves["rho"], 0, 0))
-        l2 = ad.exp(ad.item(leaves["rho"], 0, 1))
-        sv = ad.exp(ad.item(leaves["rho"], 0, 2))
-        arg = ad.const(tape, -0.5 * sq) * (1.0 / l2)
-        gram = s0 * ad.exp(arg) + ad.scale_template(sv, np.eye(n_pts))
-        alpha = ad.cho_solve(gram, ad.const(tape, y_col))
-        quad = ad.vsum(ad.const(tape, y_col) * alpha)
-        loss = 0.5 * quad + 0.5 * ad.logdet(gram) + 0.5 * n_pts * LOG_2PI
-        return loss, leaves
+        leaf = ad.var(tape, rho.reshape(1, 3))
+        s0, l2, sv = (ad.exp(ad.item(leaf, 0, k)) for k in range(3))
+        return negative_lml(s0, l2, sv, sq, y_col), leaf
 
     rho = np.log([hyper0.sigma0_sq, hyper0.length_sq, hyper0.noise_sq])
     opt = GradientOptimizer(lr=lr)
@@ -147,8 +150,8 @@ def fit_hyper(inputs: np.ndarray, outputs: np.ndarray, hyper0: GpHyper,
     best_rho, best_loss = rho.copy(), np.inf
     try:
         for _ in range(steps):
-            loss, leaves = negative_lml(rho)
-            value = loss.scalar()
+            loss, leaf = recorded_loss(rho)
+            value = ad.scalar(loss)
             if start_loss is None:
                 start_loss = value
             if not np.isfinite(value):
@@ -156,7 +159,7 @@ def fit_hyper(inputs: np.ndarray, outputs: np.ndarray, hyper0: GpHyper,
             if value < best_loss:
                 best_loss, best_rho = value, rho.copy()
             ad.backward(loss)
-            grads = {"rho": leaves["rho"].grad.reshape(-1)}
+            grads = {"rho": leaf.grad.reshape(-1)}
             rho = opt.step({"rho": rho}, grads)["rho"]
     except (NumericsError, ValueError):
         return hyper0

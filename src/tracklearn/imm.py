@@ -18,11 +18,9 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import GradientOptimizer, Var
-from .ekf import init_track
+from .ekf import cv_transition, gaussian_nll, init_track, joseph_update, wna_template
 from .errors import NumericsError
-from .statespace import SensorConfig, StateEstimate, Tracklet, wrap_angle
-
-LOG_2PI = np.log(2.0 * np.pi)
+from .statespace import SensorConfig, StateEstimate, Tracklet
 
 MODE_CV = "cv"
 MODE_CT = "ct"
@@ -33,19 +31,6 @@ _T_A = np.zeros((4, 4)); _T_A[0, 2] = 1.0; _T_A[1, 3] = 1.0
 _T_B = np.zeros((4, 4)); _T_B[0, 3] = -1.0; _T_B[1, 2] = 1.0
 _T_C = np.zeros((4, 4)); _T_C[2, 2] = 1.0; _T_C[3, 3] = 1.0
 _T_S = np.zeros((4, 4)); _T_S[2, 3] = -1.0; _T_S[3, 2] = 1.0
-
-_H00 = np.zeros((2, 4)); _H00[0, 0] = 1.0
-_H01 = np.zeros((2, 4)); _H01[0, 1] = 1.0
-_H10 = np.zeros((2, 4)); _H10[1, 0] = 1.0
-_H11 = np.zeros((2, 4)); _H11[1, 1] = 1.0
-
-
-def wna_template(dt: float) -> np.ndarray:
-    q = np.zeros((4, 4))
-    q[0, 0] = q[1, 1] = dt**3 / 3.0
-    q[2, 2] = q[3, 3] = dt
-    q[0, 2] = q[2, 0] = q[1, 3] = q[3, 1] = dt**2 / 2.0
-    return q
 
 
 @dataclass(frozen=True)
@@ -142,7 +127,7 @@ def _softmax_rows(logits: Var) -> list:
     rows = []
     for i in range(m):
         items = [ad.item(logits, i, j) for j in range(m)]
-        peak = max(it.scalar() for it in items)
+        peak = max(ad.scalar(it) for it in items)
         exps = [ad.exp(it - peak) for it in items]
         total = exps[0]
         for e in exps[1:]:
@@ -156,13 +141,11 @@ def _transition_vars(tape, params: ImmParams, mode_idx: int, dt: float,
     """Transition matrix Var for one mode; ct builds the exact arc from omega."""
     kind = params.modes[mode_idx]
     if kind == MODE_CV:
-        f_mat = np.eye(4)
-        f_mat[0, 2] = f_mat[1, 3] = dt
-        return ad.const(tape, f_mat)
+        return ad.const(tape, cv_transition(dt))
     theta = omega_var * dt
     # near zero turn rate the ratios a = sin(th)/w, b = (1-cos(th))/w are
     # evaluated by series so the cv limit is exact and differentiable
-    if abs(omega_var.scalar() * dt) < 1e-4:
+    if abs(ad.scalar(omega_var) * dt) < 1e-4:
         w_sq = omega_var * omega_var
         a = w_sq * (-dt**3 / 6.0) + dt
         b = omega_var * (dt**2 / 2.0) + (w_sq * omega_var) * (-dt**4 / 24.0)
@@ -177,43 +160,6 @@ def _transition_vars(tape, params: ImmParams, mode_idx: int, dt: float,
         + ad.scale_template(ad.sin(theta), _T_S)
     )
     return f_var
-
-
-def _measure_vars(tape, x: Var, origin: np.ndarray):
-    """(r, bearing, H) on tape for a 4x1 state column."""
-    dx = ad.item(x, 0, 0) - float(origin[0])
-    dy = ad.item(x, 1, 0) - float(origin[1])
-    r_sq = dx * dx + dy * dy
-    if r_sq.scalar() == 0.0:
-        raise NumericsError("state coincides with the sensor origin")
-    r = ad.sqrt(r_sq)
-    bearing = ad.atan2(dy, dx)
-    jac = (
-        ad.scale_template(dx / r, _H00)
-        + ad.scale_template(dy / r, _H01)
-        + ad.scale_template(-(dy / r_sq), _H10)
-        + ad.scale_template(dx / r_sq, _H11)
-    )
-    return r, bearing, jac
-
-
-def _ekf_update_vars(tape, x: Var, p: Var, z_range: float, z_bearing: float,
-                     r_var: Var, origin: np.ndarray):
-    r, bearing, jac = _measure_vars(tape, x, origin)
-    dr = -(r - z_range)
-    raw = z_bearing - bearing.scalar()
-    da = (-(bearing - z_bearing)) + (float(wrap_angle(raw)) - raw)
-    nu = ad.concat_rows([dr, da])
-    s = jac @ p @ jac.T + r_var
-    k = ad.transpose(ad.cho_solve(s, jac @ p))
-    x_post = x + k @ nu
-    i_kh = ad.const(tape, np.eye(4)) - k @ jac
-    p_post = i_kh @ p @ i_kh.T + k @ r_var @ k.T
-    p_post = (p_post + p_post.T) * 0.5
-    solve = ad.cho_solve(s, nu)
-    quad = ad.vsum(nu * solve)
-    loglik = (quad + ad.logdet(s) + 2.0 * LOG_2PI) * (-0.5)
-    return x_post, p_post, nu, s, loglik
 
 
 class ImmGraph:
@@ -287,22 +233,21 @@ class ImmGraph:
                 mixed_p.append(p0)
 
             # -- mode-matched prediction and update
-            post_x, post_p, logliks, innovations, s_vars, pred_x = [], [], [], [], [], []
+            post_x, post_p, nlls, innovations, s_vars, pred_x = [], [], [], [], [], []
             for j in range(m):
                 xp = self.f_vars[j] @ mixed_x[j]
                 pp = self.f_vars[j] @ mixed_p[j] @ self.f_vars[j].T + self.q_vars[j]
-                x_post, p_post, nu, s, loglik = _ekf_update_vars(
-                    tape, xp, pp, z_range, z_bearing, self.r_var, self.origin
-                )
+                x_post, p_post, nu, s = joseph_update(xp, pp, z_range, z_bearing,
+                                                      self.r_var, self.origin)
                 pred_x.append(xp)
                 post_x.append(x_post)
                 post_p.append(p_post)
                 innovations.append(nu)
                 s_vars.append(s)
-                logliks.append(loglik)
+                nlls.append(gaussian_nll(nu, s))
 
             # -- predictive log-density of this measurement
-            joint = [logliks[j] + ad.log(mu_pred[j]) for j in range(m)]
+            joint = [ad.log(mu_pred[j]) - nlls[j] for j in range(m)]
             log_norm = ad.logsumexp(joint)
             if cfg.likelihood == "mixture":
                 self.loss_terms.append(-log_norm)
@@ -315,15 +260,13 @@ class ImmGraph:
                     d = innovations[j] - nu_bar
                     term = mu_pred[j] * (s_vars[j] + d @ d.T)
                     s_bar = term if s_bar is None else s_bar + term
-                solve = ad.cho_solve(s_bar, nu_bar)
-                quad = ad.vsum(nu_bar * solve)
-                self.loss_terms.append((quad + ad.logdet(s_bar) + 2.0 * LOG_2PI) * 0.5)
+                self.loss_terms.append(gaussian_nll(nu_bar, s_bar))
 
             # -- mode probability update (normalized by construction)
             mu_post = [ad.exp(joint[j] - log_norm) for j in range(m)]
-            if any(v.scalar() < cfg.prob_floor for v in mu_post):
+            if any(ad.scalar(v) < cfg.prob_floor for v in mu_post):
                 floored = [
-                    v if v.scalar() >= cfg.prob_floor else ad.const(tape, cfg.prob_floor)
+                    v if ad.scalar(v) >= cfg.prob_floor else ad.const(tape, cfg.prob_floor)
                     for v in mu_post
                 ]
                 total = floored[0]
@@ -395,7 +338,7 @@ def run_imm(params: ImmParams, tracklet: Tracklet, sensor: SensorConfig,
         pred_means[t] = pred.value.ravel()
         post_means[t] = post.value.ravel()
         post_covs[t] = cov.value
-    return pred_means, post_means, post_covs, float(graph.loss().scalar())
+    return pred_means, post_means, post_covs, ad.scalar(graph.loss())
 
 
 def dataset_nll(params: ImmParams, tracklets, sensor: SensorConfig,
@@ -424,7 +367,7 @@ def train_imm(params0: ImmParams, tracklets, sensor: SensorConfig, steps: int,
         idx = int(rng.integers(len(tracklets)))
         try:
             loss, leaves = imm_nll(params, tracklets[idx], sensor, cfg)
-            value = loss.scalar()
+            value = ad.scalar(loss)
             if not np.isfinite(value):
                 break
             ad.backward(loss)

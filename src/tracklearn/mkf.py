@@ -18,14 +18,13 @@ from .autodiff import GradientOptimizer, Var, clip_by_global_norm
 from .ekf import ekf_update, init_track
 from .errors import NumericsError
 from .statespace import (
+    LOG_2PI,
     SensorConfig,
     StateEstimate,
     Tracklet,
     VEL_PROJECTION,
     polar_rows_to_cartesian,
 )
-
-LOG_2PI = np.log(2.0 * np.pi)
 
 _E00 = np.array([[1.0, 0.0], [0.0, 0.0]])
 _E11 = np.array([[0.0, 0.0], [0.0, 1.0]])
@@ -60,6 +59,10 @@ class LstmWeights:
     bo: np.ndarray
     input_scale: float = 1.0
 
+    def __post_init__(self):
+        if not (np.isfinite(self.input_scale) and self.input_scale > 0.0):
+            raise ValueError(f"input_scale must be positive and finite, got {self.input_scale}")
+
     @property
     def hidden(self) -> int:
         return self.wh.shape[0]
@@ -74,28 +77,6 @@ class LstmWeights:
     def with_dict(self, values: dict) -> "LstmWeights":
         return LstmWeights(**{name: values[name].copy() for name in WEIGHT_NAMES},
                            input_scale=self.input_scale)
-
-
-@dataclass
-class LstmState:
-    h: np.ndarray
-    c: np.ndarray
-
-    @classmethod
-    def zeros(cls, hidden: int) -> "LstmState":
-        return cls(h=np.zeros((1, hidden)), c=np.zeros((1, hidden)))
-
-
-@dataclass
-class NnPrediction:
-    """Velocity mean and lower-triangular Cholesky factor of its covariance."""
-
-    v_nn: np.ndarray
-    c_nn: np.ndarray
-
-    def __post_init__(self):
-        if self.c_nn[0, 1] != 0.0 or self.c_nn[0, 0] <= 0.0 or self.c_nn[1, 1] <= 0.0:
-            raise ValueError("c_nn must be lower-triangular with positive diagonal")
 
 
 def init_weights(seed: int, d_in: int = 2, hidden: int = 32, dense: int = 32,
@@ -121,48 +102,28 @@ def init_weights(seed: int, d_in: int = 2, hidden: int = 32, dense: int = 32,
     )
 
 
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
-
-
-def lstm_step(w: LstmWeights, s: LstmState, x: np.ndarray) -> tuple[LstmState, NnPrediction]:
-    """Plain-numpy forward pass of one cell; x is the scaled 2-vector input.
-
-    Gate layout along the 4H axis is [input, forget, cell, output].
-    """
-    hid = w.hidden
-    gates = x.reshape(1, -1) @ w.wx + s.h @ w.wh + w.b
-    i = _sigmoid(gates[:, :hid])
-    f = _sigmoid(gates[:, hid : 2 * hid])
-    g = np.tanh(gates[:, 2 * hid : 3 * hid])
-    o = _sigmoid(gates[:, 3 * hid :])
-    c_new = f * s.c + i * g
-    h_new = o * np.tanh(c_new)
-    dense = np.tanh(h_new @ w.wd + w.bd)
-    out = (dense @ w.wo + w.bo).ravel()
-    chol = np.array([[np.exp(out[2]), 0.0], [out[4], np.exp(out[3])]])
-    return LstmState(h=h_new, c=c_new), NnPrediction(v_nn=out[:2].copy(), c_nn=chol)
-
-
 def _tape_weights(tape, w: LstmWeights) -> dict:
     return {name: ad.var(tape, getattr(w, name)) for name in WEIGHT_NAMES}
 
 
-def _tape_lstm_step(wvars: dict, h: Var, c: Var, x: Var, hidden: int):
-    gates = x @ wvars["wx"] + h @ wvars["wh"] + wvars["b"]
+def lstm_step(weights: dict, h, c, x):
+    """One LSTM cell step and its output head, on Vars or on plain arrays.
+
+    weights maps WEIGHT_NAMES to their values; h and c are the 1xH state and
+    x the scaled 1x2 input.  Gate layout along the 4H axis is [input, forget,
+    cell, output].  Returns (h, c, 1x2 velocity, 2x2 lower-triangular
+    Cholesky factor of its covariance).
+    """
+    hidden = weights["wh"].shape[0]
+    gates = x @ weights["wx"] + h @ weights["wh"] + weights["b"]
     i = ad.sigmoid(ad.cols(gates, 0, hidden))
     f = ad.sigmoid(ad.cols(gates, hidden, 2 * hidden))
     g = ad.tanh(ad.cols(gates, 2 * hidden, 3 * hidden))
     o = ad.sigmoid(ad.cols(gates, 3 * hidden, 4 * hidden))
     c_new = f * c + i * g
     h_new = o * ad.tanh(c_new)
-    dense = ad.tanh(h_new @ wvars["wd"] + wvars["bd"])
-    out = dense @ wvars["wo"] + wvars["bo"]
+    dense = ad.tanh(h_new @ weights["wd"] + weights["bd"])
+    out = dense @ weights["wo"] + weights["bo"]
     v = ad.cols(out, 0, 2)
     chol = (
         ad.scale_template(ad.exp(ad.item(out, 0, 2)), _E00)
@@ -172,23 +133,24 @@ def _tape_lstm_step(wvars: dict, h: Var, c: Var, x: Var, hidden: int):
     return h_new, c_new, v, chol
 
 
-def mkf_predict(prior: StateEstimate, s: LstmState, w: LstmWeights, dt: float,
+def mkf_predict(prior: StateEstimate, state: tuple, w: LstmWeights, dt: float,
                 q_reg: np.ndarray | float = 1e-2):
     """One network prediction step from the posterior state.
 
-    The network ingests the posterior velocity (scaled); position moves by
-    dt * v_nn; the covariance grows by the velocity-projected network
-    covariance plus the regularization term.
-    Returns (predicted StateEstimate, new LstmState, NnPrediction).
+    state is the LSTM's (h, c).  The network ingests the posterior velocity
+    (scaled); position moves by dt * v_nn; the covariance grows by the
+    velocity-projected network covariance plus the regularization term.
+    Returns (predicted StateEstimate, new (h, c)).
     """
-    s_new, nn = lstm_step(w, s, prior.velocity / w.input_scale)
-    v_phys = nn.v_nn * w.input_scale
-    c_phys = nn.c_nn * w.input_scale
+    x = (prior.velocity / w.input_scale).reshape(1, 2)
+    h, c, v_nn, c_nn = lstm_step(w.to_dict(), *state, x)
+    v_phys = v_nn.ravel() * w.input_scale
+    c_phys = c_nn * w.input_scale
     mean = np.concatenate([prior.position + dt * v_phys, v_phys])
     q_mat = np.eye(4) * q_reg if np.isscalar(q_reg) else np.asarray(q_reg)
     cov = prior.cov + VEL_PROJECTION.T @ (c_phys @ c_phys.T) @ VEL_PROJECTION + q_mat
     pred = StateEstimate(mean=mean, cov=0.5 * (cov + cov.T), t=prior.t + 1)
-    return pred, s_new, NnPrediction(v_nn=v_phys, c_nn=c_phys)
+    return pred, (h, c)
 
 
 def training_sequences(tracklet: Tracklet, sensor: SensorConfig, scale: float):
@@ -212,7 +174,7 @@ def mkf_loss(wvars: dict, inputs: np.ndarray, labels: np.ndarray, hidden: int,
     c = ad.const(tape, np.zeros((1, hidden)))
     total = None
     for x_row, y_row in zip(inputs, labels):
-        h, c, v, chol = _tape_lstm_step(wvars, h, c, ad.const(tape, x_row.reshape(1, 2)), hidden)
+        h, c, v, chol = lstm_step(wvars, h, c, ad.const(tape, x_row.reshape(1, 2)))
         residual = ad.transpose(v) - ad.const(tape, y_row.reshape(2, 1))
         if mode == "nll":
             cov = chol @ chol.T
@@ -248,7 +210,7 @@ def train_mkf(w0: LstmWeights, tracklets, sensor: SensorConfig, iterations: int,
         wvars = _tape_weights(tape, weights)
         try:
             loss = mkf_loss(wvars, inputs, labels, weights.hidden, cfg.loss)
-            value = loss.scalar()
+            value = ad.scalar(loss)
             if not np.isfinite(value):
                 break
             ad.backward(loss)
@@ -273,7 +235,7 @@ def input_scale_from(tracklets, sensor: SensorConfig) -> float:
 
 def run_mkf(tracklet: Tracklet, sensor: SensorConfig, w: LstmWeights,
             cfg: MkfConfig = None):
-    """Filter one tracklet; returns (pred_means, post_means, post_covs, pred_covs).
+    """Filter one tracklet; returns (pred_means, post_means, post_covs).
 
     Mirrors the EKF runner: rows 0..1 hold the two-point initialization and
     the LSTM state starts at zero.
@@ -281,7 +243,7 @@ def run_mkf(tracklet: Tracklet, sensor: SensorConfig, w: LstmWeights,
     cfg = cfg or MkfConfig()
     n = len(tracklet)
     est = init_track(tracklet.measurement(0), tracklet.measurement(1), sensor, tracklet.dt)
-    state = LstmState.zeros(w.hidden)
+    state = (np.zeros((1, w.hidden)), np.zeros((1, w.hidden)))
     pred_means = np.full((n, 4), np.nan)
     post_means = np.full((n, 4), np.nan)
     post_covs = np.full((n, 4, 4), np.nan)
@@ -289,7 +251,7 @@ def run_mkf(tracklet: Tracklet, sensor: SensorConfig, w: LstmWeights,
     post_means[:2] = est.mean
     post_covs[:2] = est.cov
     for t in range(2, n):
-        pred, state, _ = mkf_predict(est, state, w, tracklet.dt, cfg.q_reg)
+        pred, state = mkf_predict(est, state, w, tracklet.dt, cfg.q_reg)
         est, _, _ = ekf_update(pred, tracklet.measurement(t), sensor)
         pred_means[t] = pred.mean
         post_means[t] = est.mean

@@ -149,11 +149,13 @@ def read_trajectory_csv(path) -> tuple[np.ndarray, np.ndarray]:
 
 
 def ingest_csv(traj_path, sensor: SensorConfig, tracklet_len: int,
-               rng_seed: int, dt: float | None = None, role: str = "train") -> Dataset:
+               rng_seed: int, dt: float, role: str = "train") -> Dataset:
     """Split an external trajectory into tracklets and synthesize measurements.
 
     Consecutive non-overlapping windows of tracklet_len rows; the remainder
-    is discarded.  dt defaults to the spacing of the first two time stamps.
+    is discarded.  Every time step of the CSV must equal dt to within
+    1e-6 dt, or CsvFormatError names the first data row (counted from 1)
+    that breaks it.
     """
     times, states = read_trajectory_csv(traj_path)
     n = len(states)
@@ -161,8 +163,12 @@ def ingest_csv(traj_path, sensor: SensorConfig, tracklet_len: int,
         raise EmptyDatasetError(
             f"{Path(traj_path).name}: {n} rows < tracklet length {tracklet_len}"
         )
-    if dt is None:
-        dt = float(times[1] - times[0]) if n > 1 else 1.0
+    steps = np.diff(times)
+    off = np.flatnonzero(np.abs(steps - dt) > 1e-6 * dt)
+    if off.size:
+        k = int(off[0])
+        raise CsvFormatError(f"{Path(traj_path).name} data row {k + 2}: time step "
+                             f"{steps[k]:g} s differs from dt = {dt:g} s")
     n_tracklets = n // tracklet_len
     tracklets = []
     rngs = _tracklet_rngs(rng_seed, n_tracklets)

@@ -1,4 +1,4 @@
-"""Shared kinematic types, the range-bearing sensor model and its Jacobian.
+"""Shared kinematic types and the range-bearing sensor model.
 
 State ordering is fixed to [x1, x2, v1, v2] (meters, meters/second) and is
 relied on by every filter in the package.  Bearings live in (-pi, pi].
@@ -14,6 +14,7 @@ from .errors import GeometryError
 
 STATE_DIM = 4
 TWO_PI = 2.0 * np.pi
+LOG_2PI = np.log(TWO_PI)
 
 # Projects a 4-D state onto its velocity components.
 VEL_PROJECTION = np.array([[0.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, 1.0]])
@@ -126,23 +127,6 @@ def measure(state_pos, sensor: SensorConfig):
     if r_sq == 0.0:
         raise GeometryError("target position coincides with the sensor origin")
     return np.sqrt(r_sq), np.arctan2(dy, dx)
-
-
-def measure_jacobian(state_mean, sensor: SensorConfig) -> np.ndarray:
-    """2x4 Jacobian of (range, bearing) w.r.t. the state; velocity columns are zero."""
-    mean = np.asarray(state_mean, dtype=float).reshape(STATE_DIM)
-    dx = mean[0] - sensor.origin[0]
-    dy = mean[1] - sensor.origin[1]
-    r_sq = dx * dx + dy * dy
-    if r_sq == 0.0:
-        raise GeometryError("target position coincides with the sensor origin")
-    r = np.sqrt(r_sq)
-    return np.array(
-        [
-            [dx / r, dy / r, 0.0, 0.0],
-            [-dy / r_sq, dx / r_sq, 0.0, 0.0],
-        ]
-    )
 
 
 def polar_to_cartesian(m: Measurement, sensor: SensorConfig) -> np.ndarray:

@@ -3,6 +3,9 @@ import pytest
 
 import tracklearn.autodiff as ad
 from tracklearn.autodiff import GradientOptimizer, Var, clip_by_global_norm
+from tracklearn.ekf import gaussian_nll, joseph_update
+from tracklearn.errors import NumericsError
+from tracklearn.mkf import init_weights, lstm_step
 
 
 @pytest.fixture(params=["pure"])
@@ -167,6 +170,21 @@ def test_domain_errors(make):
     x = ad.var(tape, -1.0)
     with pytest.raises(ValueError):
         ad.sqrt(x)
+    for fn in (ad.log, ad.sqrt):
+        with pytest.raises(ValueError):
+            fn(np.array([[-1.0]]))
+    # not positive definite, or not finite: NumericsError on both paths
+    ones = [[1.0], [1.0]]
+    for spd, rhs in (([[1.0, 2.0], [2.0, 1.0]], ones), ([[np.nan, 0.0], [0.0, 1.0]], ones),
+                     ([[np.inf, 0.0], [0.0, 1.0]], ones), ([[1.0, 0.0], [0.0, 1.0]], [[np.nan], [1.0]])):
+        spd, rhs = np.array(spd), np.array(rhs)
+        tape = make()
+        for s, r in ((spd, rhs), (ad.var(tape, spd), ad.var(tape, rhs))):
+            with pytest.raises(NumericsError):
+                ad.cho_solve(s, r)
+            if np.isfinite(rhs).all():  # the matrix itself is bad
+                with pytest.raises(NumericsError):
+                    ad.logdet(s)
 
 
 def test_mixed_tapes_rejected(make):
@@ -238,3 +256,87 @@ def test_clip_by_global_norm():
     assert total == pytest.approx(1.0)
     untouched = clip_by_global_norm(grads, 100.0)
     assert untouched["a"][0] == 3.0
+
+
+def _assert_same(on_arrays, on_tape, what):
+    assert type(on_arrays) is np.ndarray, what
+    assert np.array_equal(on_arrays, on_tape.value), what
+    for layout in ("C_CONTIGUOUS", "F_CONTIGUOUS"):
+        assert on_arrays.flags[layout] == on_tape.value.flags[layout], what
+
+
+def test_array_path_matches_tape():
+    """Every op, the shared EKF update and the LSTM cell give the same bits and
+    the same memory layout on plain arrays as recorded on a tape."""
+    rng = np.random.default_rng(21)
+    m = rng.standard_normal((3, 3))
+    spd = m @ m.T + 3.0 * np.eye(3)
+    a, b = rng.standard_normal((3, 3)), rng.standard_normal((3, 3))
+    pos = np.abs(b) + 0.1
+    s, t = rng.standard_normal((1, 1)), rng.standard_normal((1, 1))
+    cases = {
+        "add": (lambda x, y: x + y, a, b),
+        "sub": (lambda x, y: x - y, a, b),
+        "neg": (lambda x: -x, a),
+        "mul": (lambda x, y: x * y, a, b),
+        "smul": (lambda x, y: x * y, s, a),
+        "smul_right": (lambda x, y: x * y, a, s),
+        "div": (lambda x, y: x / y, a, pos),
+        "sdiv": (lambda x, y: x / y, a, s),
+        "addc": (lambda x: x + 1.5, a),
+        "subc": (lambda x: x - 0.7, a),
+        "rsub": (lambda x: 2.0 - x, a),
+        "mulc": (lambda x: x * 0.3, a),
+        "divc": (lambda x: x / 0.3, a),
+        "rdiv": (lambda x: 1.0 / x, pos),
+        "matmul": (lambda x, y: x @ y, a, b),
+        "atan2": (ad.atan2, a, b),
+        "cho_solve": (ad.cho_solve, spd, b),
+        "logdet": (ad.logdet, spd),
+        "block": (lambda x: ad.block(x, 0, 2, 1, 3), a),
+        "rows": (lambda x: ad.rows(x, 1, 3), a),
+        "cols": (lambda x: ad.cols(x, 0, 2), a),
+        "item": (lambda x: ad.item(x, 2, 1), a),
+        "scale_template": (lambda x: ad.scale_template(x, a), s),
+        "concat_rows": (lambda x, y: ad.concat_rows([x, y]), a, b),
+        "concat_cols": (lambda x, y: ad.concat_cols([x, y]), a, b),
+        "logsumexp": (lambda x, y: ad.logsumexp([x, y]), s, t),
+    }
+    for name in ("exp", "tanh", "sigmoid", "sin", "cos", "absval", "transpose", "vsum"):
+        cases[name] = (getattr(ad, name), a)
+    for name in ("log", "sqrt"):
+        cases[name] = (getattr(ad, name), pos)
+    for name, (fn, *args) in cases.items():
+        tape = ad.make_tape()
+        _assert_same(fn(*args), fn(*(ad.var(tape, x) for x in args)), name)
+    # ad.transpose copies into C order, unlike ndarray.T
+    assert ad.transpose(a).flags.c_contiguous
+
+    origin = np.array([10.0, -20.0])
+    p = m @ m.T
+    p = np.block([[p + np.eye(3), np.zeros((3, 1))], [np.zeros((1, 3)), np.eye(1)]]) * 4.0
+    noise = np.diag([1.5**2, 0.005**2])
+    # the second state sits just below the negative x axis, so its bearing
+    # residual wraps
+    for x, z in (([2100.0, 1900.0, 9.0, -4.0], (2830.0, 0.74)),
+                 ([-2000.0, -21.0, 3.0, 1.0], (2010.0, np.pi - 1e-4))):
+        x = np.array(x).reshape(4, 1)
+        on_arrays = joseph_update(x, p, *z, noise, origin)
+        tape = ad.make_tape()
+        on_tape = joseph_update(ad.var(tape, x), ad.var(tape, p), *z, ad.var(tape, noise), origin)
+        for k, (out_a, out_t) in enumerate(zip(on_arrays, on_tape)):
+            _assert_same(out_a, out_t, f"joseph_update output {k}")
+        _assert_same(gaussian_nll(*on_arrays[2:]), gaussian_nll(*on_tape[2:]), "gaussian_nll")
+
+    weights = init_weights(seed=3, hidden=6, dense=5).to_dict()
+    tape = ad.make_tape()
+    wvars = {name: ad.var(tape, w) for name, w in weights.items()}
+    state_a = (np.zeros((1, 6)), np.zeros((1, 6)))
+    state_t = (ad.const(tape, state_a[0]), ad.const(tape, state_a[1]))
+    for _ in range(7):
+        x = rng.standard_normal((1, 2))
+        out_a = lstm_step(weights, *state_a, x)
+        out_t = lstm_step(wvars, *state_t, ad.const(tape, x))
+        for k, (va, vt) in enumerate(zip(out_a, out_t)):
+            _assert_same(va, vt, f"lstm_step output {k}")
+        state_a, state_t = out_a[:2], out_t[:2]

@@ -136,3 +136,28 @@ def test_simulate_rejects_bad_csv_with_one_error_line(tmp_path, capsys, case, ca
     assert len(err) == 1
     assert err[0].startswith("error: ") and str(csv_path) in err[0]
     assert cause in err[0]
+
+
+def test_simulate_rejects_csv_whose_time_step_is_not_dt(tmp_path, capsys, gps_csv):
+    # the fixture samples at 10 Hz; the config keeps the default dt = 1.0
+    cfg = write_config(tmp_path / "exp.ini", {("dataset", "kind"): "csv",
+                                              ("dataset", "csv_path"): str(gps_csv),
+                                              **OFF_PATH_ORIGIN})
+    code = main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "data"),
+                 "--seed", "1"])
+    err = capsys.readouterr().err.strip().splitlines()
+    assert code == 2
+    assert len(err) == 1
+    assert err[0].startswith("error: ") and "data row 2: time step 0.1 s differs from dt" in err[0]
+
+
+@pytest.mark.parametrize("scale", ["0", "-1"])
+def test_train_mkf_rejects_non_positive_input_scale(gct_runs, tmp_path, capsys, scale):
+    root, _ = gct_runs[0]
+    cfg = experiment(tmp_path / "exp.ini", root, {("mkf", "input_scale"): scale})
+    code = main(["train", "--config", str(cfg), "--out", str(tmp_path / "mkf"),
+                 "--data", str(root / "data"), "--method", "mkf", "--seed", "7"])
+    err = capsys.readouterr().err.strip().splitlines()
+    assert code == 2
+    assert len(err) == 1
+    assert err[0].startswith("error: [mkf] input_scale")

@@ -1,7 +1,15 @@
 import numpy as np
 import pytest
 
-from tracklearn.ekf import CwnaModel, ekf_update, init_track, nll_term, predict_cwna
+import tracklearn.autodiff as ad
+from tracklearn.ekf import (
+    CwnaModel,
+    ekf_update,
+    gaussian_nll,
+    init_track,
+    predict_cwna,
+    range_bearing,
+)
 from tracklearn.errors import NumericsError
 from tracklearn.statespace import Measurement, SensorConfig, StateEstimate, measure
 
@@ -119,8 +127,6 @@ def test_joseph_form_stays_psd():
 def test_update_reduces_measured_directions():
     rng = np.random.default_rng(3)
     sensor = SensorConfig(origin=(0, 0), sigma_r=1.0, sigma_a=0.005)
-    from tracklearn.statespace import measure_jacobian
-
     for _ in range(200):
         cov = random_spd(rng)
         mean = np.array([200.0, 100.0, 1.0, 1.0]) + rng.normal(0, 10, size=4)
@@ -128,8 +134,12 @@ def test_update_reduces_measured_directions():
         r, a = measure(mean[:2], sensor)
         z = Measurement(t=0, range=r + rng.normal(), bearing=a + rng.normal(0, 0.005))
         post, _, _ = ekf_update(pred, z, sensor)
-        h = measure_jacobian(mean, sensor)
+        h = range_bearing(mean.reshape(4, 1), sensor.origin)[2]
         assert np.trace(h @ post.cov @ h.T) <= np.trace(h @ pred.cov @ h.T) + 1e-12
+
+
+def nll_term(innovation, s):
+    return ad.scalar(gaussian_nll(np.reshape(innovation, (2, 1)), s))
 
 
 def test_nll_examples():

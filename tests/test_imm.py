@@ -162,7 +162,6 @@ def test_mode_likelihood_matches_density_oracle():
     """The per-mode log-likelihood equals the bivariate Gaussian density of
     the innovation under S, checked against a direct evaluation."""
     from tracklearn.imm import ImmGraph
-    from tracklearn.statespace import StateEstimate, measure, measure_jacobian, wrap_angle
     from tracklearn.ekf import CwnaModel
 
     trk = gct_tracklet(seed=5, n_steps=10)

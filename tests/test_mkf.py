@@ -3,10 +3,8 @@ import pytest
 
 import tracklearn.autodiff as ad
 from tracklearn.mkf import (
-    LstmState,
     LstmWeights,
     MkfConfig,
-    _tape_lstm_step,
     _tape_weights,
     init_weights,
     input_scale_from,
@@ -38,75 +36,64 @@ def zero_weights(hidden=4, dense=3):
     )
 
 
+def zero_state(hidden):
+    return np.zeros((1, hidden)), np.zeros((1, hidden))
+
+
 def test_zero_weight_forward_hand_values():
     w = zero_weights()
-    state = LstmState.zeros(4)
-    new_state, nn = lstm_step(w, state, np.array([0.7, -0.3]))
+    h, c, v, chol = lstm_step(w.to_dict(), *zero_state(4), np.array([[0.7, -0.3]]))
     # all gates sigmoid(0)=0.5, candidate tanh(0)=0; with c=0: c'=0, h'=0
-    assert np.allclose(new_state.c, 0.0)
-    assert np.allclose(new_state.h, 0.0)
-    assert np.allclose(nn.v_nn, 0.0)
-    assert np.allclose(nn.c_nn, np.eye(2))
+    assert np.allclose(c, 0.0)
+    assert np.allclose(h, 0.0)
+    assert np.allclose(v, 0.0)
+    assert np.allclose(chol, np.eye(2))
     # warm cell state: c' = 0.5 c, h' = 0.5 tanh(0.5 c)
-    warm = LstmState(h=np.zeros((1, 4)), c=np.full((1, 4), 0.8))
-    stepped, _ = lstm_step(w, warm, np.array([0.0, 0.0]))
-    assert np.allclose(stepped.c, 0.4)
-    assert np.allclose(stepped.h, 0.5 * np.tanh(0.4))
-
-
-def test_tape_forward_matches_numpy_forward():
-    w = init_weights(seed=3, hidden=6, dense=5)
-    state = LstmState.zeros(6)
-    rng = np.random.default_rng(0)
-    tape = ad.make_tape()
-    wvars = _tape_weights(tape, w)
-    h = ad.const(tape, state.h)
-    c = ad.const(tape, state.c)
-    for _ in range(7):
-        x = rng.standard_normal(2)
-        h, c, v, chol = _tape_lstm_step(wvars, h, c, ad.const(tape, x.reshape(1, 2)), 6)
-        state, nn = lstm_step(w, state, x)
-        assert np.allclose(h.value, state.h, rtol=1e-12, atol=1e-14)
-        assert np.allclose(c.value, state.c, rtol=1e-12, atol=1e-14)
-        assert np.allclose(v.value.ravel(), nn.v_nn, rtol=1e-12, atol=1e-14)
-        assert np.allclose(chol.value, nn.c_nn, rtol=1e-12, atol=1e-14)
+    h, c, _, _ = lstm_step(w.to_dict(), np.zeros((1, 4)), np.full((1, 4), 0.8), np.zeros((1, 2)))
+    assert np.allclose(c, 0.4)
+    assert np.allclose(h, 0.5 * np.tanh(0.4))
 
 
 def test_cholesky_diag_positive_for_random_weights():
     rng = np.random.default_rng(1)
     for seed in range(30):
         w = init_weights(seed=seed, hidden=5, dense=4)
-        state = LstmState.zeros(5)
-        _, nn = lstm_step(w, state, rng.standard_normal(2) * 10.0)
-        assert nn.c_nn[0, 0] > 0.0
-        assert nn.c_nn[1, 1] > 0.0
-        assert nn.c_nn[0, 1] == 0.0
+        x = rng.standard_normal((1, 2)) * 10.0
+        _, _, _, chol = lstm_step(w.to_dict(), *zero_state(5), x)
+        assert chol[0, 0] > 0.0
+        assert chol[1, 1] > 0.0
+        assert chol[0, 1] == 0.0
 
 
 def test_statefulness():
     w = init_weights(seed=4, hidden=8, dense=8)
-    state = LstmState.zeros(8)
-    x = np.array([1.0, -2.0])
-    state1, nn1 = lstm_step(w, state, x)
-    state2, nn2 = lstm_step(w, state1, x)
-    assert not np.allclose(nn1.v_nn, nn2.v_nn)
+    x = np.array([[1.0, -2.0]])
+    h, c, v1, _ = lstm_step(w.to_dict(), *zero_state(8), x)
+    _, _, v2, _ = lstm_step(w.to_dict(), h, c, x)
+    assert not np.allclose(v1, v2)
+
+
+def test_input_scale_must_be_positive_and_finite():
+    for bad in (0.0, -3.0, np.inf, np.nan):
+        with pytest.raises(ValueError, match="input_scale"):
+            init_weights(seed=0, hidden=4, dense=4, input_scale=bad)
 
 
 def test_mkf_predict_cv_drift():
     """If the network emits the prior velocity, prediction is a CV drift."""
     w = zero_weights()
     prior = StateEstimate(mean=[10.0, 20.0, 0.0, 0.0], cov=np.eye(4))
-    pred, _, nn = mkf_predict(prior, LstmState.zeros(4), w, dt=2.0, q_reg=0.0)
+    pred, _ = mkf_predict(prior, zero_state(4), w, dt=2.0, q_reg=0.0)
     # zero network velocity matches the zero prior velocity here
-    assert np.allclose(nn.v_nn, prior.velocity)
-    assert np.allclose(pred.mean[:2], prior.position + 2.0 * nn.v_nn)
+    assert np.allclose(pred.velocity, prior.velocity)
+    assert np.allclose(pred.mean[:2], prior.position + 2.0 * pred.velocity)
     assert pred.t == prior.t + 1
 
 
 def test_mkf_predict_covariance_identity_chol():
     w = zero_weights()
     prior = StateEstimate(mean=[0.0, 0.0, 1.0, 1.0], cov=np.diag([4.0, 4.0, 2.0, 2.0]))
-    pred, _, _ = mkf_predict(prior, LstmState.zeros(4), w, dt=1.0, q_reg=0.0)
+    pred, _ = mkf_predict(prior, zero_state(4), w, dt=1.0, q_reg=0.0)
     # C = I: covariance picks up V' V on the velocity block only
     expected = prior.cov + np.diag([0.0, 0.0, 1.0, 1.0])
     assert np.allclose(pred.cov, expected)
@@ -119,7 +106,7 @@ def test_mkf_predict_growth_is_psd():
         m = rng.standard_normal((4, 4))
         cov = m @ m.T + 2.0 * np.eye(4)
         prior = StateEstimate(mean=rng.standard_normal(4) * 10, cov=cov)
-        pred, _, _ = mkf_predict(prior, LstmState.zeros(6), w, dt=1.0, q_reg=1e-2)
+        pred, _ = mkf_predict(prior, zero_state(6), w, dt=1.0, q_reg=1e-2)
         growth = pred.cov - prior.cov
         assert np.min(np.linalg.eigvalsh(growth)) >= -1e-12
         assert np.trace(pred.cov) >= np.trace(prior.cov)
@@ -268,11 +255,11 @@ def test_train_on_cv_learns_velocity_average():
     errs, fd_errs = [], []
     for trk in holdout:
         inputs, _ = training_sequences(trk, sensor, w.input_scale)
-        state = LstmState.zeros(w.hidden)
+        h, c = zero_state(w.hidden)
         for k, x in enumerate(inputs[:-1]):
-            state, nn = lstm_step(w, state, x)
+            h, c, v, _ = lstm_step(w.to_dict(), h, c, x.reshape(1, 2))
             if k >= 3:  # allow warm-up
-                errs.append(np.linalg.norm(nn.v_nn * w.input_scale - vel))
+                errs.append(np.linalg.norm(v.ravel() * w.input_scale - vel))
                 fd_errs.append(np.linalg.norm(inputs[k + 1] * w.input_scale - vel))
     assert np.sqrt(np.mean(np.square(errs))) < np.sqrt(np.mean(np.square(fd_errs)))
 
@@ -301,8 +288,7 @@ def test_pipeline_matches_composed_calls():
     from tracklearn.ekf import init_track
 
     est = init_track(trk.measurement(0), trk.measurement(1), SENSOR, trk.dt)
-    state = LstmState.zeros(w.hidden)
-    pred, state, _ = mkf_predict(est, state, w, trk.dt, MkfConfig().q_reg)
+    pred, _ = mkf_predict(est, zero_state(w.hidden), w, trk.dt, MkfConfig().q_reg)
     post, _, _ = ekf_update(pred, trk.measurement(2), SENSOR)
     assert np.allclose(pred_all[2], pred.mean, rtol=0, atol=0)
     assert np.allclose(post_all[2], post.mean, rtol=0, atol=0)

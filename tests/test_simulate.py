@@ -149,7 +149,7 @@ def test_ingest_csv_splits_and_remainder(tmp_path):
         for k in range(rows):
             fh.write(f"{t[k]},{states[k,0]},{states[k,1]},{states[k,2]},{states[k,3]}\n")
     sensor = SensorConfig(origin=(-100.0, -100.0), sigma_r=0.5, sigma_a=5e-5)
-    ds = ingest_csv(path, sensor, tracklet_len=100, rng_seed=3)
+    ds = ingest_csv(path, sensor, tracklet_len=100, rng_seed=3, dt=1.0)
     assert len(ds) == 4  # 430 // 100, remainder discarded
     assert all(len(trk) == 100 for trk in ds.tracklets)
     assert ds.tracklets[1].truth[0, 0] == pytest.approx(1000.0)
@@ -162,7 +162,7 @@ def test_ingest_csv_too_short(tmp_path):
         for k in range(99):
             fh.write(f"{k},1,2,0,0\n")
     with pytest.raises(EmptyDatasetError):
-        ingest_csv(path, SensorConfig(origin=(0, 0), sigma_r=1, sigma_a=0.01), 100, 0)
+        ingest_csv(path, SensorConfig(origin=(0, 0), sigma_r=1, sigma_a=0.01), 100, 0, dt=1.0)
 
 
 def test_ingest_csv_malformed_reports_line(tmp_path):
@@ -172,14 +172,14 @@ def test_ingest_csv_malformed_reports_line(tmp_path):
         fh.write("0,1,2,0,0\n")
         fh.write("1,oops,2,0,0\n")
     with pytest.raises(CsvFormatError, match="line 3"):
-        ingest_csv(path, SensorConfig(origin=(0, 0), sigma_r=1, sigma_a=0.01), 1, 0)
+        ingest_csv(path, SensorConfig(origin=(0, 0), sigma_r=1, sigma_a=0.01), 1, 0, dt=1.0)
 
 
 def test_ingest_csv_bad_header(tmp_path):
     path = tmp_path / "hdr.csv"
     path.write_text("time,x,y\n0,1,2\n")
     with pytest.raises(CsvFormatError, match="line 1"):
-        ingest_csv(path, SensorConfig(origin=(0, 0), sigma_r=1, sigma_a=0.01), 1, 0)
+        ingest_csv(path, SensorConfig(origin=(0, 0), sigma_r=1, sigma_a=0.01), 1, 0, dt=1.0)
 
 
 def test_tracklet_roundtrip_disk(tmp_path):
