@@ -11,13 +11,12 @@ written against this layer filters on arrays and trains on a tape.
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import cho_solve as _cho_solve
 
 from ..errors import NumericsError
 from .pure import (
     ABS, ADD, ADDC, ATAN2, CHO_SOLVE, COS, DIV, EMBED, EXP, LOG, LOGDET, MATMUL, MUL, MULC,
     NEG, SCALE_TMPL, SDIV, SIGMOID, SIN, SLICE, SMUL, SQRT, SUB, SUM, TANH, TRANSPOSE,
-    PyTape, as_matrix,
+    PyTape, as_matrix, potrs,
 )
 
 
@@ -251,7 +250,7 @@ def cho_solve(spd, rhs):
     """Solve spd @ X = rhs for symmetric positive definite spd."""
     spd_v, rhs_v = _value(spd), _value(rhs)
     low = _cholesky(spd_v, rhs_v)
-    sol = _cho_solve((low, True), rhs_v, check_finite=False)
+    sol = potrs(low, rhs_v)
     return _record(spd, CHO_SOLVE, [low, sol], sol, rhs)
 
 

@@ -8,7 +8,9 @@ record order is the topological order; backward walks it once in reverse.
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import cho_solve as _cho_solve
+from scipy.linalg.lapack import dpotrs
+
+from ..errors import NumericsError
 
 # opcodes: one per recorded operation
 LEAF = 0
@@ -51,6 +53,15 @@ def as_matrix(value) -> np.ndarray:
     elif arr.ndim != 2:
         raise ValueError(f"tape values are 2-D, got shape {arr.shape}")
     return np.ascontiguousarray(arr)
+
+
+def potrs(low: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve L L' X = rhs given the lower Cholesky factor L (LAPACK dpotrs,
+    without scipy.linalg.cho_solve's per-call validation)."""
+    sol, info = dpotrs(low, rhs, lower=1)
+    if info != 0:
+        raise NumericsError(f"dpotrs: illegal value in argument {-info}")
+    return sol
 
 
 class PyTape:
@@ -172,7 +183,7 @@ class PyTape:
                 acc(a, np.array([[np.sum(g * aux)]]))
             elif opcode == CHO_SOLVE:
                 low, sol = aux
-                gb = _cho_solve((low, True), g)
+                gb = potrs(low, g)
                 acc(b, gb)
                 acc(a, -gb @ sol.T)
             elif opcode == LOGDET:

@@ -67,11 +67,15 @@ def _load_manifest(directory: Path) -> dict:
     return json.loads(path.read_text())
 
 
+def _close(a: float, b: float) -> bool:
+    return abs(a - b) <= 1e-12 * max(1.0, a)
+
+
 def _check_sensor_match(a: SensorConfig, b: SensorConfig, what: str) -> None:
     same = (
         np.allclose(a.origin, b.origin, rtol=0, atol=1e-12)
-        and abs(a.sigma_r - b.sigma_r) <= 1e-12 * max(1.0, a.sigma_r)
-        and abs(a.sigma_a - b.sigma_a) <= 1e-12 * max(1.0, a.sigma_a)
+        and _close(a.sigma_r, b.sigma_r)
+        and _close(a.sigma_a, b.sigma_a)
     )
     if not same:
         raise ConfigError(f"sensor parameters of {what} do not match the dataset")
@@ -262,30 +266,35 @@ def cmd_evaluate(args) -> int:
             if not model_path.exists():
                 raise ConfigError(f"[models] {method} missing: {model_path}")
             inputs[str(model_path)] = _sha256(model_path)
+            load = {"gp": load_gp, "imm": load_imm, "mkf": load_mkf}[method]
+            model, dt, sensor = load(model_path)
+            _check_sensor_match(test.sensor, sensor, f"model {model_path}")
+            if not _close(test.dt, dt):  # a learned model maps one step to the next
+                raise ConfigError(f"dt {dt:g} s of model {model_path} does not match the "
+                                  f"dataset's dt {test.dt:g} s")
             if method == "gp":
-                models, dt, sensor = load_gp(model_path)
-                _check_sensor_match(test.sensor, sensor, f"model {model_path}")
-                settings = PfSettings(
+                # read outside the try: a ConfigError is a ValueError and has its own prefix
+                pf_args = dict(
                     n_particles=cfg.inum("gp", "n_particles"),
                     sigma_p=cfg.fnum("gp", "sigma_p"),
                     resample=cfg.text("gp", "resample"),
                     ess_fraction=cfg.fnum("gp", "ess_fraction"),
                 )
-                per_method["gp"] = run_gp_method(test, models, settings, seed=args.seed)
+                try:
+                    settings = PfSettings(**pf_args)
+                except ValueError as exc:
+                    raise ConfigError(f"[gp] {exc}") from exc
+                per_method["gp"] = run_gp_method(test, model, settings, seed=args.seed)
             elif method == "imm":
-                params, dt, sensor = load_imm(model_path)
-                _check_sensor_match(test.sensor, sensor, f"model {model_path}")
                 imm_cfg = ImmConfig(
-                    modes=params.modes,
+                    modes=model.modes,
                     likelihood=cfg.text("imm", "likelihood"),
                     train_r=cfg.flag("imm", "train_r"),
                 )
-                per_method["imm"] = run_imm_method(test, params, imm_cfg)
+                per_method["imm"] = run_imm_method(test, model, imm_cfg)
             elif method == "mkf":
-                weights, dt, sensor = load_mkf(model_path)
-                _check_sensor_match(test.sensor, sensor, f"model {model_path}")
                 mkf_cfg = MkfConfig(q_reg=cfg.fnum("mkf", "q_reg"), loss=cfg.text("mkf", "loss"))
-                per_method["mkf"] = run_mkf_method(test, weights, mkf_cfg)
+                per_method["mkf"] = run_mkf_method(test, model, mkf_cfg)
         except ConfigError:
             raise
         except Exception as exc:  # keep other methods alive, report at the end

@@ -6,6 +6,11 @@ functions.  ekf_update runs them on plain arrays; the IMM records the same
 functions on its tape for every mode (imm.ImmGraph.step), and the LSTM
 filter reaches them through ekf_update.  Their numerical hygiene therefore
 carries the whole package.
+
+The per-tracklet loop is also written once, here: filter_tracklet owns the
+two-point initialization, the rows every filter reports and the first
+filtered row EVAL_START, for the EKF, the IMM, the LSTM filter and the GP
+particle filter alike.
 """
 
 from __future__ import annotations
@@ -32,6 +37,8 @@ _H01 = np.zeros((2, 4)); _H01[0, 1] = 1.0
 _H10 = np.zeros((2, 4)); _H10[1, 0] = 1.0
 _H11 = np.zeros((2, 4)); _H11[1, 1] = 1.0
 _EYE4 = np.eye(4)
+
+EVAL_START = 2  # first filtered and scored row; rows 0 and 1 feed init_track
 
 
 def cv_transition(dt: float) -> np.ndarray:
@@ -159,23 +166,42 @@ def init_track(z0: Measurement, z1: Measurement, sensor: SensorConfig, dt: float
     return StateEstimate(mean=mean, cov=cov, t=z1.t)
 
 
+def filter_tracklet(tracklet, sensor: SensorConfig, start, step):
+    """Run one filter over a tracklet from the two-point initialization.
+
+    start(init) turns the init_track estimate into the filter's state, and
+    step(state, z) filters the Measurement z of one row into
+    (state, predicted mean, posterior mean, posterior covariance).  Rows
+    before EVAL_START hold the initialization.  A step's NumericsError,
+    ValueError or LinAlgError is raised again as NumericsError("step <row>: ...").
+    Returns (pred_means, post_means, post_covs, final state).
+    """
+    init = init_track(tracklet.measurement(0), tracklet.measurement(1), sensor, tracklet.dt)
+    rows = [(init.mean, init.mean, init.cov)] * EVAL_START
+    state = start(init)
+    for t in range(EVAL_START, len(tracklet)):
+        try:
+            state, *row = step(state, tracklet.measurement(t))
+        except (NumericsError, ValueError, np.linalg.LinAlgError) as exc:
+            raise NumericsError(f"step {t}: {exc}") from exc
+        rows.append(row)
+    pred_means, post_means, post_covs = (np.array(column) for column in zip(*rows))
+    return pred_means, post_means, post_covs, state
+
+
 def run_ekf(tracklet, sensor: SensorConfig, model: CwnaModel):
     """Filter one tracklet; returns (pred_means, post_means, total_nll).
 
-    Rows 0 and 1 of the outputs hold the initialization estimate (the first
-    two measurements are consumed by init_track); filtering starts at t=2.
+    Rows before EVAL_START hold the initialization estimate (see filter_tracklet).
     """
-    n = len(tracklet)
-    est = init_track(tracklet.measurement(0), tracklet.measurement(1), sensor, model.dt)
-    pred_means = np.full((n, 4), np.nan)
-    post_means = np.full((n, 4), np.nan)
-    pred_means[:2] = est.mean
-    post_means[:2] = est.mean
-    total_nll = 0.0
-    for t in range(2, n):
+
+    def step(state, z):
+        est, total_nll = state
         pred = predict_cwna(est, model)
-        est, innovation, s = ekf_update(pred, tracklet.measurement(t), sensor)
-        pred_means[t] = pred.mean
-        post_means[t] = est.mean
+        est, innovation, s = ekf_update(pred, z, sensor)
         total_nll += ad.scalar(gaussian_nll(innovation.reshape(2, 1), s))
+        return (est, total_nll), pred.mean, est.mean, est.cov
+
+    pred_means, post_means, _, (_, total_nll) = filter_tracklet(
+        tracklet, sensor, lambda init: (init, 0.0), step)
     return pred_means, post_means, total_nll

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import GradientOptimizer, Var
-from .ekf import cv_transition, gaussian_nll, init_track, joseph_update, wna_template
+from .ekf import cv_transition, filter_tracklet, gaussian_nll, joseph_update, wna_template
 from .errors import NumericsError
 from .statespace import SensorConfig, StateEstimate, Tracklet
 
@@ -129,9 +129,7 @@ def _softmax_rows(logits: Var) -> list:
         items = [ad.item(logits, i, j) for j in range(m)]
         peak = max(ad.scalar(it) for it in items)
         exps = [ad.exp(it - peak) for it in items]
-        total = exps[0]
-        for e in exps[1:]:
-            total = total + e
+        total = sum(exps[1:], exps[0])
         rows.append([e / total for e in exps])
     return rows
 
@@ -160,6 +158,24 @@ def _transition_vars(tape, params: ImmParams, mode_idx: int, dt: float,
         + ad.scale_template(ad.sin(theta), _T_S)
     )
     return f_var
+
+
+def _weighted_sum(weights, values):
+    """sum_i weights[i] * values[i], recorded term by term."""
+    terms = (w * v for w, v in zip(weights, values))
+    first = next(terms)
+    return sum(terms, first)
+
+
+def _moment_match(weights, means, covs):
+    """Mean and covariance of the Gaussian mixture sum_i weights[i] N(means[i], covs[i]).
+
+    The spreads are generated lazily, so each one is recorded just before
+    its weighted term: one mode's nodes, then the next mode's.
+    """
+    mean = _weighted_sum(weights, means)
+    spreads = (p + d @ d.T for p, d in zip(covs, (x - mean for x in means)))
+    return mean, _weighted_sum(weights, spreads)
 
 
 class ImmGraph:
@@ -203,102 +219,64 @@ class ImmGraph:
         self.modes_p = [ad.const(tape, init.cov) for _ in range(m)]
         self.mu = [ad.const(tape, 1.0 / m) for _ in range(m)]
         self.loss_terms = []
-        self.step_index = 0
 
     # one full IMM cycle against measurement (z_range, z_bearing)
     def step(self, z_range: float, z_bearing: float):
         cfg, tape = self.cfg, self.tape
         m = len(self.modes_x)
-        try:
-            # -- mixing
-            mu_pred = []
-            for j in range(m):
-                acc = self.p_rows[0][j] * self.mu[0]
-                for i in range(1, m):
-                    acc = acc + self.p_rows[i][j] * self.mu[i]
-                mu_pred.append(acc)
-            mixed_x, mixed_p = [], []
-            for j in range(m):
-                cond = [self.p_rows[i][j] * self.mu[i] / mu_pred[j] for i in range(m)]
-                x0 = cond[0] * self.modes_x[0]
-                for i in range(1, m):
-                    x0 = x0 + cond[i] * self.modes_x[i]
-                p0 = None
-                for i in range(m):
-                    diff = self.modes_x[i] - x0
-                    term = self.modes_p[i] + diff @ diff.T
-                    term = cond[i] * term
-                    p0 = term if p0 is None else p0 + term
-                mixed_x.append(x0)
-                mixed_p.append(p0)
+        # -- mixing
+        mu_pred = [_weighted_sum([row[j] for row in self.p_rows], self.mu) for j in range(m)]
+        mixed = [_moment_match([row[j] * mu / mu_pred[j] for row, mu in zip(self.p_rows, self.mu)],
+                               self.modes_x, self.modes_p) for j in range(m)]
 
-            # -- mode-matched prediction and update
-            post_x, post_p, nlls, innovations, s_vars, pred_x = [], [], [], [], [], []
-            for j in range(m):
-                xp = self.f_vars[j] @ mixed_x[j]
-                pp = self.f_vars[j] @ mixed_p[j] @ self.f_vars[j].T + self.q_vars[j]
-                x_post, p_post, nu, s = joseph_update(xp, pp, z_range, z_bearing,
-                                                      self.r_var, self.origin)
-                pred_x.append(xp)
-                post_x.append(x_post)
-                post_p.append(p_post)
-                innovations.append(nu)
-                s_vars.append(s)
-                nlls.append(gaussian_nll(nu, s))
+        # -- mode-matched prediction and update
+        modes = []
+        for f, q, (mixed_x, mixed_p) in zip(self.f_vars, self.q_vars, mixed):
+            xp = f @ mixed_x
+            x_post, p_post, nu, s = joseph_update(xp, f @ mixed_p @ f.T + q, z_range, z_bearing,
+                                                  self.r_var, self.origin)
+            modes.append((xp, x_post, p_post, nu, s, gaussian_nll(nu, s)))
+        pred_x, post_x, post_p, innovations, s_vars, nlls = zip(*modes)
 
-            # -- predictive log-density of this measurement
-            joint = [ad.log(mu_pred[j]) - nlls[j] for j in range(m)]
-            log_norm = ad.logsumexp(joint)
-            if cfg.likelihood == "mixture":
-                self.loss_terms.append(-log_norm)
-            else:
-                nu_bar = mu_pred[0] * innovations[0]
-                for j in range(1, m):
-                    nu_bar = nu_bar + mu_pred[j] * innovations[j]
-                s_bar = None
-                for j in range(m):
-                    d = innovations[j] - nu_bar
-                    term = mu_pred[j] * (s_vars[j] + d @ d.T)
-                    s_bar = term if s_bar is None else s_bar + term
-                self.loss_terms.append(gaussian_nll(nu_bar, s_bar))
+        # -- predictive log-density of this measurement
+        joint = [ad.log(mu_pred[j]) - nlls[j] for j in range(m)]
+        log_norm = ad.logsumexp(joint)
+        if cfg.likelihood == "mixture":
+            self.loss_terms.append(-log_norm)
+        else:
+            self.loss_terms.append(gaussian_nll(*_moment_match(mu_pred, innovations, s_vars)))
 
-            # -- mode probability update (normalized by construction)
-            mu_post = [ad.exp(joint[j] - log_norm) for j in range(m)]
-            if any(ad.scalar(v) < cfg.prob_floor for v in mu_post):
-                floored = [
-                    v if ad.scalar(v) >= cfg.prob_floor else ad.const(tape, cfg.prob_floor)
-                    for v in mu_post
-                ]
-                total = floored[0]
-                for v in floored[1:]:
-                    total = total + v
-                mu_post = [v / total for v in floored]
+        # -- mode probability update (normalized by construction)
+        mu_post = [ad.exp(joint[j] - log_norm) for j in range(m)]
+        if any(ad.scalar(v) < cfg.prob_floor for v in mu_post):
+            floored = [
+                v if ad.scalar(v) >= cfg.prob_floor else ad.const(tape, cfg.prob_floor)
+                for v in mu_post
+            ]
+            total = sum(floored[1:], floored[0])
+            mu_post = [v / total for v in floored]
 
-            # -- combination
-            x_comb = mu_post[0] * post_x[0]
-            for j in range(1, m):
-                x_comb = x_comb + mu_post[j] * post_x[j]
-            p_comb = None
-            for j in range(m):
-                diff = post_x[j] - x_comb
-                term = mu_post[j] * (post_p[j] + diff @ diff.T)
-                p_comb = term if p_comb is None else p_comb + term
-
-            pred_comb = mu_pred[0] * pred_x[0]
-            for j in range(1, m):
-                pred_comb = pred_comb + mu_pred[j] * pred_x[j]
-        except NumericsError as exc:
-            raise NumericsError(f"IMM step {self.step_index}: {exc}") from exc
+        # -- combination
+        x_comb, p_comb = _moment_match(mu_post, post_x, post_p)
+        pred_comb = _weighted_sum(mu_pred, pred_x)
 
         self.modes_x, self.modes_p, self.mu = post_x, post_p, mu_post
-        self.step_index += 1
         return pred_comb, x_comb, p_comb
 
     def loss(self) -> Var:
-        total = self.loss_terms[0]
-        for term in self.loss_terms[1:]:
-            total = total + term
-        return total
+        return sum(self.loss_terms[1:], self.loss_terms[0])
+
+
+def _filter(params: ImmParams, tracklet: Tracklet, sensor: SensorConfig, cfg: ImmConfig):
+    """filter_tracklet over the IMM recursion on a fresh tape; the final state is the ImmGraph."""
+
+    def step(graph, z):
+        pred, post, cov = graph.step(z.range, z.bearing)
+        return graph, pred.value.ravel(), post.value.ravel(), cov.value
+
+    return filter_tracklet(
+        tracklet, sensor, lambda init: ImmGraph(params, init, tracklet.dt, sensor.origin, cfg),
+        step)
 
 
 def imm_nll(params: ImmParams, tracklet: Tracklet, sensor: SensorConfig,
@@ -306,14 +284,11 @@ def imm_nll(params: ImmParams, tracklet: Tracklet, sensor: SensorConfig,
     """Measurement NLL of one tracklet on a fresh tape.
 
     Returns (loss Var, leaves dict) with the recursion initialized from the
-    first two measurements; the loss sums steps 2..T-1.
+    first two measurements; the loss sums the filtered rows (ekf.EVAL_START on).
     """
     if len(tracklet) < 3:
         raise ValueError("need at least 3 measurements")
-    init = init_track(tracklet.measurement(0), tracklet.measurement(1), sensor, tracklet.dt)
-    graph = ImmGraph(params, init, tracklet.dt, sensor.origin, cfg)
-    for t in range(2, len(tracklet)):
-        graph.step(tracklet.meas[t, 0], tracklet.meas[t, 1])
+    graph = _filter(params, tracklet, sensor, cfg)[3]
     return graph.loss(), graph.leaves
 
 
@@ -321,32 +296,16 @@ def run_imm(params: ImmParams, tracklet: Tracklet, sensor: SensorConfig,
             cfg: ImmConfig = ImmConfig()):
     """Filter one tracklet; returns (pred_means, post_means, post_covs, nll).
 
-    Rows 0..1 carry the two-point initialization, filtering starts at t=2,
-    matching the EKF runner.
+    Rows before ekf.EVAL_START carry the two-point initialization, as for
+    every filter (see ekf.filter_tracklet).
     """
-    n = len(tracklet)
-    init = init_track(tracklet.measurement(0), tracklet.measurement(1), sensor, tracklet.dt)
-    graph = ImmGraph(params, init, tracklet.dt, sensor.origin, cfg)
-    pred_means = np.full((n, 4), np.nan)
-    post_means = np.full((n, 4), np.nan)
-    post_covs = np.full((n, 4, 4), np.nan)
-    pred_means[:2] = init.mean
-    post_means[:2] = init.mean
-    post_covs[:2] = init.cov
-    for t in range(2, n):
-        pred, post, cov = graph.step(tracklet.meas[t, 0], tracklet.meas[t, 1])
-        pred_means[t] = pred.value.ravel()
-        post_means[t] = post.value.ravel()
-        post_covs[t] = cov.value
+    pred_means, post_means, post_covs, graph = _filter(params, tracklet, sensor, cfg)
     return pred_means, post_means, post_covs, ad.scalar(graph.loss())
 
 
 def dataset_nll(params: ImmParams, tracklets, sensor: SensorConfig,
                 cfg: ImmConfig = ImmConfig()) -> float:
-    total = 0.0
-    for trk in tracklets:
-        total += run_imm(params, trk, sensor, cfg)[3]
-    return total
+    return sum((run_imm(params, trk, sensor, cfg)[3] for trk in tracklets), 0.0)
 
 
 def train_imm(params0: ImmParams, tracklets, sensor: SensorConfig, steps: int,

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import GradientOptimizer, Var, clip_by_global_norm
-from .ekf import ekf_update, init_track
+from .ekf import ekf_update, filter_tracklet
 from .errors import NumericsError
 from .statespace import (
     LOG_2PI,
@@ -237,26 +237,19 @@ def run_mkf(tracklet: Tracklet, sensor: SensorConfig, w: LstmWeights,
             cfg: MkfConfig = None):
     """Filter one tracklet; returns (pred_means, post_means, post_covs).
 
-    Mirrors the EKF runner: rows 0..1 hold the two-point initialization and
-    the LSTM state starts at zero.
+    Rows before ekf.EVAL_START hold the two-point initialization, as for
+    every filter (see ekf.filter_tracklet); the LSTM state starts at zero.
     """
     cfg = cfg or MkfConfig()
-    n = len(tracklet)
-    est = init_track(tracklet.measurement(0), tracklet.measurement(1), sensor, tracklet.dt)
-    state = (np.zeros((1, w.hidden)), np.zeros((1, w.hidden)))
-    pred_means = np.full((n, 4), np.nan)
-    post_means = np.full((n, 4), np.nan)
-    post_covs = np.full((n, 4, 4), np.nan)
-    pred_means[:2] = est.mean
-    post_means[:2] = est.mean
-    post_covs[:2] = est.cov
-    for t in range(2, n):
-        pred, state = mkf_predict(est, state, w, tracklet.dt, cfg.q_reg)
-        est, _, _ = ekf_update(pred, tracklet.measurement(t), sensor)
-        pred_means[t] = pred.mean
-        post_means[t] = est.mean
-        post_covs[t] = est.cov
-    return pred_means, post_means, post_covs
+
+    def step(state, z):
+        est, lstm_state = state
+        pred, lstm_state = mkf_predict(est, lstm_state, w, tracklet.dt, cfg.q_reg)
+        est, _, _ = ekf_update(pred, z, sensor)
+        return (est, lstm_state), pred.mean, est.mean, est.cov
+
+    zero_state = (np.zeros((1, w.hidden)), np.zeros((1, w.hidden)))  # LSTM (h, c)
+    return filter_tracklet(tracklet, sensor, lambda init: (init, zero_state), step)[:3]
 
 
 # -- checkpoint container (MKF1) ----------------------------------------------

@@ -1,8 +1,9 @@
-"""Shared evaluation loop: run each configured filter over a test set and
-collect aligned RunRecords.
+"""Shared evaluation: run each configured filter over a test set and collect
+aligned RunRecords.
 
-Every filter consumes the first two measurements for track initialization;
-errors are scored from step 2 onward so all methods see identical indices.
+Every filter runs through ekf.filter_tracklet, which consumes the first two
+measurements for track initialization; records are scored from
+ekf.EVAL_START onward, so all methods see identical indices.
 """
 
 from __future__ import annotations
@@ -11,50 +12,40 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ekf import CwnaModel, init_track, run_ekf
+from .ekf import EVAL_START, CwnaModel, filter_tracklet, run_ekf
 from .evaluate import RunRecord
 from .gp import init_particles, pf_step
 from .imm import ImmConfig, ImmParams, run_imm
 from .mkf import LstmWeights, MkfConfig, run_mkf
 from .simulate import Dataset
-from .statespace import SensorConfig, Tracklet, polar_rows_to_cartesian
-
-EVAL_START = 2  # first scored step; 0 and 1 feed track initialization
+from .statespace import polar_rows_to_cartesian
 
 
-def _record(pred: np.ndarray, post: np.ndarray, trk: Tracklet, sensor: SensorConfig) -> RunRecord:
-    cart = polar_rows_to_cartesian(trk.meas, sensor)
-    return RunRecord(
-        pred=pred[EVAL_START:],
-        post=post[EVAL_START:],
-        truth=trk.truth[EVAL_START:],
-        meas_cart=cart[EVAL_START:],
-    )
+def _records(dataset: Dataset, run) -> list[RunRecord]:
+    """One RunRecord per tracklet from run(tracklet) -> (pred_means, post_means, ...)."""
+    records = []
+    for trk in dataset.tracklets:
+        pred, post = run(trk)[:2]
+        cart = polar_rows_to_cartesian(trk.meas, dataset.sensor)
+        records.append(RunRecord(
+            pred=pred[EVAL_START:],
+            post=post[EVAL_START:],
+            truth=trk.truth[EVAL_START:],
+            meas_cart=cart[EVAL_START:],
+        ))
+    return records
 
 
 def run_ekf_method(dataset: Dataset, q: float) -> list[RunRecord]:
-    records = []
-    for trk in dataset.tracklets:
-        model = CwnaModel(dt=trk.dt, q=q)
-        pred, post, _ = run_ekf(trk, dataset.sensor, model)
-        records.append(_record(pred, post, trk, dataset.sensor))
-    return records
+    return _records(dataset, lambda trk: run_ekf(trk, dataset.sensor, CwnaModel(dt=trk.dt, q=q)))
 
 
 def run_imm_method(dataset: Dataset, params: ImmParams, cfg: ImmConfig) -> list[RunRecord]:
-    records = []
-    for trk in dataset.tracklets:
-        pred, post, _, _ = run_imm(params, trk, dataset.sensor, cfg)
-        records.append(_record(pred, post, trk, dataset.sensor))
-    return records
+    return _records(dataset, lambda trk: run_imm(params, trk, dataset.sensor, cfg))
 
 
 def run_mkf_method(dataset: Dataset, weights: LstmWeights, cfg: MkfConfig) -> list[RunRecord]:
-    records = []
-    for trk in dataset.tracklets:
-        pred, post, _ = run_mkf(trk, dataset.sensor, weights, cfg)
-        records.append(_record(pred, post, trk, dataset.sensor))
-    return records
+    return _records(dataset, lambda trk: run_mkf(trk, dataset.sensor, weights, cfg))
 
 
 @dataclass
@@ -64,28 +55,28 @@ class PfSettings:
     resample: str = "systematic"  # or "ess"
     ess_fraction: float = 0.5
 
+    def __post_init__(self):
+        if self.resample not in ("systematic", "ess"):
+            raise ValueError(f"resample must be systematic or ess, got {self.resample!r}")
+
 
 def run_gp_method(dataset: Dataset, models, settings: PfSettings, seed: int) -> list[RunRecord]:
     """SIR particle filter (gp.pf_step) over the test set, one RNG stream per
     tracklet; weight collapse re-seeds the cloud from the current measurement
     and continues."""
-    records = []
-    sensor = dataset.sensor
-    rngs = np.random.SeedSequence(seed).spawn(len(dataset.tracklets))
-    for trk, stream in zip(dataset.tracklets, rngs):
-        rng = np.random.default_rng(stream)
-        n = len(trk)
-        init = init_track(trk.measurement(0), trk.measurement(1), sensor, trk.dt)
-        ps = init_particles(init, settings.n_particles, rng)
-        pred = np.full((n, 4), np.nan)
-        post = np.full((n, 4), np.nan)
-        pred[:EVAL_START] = init.mean
-        post[:EVAL_START] = init.mean
-        for t in range(EVAL_START, n):
-            ps, prior, est = pf_step(ps, trk.measurement(t), models, sensor, settings.sigma_p,
-                                     rng, dt=trk.dt, resample=settings.resample,
+    streams = iter(np.random.SeedSequence(seed).spawn(len(dataset.tracklets)))
+
+    def run(trk):
+        rng = np.random.default_rng(next(streams))
+
+        def step(ps, z):
+            ps, prior, est = pf_step(ps, z, models, dataset.sensor, settings.sigma_p, rng,
+                                     dt=trk.dt, resample=settings.resample,
                                      ess_fraction=settings.ess_fraction)
-            pred[t] = prior.mean
-            post[t] = est.mean
-        records.append(_record(pred, post, trk, sensor))
-    return records
+            return ps, prior.mean, est.mean, est.cov
+
+        return filter_tracklet(
+            trk, dataset.sensor, lambda init: init_particles(init, settings.n_particles, rng),
+            step)
+
+    return _records(dataset, run)

@@ -8,6 +8,7 @@ conserved exactly.  Positions follow the exact circular arc between samples.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -125,6 +126,17 @@ def make_dataset(n_tracklets: int, cfg: GctConfig, sensor: SensorConfig, seed: i
     return Dataset(tracklets=tracklets, sensor=sensor, role=role)
 
 
+def _floats(fields, name: str, lineno: int) -> list[float]:
+    """The fields of one CSV line as finite floats, or CsvFormatError naming the line."""
+    try:
+        values = [float(v) for v in fields]
+    except ValueError as exc:
+        raise CsvFormatError(f"{name} line {lineno}: {exc}") from exc
+    if not all(map(math.isfinite, values)):
+        raise CsvFormatError(f"{name} line {lineno}: non-finite value")
+    return values
+
+
 def read_trajectory_csv(path) -> tuple[np.ndarray, np.ndarray]:
     """Read an interchange trajectory CSV (t,x,y,vx,vy); returns (t, states)."""
     path = Path(path)
@@ -139,10 +151,7 @@ def read_trajectory_csv(path) -> tuple[np.ndarray, np.ndarray]:
                 continue
             if len(row) != 5:
                 raise CsvFormatError(f"{path.name} line {lineno}: expected 5 fields, got {len(row)}")
-            try:
-                values = [float(v) for v in row]
-            except ValueError as exc:
-                raise CsvFormatError(f"{path.name} line {lineno}: {exc}") from exc
+            values = _floats(row, path.name, lineno)
             times.append(values[0])
             states.append(values[1:])
     return np.asarray(times), np.asarray(states)
@@ -207,10 +216,10 @@ def read_tracklet(directory, index: int, dt: float) -> Tracklet:
         for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue
-            try:
-                meas.append([float(row[1]), float(row[2])])
-            except (IndexError, ValueError) as exc:
-                raise CsvFormatError(f"{meas_path.name} line {lineno}: {exc}") from exc
+            if len(row) != 3:
+                raise CsvFormatError(f"{meas_path.name} line {lineno}: expected 3 fields, "
+                                     f"got {len(row)}")
+            meas.append(_floats(row[1:], meas_path.name, lineno))
     return Tracklet(dt=dt, truth=states, meas=np.asarray(meas))
 
 

@@ -115,6 +115,7 @@ def test_corrupt_model_is_reported_and_the_others_still_score(gct_runs, tmp_path
     ("through_origin", "coincides with the sensor origin"),
     ("bad_header", "expected header"),
     ("too_few_rows", "< tracklet length"),
+    ("non_finite", "line 7: non-finite value"),
 ])
 def test_simulate_rejects_bad_csv_with_one_error_line(tmp_path, capsys, case, cause):
     header = "t,x,y,vx,vy"
@@ -125,6 +126,8 @@ def test_simulate_rejects_bad_csv_with_one_error_line(tmp_path, capsys, case, ca
         n_rows = 50  # fewer than one 100-row tracklet
     # along the x axis from (0, 0), the default sensor origin
     rows = [f"{k},{k},0,1,0" for k in range(n_rows)]
+    if case == "non_finite":
+        rows[5] = "5,nan,0,1,0"
     csv_path = tmp_path / "track.csv"
     csv_path.write_text("\n".join([header] + rows) + "\n")
     cfg = write_config(tmp_path / "exp.ini", {("dataset", "kind"): "csv",
@@ -161,3 +164,29 @@ def test_train_mkf_rejects_non_positive_input_scale(gct_runs, tmp_path, capsys, 
     assert code == 2
     assert len(err) == 1
     assert err[0].startswith("error: [mkf] input_scale")
+
+
+def test_evaluate_rejects_unknown_resample_scheme(gct_runs, tmp_path, capsys):
+    root, _ = gct_runs[0]
+    cfg = experiment(tmp_path / "exp.ini", root, {("gp", "resample"): "sytematic"})
+    code = main(["evaluate", "--config", str(cfg), "--out", str(tmp_path / "eval"),
+                 "--data", str(root / "data"), "--seed", "7", "--method", "gp"])
+    err = capsys.readouterr().err.strip().splitlines()
+    assert code == 2
+    assert len(err) == 1
+    assert err[0].startswith("error: [gp] resample")
+
+
+def test_evaluate_rejects_models_trained_at_another_dt(gct_runs, tmp_path, capsys):
+    root, _ = gct_runs[0]
+    cfg = str(experiment(tmp_path / "exp.ini", root, {("dataset", "dt"): "0.5"}))
+    data = str(tmp_path / "data")
+    assert main(["simulate", "--config", cfg, "--out", data, "--seed", "3"]) == 0
+    capsys.readouterr()
+    for method in TRAINED:
+        code = main(["evaluate", "--config", cfg, "--out", str(tmp_path / "eval"),
+                     "--data", data, "--seed", "7", "--method", method])
+        err = capsys.readouterr().err.strip().splitlines()
+        assert code == 2
+        assert len(err) == 1
+        assert err[0].startswith("error: dt 1 s of model") and "dt 0.5 s" in err[0]
