@@ -7,8 +7,8 @@ The same functions also run on plain 2-D float64 arrays: given no Var
 operand, a function returns at once, without a tape, the value the tape
 would record, computed by the same expression.  A model written once
 against this layer therefore filters on arrays and trains on a tape;
-const_like and scalar let it create constants and read 1x1 values without
-knowing which.
+const_like, scalar and value_of let it create constants and read values
+without knowing which.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ from .api import (
     logdet,
     logsumexp,
     make_tape,
-    matmul,
     rows,
     scalar,
     scale_template,
@@ -42,6 +41,7 @@ from .api import (
     sqrt,
     tanh,
     transpose,
+    value_of,
     var,
     vsum,
 )

@@ -157,10 +157,11 @@ def const_like(like, value):
 
 def scalar(x) -> float:
     """The float held by a 1x1 Var or array."""
-    return float(_value(x)[0, 0])
+    return float(value_of(x)[0, 0])
 
 
-def _value(x) -> np.ndarray:
+def value_of(x) -> np.ndarray:
+    """The matrix held by a Var or array."""
     return x.tape.values[x.i] if isinstance(x, Var) else x
 
 
@@ -239,16 +240,12 @@ vsum = _unary(SUM, _vsum)
 
 
 def atan2(a, b):
-    return _record(a, ATAN2, None, np.arctan2(_value(a), _value(b)), b)
-
-
-def matmul(a, b):
-    return a @ b
+    return _record(a, ATAN2, None, np.arctan2(value_of(a), value_of(b)), b)
 
 
 def cho_solve(spd, rhs):
     """Solve spd @ X = rhs for symmetric positive definite spd."""
-    spd_v, rhs_v = _value(spd), _value(rhs)
+    spd_v, rhs_v = value_of(spd), value_of(rhs)
     low = _cholesky(spd_v, rhs_v)
     sol = potrs(low, rhs_v)
     return _record(spd, CHO_SOLVE, [low, sol], sol, rhs)
@@ -256,12 +253,12 @@ def cho_solve(spd, rhs):
 
 def logdet(spd):
     """log det of a symmetric positive definite matrix, via Cholesky."""
-    low = _cholesky(_value(spd))
+    low = _cholesky(value_of(spd))
     return _record(spd, LOGDET, [low], np.array([[2.0 * np.sum(np.log(np.diag(low)))]]))
 
 
 def block(v, r0: int, r1: int, c0: int, c1: int):
-    return _record(v, SLICE, (r0, r1, c0, c1), np.ascontiguousarray(_value(v)[r0:r1, c0:c1]))
+    return _record(v, SLICE, (r0, r1, c0, c1), np.ascontiguousarray(value_of(v)[r0:r1, c0:c1]))
 
 
 def rows(v, r0: int, r1: int):
@@ -279,11 +276,11 @@ def item(v, r: int, c: int):
 def scale_template(s, template):
     """1x1 s times a constant matrix template."""
     tmpl = as_matrix(template)
-    return _record(s, SCALE_TMPL, tmpl, _value(s)[0, 0] * tmpl)
+    return _record(s, SCALE_TMPL, tmpl, value_of(s)[0, 0] * tmpl)
 
 
 def _embed(v, rows_n: int, cols_n: int, r0: int, c0: int):
-    src = _value(v)
+    src = value_of(v)
     val = np.zeros((rows_n, cols_n))
     val[r0 : r0 + src.shape[0], c0 : c0 + src.shape[1]] = src
     return _record(v, EMBED, (rows_n, cols_n, r0, c0), val)

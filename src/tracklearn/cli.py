@@ -47,7 +47,7 @@ def _hash_tree(root: Path) -> dict:
 
 
 def _write_manifest(out_dir: Path, command: str, cfg: ExperimentConfig, seed: int,
-                    inputs: dict, wallclock: float) -> None:
+                    inputs: dict, wallclock: float, **fields) -> None:
     manifest = {
         "tool": f"tracklearn {__version__}",
         "command": command,
@@ -56,6 +56,7 @@ def _write_manifest(out_dir: Path, command: str, cfg: ExperimentConfig, seed: in
         "inputs": inputs,
         "outputs": _hash_tree(out_dir),
         "wallclock_s": round(wallclock, 3),
+        **fields,
     }
     (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
@@ -149,7 +150,7 @@ def _train_gp(cfg: ExperimentConfig, train: Dataset, out: Path, seed: int):
     models = gp_fit(tracklets, hyper0, max_pairs=cfg.inum("gp", "max_pairs"),
                     optimize=cfg.flag("gp", "optimize_hyper"), seed=seed)
     save_gp(out / "gp.gpm", models, dt=train.dt, sensor=train.sensor)
-    return []
+    return [], None
 
 
 def _train_imm(cfg: ExperimentConfig, train: Dataset, out: Path, seed: int):
@@ -160,11 +161,11 @@ def _train_imm(cfg: ExperimentConfig, train: Dataset, out: Path, seed: int):
     )
     params0 = default_params(train.sensor, imm_cfg, init_q=cfg.fnum("imm", "init_q"),
                              init_omega=cfg.fnum("imm", "init_omega"))
-    params, history = train_imm(params0, train.tracklets, train.sensor,
-                                steps=cfg.inum("imm", "steps"), lr=cfg.fnum("imm", "lr"),
-                                seed=seed, cfg=imm_cfg)
+    params, history, stopped = train_imm(params0, train.tracklets, train.sensor,
+                                         steps=cfg.inum("imm", "steps"), lr=cfg.fnum("imm", "lr"),
+                                         seed=seed, cfg=imm_cfg)
     save_imm(out / "imm.txt", params, dt=train.dt, sensor=train.sensor)
-    return history
+    return history, stopped
 
 
 def _train_mkf(cfg: ExperimentConfig, train: Dataset, out: Path, seed: int):
@@ -186,11 +187,11 @@ def _train_mkf(cfg: ExperimentConfig, train: Dataset, out: Path, seed: int):
                           input_scale=scale)
     except ValueError as exc:
         raise ConfigError(f"[mkf] {exc}") from exc
-    weights, history = train_mkf(w0, train.tracklets, train.sensor,
-                                 iterations=cfg.inum("mkf", "iterations"),
-                                 lr=cfg.fnum("mkf", "lr"), seed=seed, cfg=mkf_cfg)
+    weights, history, stopped = train_mkf(w0, train.tracklets, train.sensor,
+                                          iterations=cfg.inum("mkf", "iterations"),
+                                          lr=cfg.fnum("mkf", "lr"), seed=seed, cfg=mkf_cfg)
     save_mkf(out / "mkf.npz", weights, dt=train.dt, sensor=train.sensor)
-    return history
+    return history, stopped
 
 
 def cmd_train(args) -> int:
@@ -201,7 +202,7 @@ def cmd_train(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     train = _load_split(cfg, args, "train")
     started = time.time()
-    history = {"gp": _train_gp, "imm": _train_imm, "mkf": _train_mkf}[args.method](
+    history, stopped = {"gp": _train_gp, "imm": _train_imm, "mkf": _train_mkf}[args.method](
         cfg, train, out, args.seed
     )
     wallclock = time.time() - started
@@ -211,7 +212,11 @@ def cmd_train(args) -> int:
             fh.write(f"{step},{loss:.17g}\n")
     data_root = _dataset_dir(cfg, args)
     inputs = {str(data_root): _sha256(data_root / "manifest.json")}
-    _write_manifest(out, f"train --method {args.method}", cfg, args.seed, inputs, wallclock)
+    _write_manifest(out, f"train --method {args.method}", cfg, args.seed, inputs, wallclock,
+                    stopped_early=stopped)
+    if stopped:
+        print(f"train {args.method}: stopped early at training step {stopped['step']}: "
+              f"{stopped['reason']}")
     print(f"train {args.method}: wallclock {wallclock:.1f} s -> {out}")
     return 0
 

@@ -2,10 +2,10 @@
 
 The CV model, the range-bearing measurement model, the Joseph-form update
 and the Gaussian innovation NLL are written once here, against the autodiff
-functions.  ekf_update runs them on plain arrays; the IMM records the same
-functions on its tape for every mode (imm.ImmGraph.step), and the LSTM
-filter reaches them through ekf_update.  Their numerical hygiene therefore
-carries the whole package.
+functions.  ekf_update runs them on plain arrays; the IMM runs the same
+functions for every mode (imm.ImmGraph.step), on arrays to filter and on
+its tape to train, and the LSTM filter reaches them through ekf_update.
+Their numerical hygiene therefore carries the whole package.
 
 The per-tracklet loop is also written once, here: filter_tracklet owns the
 two-point initialization, the rows every filter reports and the first

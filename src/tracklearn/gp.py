@@ -43,12 +43,6 @@ class GpHyper:
             raise ValueError("GP hyperparameters must be positive")
 
 
-def kernel(x, x_other, hyper: GpHyper) -> float:
-    """Squared-exponential covariance between two input points."""
-    diff = np.asarray(x, dtype=float) - np.asarray(x_other, dtype=float)
-    return hyper.sigma0_sq * np.exp(-0.5 * float(diff @ diff) / hyper.length_sq)
-
-
 def kernel_matrix(a: np.ndarray, b: np.ndarray, hyper: GpHyper) -> np.ndarray:
     sq = cdist(a, b, "sqeuclidean")
     return hyper.sigma0_sq * np.exp(-0.5 * sq / hyper.length_sq)
@@ -78,10 +72,6 @@ class GpModel:
 
     def __len__(self) -> int:
         return len(self.outputs)
-
-    def predict(self, u) -> tuple[float, float]:
-        mean, var = self.predict_batch(np.asarray(u, dtype=float).reshape(1, 2))
-        return float(mean[0]), float(var[0])
 
     def predict_batch(self, queries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Zero-mean GP posterior at each query row; variance clipped to [0, k**]."""
@@ -115,12 +105,6 @@ def negative_lml(s0, l2, sv, sq: np.ndarray, y_col: np.ndarray):
     alpha = ad.cho_solve(gram, ad.const_like(s0, y_col))
     quad = ad.vsum(ad.const_like(s0, y_col) * alpha)
     return 0.5 * quad + 0.5 * ad.logdet(gram) + 0.5 * n_pts * LOG_2PI
-
-
-def log_marginal_likelihood(inputs: np.ndarray, outputs: np.ndarray, hyper: GpHyper) -> float:
-    sq = cdist(inputs, inputs, "sqeuclidean")
-    hypers = (np.array([[v]]) for v in (hyper.sigma0_sq, hyper.length_sq, hyper.noise_sq))
-    return -ad.scalar(negative_lml(*hypers, sq, np.reshape(outputs, (-1, 1))))
 
 
 def fit_hyper(inputs: np.ndarray, outputs: np.ndarray, hyper0: GpHyper,

@@ -1,9 +1,10 @@
 """Interacting multiple model filter with tape-differentiable recursion.
 
 The full IMM cycle (mixing, mode-matched EKF filtering, probability update,
-combination) is written once against the autodiff Var API: forward values
-drive evaluation, and the same graph yields exact gradients of the
-measurement negative log-likelihood for parameter training.
+combination) is written once against the autodiff functions.  Training
+records it on a tape, whose backward pass gives exact gradients of the
+measurement negative log-likelihood; filtering runs the same recursion on
+plain arrays, with no tape.
 
 Constrained parameters are optimized through smooth bijections: transition
 rows through a softmax, variances through exp.
@@ -134,12 +135,13 @@ def _softmax_rows(logits: Var) -> list:
     return rows
 
 
-def _transition_vars(tape, params: ImmParams, mode_idx: int, dt: float,
+def _transition_vars(like, params: ImmParams, mode_idx: int, dt: float,
                      omega_var: Var | None) -> Var:
-    """Transition matrix Var for one mode; ct builds the exact arc from omega."""
+    """Transition matrix for one mode, beside `like` (see ad.const_like); ct
+    builds the exact arc from omega."""
     kind = params.modes[mode_idx]
     if kind == MODE_CV:
-        return ad.const(tape, cv_transition(dt))
+        return ad.const_like(like, cv_transition(dt))
     theta = omega_var * dt
     # near zero turn rate the ratios a = sin(th)/w, b = (1-cos(th))/w are
     # evaluated by series so the cv limit is exact and differentiable
@@ -151,7 +153,7 @@ def _transition_vars(tape, params: ImmParams, mode_idx: int, dt: float,
         a = ad.sin(theta) / omega_var
         b = (1.0 - ad.cos(theta)) / omega_var
     f_var = (
-        ad.const(tape, _T_POS)
+        ad.const_like(like, _T_POS)
         + ad.scale_template(a, _T_A)
         + ad.scale_template(b, _T_B)
         + ad.scale_template(ad.cos(theta), _T_C)
@@ -179,29 +181,31 @@ def _moment_match(weights, means, covs):
 
 
 class ImmGraph:
-    """One tape holding the IMM recursion over a measurement sequence."""
+    """The IMM recursion over a measurement sequence.  With record=True the
+    parameters are leaves on self.tape and every step records its nodes there,
+    for imm_nll's backward pass; otherwise they are arrays and the tape stays empty."""
 
     def __init__(self, params: ImmParams, init: StateEstimate, dt: float,
-                 origin: np.ndarray, cfg: ImmConfig):
+                 origin: np.ndarray, cfg: ImmConfig, record: bool = False):
         self.cfg = cfg
-        self.dt = dt
         self.origin = np.asarray(origin, dtype=float)
         self.tape = ad.make_tape()
-        tape = self.tape
+        leaf = (lambda v: ad.var(self.tape, v)) if record else (lambda v: ad.const_like(None, v))
         m = params.n_modes
 
-        self.leaves = {"trans_logits": ad.var(tape, params.trans_logits),
-                       "log_q": ad.var(tape, params.log_q.reshape(1, -1))}
+        self.leaves = {"trans_logits": leaf(params.trans_logits),
+                       "log_q": leaf(params.log_q.reshape(1, -1))}
+        like = self.leaves["trans_logits"]
         ct_present = any(k == MODE_CT for k in params.modes)
         if ct_present:
-            self.leaves["omega"] = ad.var(tape, params.omega.reshape(1, -1))
+            self.leaves["omega"] = leaf(params.omega.reshape(1, -1))
         if cfg.train_r:
-            self.leaves["log_r"] = ad.var(tape, [[params.log_sigma_r, params.log_sigma_a]])
+            self.leaves["log_r"] = leaf([[params.log_sigma_r, params.log_sigma_a]])
             sr = ad.exp(ad.item(self.leaves["log_r"], 0, 0))
             sa = ad.exp(ad.item(self.leaves["log_r"], 0, 1))
         else:
-            sr = ad.const(tape, np.exp(params.log_sigma_r))
-            sa = ad.const(tape, np.exp(params.log_sigma_a))
+            sr = ad.const_like(like, np.exp(params.log_sigma_r))
+            sa = ad.const_like(like, np.exp(params.log_sigma_a))
         self.r_var = ad.scale_template(sr * sr, np.diag([1.0, 0.0])) + ad.scale_template(
             sa * sa, np.diag([0.0, 1.0])
         )
@@ -211,18 +215,18 @@ class ImmGraph:
         wna = wna_template(dt)
         for j in range(m):
             omega_var = ad.item(self.leaves["omega"], 0, j) if params.modes[j] == MODE_CT else None
-            self.f_vars.append(_transition_vars(tape, params, j, dt, omega_var))
+            self.f_vars.append(_transition_vars(like, params, j, dt, omega_var))
             q_scale = ad.exp(ad.item(self.leaves["log_q"], 0, j))
             self.q_vars.append(ad.scale_template(q_scale, wna))
 
-        self.modes_x = [ad.const(tape, init.mean.reshape(4, 1)) for _ in range(m)]
-        self.modes_p = [ad.const(tape, init.cov) for _ in range(m)]
-        self.mu = [ad.const(tape, 1.0 / m) for _ in range(m)]
+        self.modes_x = [ad.const_like(like, init.mean.reshape(4, 1)) for _ in range(m)]
+        self.modes_p = [ad.const_like(like, init.cov) for _ in range(m)]
+        self.mu = [ad.const_like(like, 1.0 / m) for _ in range(m)]
         self.loss_terms = []
 
     # one full IMM cycle against measurement (z_range, z_bearing)
     def step(self, z_range: float, z_bearing: float):
-        cfg, tape = self.cfg, self.tape
+        cfg = self.cfg
         m = len(self.modes_x)
         # -- mixing
         mu_pred = [_weighted_sum([row[j] for row in self.p_rows], self.mu) for j in range(m)]
@@ -250,7 +254,7 @@ class ImmGraph:
         mu_post = [ad.exp(joint[j] - log_norm) for j in range(m)]
         if any(ad.scalar(v) < cfg.prob_floor for v in mu_post):
             floored = [
-                v if ad.scalar(v) >= cfg.prob_floor else ad.const(tape, cfg.prob_floor)
+                v if ad.scalar(v) >= cfg.prob_floor else ad.const_like(v, cfg.prob_floor)
                 for v in mu_post
             ]
             total = sum(floored[1:], floored[0])
@@ -267,45 +271,42 @@ class ImmGraph:
         return sum(self.loss_terms[1:], self.loss_terms[0])
 
 
-def _filter(params: ImmParams, tracklet: Tracklet, sensor: SensorConfig, cfg: ImmConfig):
-    """filter_tracklet over the IMM recursion on a fresh tape; the final state is the ImmGraph."""
+def _filter(params: ImmParams, tracklet: Tracklet, sensor: SensorConfig, cfg: ImmConfig,
+            record: bool):
+    """filter_tracklet over the IMM recursion; the final state is the ImmGraph."""
 
     def step(graph, z):
         pred, post, cov = graph.step(z.range, z.bearing)
-        return graph, pred.value.ravel(), post.value.ravel(), cov.value
+        return graph, ad.value_of(pred).ravel(), ad.value_of(post).ravel(), ad.value_of(cov)
 
     return filter_tracklet(
-        tracklet, sensor, lambda init: ImmGraph(params, init, tracklet.dt, sensor.origin, cfg),
-        step)
+        tracklet, sensor,
+        lambda init: ImmGraph(params, init, tracklet.dt, sensor.origin, cfg, record), step)
 
 
 def imm_nll(params: ImmParams, tracklet: Tracklet, sensor: SensorConfig,
             cfg: ImmConfig = ImmConfig()):
-    """Measurement NLL of one tracklet on a fresh tape.
+    """Measurement NLL of one tracklet, recorded on a fresh tape.
 
     Returns (loss Var, leaves dict) with the recursion initialized from the
     first two measurements; the loss sums the filtered rows (ekf.EVAL_START on).
     """
     if len(tracklet) < 3:
         raise ValueError("need at least 3 measurements")
-    graph = _filter(params, tracklet, sensor, cfg)[3]
+    graph = _filter(params, tracklet, sensor, cfg, record=True)[3]
     return graph.loss(), graph.leaves
 
 
 def run_imm(params: ImmParams, tracklet: Tracklet, sensor: SensorConfig,
             cfg: ImmConfig = ImmConfig()):
-    """Filter one tracklet; returns (pred_means, post_means, post_covs, nll).
+    """Filter one tracklet on plain arrays; returns (pred_means, post_means,
+    post_covs, nll), the values imm_nll records on its tape.
 
     Rows before ekf.EVAL_START carry the two-point initialization, as for
     every filter (see ekf.filter_tracklet).
     """
-    pred_means, post_means, post_covs, graph = _filter(params, tracklet, sensor, cfg)
+    pred_means, post_means, post_covs, graph = _filter(params, tracklet, sensor, cfg, record=False)
     return pred_means, post_means, post_covs, ad.scalar(graph.loss())
-
-
-def dataset_nll(params: ImmParams, tracklets, sensor: SensorConfig,
-                cfg: ImmConfig = ImmConfig()) -> float:
-    return sum((run_imm(params, trk, sensor, cfg)[3] for trk in tracklets), 0.0)
 
 
 def train_imm(params0: ImmParams, tracklets, sensor: SensorConfig, steps: int,
@@ -314,7 +315,8 @@ def train_imm(params0: ImmParams, tracklets, sensor: SensorConfig, steps: int,
 
     Deterministic given the seed.  Divergence (non-finite loss or a numerical
     failure inside the recursion) aborts and returns the last good parameters.
-    Returns (params, history) with history rows (step, tracklet_nll).
+    Returns (params, history, stopped): history rows are (step, tracklet_nll),
+    and stopped is None after every step ran, else {"step", "reason"}.
     """
     if not tracklets:
         raise ValueError("empty training set")
@@ -328,18 +330,18 @@ def train_imm(params0: ImmParams, tracklets, sensor: SensorConfig, steps: int,
             loss, leaves = imm_nll(params, tracklets[idx], sensor, cfg)
             value = ad.scalar(loss)
             if not np.isfinite(value):
-                break
+                raise NumericsError(f"non-finite loss {value}")
             ad.backward(loss)
             grads = {}
             for name, leaf in leaves.items():
                 g = leaf.grad
                 grads[name] = g.reshape(getattr(params, name).shape) if name != "log_r" else g.ravel()
-        except NumericsError:
-            break
+        except NumericsError as exc:
+            return params, history, {"step": step, "reason": str(exc)}
         history.append((step, value))
         updated = opt.step(params.to_dict(train_r=cfg.train_r), grads)
         params = params.with_dict(updated)
-    return params, history
+    return params, history, None
 
 
 # -- serialization (IMM1) ------------------------------------------------------

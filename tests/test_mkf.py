@@ -225,9 +225,10 @@ def test_train_zero_iterations_returns_input():
         np.random.default_rng(2),
     )
     w0 = init_weights(seed=0)
-    w1, history = train_mkf(w0, [trk], SENSOR, iterations=0)
+    w1, history, stopped = train_mkf(w0, [trk], SENSOR, iterations=0)
     assert w1 is w0
     assert history == []
+    assert stopped is None
 
 
 def test_train_on_cv_learns_velocity_average():
@@ -249,7 +250,7 @@ def test_train_on_cv_learns_velocity_average():
     holdout = [cv_tracklet(100 + s) for s in range(4)]
     scale = input_scale_from(train, sensor)
     w0 = init_weights(seed=1, hidden=16, dense=16, input_scale=scale)
-    w, history = train_mkf(w0, train, sensor, iterations=600, lr=5e-3, seed=2)
+    w, history, _ = train_mkf(w0, train, sensor, iterations=600, lr=5e-3, seed=2)
     assert len(history) == 600
 
     errs, fd_errs = [], []

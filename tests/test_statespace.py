@@ -141,6 +141,11 @@ def test_state_estimate_validation():
     bad[0, 1] = 0.5
     with pytest.raises(ValueError):
         StateEstimate(mean=np.zeros(4), cov=bad)
+    for value in (np.inf, -np.inf, np.nan):
+        with pytest.raises(ValueError, match="not finite"):
+            StateEstimate(mean=np.zeros(4), cov=np.diag([value, 1.0, 1.0, 1.0]))
+        with pytest.raises(ValueError, match="not finite"):
+            StateEstimate(mean=[0.0, value, 0.0, 0.0], cov=np.eye(4))
 
 
 def test_measurement_validation():
