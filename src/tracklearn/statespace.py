@@ -43,7 +43,7 @@ class StateEstimate:
         peak = float(np.abs(cov).max())  # NaN when cov holds a NaN
         if not (math.isfinite(peak) and np.isfinite(mean).all()):
             raise ValueError("state estimate is not finite")
-        # the verdict of np.allclose(cov, cov.T, rtol=0, atol=...), at a tenth of its cost
+        # np.allclose(cov, cov.T, rtol=0, atol=...)'s verdict on a finite cov, without its overhead
         if not np.abs(cov - cov.T).max() <= 1e-9 * max(1.0, peak):
             raise ValueError("covariance is not symmetric")
         min_eig = float(np.linalg.eigvalsh(0.5 * (cov + cov.T)).min())
