@@ -3,12 +3,13 @@
 make_tape() returns a fresh PyTape; var and const record leaves on it, and
 the functional layer in api.py records every other operation.
 
-The same functions also run on plain 2-D float64 arrays: given no Var
+The same functions also run on plain float64 arrays: given no Var
 operand, a function returns at once, without a tape, the value the tape
-would record, computed by the same expression.  A model written once
-against this layer therefore filters on arrays and trains on a tape;
-const_like, scalar and value_of let it create constants and read values
-without knowing which.
+would record, computed by the same expression.  Arrays may be stacks with a
+leading batch axis, (B, r, c), which is how the filters step a whole test
+set in lockstep.  A model written once against this layer therefore filters
+on arrays and trains on a tape; const_like, scalar, detach and value_of let
+it create constants and read values without knowing which.
 """
 
 from __future__ import annotations
@@ -21,11 +22,11 @@ from .api import (
     block,
     cho_solve,
     cols,
-    concat_cols,
     concat_rows,
     const,
     const_like,
     cos,
+    detach,
     exp,
     finite_difference,
     item,
@@ -33,7 +34,6 @@ from .api import (
     logdet,
     logsumexp,
     make_tape,
-    rows,
     scalar,
     scale_template,
     sigmoid,

@@ -2,17 +2,21 @@
 
 Every function here computes its value with one numpy expression.  When an
 operand is a Var, the value is recorded as a node on the operand's tape and
-a Var is returned; when the operands are plain 2-D float64 arrays, the same
+a Var is returned; when the operands are plain float64 arrays, the same
 value is returned at once, with no tape.  The operand's type is the only
 switch.  Var and ndarray share + - * / @ with the same values, so a model
 written against this layer filters on arrays and trains on a tape.
+
+Arrays may be stacks with a leading batch axis, (B, r, c): every function
+acts on the last two axes and broadcasts a 2-D operand against a stack, as
+JAX vmap does (Bradbury et al., 2018).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..errors import NumericsError
+from ..errors import NumericsError, row_prefix
 from .pure import (
     ABS, ADD, ADDC, ATAN2, CHO_SOLVE, COS, DIV, EMBED, EXP, LOG, LOGDET, MATMUL, MUL, MULC,
     NEG, SCALE_TMPL, SDIV, SIGMOID, SIN, SLICE, SMUL, SQRT, SUB, SUM, TANH, TRANSPOSE,
@@ -149,15 +153,21 @@ def const(tape, value) -> Var:
 
 def const_like(like, value):
     """value as a constant beside `like`: a constant node on like's tape when
-    like is a Var, else the value itself as a 2-D matrix."""
+    like is a Var, else the value itself as a matrix (or a stack of them)."""
     if isinstance(like, Var):
         return const(like.tape, value)
-    return as_matrix(value)
+    arr = np.asarray(value, dtype=np.float64)
+    return np.ascontiguousarray(arr) if arr.ndim > 2 else as_matrix(arr)
 
 
 def scalar(x) -> float:
     """The float held by a 1x1 Var or array."""
     return float(value_of(x)[0, 0])
+
+
+def detach(x):
+    """x's value off the tape: the float of a 1x1 Var, or the array itself."""
+    return scalar(x) if isinstance(x, Var) else x
 
 
 def value_of(x) -> np.ndarray:
@@ -200,18 +210,19 @@ def _logistic(v: np.ndarray) -> np.ndarray:
 
 
 def _transpose(v: np.ndarray) -> np.ndarray:
-    return np.ascontiguousarray(v.T)
+    return np.ascontiguousarray(v.swapaxes(-1, -2))
 
 
 def _vsum(v: np.ndarray) -> np.ndarray:
-    return np.array([[v.sum()]])
+    return v.sum(axis=(-2, -1), keepdims=True)
 
 
 def _cholesky(spd: np.ndarray, *operands) -> np.ndarray:
     """Lower Cholesky factor; NumericsError when an operand is not finite or
     spd is not positive definite."""
-    if not all(np.isfinite(x).all() for x in (spd, *operands)):
-        raise NumericsError("non-finite operand of a Cholesky solve")
+    bad = ~np.logical_and.reduce([np.isfinite(x).all(axis=(-2, -1)) for x in (spd, *operands)])
+    if bad.any():
+        raise NumericsError(f"{row_prefix(bad)}non-finite operand of a Cholesky solve")
     try:
         return np.linalg.cholesky(spd)
     except np.linalg.LinAlgError as exc:
@@ -254,19 +265,17 @@ def cho_solve(spd, rhs):
 def logdet(spd):
     """log det of a symmetric positive definite matrix, via Cholesky."""
     low = _cholesky(value_of(spd))
-    return _record(spd, LOGDET, [low], np.array([[2.0 * np.sum(np.log(np.diag(low)))]]))
+    log_diag = np.log(np.diagonal(low, axis1=-2, axis2=-1))
+    return _record(spd, LOGDET, [low], (2.0 * log_diag.sum(axis=-1))[..., None, None])
 
 
 def block(v, r0: int, r1: int, c0: int, c1: int):
-    return _record(v, SLICE, (r0, r1, c0, c1), np.ascontiguousarray(value_of(v)[r0:r1, c0:c1]))
-
-
-def rows(v, r0: int, r1: int):
-    return block(v, r0, r1, 0, v.shape[1])
+    return _record(v, SLICE, (r0, r1, c0, c1),
+                   np.ascontiguousarray(value_of(v)[..., r0:r1, c0:c1]))
 
 
 def cols(v, c0: int, c1: int):
-    return block(v, 0, v.shape[0], c0, c1)
+    return block(v, 0, v.shape[-2], c0, c1)
 
 
 def item(v, r: int, c: int):
@@ -276,44 +285,33 @@ def item(v, r: int, c: int):
 def scale_template(s, template):
     """1x1 s times a constant matrix template."""
     tmpl = as_matrix(template)
-    return _record(s, SCALE_TMPL, tmpl, value_of(s)[0, 0] * tmpl)
+    return _record(s, SCALE_TMPL, tmpl, value_of(s) * tmpl)
 
 
 def _embed(v, rows_n: int, cols_n: int, r0: int, c0: int):
     src = value_of(v)
-    val = np.zeros((rows_n, cols_n))
-    val[r0 : r0 + src.shape[0], c0 : c0 + src.shape[1]] = src
+    val = np.zeros(src.shape[:-2] + (rows_n, cols_n))
+    val[..., r0 : r0 + src.shape[-2], c0 : c0 + src.shape[-1]] = src
     return _record(v, EMBED, (rows_n, cols_n, r0, c0), val)
 
 
 def concat_rows(parts: list):
-    rows_total = sum(p.shape[0] for p in parts)
-    cols_n = parts[0].shape[1]
+    rows_total = sum(p.shape[-2] for p in parts)
+    cols_n = parts[0].shape[-1]
     out = None
     r = 0
     for p in parts:
         piece = _embed(p, rows_total, cols_n, r, 0)
         out = piece if out is None else out + piece
-        r += p.shape[0]
-    return out
-
-
-def concat_cols(parts: list):
-    cols_total = sum(p.shape[1] for p in parts)
-    rows_n = parts[0].shape[0]
-    out = None
-    c = 0
-    for p in parts:
-        piece = _embed(p, rows_n, cols_total, 0, c)
-        out = piece if out is None else out + piece
-        c += p.shape[1]
+        r += p.shape[-2]
     return out
 
 
 def logsumexp(terms: list):
     """Stable log(sum(exp(t))) over 1x1 terms; the max is detached, so the
-    gradient is exact."""
-    m = max(scalar(t) for t in terms)
+    gradient is exact.  On stacks the max is taken per batch row."""
+    values = [detach(t) for t in terms]
+    m = max(values) if isinstance(terms[0], Var) else np.max(values, axis=0)
     acc = None
     for t in terms:
         e = exp(t + (-m))

@@ -57,7 +57,9 @@ def as_matrix(value) -> np.ndarray:
 
 def potrs(low: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Solve L L' X = rhs given the lower Cholesky factor L (LAPACK dpotrs,
-    without scipy.linalg.cho_solve's per-call validation)."""
+    without scipy.linalg.cho_solve's per-call validation); stacks slice by slice."""
+    if low.ndim > 2:
+        return np.stack([potrs(lo, r) for lo, r in zip(low, rhs)])
     sol, info = dpotrs(low, rhs, lower=1)
     if info != 0:
         raise NumericsError(f"dpotrs: illegal value in argument {-info}")

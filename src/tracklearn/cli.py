@@ -199,6 +199,10 @@ def cmd_train(args) -> int:
     if args.method not in ("gp", "imm", "mkf"):
         raise ConfigError(f"--method must be gp, imm or mkf, got {args.method!r}")
     out = Path(args.out)
+    command = f"train --method {args.method}"
+    if (out / "manifest.json").exists() and (previous := _load_manifest(out)["command"]) != command:
+        raise ConfigError(f"--out {out} holds the outputs of '{previous}'; "
+                          f"give {command} a directory of its own")
     out.mkdir(parents=True, exist_ok=True)
     train = _load_split(cfg, args, "train")
     started = time.time()
@@ -212,7 +216,7 @@ def cmd_train(args) -> int:
             fh.write(f"{step},{loss:.17g}\n")
     data_root = _dataset_dir(cfg, args)
     inputs = {str(data_root): _sha256(data_root / "manifest.json")}
-    _write_manifest(out, f"train --method {args.method}", cfg, args.seed, inputs, wallclock,
+    _write_manifest(out, command, cfg, args.seed, inputs, wallclock,
                     stopped_early=stopped)
     if stopped:
         print(f"train {args.method}: stopped early at training step {stopped['step']}: "

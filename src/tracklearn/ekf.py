@@ -7,10 +7,12 @@ functions for every mode (imm.ImmGraph.step), on arrays to filter and on
 its tape to train, and the LSTM filter reaches them through ekf_update.
 Their numerical hygiene therefore carries the whole package.
 
-The per-tracklet loop is also written once, here: filter_tracklet owns the
+The step loop is also written once, here: filter_tracklet owns the
 two-point initialization, the rows every filter reports and the first
 filtered row EVAL_START, for the EKF, the IMM, the LSTM filter and the GP
-particle filter alike.
+particle filter alike.  Given B tracklets, it steps them in lockstep: states,
+measurements and outputs gain a leading batch axis, so each step runs once
+on stacks of B matrices, with the bits of filtering each tracklet alone.
 """
 
 from __future__ import annotations
@@ -20,12 +22,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .errors import NumericsError
+from .errors import NumericsError, row_prefix
 from .statespace import (
     LOG_2PI,
     Measurement,
     SensorConfig,
     StateEstimate,
+    Tracklet,
     measurement_noise_cartesian,
     polar_to_cartesian,
     wrap_angle,
@@ -82,9 +85,9 @@ class CwnaModel:
 def predict_cwna(prior: StateEstimate, model: CwnaModel) -> StateEstimate:
     """Markov prediction under the CV model: mean F x, covariance F P F' + Q."""
     f = model.transition
-    mean = f @ prior.mean
+    mean = (f @ prior.mean[..., None])[..., 0]
     cov = f @ prior.cov @ f.T + model.process_noise
-    return StateEstimate(mean=mean, cov=0.5 * (cov + cov.T), t=prior.t + 1)
+    return StateEstimate(mean=mean, cov=0.5 * (cov + cov.swapaxes(-1, -2)), t=prior.t + 1)
 
 
 def range_bearing(x, origin: np.ndarray):
@@ -95,8 +98,9 @@ def range_bearing(x, origin: np.ndarray):
     dx = ad.item(x, 0, 0) - float(origin[0])
     dy = ad.item(x, 1, 0) - float(origin[1])
     r_sq = dx * dx + dy * dy
-    if ad.scalar(r_sq) == 0.0:
-        raise NumericsError("state coincides with the sensor origin")
+    at_origin = ad.value_of(r_sq)[..., 0, 0] == 0.0
+    if at_origin.any():
+        raise NumericsError(f"{row_prefix(at_origin)}state coincides with the sensor origin")
     r = ad.sqrt(r_sq)
     bearing = ad.atan2(dy, dx)
     jac = (
@@ -108,17 +112,19 @@ def range_bearing(x, origin: np.ndarray):
     return r, bearing, jac
 
 
-def joseph_update(x, p, z_range: float, z_bearing: float, r_noise, origin: np.ndarray):
+def joseph_update(x, p, z_range, z_bearing, r_noise, origin: np.ndarray):
     """Range-bearing EKF update of a 4x1 mean x and 4x4 covariance p.
 
-    r_noise is the 2x2 measurement noise covariance.  The bearing residual is
-    wrapped into (-pi, pi]; the covariance update is in Joseph form.
+    r_noise is the 2x2 measurement noise covariance; z is one value per batch
+    row on stacks.  The bearing residual is wrapped into (-pi, pi]; Joseph form.
     Returns (posterior mean, posterior covariance, 2x1 innovation, S).
     """
+    if np.ndim(z_range):
+        z_range, z_bearing = (np.reshape(z, (-1, 1, 1)) for z in (z_range, z_bearing))
     r, bearing, jac = range_bearing(x, origin)
     dr = -(r - z_range)
-    raw = z_bearing - ad.scalar(bearing)
-    da = (-(bearing - z_bearing)) + (float(wrap_angle(raw)) - raw)
+    raw = z_bearing - ad.detach(bearing)
+    da = (-(bearing - z_bearing)) + (wrap_angle(raw) - raw)
     nu = ad.concat_rows([dr, da])
     s = jac @ p @ ad.transpose(jac) + r_noise
     k = ad.transpose(ad.cho_solve(s, jac @ p))
@@ -141,9 +147,9 @@ def ekf_update(pred: StateEstimate, z: Measurement, sensor: SensorConfig):
 
     Returns (posterior, innovation, innovation covariance).
     """
-    x, p, nu, s = joseph_update(pred.mean.reshape(4, 1), pred.cov, z.range, z.bearing,
+    x, p, nu, s = joseph_update(pred.mean[..., None], pred.cov, z.range, z.bearing,
                                 sensor.noise_cov, sensor.origin)
-    return StateEstimate(mean=x.ravel(), cov=p, t=pred.t), nu.ravel(), s
+    return StateEstimate(mean=x[..., 0], cov=p, t=pred.t), nu[..., 0], s
 
 
 def init_track(z0: Measurement, z1: Measurement, sensor: SensorConfig, dt: float) -> StateEstimate:
@@ -157,51 +163,54 @@ def init_track(z0: Measurement, z1: Measurement, sensor: SensorConfig, dt: float
     p1 = polar_to_cartesian(z1, sensor)
     r0 = measurement_noise_cartesian(z0, sensor)
     r1 = measurement_noise_cartesian(z1, sensor)
-    mean = np.concatenate([p1, (p1 - p0) / dt])
-    cov = np.zeros((4, 4))
-    cov[:2, :2] = r1
-    cov[:2, 2:] = r1 / dt
-    cov[2:, :2] = r1 / dt
-    cov[2:, 2:] = (r0 + r1) / dt**2
+    mean = np.concatenate([p1, (p1 - p0) / dt], axis=-1)
+    cov = np.block([[r1, r1 / dt], [r1 / dt, (r0 + r1) / dt**2]])
     return StateEstimate(mean=mean, cov=cov, t=z1.t)
 
 
-def filter_tracklet(tracklet, sensor: SensorConfig, start, step):
-    """Run one filter over a tracklet from the two-point initialization.
+def filter_tracklet(tracklets, sensor: SensorConfig, start, step):
+    """Run one filter from the two-point initialization over one Tracklet, or
+    over a list of B Tracklets in lockstep, with a leading batch axis on init,
+    every z and every output (row b is tracklets[b]).
 
-    start(init) turns the init_track estimate into the filter's state, and
-    step(state, z) filters the Measurement z of one row into
-    (state, predicted mean, posterior mean, posterior covariance).  Rows
-    before EVAL_START hold the initialization.  A step's NumericsError,
-    ValueError or LinAlgError is raised again as NumericsError("step <row>: ...").
-    Returns (pred_means, post_means, post_covs, final state).
+    start(init, dt) turns the init_track estimate into the filter's state, and
+    step(state, z) filters the Measurement z of one row into (state, predicted
+    mean, posterior mean, posterior covariance).  Rows before EVAL_START hold
+    the initialization.  A step's NumericsError, ValueError or LinAlgError is
+    raised again as NumericsError("step <row>: ..."), then "row <b>: " when a
+    check names tracklet b.  Returns (pred_means, post_means, post_covs, state).
     """
-    init = init_track(tracklet.measurement(0), tracklet.measurement(1), sensor, tracklet.dt)
+    single = isinstance(tracklets, Tracklet)
+    if not single and len({(len(trk), trk.dt) for trk in tracklets}) != 1:
+        raise ValueError("tracklets filtered in lockstep must share one length and one dt")
+    dt = (tracklets if single else tracklets[0]).dt
+    # row t unpacks into (range, bearing): two floats, or two (B,) arrays from (T, 2, B)
+    meas = tracklets.meas if single else np.stack([trk.meas for trk in tracklets], axis=-1)
+    init = init_track(Measurement(0, *meas[0]), Measurement(1, *meas[1]), sensor, dt)
     rows = [(init.mean, init.mean, init.cov)] * EVAL_START
-    state = start(init)
-    for t in range(EVAL_START, len(tracklet)):
+    state = start(init, dt)
+    for t in range(EVAL_START, len(meas)):
         try:
-            state, *row = step(state, tracklet.measurement(t))
+            state, *row = step(state, Measurement(t, *meas[t]))
         except (NumericsError, ValueError, np.linalg.LinAlgError) as exc:
             raise NumericsError(f"step {t}: {exc}") from exc
         rows.append(row)
-    pred_means, post_means, post_covs = (np.array(column) for column in zip(*rows))
+    time_axis = init.mean.ndim - 1  # after the batch axis, if any
+    pred_means, post_means, post_covs = (np.stack(column, axis=time_axis) for column in zip(*rows))
     return pred_means, post_means, post_covs, state
 
 
-def run_ekf(tracklet, sensor: SensorConfig, model: CwnaModel):
-    """Filter one tracklet; returns (pred_means, post_means, total_nll).
-
-    Rows before EVAL_START hold the initialization estimate (see filter_tracklet).
-    """
+def run_ekf(tracklets, sensor: SensorConfig, model: CwnaModel):
+    """Filter one tracklet, or a list in lockstep (see filter_tracklet);
+    returns (pred_means, post_means, total_nll), a total per tracklet."""
 
     def step(state, z):
         est, total_nll = state
         pred = predict_cwna(est, model)
         est, innovation, s = ekf_update(pred, z, sensor)
-        total_nll += ad.scalar(gaussian_nll(innovation.reshape(2, 1), s))
+        total_nll = total_nll + gaussian_nll(innovation[..., None], s)[..., 0, 0]
         return (est, total_nll), pred.mean, est.mean, est.cov
 
     pred_means, post_means, _, (_, total_nll) = filter_tracklet(
-        tracklet, sensor, lambda init: (init, 0.0), step)
+        tracklets, sensor, lambda init, dt: (init, 0.0), step)
     return pred_means, post_means, total_nll

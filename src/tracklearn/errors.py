@@ -1,5 +1,12 @@
 """Exception types shared across the toolkit."""
 
+import numpy as np
+
+
+def row_prefix(bad) -> str:
+    """"row <i>: " for the first true row i of a batch check's verdicts; "" for one verdict."""
+    return f"row {int(np.argmax(bad))}: " if np.ndim(bad) else ""
+
 
 class GeometryError(ValueError):
     """Raised when a state coincides with the sensor origin (range/bearing undefined)."""

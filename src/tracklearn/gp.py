@@ -43,9 +43,12 @@ class GpHyper:
             raise ValueError("GP hyperparameters must be positive")
 
 
-def kernel_matrix(a: np.ndarray, b: np.ndarray, hyper: GpHyper) -> np.ndarray:
-    sq = cdist(a, b, "sqeuclidean")
-    return hyper.sigma0_sq * np.exp(-0.5 * sq / hyper.length_sq)
+def kernel_matrix(a: np.ndarray, b: np.ndarray, hyper: GpHyper, sq=None) -> np.ndarray:
+    """Kernel between the rows of a and b; sq, their squared distances, if known.
+    Computed in place, so no (N, M) temporary outlives the expression."""
+    arg = -0.5 * (cdist(a, b, "sqeuclidean") if sq is None else sq)
+    arg /= hyper.length_sq
+    return hyper.sigma0_sq * np.exp(arg, out=arg)
 
 
 class GpModel:
@@ -75,11 +78,24 @@ class GpModel:
 
     def predict_batch(self, queries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Zero-mean GP posterior at each query row; variance clipped to [0, k**]."""
-        k_star = kernel_matrix(self.inputs, queries, self.hyper)  # (N, M)
-        means = k_star.T @ self.solve_vector
-        half = solve_triangular(self.chol, k_star, lower=True)
-        variances = self.hyper.sigma0_sq - np.einsum("nm,nm->m", half, half)
-        return means, np.clip(variances, 0.0, self.hyper.sigma0_sq)
+        return predict_axes((self,), queries)[0]
+
+
+def predict_axes(models, queries: np.ndarray) -> list:
+    """predict_batch of models fitted on the same inputs (as gp_fit and load_gp
+    make them): the distances are computed once, and a model with the previous
+    one's hyperparameters reuses its kernel and variances; only its mean is new."""
+    sq = cdist(models[0].inputs, queries, "sqeuclidean")  # (N, M)
+    out, hyper = [], None
+    for model in models:
+        if model.hyper != hyper:
+            hyper, k_star, half = model.hyper, None, None  # free the last kernel before the next
+            k_star = kernel_matrix(model.inputs, queries, hyper, sq)
+            half = solve_triangular(model.chol, k_star, lower=True)
+            variances = np.clip(hyper.sigma0_sq - np.einsum("nm,nm->m", half, half),
+                                0.0, hyper.sigma0_sq)
+        out.append((k_star.T @ model.solve_vector, variances))
+    return out
 
 
 def velocity_pairs(tracklets) -> tuple[np.ndarray, np.ndarray]:
@@ -278,9 +294,7 @@ def systematic_resample(weights: np.ndarray, rng: np.random.Generator) -> np.nda
 def pf_propagate(ps: ParticleSet, models, sigma_p: float, dt: float,
                  rng: np.random.Generator) -> ParticleSet:
     """Draw per-particle velocities from the GP posterior, then move positions."""
-    mx, my = models
-    mean_x, var_x = mx.predict_batch(ps.velocities)
-    mean_y, var_y = my.predict_batch(ps.velocities)
+    (mean_x, var_x), (mean_y, var_y) = predict_axes(models, ps.velocities)
     new_vel = np.column_stack([
         mean_x + np.sqrt(var_x) * rng.standard_normal(len(ps)),
         mean_y + np.sqrt(var_y) * rng.standard_normal(len(ps)),

@@ -4,7 +4,7 @@ The full IMM cycle (mixing, mode-matched EKF filtering, probability update,
 combination) is written once against the autodiff functions.  Training
 records it on a tape, whose backward pass gives exact gradients of the
 measurement negative log-likelihood; filtering runs the same recursion on
-plain arrays, with no tape.
+plain arrays, with no tape, for a batch of tracklets in lockstep.
 
 Constrained parameters are optimized through smooth bijections: transition
 rows through a softmax, variances through exp.
@@ -176,8 +176,20 @@ def _moment_match(weights, means, covs):
     its weighted term: one mode's nodes, then the next mode's.
     """
     mean = _weighted_sum(weights, means)
-    spreads = (p + d @ d.T for p, d in zip(covs, (x - mean for x in means)))
+    spreads = (p + d @ ad.transpose(d) for p, d in zip(covs, (x - mean for x in means)))
     return mean, _weighted_sum(weights, spreads)
+
+
+def _floor_probs(mu: list, floor: float) -> list:
+    """Probabilities below floor raised to it, all renormalized; rows with none below keep theirs."""
+    hit = np.logical_or.reduce([ad.detach(v) < floor for v in mu])
+    if not hit.any():
+        return mu
+    taped = isinstance(mu[0], Var)
+    floored = [(v if ad.scalar(v) >= floor else ad.const_like(v, floor)) if taped
+               else np.where(v >= floor, v, floor) for v in mu]
+    total = sum(floored[1:], floored[0])
+    return [f / total if taped else np.where(hit, f / total, v) for f, v in zip(floored, mu)]
 
 
 class ImmGraph:
@@ -219,13 +231,13 @@ class ImmGraph:
             q_scale = ad.exp(ad.item(self.leaves["log_q"], 0, j))
             self.q_vars.append(ad.scale_template(q_scale, wna))
 
-        self.modes_x = [ad.const_like(like, init.mean.reshape(4, 1)) for _ in range(m)]
+        self.modes_x = [ad.const_like(like, init.mean[..., None]) for _ in range(m)]
         self.modes_p = [ad.const_like(like, init.cov) for _ in range(m)]
         self.mu = [ad.const_like(like, 1.0 / m) for _ in range(m)]
         self.loss_terms = []
 
-    # one full IMM cycle against measurement (z_range, z_bearing)
-    def step(self, z_range: float, z_bearing: float):
+    # one full IMM cycle against measurement (z_range, z_bearing), one per batch row on stacks
+    def step(self, z_range, z_bearing):
         cfg = self.cfg
         m = len(self.modes_x)
         # -- mixing
@@ -251,14 +263,7 @@ class ImmGraph:
             self.loss_terms.append(gaussian_nll(*_moment_match(mu_pred, innovations, s_vars)))
 
         # -- mode probability update (normalized by construction)
-        mu_post = [ad.exp(joint[j] - log_norm) for j in range(m)]
-        if any(ad.scalar(v) < cfg.prob_floor for v in mu_post):
-            floored = [
-                v if ad.scalar(v) >= cfg.prob_floor else ad.const_like(v, cfg.prob_floor)
-                for v in mu_post
-            ]
-            total = sum(floored[1:], floored[0])
-            mu_post = [v / total for v in floored]
+        mu_post = _floor_probs([ad.exp(joint[j] - log_norm) for j in range(m)], cfg.prob_floor)
 
         # -- combination
         x_comb, p_comb = _moment_match(mu_post, post_x, post_p)
@@ -271,17 +276,16 @@ class ImmGraph:
         return sum(self.loss_terms[1:], self.loss_terms[0])
 
 
-def _filter(params: ImmParams, tracklet: Tracklet, sensor: SensorConfig, cfg: ImmConfig,
-            record: bool):
+def _filter(params: ImmParams, tracklets, sensor: SensorConfig, cfg: ImmConfig, record: bool):
     """filter_tracklet over the IMM recursion; the final state is the ImmGraph."""
 
     def step(graph, z):
         pred, post, cov = graph.step(z.range, z.bearing)
-        return graph, ad.value_of(pred).ravel(), ad.value_of(post).ravel(), ad.value_of(cov)
+        return graph, ad.value_of(pred)[..., 0], ad.value_of(post)[..., 0], ad.value_of(cov)
 
     return filter_tracklet(
-        tracklet, sensor,
-        lambda init: ImmGraph(params, init, tracklet.dt, sensor.origin, cfg, record), step)
+        tracklets, sensor,
+        lambda init, dt: ImmGraph(params, init, dt, sensor.origin, cfg, record), step)
 
 
 def imm_nll(params: ImmParams, tracklet: Tracklet, sensor: SensorConfig,
@@ -297,16 +301,13 @@ def imm_nll(params: ImmParams, tracklet: Tracklet, sensor: SensorConfig,
     return graph.loss(), graph.leaves
 
 
-def run_imm(params: ImmParams, tracklet: Tracklet, sensor: SensorConfig,
-            cfg: ImmConfig = ImmConfig()):
-    """Filter one tracklet on plain arrays; returns (pred_means, post_means,
-    post_covs, nll), the values imm_nll records on its tape.
-
-    Rows before ekf.EVAL_START carry the two-point initialization, as for
-    every filter (see ekf.filter_tracklet).
-    """
-    pred_means, post_means, post_covs, graph = _filter(params, tracklet, sensor, cfg, record=False)
-    return pred_means, post_means, post_covs, ad.scalar(graph.loss())
+def run_imm(params: ImmParams, tracklets, sensor: SensorConfig, cfg: ImmConfig = ImmConfig()):
+    """Filter one tracklet, or a list in lockstep (see ekf.filter_tracklet), on
+    plain arrays; returns (pred_means, post_means, post_covs, nll), the values
+    imm_nll records on its tape, with an nll per tracklet."""
+    pred_means, post_means, post_covs, graph = _filter(params, tracklets, sensor, cfg,
+                                                       record=False)
+    return pred_means, post_means, post_covs, graph.loss()[..., 0, 0][()]  # a float for one
 
 
 def train_imm(params0: ImmParams, tracklets, sensor: SensorConfig, steps: int,
@@ -314,7 +315,8 @@ def train_imm(params0: ImmParams, tracklets, sensor: SensorConfig, steps: int,
     """Minibatch NLL descent over tracklets (one tracklet per step).
 
     Deterministic given the seed.  Divergence (non-finite loss or a numerical
-    failure inside the recursion) aborts and returns the last good parameters.
+    failure inside the recursion) aborts and returns the last parameters whose
+    loss was finite (params0 if none was).
     Returns (params, history, stopped): history rows are (step, tracklet_nll),
     and stopped is None after every step ran, else {"step", "reason"}.
     """
@@ -322,7 +324,7 @@ def train_imm(params0: ImmParams, tracklets, sensor: SensorConfig, steps: int,
         raise ValueError("empty training set")
     rng = np.random.default_rng(seed)
     opt = GradientOptimizer(lr=lr)
-    params = params0
+    params = good = params0
     history = []
     for step in range(steps):
         idx = int(rng.integers(len(tracklets)))
@@ -337,7 +339,8 @@ def train_imm(params0: ImmParams, tracklets, sensor: SensorConfig, steps: int,
                 g = leaf.grad
                 grads[name] = g.reshape(getattr(params, name).shape) if name != "log_r" else g.ravel()
         except NumericsError as exc:
-            return params, history, {"step": step, "reason": str(exc)}
+            return good, history, {"step": step, "reason": str(exc)}
+        good = params
         history.append((step, value))
         updated = opt.step(params.to_dict(train_r=cfg.train_r), grads)
         params = params.with_dict(updated)

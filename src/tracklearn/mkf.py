@@ -142,14 +142,15 @@ def mkf_predict(prior: StateEstimate, state: tuple, w: LstmWeights, dt: float,
     velocity-projected network covariance plus the regularization term.
     Returns (predicted StateEstimate, new (h, c)).
     """
-    x = (prior.velocity / w.input_scale).reshape(1, 2)
+    x = (prior.velocity / w.input_scale)[..., None, :]
     h, c, v_nn, c_nn = lstm_step(w.to_dict(), *state, x)
-    v_phys = v_nn.ravel() * w.input_scale
+    v_phys = v_nn[..., 0, :] * w.input_scale
     c_phys = c_nn * w.input_scale
-    mean = np.concatenate([prior.position + dt * v_phys, v_phys])
+    mean = np.concatenate([prior.position + dt * v_phys, v_phys], axis=-1)
     q_mat = np.eye(4) * q_reg if np.isscalar(q_reg) else np.asarray(q_reg)
-    cov = prior.cov + VEL_PROJECTION.T @ (c_phys @ c_phys.T) @ VEL_PROJECTION + q_mat
-    pred = StateEstimate(mean=mean, cov=0.5 * (cov + cov.T), t=prior.t + 1)
+    vel_cov = c_phys @ c_phys.swapaxes(-1, -2)
+    cov = prior.cov + VEL_PROJECTION.T @ vel_cov @ VEL_PROJECTION + q_mat
+    pred = StateEstimate(mean=mean, cov=0.5 * (cov + cov.swapaxes(-1, -2)), t=prior.t + 1)
     return pred, (h, c)
 
 
@@ -195,15 +196,15 @@ def train_mkf(w0: LstmWeights, tracklets, sensor: SensorConfig, iterations: int,
               lr: float = 5e-4, seed: int = 0, cfg: MkfConfig = None):
     """BPTT over one sampled tracklet per iteration with Adam and global-norm
     gradient clipping.  Aborts on a non-finite loss or a numerical failure,
-    returning the last good weights.  Returns (weights, history, stopped):
-    history rows are (iter, loss), and stopped is None after every iteration
-    ran, else {"step", "reason"}."""
+    returning the last weights whose loss was finite (w0 if none was).  Returns
+    (weights, history, stopped): history rows are (iter, loss), and stopped is
+    None after every iteration ran, else {"step", "reason"}."""
     cfg = cfg or MkfConfig()
     if not tracklets:
         raise ValueError("empty training set")
     rng = np.random.default_rng(seed)
     opt = GradientOptimizer(lr=lr)
-    weights = w0
+    weights = good = w0
     history = []
     for it in range(iterations):
         trk = tracklets[int(rng.integers(len(tracklets)))]
@@ -217,7 +218,8 @@ def train_mkf(w0: LstmWeights, tracklets, sensor: SensorConfig, iterations: int,
                 raise NumericsError(f"non-finite loss {value}")
             ad.backward(loss)
         except NumericsError as exc:
-            return weights, history, {"step": it, "reason": str(exc)}
+            return good, history, {"step": it, "reason": str(exc)}
+        good = weights
         grads = {name: leaf.grad for name, leaf in wvars.items()}
         grads = clip_by_global_norm(grads, cfg.clip_norm)
         weights = weights.with_dict(opt.step(weights.to_dict(), grads))
@@ -235,23 +237,19 @@ def input_scale_from(tracklets, sensor: SensorConfig) -> float:
     return max(scale, 1.0)
 
 
-def run_mkf(tracklet: Tracklet, sensor: SensorConfig, w: LstmWeights,
-            cfg: MkfConfig = None):
-    """Filter one tracklet; returns (pred_means, post_means, post_covs).
-
-    Rows before ekf.EVAL_START hold the two-point initialization, as for
-    every filter (see ekf.filter_tracklet); the LSTM state starts at zero.
-    """
+def run_mkf(tracklets, sensor: SensorConfig, w: LstmWeights, cfg: MkfConfig = None):
+    """Filter one tracklet, or a list in lockstep (see ekf.filter_tracklet),
+    from a zero LSTM state; returns (pred_means, post_means, post_covs)."""
     cfg = cfg or MkfConfig()
 
     def step(state, z):
-        est, lstm_state = state
-        pred, lstm_state = mkf_predict(est, lstm_state, w, tracklet.dt, cfg.q_reg)
+        est, lstm_state, dt = state
+        pred, lstm_state = mkf_predict(est, lstm_state, w, dt, cfg.q_reg)
         est, _, _ = ekf_update(pred, z, sensor)
-        return (est, lstm_state), pred.mean, est.mean, est.cov
+        return (est, lstm_state, dt), pred.mean, est.mean, est.cov
 
     zero_state = (np.zeros((1, w.hidden)), np.zeros((1, w.hidden)))  # LSTM (h, c)
-    return filter_tracklet(tracklet, sensor, lambda init: (init, zero_state), step)[:3]
+    return filter_tracklet(tracklets, sensor, lambda init, dt: (init, zero_state, dt), step)[:3]
 
 
 # -- checkpoint container (MKF1) ----------------------------------------------

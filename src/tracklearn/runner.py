@@ -3,7 +3,9 @@ aligned RunRecords.
 
 Every filter runs through ekf.filter_tracklet, which consumes the first two
 measurements for track initialization; records are scored from
-ekf.EVAL_START onward, so all methods see identical indices.
+ekf.EVAL_START onward, so all methods see identical indices.  The tracklets
+of one length and dt (a simulated dataset has one of each) are filtered in
+lockstep, as one batch.
 """
 
 from __future__ import annotations
@@ -13,39 +15,41 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ekf import EVAL_START, CwnaModel, filter_tracklet, run_ekf
+from .errors import NumericsError
 from .evaluate import RunRecord
 from .gp import init_particles, pf_step
 from .imm import ImmConfig, ImmParams, run_imm
 from .mkf import LstmWeights, MkfConfig, run_mkf
 from .simulate import Dataset
-from .statespace import polar_rows_to_cartesian
+from .statespace import Measurement, StateEstimate, polar_rows_to_cartesian
 
 
 def _records(dataset: Dataset, run) -> list[RunRecord]:
-    """One RunRecord per tracklet from run(tracklet) -> (pred_means, post_means, ...)."""
-    records = []
-    for trk in dataset.tracklets:
-        pred, post = run(trk)[:2]
-        cart = polar_rows_to_cartesian(trk.meas, dataset.sensor)
-        records.append(RunRecord(
-            pred=pred[EVAL_START:],
-            post=post[EVAL_START:],
-            truth=trk.truth[EVAL_START:],
-            meas_cart=cart[EVAL_START:],
-        ))
+    """RunRecords in dataset order; run(tracklets, rows) filters one length-and-dt group."""
+    groups: dict[tuple, list[int]] = {}
+    for i, trk in enumerate(dataset.tracklets):
+        groups.setdefault((len(trk), trk.dt), []).append(i)
+    records = [None] * len(dataset.tracklets)
+    for rows in groups.values():
+        pred, post = run([dataset.tracklets[i] for i in rows], rows)[:2]
+        for b, i in enumerate(rows):
+            trk = dataset.tracklets[i]
+            cart = polar_rows_to_cartesian(trk.meas, dataset.sensor)
+            records[i] = RunRecord(pred=pred[b, EVAL_START:], post=post[b, EVAL_START:],
+                                   truth=trk.truth[EVAL_START:], meas_cart=cart[EVAL_START:])
     return records
 
 
 def run_ekf_method(dataset: Dataset, q: float) -> list[RunRecord]:
-    return _records(dataset, lambda trk: run_ekf(trk, dataset.sensor, CwnaModel(dt=trk.dt, q=q)))
+    return _records(dataset, lambda trks, _: run_ekf(trks, dataset.sensor, CwnaModel(trks[0].dt, q)))
 
 
 def run_imm_method(dataset: Dataset, params: ImmParams, cfg: ImmConfig) -> list[RunRecord]:
-    return _records(dataset, lambda trk: run_imm(params, trk, dataset.sensor, cfg))
+    return _records(dataset, lambda trks, _: run_imm(params, trks, dataset.sensor, cfg))
 
 
 def run_mkf_method(dataset: Dataset, weights: LstmWeights, cfg: MkfConfig) -> list[RunRecord]:
-    return _records(dataset, lambda trk: run_mkf(trk, dataset.sensor, weights, cfg))
+    return _records(dataset, lambda trks, _: run_mkf(trks, dataset.sensor, weights, cfg))
 
 
 @dataclass
@@ -61,22 +65,30 @@ class PfSettings:
 
 
 def run_gp_method(dataset: Dataset, models, settings: PfSettings, seed: int) -> list[RunRecord]:
-    """SIR particle filter (gp.pf_step) over the test set, one RNG stream per
-    tracklet; weight collapse re-seeds the cloud from the current measurement
-    and continues."""
-    streams = iter(np.random.SeedSequence(seed).spawn(len(dataset.tracklets)))
+    """SIR particle filter (gp.pf_step) over the test set; weight collapse
+    re-seeds the cloud from the current measurement and continues.  A lockstep
+    step runs pf_step on each cloud in turn, on its tracklet's own RNG stream."""
+    streams = np.random.SeedSequence(seed).spawn(len(dataset.tracklets))
 
-    def run(trk):
-        rng = np.random.default_rng(next(streams))
+    def run(tracklets, rows):
+        rngs = [np.random.default_rng(streams[i]) for i in rows]
 
-        def step(ps, z):
-            ps, prior, est = pf_step(ps, z, models, dataset.sensor, settings.sigma_p, rng,
-                                     dt=trk.dt, resample=settings.resample,
-                                     ess_fraction=settings.ess_fraction)
-            return ps, prior.mean, est.mean, est.cov
+        def step(clouds, z):
+            cycles = []
+            for b, (ps, rng) in enumerate(zip(clouds, rngs)):
+                try:
+                    cycles.append(pf_step(ps, Measurement(z.t, z.range[b], z.bearing[b]), models,
+                                          dataset.sensor, settings.sigma_p, rng,
+                                          dt=tracklets[0].dt, resample=settings.resample,
+                                          ess_fraction=settings.ess_fraction))
+                except (NumericsError, ValueError, np.linalg.LinAlgError) as exc:
+                    raise NumericsError(f"row {b}: {exc}") from exc
+            clouds, priors, posts = zip(*cycles)
+            means = [np.stack([est.mean for est in ests]) for ests in (priors, posts)]
+            return clouds, *means, np.stack([est.cov for est in posts])
 
-        return filter_tracklet(
-            trk, dataset.sensor, lambda init: init_particles(init, settings.n_particles, rng),
-            step)
+        return filter_tracklet(tracklets, dataset.sensor, lambda init, dt: [
+            init_particles(StateEstimate(init.mean[b], init.cov[b], init.t), settings.n_particles,
+                           rng) for b, rng in enumerate(rngs)], step)
 
     return _records(dataset, run)

@@ -6,12 +6,11 @@ relied on by every filter in the package.  Bearings live in (-pi, pi].
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import GeometryError
+from .errors import GeometryError, row_prefix
 
 STATE_DIM = 4
 TWO_PI = 2.0 * np.pi
@@ -29,52 +28,57 @@ def wrap_angle(theta):
 
 @dataclass(frozen=True)
 class StateEstimate:
-    """Gaussian state belief: 4-D mean, 4x4 covariance, integer time index."""
+    """Gaussian state belief: 4-D mean, 4x4 covariance, integer time index;
+    a batch of B beliefs has (B, 4) means and (B, 4, 4) covariances."""
 
     mean: np.ndarray
     cov: np.ndarray
     t: int = 0
 
     def __post_init__(self):
-        mean = np.asarray(self.mean, dtype=float).reshape(STATE_DIM)
-        cov = np.asarray(self.cov, dtype=float).reshape(STATE_DIM, STATE_DIM)
+        mean = np.asarray(self.mean, dtype=float)
+        mean = mean.reshape(*mean.shape[:-1], STATE_DIM)
+        cov = np.asarray(self.cov, dtype=float).reshape(*mean.shape[:-1], STATE_DIM, STATE_DIM)
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "cov", cov)
-        peak = float(np.abs(cov).max())  # NaN when cov holds a NaN
-        if not (math.isfinite(peak) and np.isfinite(mean).all()):
-            raise ValueError("state estimate is not finite")
+        peak = np.abs(cov).max(axis=(-2, -1))  # NaN where cov holds a NaN
+        bad = ~(np.isfinite(peak) & np.isfinite(mean).all(axis=-1))
+        if bad.any():
+            raise ValueError(f"{row_prefix(bad)}state estimate is not finite")
         # np.allclose(cov, cov.T, rtol=0, atol=...)'s verdict on a finite cov, without its overhead
-        if not np.abs(cov - cov.T).max() <= 1e-9 * max(1.0, peak):
-            raise ValueError("covariance is not symmetric")
-        min_eig = float(np.linalg.eigvalsh(0.5 * (cov + cov.T)).min())
-        if min_eig < -1e-9 * max(np.trace(cov), 1.0):
-            raise ValueError(f"covariance is not PSD (min eigenvalue {min_eig:g})")
+        cov_t = cov.swapaxes(-1, -2)
+        bad = ~(np.abs(cov - cov_t).max(axis=(-2, -1)) <= 1e-9 * np.maximum(1.0, peak))
+        if bad.any():
+            raise ValueError(f"{row_prefix(bad)}covariance is not symmetric")
+        min_eig = np.linalg.eigvalsh(0.5 * (cov + cov_t)).min(axis=-1)
+        bad = min_eig < -1e-9 * np.maximum(np.trace(cov, axis1=-2, axis2=-1), 1.0)
+        if bad.any():
+            raise ValueError(f"{row_prefix(bad)}covariance is not PSD "
+                             f"(min eigenvalue {np.ravel(min_eig)[np.argmax(bad)]:g})")
 
     @property
     def position(self) -> np.ndarray:
-        return self.mean[:2]
+        return self.mean[..., :2]
 
     @property
     def velocity(self) -> np.ndarray:
-        return self.mean[2:]
+        return self.mean[..., 2:]
 
 
 @dataclass(frozen=True)
 class Measurement:
-    """One polar sensor return: time index, range (m), bearing (rad in (-pi, pi])."""
+    """One polar sensor return: time index, range (m), bearing (rad in (-pi, pi]);
+    range and bearing are (B,) arrays for a batch of B tracklets."""
 
     t: int
     range: float
     bearing: float
 
     def __post_init__(self):
-        if self.range < 0.0:
-            raise ValueError(f"negative range {self.range}")
-        object.__setattr__(self, "bearing", float(wrap_angle(self.bearing)))
-
-    @property
-    def vector(self) -> np.ndarray:
-        return np.array([self.range, self.bearing])
+        bad = np.less(self.range, 0.0)
+        if bad.any():
+            raise ValueError(f"{row_prefix(bad)}negative range {self.range}")
+        object.__setattr__(self, "bearing", wrap_angle(self.bearing)[()])  # 0-d to a float
 
 
 @dataclass(frozen=True)
@@ -118,9 +122,6 @@ class Tracklet:
     def __len__(self) -> int:
         return len(self.truth)
 
-    def measurement(self, t: int) -> Measurement:
-        return Measurement(t=t, range=self.meas[t, 0], bearing=self.meas[t, 1])
-
 
 def measure(state_pos, sensor: SensorConfig):
     """Noiseless range and bearing of a position, relative to the sensor origin."""
@@ -135,7 +136,8 @@ def measure(state_pos, sensor: SensorConfig):
 
 def polar_to_cartesian(m: Measurement, sensor: SensorConfig) -> np.ndarray:
     """Invert measure(): place a (range, bearing) pair back into the plane."""
-    return sensor.origin + m.range * np.array([np.cos(m.bearing), np.sin(m.bearing)])
+    unit = np.stack([np.cos(m.bearing), np.sin(m.bearing)], axis=-1)
+    return sensor.origin + np.expand_dims(m.range, -1) * unit
 
 
 def polar_rows_to_cartesian(meas_rows: np.ndarray, sensor: SensorConfig) -> np.ndarray:
@@ -148,5 +150,5 @@ def polar_rows_to_cartesian(meas_rows: np.ndarray, sensor: SensorConfig) -> np.n
 def measurement_noise_cartesian(m: Measurement, sensor: SensorConfig) -> np.ndarray:
     """Polar noise covariance propagated to Cartesian coordinates at measurement m."""
     c, s = np.cos(m.bearing), np.sin(m.bearing)
-    jac = np.array([[c, -m.range * s], [s, m.range * c]])
-    return jac @ sensor.noise_cov @ jac.T
+    jac = np.stack([c, -m.range * s, s, m.range * c], axis=-1).reshape(*np.shape(c), 2, 2)
+    return jac @ sensor.noise_cov @ jac.swapaxes(-1, -2)

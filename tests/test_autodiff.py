@@ -154,9 +154,9 @@ def test_cho_solve_gradient_matches_fd(make):
 def test_slicing_concat_gradients(make):
     tape = make()
     x = ad.var(tape, np.arange(6.0).reshape(2, 3) + 1.0)
-    left = ad.cols(x, 0, 2)
-    right = ad.cols(x, 2, 3)
-    rebuilt = ad.concat_cols([left, right])
+    top = ad.block(x, 0, 1, 0, 3)
+    bottom = ad.block(x, 1, 2, 0, 3)
+    rebuilt = ad.concat_rows([top, bottom])
     ad.backward(ad.vsum(rebuilt * rebuilt))
     assert np.allclose(x.grad, 2.0 * x.value)
 
@@ -265,10 +265,9 @@ def _assert_same(on_arrays, on_tape, what):
         assert on_arrays.flags[layout] == on_tape.value.flags[layout], what
 
 
-def test_array_path_matches_tape():
-    """Every op, the shared EKF update and the LSTM cell give the same bits and
-    the same memory layout on plain arrays as recorded on a tape."""
-    rng = np.random.default_rng(21)
+def _op_cases(rng):
+    """{name: (fn, *operands)} for every ad op, on random matrices from rng;
+    also returns the matrix m that spd is built from."""
     m = rng.standard_normal((3, 3))
     spd = m @ m.T + 3.0 * np.eye(3)
     a, b = rng.standard_normal((3, 3)), rng.standard_normal((3, 3))
@@ -294,18 +293,25 @@ def test_array_path_matches_tape():
         "cho_solve": (ad.cho_solve, spd, b),
         "logdet": (ad.logdet, spd),
         "block": (lambda x: ad.block(x, 0, 2, 1, 3), a),
-        "rows": (lambda x: ad.rows(x, 1, 3), a),
         "cols": (lambda x: ad.cols(x, 0, 2), a),
         "item": (lambda x: ad.item(x, 2, 1), a),
         "scale_template": (lambda x: ad.scale_template(x, a), s),
         "concat_rows": (lambda x, y: ad.concat_rows([x, y]), a, b),
-        "concat_cols": (lambda x, y: ad.concat_cols([x, y]), a, b),
         "logsumexp": (lambda x, y: ad.logsumexp([x, y]), s, t),
     }
     for name in ("exp", "tanh", "sigmoid", "sin", "cos", "absval", "transpose", "vsum"):
         cases[name] = (getattr(ad, name), a)
     for name in ("log", "sqrt"):
         cases[name] = (getattr(ad, name), pos)
+    return cases, m
+
+
+def test_array_path_matches_tape():
+    """Every op, the shared EKF update and the LSTM cell give the same bits and
+    the same memory layout on plain arrays as recorded on a tape."""
+    rng = np.random.default_rng(21)
+    cases, m = _op_cases(rng)
+    a = cases["add"][1]
     for name, (fn, *args) in cases.items():
         tape = ad.make_tape()
         _assert_same(fn(*args), fn(*(ad.var(tape, x) for x in args)), name)
@@ -340,3 +346,16 @@ def test_array_path_matches_tape():
         for k, (va, vt) in enumerate(zip(out_a, out_t)):
             _assert_same(va, vt, f"lstm_step output {k}")
         state_a, state_t = out_a[:2], out_t[:2]
+
+
+def test_stacked_arrays_match_each_slice():
+    """On stacks with a leading batch axis every op gives, row by row, the bits
+    it gives on each row alone; 1x1 operands stack to one scalar per row."""
+    slices = [_op_cases(np.random.default_rng(seed))[0] for seed in range(3)]
+    for name, (fn, *_) in slices[0].items():
+        stacked = fn(*(np.stack(ops) for ops in zip(*(case[name][1:] for case in slices))))
+        alone = np.stack([fn(*case[name][1:]) for case in slices])
+        assert np.array_equal(stacked, alone), name
+    spd = slices[0]["logdet"][1]
+    with pytest.raises(NumericsError, match="^row 1: non-finite"):
+        ad.cho_solve(np.stack([spd, spd * np.nan, spd]), np.ones((3, 3, 1)))

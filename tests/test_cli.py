@@ -215,3 +215,21 @@ def test_train_says_when_it_stopped_early(gct_runs, tmp_path, capsys, method):
     assert len(rows) == stopped["step"]
     line = f"train {method}: stopped early at training step {stopped['step']}: {stopped['reason']}"
     assert line in capsys.readouterr().out.splitlines()
+
+
+def test_train_refuses_another_methods_output_directory(gct_runs, tmp_path, capsys):
+    root, _ = gct_runs[0]
+    cfg = str(experiment(tmp_path / "exp.ini", root))
+    out = tmp_path / "model"
+    train = ["train", "--config", cfg, "--out", str(out), "--data", str(root / "data"),
+             "--seed", "7", "--method"]
+    assert main(train + ["gp"]) == 0
+    manifest = (out / "manifest.json").read_text()
+    capsys.readouterr()
+    assert main(train + ["imm"]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    assert err[0].startswith(f"error: --out {out} holds the outputs of 'train --method gp'")
+    assert (out / "manifest.json").read_text() == manifest
+    assert not (out / "imm.txt").exists()
+    assert main(train + ["gp"]) == 0  # the same method may retrain into it

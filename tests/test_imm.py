@@ -18,7 +18,7 @@ from tracklearn.imm import (
     train_imm,
 )
 from tracklearn.simulate import GctConfig, generate_gct, make_dataset, simulate_measurements
-from tracklearn.statespace import SensorConfig, Tracklet
+from tracklearn.statespace import Measurement, SensorConfig, Tracklet
 
 
 SENSOR = SensorConfig(origin=(0.0, 0.0), sigma_r=1.5, sigma_a=0.00523)
@@ -36,6 +36,10 @@ def straight_tracklet(n_steps=30):
     truth = np.hstack([[300.0, 200.0] + k * [10.0, 0.0], np.tile([10.0, 0.0], (n_steps, 1))])
     trk = Tracklet(dt=1.0, truth=truth, meas=np.full((n_steps, 2), np.nan))
     return simulate_measurements(trk, SENSOR, np.random.default_rng(0))
+
+
+def two_point_init(trk):
+    return init_track(Measurement(0, *trk.meas[0]), Measurement(1, *trk.meas[1]), SENSOR, trk.dt)
 
 
 def params_vector(params: ImmParams, cfg: ImmConfig):
@@ -180,11 +184,11 @@ def test_mode_likelihood_matches_density_oracle():
     model = CwnaModel(dt=trk.dt, q=0.5)
     from tracklearn.ekf import ekf_update, init_track, predict_cwna
 
-    est = init_track(trk.measurement(0), trk.measurement(1), SENSOR, trk.dt)
+    est = two_point_init(trk)
     total = 0.0
     for t in range(2, len(trk)):
         pred = predict_cwna(est, model)
-        est, nu, s = ekf_update(pred, trk.measurement(t), SENSOR)
+        est, nu, s = ekf_update(pred, Measurement(t, *trk.meas[t]), SENSOR)
         density = np.exp(-0.5 * nu @ np.linalg.solve(s, nu)) / (
             2 * np.pi * np.sqrt(np.linalg.det(s))
         )
@@ -234,7 +238,7 @@ def test_array_path_matches_taped_recursion_bit_for_bit(modes, likelihood):
 
     # the floored case does reach prob_floor, and the array path records nothing
     params, trk = cases[1]
-    graph = ImmGraph(params, init_track(trk.measurement(0), trk.measurement(1), SENSOR, trk.dt),
+    graph = ImmGraph(params, two_point_init(trk),
                      trk.dt, SENSOR.origin, cfg)
     lowest = []
     for t in range(2, len(trk)):
@@ -252,6 +256,21 @@ def test_train_zero_steps_returns_input():
     assert out is params
     assert history == []
     assert stopped is None
+
+
+def test_divergent_training_returns_the_last_parameters_with_a_finite_loss(tmp_path):
+    trk = gct_tracklet(seed=7, n_steps=12)
+    cfg = ImmConfig()
+    params, history, stopped = train_imm(default_params(SENSOR, cfg), [trk], SENSOR, steps=5,
+                                         lr=1e6, cfg=cfg)
+    assert stopped is not None and stopped["step"] == len(history)
+    assert np.isfinite(ad.scalar(imm_nll(params, trk, SENSOR, cfg)[0]))
+    save_imm(tmp_path / "imm.txt", params, dt=trk.dt, sensor=SENSOR)
+    derived = [ln.split(":", 1)[1] for ln in (tmp_path / "imm.txt").read_text().splitlines()
+               if ln.startswith("# derived") and ":" in ln]
+    values = [float(tok) for ln in derived for tok in ln.replace(",", " ").split()
+              if tok not in ("m", "rad")]
+    assert len(values) == 4 and np.isfinite(values).all()
 
 
 def test_train_reduces_nll_and_is_deterministic():
@@ -274,7 +293,7 @@ def test_mode_probabilities_sum_to_one_and_floored():
     trk = gct_tracklet(seed=8, n_steps=30)
     cfg = ImmConfig()
     params = default_params(SENSOR, cfg, init_q=0.2, init_omega=0.2)
-    init = init_track(trk.measurement(0), trk.measurement(1), SENSOR, trk.dt)
+    init = two_point_init(trk)
     graph = ImmGraph(params, init, trk.dt, SENSOR.origin, cfg)
     for t in range(2, len(trk)):
         graph.step(trk.meas[t, 0], trk.meas[t, 1])

@@ -19,7 +19,7 @@ from tracklearn.mkf import (
 )
 from tracklearn.ekf import ekf_update
 from tracklearn.simulate import GctConfig, generate_gct, make_dataset, simulate_measurements
-from tracklearn.statespace import SensorConfig, StateEstimate, Tracklet
+from tracklearn.statespace import Measurement, SensorConfig, StateEstimate, Tracklet
 
 SENSOR = SensorConfig(origin=(0.0, 0.0), sigma_r=1.5, sigma_a=0.00523)
 
@@ -231,6 +231,20 @@ def test_train_zero_iterations_returns_input():
     assert stopped is None
 
 
+def test_divergent_training_returns_the_last_weights_with_a_finite_loss():
+    trk = simulate_measurements(
+        generate_gct(GctConfig(n_steps=15), np.random.default_rng(1)),
+        SENSOR,
+        np.random.default_rng(2),
+    )
+    w, history, stopped = train_mkf(init_weights(seed=0, hidden=4, dense=4), [trk], SENSOR,
+                                    iterations=5, lr=1e6)
+    assert stopped is not None and stopped["step"] == len(history)
+    inputs, labels = training_sequences(trk, SENSOR, w.input_scale)
+    loss = mkf_loss(_tape_weights(ad.make_tape(), w), inputs, labels, w.hidden)
+    assert np.isfinite(ad.scalar(loss))
+
+
 def test_train_on_cv_learns_velocity_average():
     """Pure CV trajectories: after training, the network's velocity prediction
     error on held-out data beats the raw finite-difference noise."""
@@ -288,9 +302,10 @@ def test_pipeline_matches_composed_calls():
 
     from tracklearn.ekf import init_track
 
-    est = init_track(trk.measurement(0), trk.measurement(1), SENSOR, trk.dt)
+    est = init_track(Measurement(0, *trk.meas[0]), Measurement(1, *trk.meas[1]), SENSOR,
+                     trk.dt)
     pred, _ = mkf_predict(est, zero_state(w.hidden), w, trk.dt, MkfConfig().q_reg)
-    post, _, _ = ekf_update(pred, trk.measurement(2), SENSOR)
+    post, _, _ = ekf_update(pred, Measurement(2, *trk.meas[2]), SENSOR)
     assert np.allclose(pred_all[2], pred.mean, rtol=0, atol=0)
     assert np.allclose(post_all[2], post.mean, rtol=0, atol=0)
 

@@ -1,12 +1,15 @@
-"""The evaluation runner: every filter reports the tracklet row where it fails."""
+"""The evaluation runner: lockstep filtering of a whole test set gives every
+tracklet the records it gets alone, and every filter reports the step and
+the tracklet where it fails."""
 
 import numpy as np
 import pytest
 
+from tracklearn.ekf import EVAL_START, CwnaModel, filter_tracklet, run_ekf
 from tracklearn.errors import NumericsError
-from tracklearn.gp import gp_fit
-from tracklearn.imm import ImmConfig, default_params
-from tracklearn.mkf import MkfConfig, init_weights
+from tracklearn.gp import gp_fit, init_particles, pf_step
+from tracklearn.imm import ImmConfig, default_params, run_imm
+from tracklearn.mkf import MkfConfig, init_weights, run_mkf
 from tracklearn.runner import (
     PfSettings,
     run_ekf_method,
@@ -14,10 +17,18 @@ from tracklearn.runner import (
     run_imm_method,
     run_mkf_method,
 )
-from tracklearn.simulate import GctConfig, make_dataset
+from tracklearn.simulate import Dataset, GctConfig, make_dataset
 from tracklearn.statespace import SensorConfig
 
 SENSOR = SensorConfig(origin=(0.0, 0.0), sigma_r=1.5, sigma_a=0.00523)
+METHODS = ("ekf", "imm", "gp", "mkf")
+WEIGHTS = init_weights(seed=0, hidden=4, dense=4, input_scale=10.0)
+MKF_CFG = MkfConfig(hidden=4, dense=4)
+PF = PfSettings(n_particles=50)
+
+
+def gp_models(train):
+    return gp_fit(train.tracklets, max_pairs=50, optimize=False)
 
 
 def run_method(method, train, test):
@@ -26,18 +37,74 @@ def run_method(method, train, test):
     if method == "imm":
         return run_imm_method(test, default_params(test.sensor), ImmConfig())
     if method == "mkf":
-        weights = init_weights(seed=0, hidden=4, dense=4, input_scale=10.0)
-        return run_mkf_method(test, weights, MkfConfig(hidden=4, dense=4))
-    models = gp_fit(train.tracklets, max_pairs=50, optimize=False)
-    return run_gp_method(test, models, PfSettings(n_particles=50), seed=0)
+        return run_mkf_method(test, WEIGHTS, MKF_CFG)
+    return run_gp_method(test, gp_models(train), PF, seed=0)
+
+
+def run_alone(method, train, test, k):
+    """(pred_means, post_means) of method on test's tracklet k by itself, with
+    no batch axis; the particle filter draws from tracklet k's stream."""
+    trk = test.tracklets[k]
+    if method == "ekf":
+        return run_ekf(trk, SENSOR, CwnaModel(dt=trk.dt, q=1.0))[:2]
+    if method == "imm":
+        return run_imm(default_params(SENSOR), trk, SENSOR, ImmConfig())[:2]
+    if method == "mkf":
+        return run_mkf(trk, SENSOR, WEIGHTS, MKF_CFG)[:2]
+    rng = np.random.default_rng(np.random.SeedSequence(0).spawn(len(test.tracklets))[k])
+    models = gp_models(train)
+
+    def step(ps, z):
+        ps, prior, post = pf_step(ps, z, models, SENSOR, PF.sigma_p, rng, dt=trk.dt)
+        return ps, prior.mean, post.mean, post.cov
+
+    def start(init, dt):
+        return init_particles(init, PF.n_particles, rng)
+
+    return filter_tracklet(trk, SENSOR, start, step)[:2]
+
+
+def assert_records_equal_alone(method, train, test):
+    records = run_method(method, train, test)
+    assert len(records) == len(test.tracklets)
+    for k, (trk, rec) in enumerate(zip(test.tracklets, records)):
+        pred, post = run_alone(method, train, test, k)
+        assert np.array_equal(rec.pred, pred[EVAL_START:]), (method, k)
+        assert np.array_equal(rec.post, post[EVAL_START:]), (method, k)
+        assert np.array_equal(rec.truth, trk.truth[EVAL_START:])
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_lockstep_records_equal_filtering_each_tracklet_alone(method):
+    train = make_dataset(2, GctConfig(n_steps=12), SENSOR, seed=1)
+    test = make_dataset(5, GctConfig(n_steps=20), SENSOR, seed=2, role="test")
+    assert_records_equal_alone(method, train, test)
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_two_lengths_are_filtered_in_groups_in_dataset_order(method):
+    train = make_dataset(2, GctConfig(n_steps=12), SENSOR, seed=1)
+    short = make_dataset(2, GctConfig(n_steps=12), SENSOR, seed=2).tracklets
+    long = make_dataset(2, GctConfig(n_steps=15), SENSOR, seed=3).tracklets
+    test = Dataset([short[0], long[0], long[1], short[1]], SENSOR, role="test")
+    assert [len(r.post) for r in run_method(method, train, test)] == [10, 13, 13, 10]
+    assert_records_equal_alone(method, train, test)
+
+
+def test_lockstep_needs_one_length():
+    short = make_dataset(1, GctConfig(n_steps=12), SENSOR, seed=2).tracklets
+    long = make_dataset(1, GctConfig(n_steps=15), SENSOR, seed=3).tracklets
+    with pytest.raises(ValueError, match="one length and one dt"):
+        run_ekf(short + long, SENSOR, CwnaModel(dt=1.0, q=1.0))
 
 
 @pytest.mark.parametrize("method, row", [("ekf", 5), ("imm", 5), ("gp", 5), ("mkf", 5)])
 def test_filters_name_the_failing_row(method, row):
     cfg = GctConfig(n_steps=12)
     train = make_dataset(2, cfg, SENSOR, seed=1)
-    test = make_dataset(1, cfg, SENSOR, seed=2, role="test")
+    test = make_dataset(3, cfg, SENSOR, seed=2, role="test")
     assert len(run_method(method, train, test)[0].post) == 12 - 2
-    test.tracklets[0].meas[5, 0] = np.nan
-    with pytest.raises(NumericsError, match=rf"^step {row}: "):
+    test.tracklets[1].meas[5, 0] = np.nan
+    # step names the tracklet row, and row 1 the tracklet within the lockstep batch
+    with pytest.raises(NumericsError, match=rf"^step {row}: row 1: "):
         run_method(method, train, test)

@@ -135,17 +135,23 @@ def test_wrap_angle_range():
 
 
 def test_state_estimate_validation():
-    with pytest.raises(ValueError):
-        StateEstimate(mean=np.zeros(4), cov=np.diag([1.0, 1.0, 1.0, -1.0]))
     bad = np.eye(4)
     bad[0, 1] = 0.5
-    with pytest.raises(ValueError):
-        StateEstimate(mean=np.zeros(4), cov=bad)
+    cases = [(np.zeros(4), np.diag([1.0, 1.0, 1.0, -1.0]), "not PSD"),
+             (np.zeros(4), bad, "not symmetric")]
     for value in (np.inf, -np.inf, np.nan):
-        with pytest.raises(ValueError, match="not finite"):
-            StateEstimate(mean=np.zeros(4), cov=np.diag([value, 1.0, 1.0, 1.0]))
-        with pytest.raises(ValueError, match="not finite"):
-            StateEstimate(mean=[0.0, value, 0.0, 0.0], cov=np.eye(4))
+        cases.append((np.zeros(4), np.diag([value, 1.0, 1.0, 1.0]), "not finite"))
+        cases.append(([0.0, value, 0.0, 0.0], np.eye(4), "not finite"))
+    sound_means, sound_covs = np.ones((4, 4)), np.stack([np.eye(4)] * 4)
+    StateEstimate(mean=sound_means, cov=sound_covs)
+    for mean, cov, reason in cases:
+        with pytest.raises(ValueError, match=reason):
+            StateEstimate(mean=mean, cov=cov)
+        # the same belief as row 2 of a batch whose other rows pass
+        means, covs = sound_means.copy(), sound_covs.copy()
+        means[2], covs[2] = mean, cov
+        with pytest.raises(ValueError, match=f"^row 2: .*{reason}"):
+            StateEstimate(mean=means, cov=covs)
 
 
 def test_measurement_validation():
