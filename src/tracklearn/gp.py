@@ -5,7 +5,10 @@ to the next per-axis velocity.  A squared-exponential kernel is used; the
 three hyperparameters are refined by log-marginal-likelihood ascent on the
 autodiff tape.  Online, a sequential importance resampling filter draws
 velocity particles from the GP posterior and weighs positions against the
-range-bearing likelihood.
+range-bearing likelihood.  The filter steps one particle cloud, or a batch
+of B clouds (one per test tracklet) on a leading axis in lockstep; each
+cloud draws from its own random stream, in the order it would alone, and
+decides for itself when to reseed and when to resample.
 """
 
 from __future__ import annotations
@@ -15,12 +18,12 @@ from pathlib import Path
 
 import numpy as np
 from scipy.linalg import cho_solve as _np_cho_solve
-from scipy.linalg import solve_triangular
+from scipy.linalg.blas import dtrsm
 from scipy.spatial.distance import cdist
 
 from . import autodiff as ad
 from .autodiff import GradientOptimizer
-from .errors import NumericsError, WeightCollapseError
+from .errors import NumericsError, WeightCollapseError, row_prefix
 from .statespace import (
     LOG_2PI,
     Measurement,
@@ -43,12 +46,25 @@ class GpHyper:
             raise ValueError("GP hyperparameters must be positive")
 
 
+# the largest argument at which np.exp returns exactly 0.0 (exp(x) < 2**-1075)
+EXP_ZERO_AT = -745.1332191019412
+
+
 def kernel_matrix(a: np.ndarray, b: np.ndarray, hyper: GpHyper, sq=None) -> np.ndarray:
     """Kernel between the rows of a and b; sq, their squared distances, if known.
-    Computed in place, so no (N, M) temporary outlives the expression."""
+    Computed in place, so no (N, M) temporary outlives the expression.
+
+    exp is taken only where it does not underflow to 0.0, and 0.0 is written
+    elsewhere: the same bits, but np.exp is many times slower on an argument
+    whose result underflows, and with a short fitted length scale most do.
+    """
     arg = -0.5 * (cdist(a, b, "sqeuclidean") if sq is None else sq)
     arg /= hyper.length_sq
-    return hyper.sigma0_sq * np.exp(arg, out=arg)
+    zero = arg <= EXP_ZERO_AT  # false for NaN, whose exp stays NaN
+    np.exp(arg, out=arg, where=~zero)
+    np.copyto(arg, 0.0, where=zero)
+    arg *= hyper.sigma0_sq
+    return arg
 
 
 class GpModel:
@@ -91,7 +107,9 @@ def predict_axes(models, queries: np.ndarray) -> list:
         if model.hyper != hyper:
             hyper, k_star, half = model.hyper, None, None  # free the last kernel before the next
             k_star = kernel_matrix(model.inputs, queries, hyper, sq)
-            half = solve_triangular(model.chol, k_star, lower=True)
+            # half = L^-1 k_star: chol.T is L' in Fortran order, so BLAS takes it
+            # uncopied as an upper factor, transposed (as solve_triangular did)
+            half = dtrsm(1.0, model.chol.T, k_star, trans_a=1)
             variances = np.clip(hyper.sigma0_sq - np.einsum("nm,nm->m", half, half),
                                 0.0, hyper.sigma0_sq)
         out.append((k_star.T @ model.solve_vector, variances))
@@ -250,127 +268,180 @@ def load_gp(path):
 
 
 # -- SIR particle filter -----------------------------------------------------
+#
+# A ParticleSet holds one cloud, or a batch of B clouds on a leading axis, and
+# every function below takes either.  rng is one Generator for one cloud and
+# a sequence of B Generators, one per cloud, for a batch.
 
 
 @dataclass
 class ParticleSet:
-    positions: np.ndarray  # (M, 2) m
-    velocities: np.ndarray  # (M, 2) m/s
-    weights: np.ndarray  # (M,), sums to 1
+    positions: np.ndarray  # (M, 2) m, or (B, M, 2) for B clouds
+    velocities: np.ndarray  # (M, 2) m/s, or (B, M, 2)
+    weights: np.ndarray  # (M,) or (B, M); each cloud's sum to 1
 
     def __post_init__(self):
         self.positions = np.asarray(self.positions, dtype=float)
         self.velocities = np.asarray(self.velocities, dtype=float)
         self.weights = np.asarray(self.weights, dtype=float)
-        m = len(self.weights)
-        if m < 1:
+        if self.weights.ndim not in (1, 2) or self.weights.shape[-1] < 1:
             raise ValueError("need at least one particle")
-        if self.positions.shape != (m, 2) or self.velocities.shape != (m, 2):
-            raise ValueError("positions/velocities must be (M, 2)")
-        if np.any(self.weights < 0.0) or abs(self.weights.sum() - 1.0) > 1e-12:
+        shape = (*self.weights.shape, 2)
+        if self.positions.shape != shape or self.velocities.shape != shape:
+            raise ValueError("positions/velocities must be (M, 2), or (B, M, 2) for a batch")
+        if np.any(self.weights < 0.0) or np.any(np.abs(self.weights.sum(axis=-1) - 1.0) > 1e-12):
             raise ValueError("weights must be non-negative and sum to 1")
 
     def __len__(self) -> int:
-        return len(self.weights)
+        """Particles per cloud."""
+        return self.weights.shape[-1]
 
     @property
-    def ess(self) -> float:
-        return 1.0 / float(np.sum(self.weights**2))
+    def ess(self):
+        """Effective sample size, one per cloud of a batch."""
+        return 1.0 / np.sum(self.weights**2, axis=-1)
 
 
-def init_particles(est: StateEstimate, n_particles: int, rng: np.random.Generator) -> ParticleSet:
-    positions = rng.multivariate_normal(est.position, est.cov[:2, :2], size=n_particles)
-    velocities = rng.multivariate_normal(est.velocity, est.cov[2:, 2:], size=n_particles)
-    weights = np.full(n_particles, 1.0 / n_particles)
+def _draw(rng, draw, out, rows=True) -> np.ndarray:
+    """out, with draw(generator, b) written into each row b of a batch where
+    rows holds, each from row b's generator.  One cloud's rng is one
+    generator, and its row b is (), the whole of out."""
+    if isinstance(rng, np.random.Generator):
+        if rows:
+            out[()] = draw(rng, ())
+        return out
+    for b in np.flatnonzero(np.broadcast_to(rows, len(rng))):
+        out[b] = draw(rng[b], b)
+    return out
+
+
+def init_particles(est: StateEstimate, n_particles: int, rng) -> ParticleSet:
+    """A cloud drawn from est, or one per row of a batch of estimates."""
+    shape = (*est.mean.shape[:-1], n_particles, 2)
+    positions = _draw(rng, lambda g, b: g.multivariate_normal(
+        est.position[b], est.cov[b][:2, :2], size=n_particles), np.empty(shape))
+    velocities = _draw(rng, lambda g, b: g.multivariate_normal(
+        est.velocity[b], est.cov[b][2:, 2:], size=n_particles), np.empty(shape))
+    weights = np.full(shape[:-1], 1.0 / n_particles)
     return ParticleSet(positions=positions, velocities=velocities, weights=weights)
 
 
-def systematic_resample(weights: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    m = len(weights)
-    anchors = (np.arange(m) + rng.uniform()) / m
-    return np.searchsorted(np.cumsum(weights), anchors).clip(max=m - 1)
+def systematic_resample(weights: np.ndarray, rng, rows=True) -> np.ndarray:
+    """Particle indices systematic resampling keeps, per row of weights; a row
+    of a batch where rows is false draws nothing and keeps every particle."""
+    m = weights.shape[-1]
+    anchors = (np.arange(m) + _draw(rng, lambda g, _: g.uniform(), np.zeros(weights.shape[:-1]),
+                                    rows)[..., None]) / m
+    # np.searchsorted(cumsum, anchors) on every row at once: the count of
+    # cumulative weights a stable merge puts before each anchor (ties after it)
+    is_cum = np.argsort(np.concatenate([anchors, np.cumsum(weights, axis=-1)], axis=-1),
+                        axis=-1, kind="stable") >= m
+    idx = np.cumsum(is_cum, axis=-1)[~is_cum].reshape(anchors.shape).clip(max=m - 1)
+    return np.where(np.expand_dims(rows, -1), idx, np.arange(m))
 
 
-def pf_propagate(ps: ParticleSet, models, sigma_p: float, dt: float,
-                 rng: np.random.Generator) -> ParticleSet:
+def pf_propagate(ps: ParticleSet, models, sigma_p: float, dt: float, rng) -> ParticleSet:
     """Draw per-particle velocities from the GP posterior, then move positions."""
-    (mean_x, var_x), (mean_y, var_y) = predict_axes(models, ps.velocities)
-    new_vel = np.column_stack([
-        mean_x + np.sqrt(var_x) * rng.standard_normal(len(ps)),
-        mean_y + np.sqrt(var_y) * rng.standard_normal(len(ps)),
-    ])
-    new_pos = ps.positions + dt * new_vel + sigma_p * rng.standard_normal((len(ps), 2))
+    m, batch = len(ps), ps.weights.shape[:-1]
+    # predict_axes cloud by cloud: one call on all B*M queries gives the same
+    # bits, but its (N, B*M) temporaries outgrow the cache when N*M is large
+    pred = np.empty((*batch, 2, 2, m))  # (..., axis, mean/variance, particle)
+    for cloud, velocities in zip(pred.reshape(-1, 2, 2, m), ps.velocities.reshape(-1, m, 2)):
+        cloud[...] = predict_axes(models, velocities)
+    # one draw of the x velocity, y velocity and position noise, in that order
+    noise = _draw(rng, lambda g, _: g.standard_normal(4 * m), np.empty((*batch, 4 * m)))
+    new_vel = pred[..., 0, :] + np.sqrt(pred[..., 1, :]) * noise[..., :2 * m].reshape(*batch, 2, m)
+    new_vel = new_vel.swapaxes(-1, -2)
+    new_pos = ps.positions + dt * new_vel + sigma_p * noise[..., 2 * m:].reshape(*batch, m, 2)
     return ParticleSet(positions=new_pos, velocities=new_vel, weights=ps.weights.copy())
 
 
-def pf_reweight(ps: ParticleSet, z: Measurement, sensor: SensorConfig) -> ParticleSet:
-    """Multiply weights by the range-bearing likelihood of z, then normalize."""
+def _reweight(ps: ParticleSet, z: Measurement, sensor: SensorConfig):
+    """(pf_reweight's particles, collapsed): collapsed holds for each cloud
+    whose every weight underflowed to zero, and such a cloud keeps its weights."""
     delta = ps.positions - sensor.origin
-    ranges = np.hypot(delta[:, 0], delta[:, 1])
-    bearings = np.arctan2(delta[:, 1], delta[:, 0])
+    ranges = np.hypot(delta[..., 0], delta[..., 1])
+    bearings = np.arctan2(delta[..., 1], delta[..., 0])
     log_lik = -0.5 * (
-        ((z.range - ranges) / sensor.sigma_r) ** 2
-        + (wrap_angle(z.bearing - bearings) / sensor.sigma_a) ** 2
+        ((np.expand_dims(z.range, -1) - ranges) / sensor.sigma_r) ** 2
+        + (wrap_angle(np.expand_dims(z.bearing, -1) - bearings) / sensor.sigma_a) ** 2
     )
-    if np.max(log_lik) < np.log(np.finfo(float).tiny):
-        raise WeightCollapseError("all particle likelihoods underflowed to zero")
     with np.errstate(divide="ignore"):
         log_w = np.log(ps.weights) + log_lik
-    peak = np.max(log_w)
-    if not np.isfinite(peak):
-        raise WeightCollapseError("all particle weights underflowed to zero")
-    w = np.exp(log_w - peak)
-    w /= w.sum()
-    return ParticleSet(positions=ps.positions.copy(), velocities=ps.velocities.copy(), weights=w)
+    peak = np.max(log_w, axis=-1, keepdims=True)
+    collapsed = (np.max(log_lik, axis=-1) < np.log(np.finfo(float).tiny)) | ~np.isfinite(peak[..., 0])
+    kept = np.expand_dims(collapsed, -1)
+    w = np.where(kept, ps.weights, np.exp(log_w - np.where(kept, 0.0, peak)))
+    w /= w.sum(axis=-1, keepdims=True)
+    return ParticleSet(positions=ps.positions.copy(), velocities=ps.velocities.copy(),
+                       weights=w), collapsed
+
+
+def pf_reweight(ps: ParticleSet, z: Measurement, sensor: SensorConfig) -> ParticleSet:
+    """Multiply weights by the range-bearing likelihood of z, then normalize.
+    Raises WeightCollapseError, naming the first such row of a batch, when every
+    weight of a cloud underflows; pf_step reseeds such a cloud instead."""
+    ps, collapsed = _reweight(ps, z, sensor)
+    if np.any(collapsed):
+        raise WeightCollapseError(f"{row_prefix(collapsed)}all particle weights underflowed to zero")
+    return ps
 
 
 def pf_estimate(ps: ParticleSet, t: int = 0) -> StateEstimate:
-    """Weighted mean of positions and velocities with weighted sample covariance."""
-    state = np.hstack([ps.positions, ps.velocities])
-    mean = ps.weights @ state
-    centered = state - mean
-    cov = (ps.weights[:, None] * centered).T @ centered
-    return StateEstimate(mean=mean, cov=0.5 * (cov + cov.T), t=t)
+    """Weighted mean of positions and velocities with weighted sample covariance;
+    one batched StateEstimate for a batch of clouds."""
+    state = np.concatenate([ps.positions, ps.velocities], axis=-1)
+    mean = (ps.weights[..., None, :] @ state)[..., 0, :]
+    state -= mean[..., None, :]  # centred in place
+    cov = (ps.weights[..., None] * state).swapaxes(-1, -2) @ state
+    return StateEstimate(mean=mean, cov=0.5 * (cov + cov.swapaxes(-1, -2)), t=t)
 
 
-def pf_resample(ps: ParticleSet, rng: np.random.Generator) -> ParticleSet:
-    idx = systematic_resample(ps.weights, rng)
-    m = len(ps)
+def pf_resample(ps: ParticleSet, rng, rows=True) -> ParticleSet:
+    """Systematic resampling of every cloud where rows holds (one bool per batch row)."""
+    idx = systematic_resample(ps.weights, rng, rows)[..., None]
     return ParticleSet(
-        positions=ps.positions[idx],
-        velocities=ps.velocities[idx],
-        weights=np.full(m, 1.0 / m),
+        positions=np.take_along_axis(ps.positions, idx, axis=-2),
+        velocities=np.take_along_axis(ps.velocities, idx, axis=-2),
+        weights=np.where(np.expand_dims(rows, -1), 1.0 / len(ps), ps.weights),
     )
 
 
-def pf_reseed(ps: ParticleSet, z: Measurement, sensor: SensorConfig,
-              rng: np.random.Generator) -> ParticleSet:
-    """Recovery after weight collapse: positions re-drawn around the measurement."""
+def pf_reseed(ps: ParticleSet, z: Measurement, sensor: SensorConfig, rng,
+              rows=True) -> ParticleSet:
+    """Recovery after weight collapse: in every cloud where rows holds, positions
+    re-drawn around the measurement, with uniform weights."""
     cart = polar_to_cartesian(z, sensor)
     noise_cov = measurement_noise_cartesian(z, sensor)
-    positions = rng.multivariate_normal(cart, noise_cov, size=len(ps))
-    weights = np.full(len(ps), 1.0 / len(ps))
+    bad = ~np.isfinite(cart).all(axis=-1) & rows
+    if np.any(bad):
+        raise NumericsError(f"{row_prefix(bad)}cannot reseed around a non-finite measurement")
+    m = len(ps)
+    positions = _draw(rng, lambda g, b: g.multivariate_normal(cart[b], noise_cov[b], size=m),
+                      ps.positions.copy(), rows)
+    weights = np.where(np.expand_dims(rows, -1), 1.0 / m, ps.weights)
     return ParticleSet(positions=positions, velocities=ps.velocities.copy(), weights=weights)
 
 
 def pf_step(ps: ParticleSet, z: Measurement, models, sensor: SensorConfig,
-            sigma_p: float, rng: np.random.Generator, dt: float = 1.0,
+            sigma_p: float, rng, dt: float = 1.0,
             resample: str = "systematic", ess_fraction: float = 0.5):
-    """One SIR cycle: propagate, reweight, estimate, resample.
+    """One SIR cycle: propagate, reweight, estimate, resample, on one cloud or
+    on a batch of clouds, each deciding for itself.
 
     Returns (particles, prior estimate, posterior estimate).  The prior is
     taken after propagation, the posterior from the normalized weights before
-    resampling.  When every weight underflows, the cloud is reseeded around z
-    instead of raising.  resample='ess' only resamples when the effective
-    sample size drops below ess_fraction * M.
+    resampling.  A cloud whose every weight underflows is reseeded around z
+    instead of raising.  resample='ess' only resamples a cloud when its
+    effective sample size drops below ess_fraction * M.
     """
     ps = pf_propagate(ps, models, sigma_p, dt, rng)
     prior = pf_estimate(ps, t=z.t)
-    try:
-        ps = pf_reweight(ps, z, sensor)
-    except WeightCollapseError:
-        ps = pf_reseed(ps, z, sensor, rng)
+    ps, collapsed = _reweight(ps, z, sensor)
+    if np.any(collapsed):
+        ps = pf_reseed(ps, z, sensor, rng, collapsed)
     post = pf_estimate(ps, t=z.t)
-    if resample == "systematic" or (resample == "ess" and ps.ess < ess_fraction * len(ps)):
-        ps = pf_resample(ps, rng)
+    due = resample == "systematic" or (resample == "ess" and ps.ess < ess_fraction * len(ps))
+    if np.any(due):
+        ps = pf_resample(ps, rng, due)
     return ps, prior, post

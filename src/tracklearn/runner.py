@@ -5,7 +5,10 @@ Every filter runs through ekf.filter_tracklet, which consumes the first two
 measurements for track initialization; records are scored from
 ekf.EVAL_START onward, so all methods see identical indices.  The tracklets
 of one length and dt (a simulated dataset has one of each) are filtered in
-lockstep, as one batch.
+lockstep, as one batch; a failure names its tracklet by dataset index.  The
+GP particle filter steps the batch's clouds together too, each cloud drawing
+from its own tracklet's random stream, so its records match the tracklet's
+filtered alone.
 """
 
 from __future__ import annotations
@@ -15,13 +18,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ekf import EVAL_START, CwnaModel, filter_tracklet, run_ekf
-from .errors import NumericsError
+from .errors import NumericsError, renumber_row
 from .evaluate import RunRecord
 from .gp import init_particles, pf_step
 from .imm import ImmConfig, ImmParams, run_imm
 from .mkf import LstmWeights, MkfConfig, run_mkf
 from .simulate import Dataset
-from .statespace import Measurement, StateEstimate, polar_rows_to_cartesian
+from .statespace import polar_rows_to_cartesian
 
 
 def _records(dataset: Dataset, run) -> list[RunRecord]:
@@ -31,7 +34,10 @@ def _records(dataset: Dataset, run) -> list[RunRecord]:
         groups.setdefault((len(trk), trk.dt), []).append(i)
     records = [None] * len(dataset.tracklets)
     for rows in groups.values():
-        pred, post = run([dataset.tracklets[i] for i in rows], rows)[:2]
+        try:
+            pred, post = run([dataset.tracklets[i] for i in rows], rows)[:2]
+        except NumericsError as exc:  # name the failing tracklet by its dataset index
+            raise NumericsError(renumber_row(str(exc), rows)) from exc
         for b, i in enumerate(rows):
             trk = dataset.tracklets[i]
             cart = polar_rows_to_cartesian(trk.meas, dataset.sensor)
@@ -66,29 +72,21 @@ class PfSettings:
 
 def run_gp_method(dataset: Dataset, models, settings: PfSettings, seed: int) -> list[RunRecord]:
     """SIR particle filter (gp.pf_step) over the test set; weight collapse
-    re-seeds the cloud from the current measurement and continues.  A lockstep
-    step runs pf_step on each cloud in turn, on its tracklet's own RNG stream."""
+    re-seeds a cloud from its current measurement and continues.  A lockstep
+    step runs pf_step once on the batch of clouds; the cloud of dataset
+    tracklet i draws from SeedSequence(seed).spawn(n)[i], as it would alone."""
     streams = np.random.SeedSequence(seed).spawn(len(dataset.tracklets))
 
     def run(tracklets, rows):
         rngs = [np.random.default_rng(streams[i]) for i in rows]
 
         def step(clouds, z):
-            cycles = []
-            for b, (ps, rng) in enumerate(zip(clouds, rngs)):
-                try:
-                    cycles.append(pf_step(ps, Measurement(z.t, z.range[b], z.bearing[b]), models,
-                                          dataset.sensor, settings.sigma_p, rng,
+            clouds, prior, post = pf_step(clouds, z, models, dataset.sensor, settings.sigma_p, rngs,
                                           dt=tracklets[0].dt, resample=settings.resample,
-                                          ess_fraction=settings.ess_fraction))
-                except (NumericsError, ValueError, np.linalg.LinAlgError) as exc:
-                    raise NumericsError(f"row {b}: {exc}") from exc
-            clouds, priors, posts = zip(*cycles)
-            means = [np.stack([est.mean for est in ests]) for ests in (priors, posts)]
-            return clouds, *means, np.stack([est.cov for est in posts])
+                                          ess_fraction=settings.ess_fraction)
+            return clouds, prior.mean, post.mean, post.cov
 
-        return filter_tracklet(tracklets, dataset.sensor, lambda init, dt: [
-            init_particles(StateEstimate(init.mean[b], init.cov[b], init.t), settings.n_particles,
-                           rng) for b, rng in enumerate(rngs)], step)
+        return filter_tracklet(tracklets, dataset.sensor,
+                               lambda init, dt: init_particles(init, settings.n_particles, rngs), step)
 
     return _records(dataset, run)

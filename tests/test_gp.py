@@ -5,6 +5,7 @@ from scipy.spatial.distance import cdist
 import tracklearn.autodiff as ad
 from tracklearn.errors import WeightCollapseError
 from tracklearn.gp import (
+    EXP_ZERO_AT,
     GpHyper,
     GpModel,
     ParticleSet,
@@ -58,6 +59,24 @@ def test_kernel_examples():
     # squared distance 2*l^2 -> sigma0^2 / e
     x2 = x + np.array([np.sqrt(8.0), 0.0])
     assert kernel_matrix(x, x2, hyper)[0, 0] == pytest.approx(2.5 / np.e)
+
+
+def test_kernel_writes_zero_only_where_exp_underflows_to_it():
+    """kernel_matrix skips exp where it returns exactly 0.0 and keeps the bits
+    of the plain formula everywhere: ulp by ulp across that threshold, through
+    the subnormal results, and at infinite and NaN distances."""
+    assert np.exp(EXP_ZERO_AT) == 0.0 < np.exp(np.nextafter(EXP_ZERO_AT, 0.0))
+    below, above = [EXP_ZERO_AT], [EXP_ZERO_AT]
+    for _ in range(64):
+        below.append(np.nextafter(below[-1], -np.inf))
+        above.append(np.nextafter(above[-1], 0.0))
+    args = np.concatenate([below, above, np.linspace(-746.0, -708.0, 4001),
+                           [-1e300, -800.0, -708.4, -1.0, -0.0]])
+    # length_sq = 0.5 makes the kernel's argument exactly -sq
+    for hyper in (GpHyper(sigma0_sq=2.5, length_sq=0.5), GpHyper(sigma0_sq=5.29, length_sq=0.1885)):
+        sq = np.append(-2.0 * hyper.length_sq * args, [np.inf, np.nan]).reshape(1, -1)
+        expected = hyper.sigma0_sq * np.exp(-0.5 * sq / hyper.length_sq)
+        assert np.array_equal(kernel_matrix(None, None, hyper, sq), expected, equal_nan=True)
 
 
 def test_kernel_symmetry():

@@ -5,6 +5,7 @@ the tracklet where it fails."""
 import numpy as np
 import pytest
 
+from tracklearn import gp
 from tracklearn.ekf import EVAL_START, CwnaModel, filter_tracklet, run_ekf
 from tracklearn.errors import NumericsError
 from tracklearn.gp import gp_fit, init_particles, pf_step
@@ -18,7 +19,7 @@ from tracklearn.runner import (
     run_mkf_method,
 )
 from tracklearn.simulate import Dataset, GctConfig, make_dataset
-from tracklearn.statespace import SensorConfig
+from tracklearn.statespace import SensorConfig, polar_rows_to_cartesian
 
 SENSOR = SensorConfig(origin=(0.0, 0.0), sigma_r=1.5, sigma_a=0.00523)
 METHODS = ("ekf", "imm", "gp", "mkf")
@@ -31,17 +32,17 @@ def gp_models(train):
     return gp_fit(train.tracklets, max_pairs=50, optimize=False)
 
 
-def run_method(method, train, test):
+def run_method(method, train, test, pf=PF):
     if method == "ekf":
         return run_ekf_method(test, q=1.0)
     if method == "imm":
         return run_imm_method(test, default_params(test.sensor), ImmConfig())
     if method == "mkf":
         return run_mkf_method(test, WEIGHTS, MKF_CFG)
-    return run_gp_method(test, gp_models(train), PF, seed=0)
+    return run_gp_method(test, gp_models(train), pf, seed=0)
 
 
-def run_alone(method, train, test, k):
+def run_alone(method, train, test, k, pf=PF):
     """(pred_means, post_means) of method on test's tracklet k by itself, with
     no batch axis; the particle filter draws from tracklet k's stream."""
     trk = test.tracklets[k]
@@ -55,20 +56,21 @@ def run_alone(method, train, test, k):
     models = gp_models(train)
 
     def step(ps, z):
-        ps, prior, post = pf_step(ps, z, models, SENSOR, PF.sigma_p, rng, dt=trk.dt)
+        ps, prior, post = pf_step(ps, z, models, SENSOR, pf.sigma_p, rng, dt=trk.dt,
+                                  resample=pf.resample, ess_fraction=pf.ess_fraction)
         return ps, prior.mean, post.mean, post.cov
 
     def start(init, dt):
-        return init_particles(init, PF.n_particles, rng)
+        return init_particles(init, pf.n_particles, rng)
 
     return filter_tracklet(trk, SENSOR, start, step)[:2]
 
 
-def assert_records_equal_alone(method, train, test):
-    records = run_method(method, train, test)
+def assert_records_equal_alone(method, train, test, pf=PF):
+    records = run_method(method, train, test, pf)
     assert len(records) == len(test.tracklets)
     for k, (trk, rec) in enumerate(zip(test.tracklets, records)):
-        pred, post = run_alone(method, train, test, k)
+        pred, post = run_alone(method, train, test, k, pf)
         assert np.array_equal(rec.pred, pred[EVAL_START:]), (method, k)
         assert np.array_equal(rec.post, post[EVAL_START:]), (method, k)
         assert np.array_equal(rec.truth, trk.truth[EVAL_START:])
@@ -105,6 +107,58 @@ def test_filters_name_the_failing_row(method, row):
     test = make_dataset(3, cfg, SENSOR, seed=2, role="test")
     assert len(run_method(method, train, test)[0].post) == 12 - 2
     test.tracklets[1].meas[5, 0] = np.nan
-    # step names the tracklet row, and row 1 the tracklet within the lockstep batch
+    # step names the tracklet row, and row 1 the tracklet's index in the dataset
     with pytest.raises(NumericsError, match=rf"^step {row}: row 1: "):
         run_method(method, train, test)
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_a_failure_names_its_tracklet_by_dataset_index(method):
+    """With two lengths, each is filtered as its own batch; the error still
+    names the tracklet's index in the dataset, not its row in that batch."""
+    train = make_dataset(2, GctConfig(n_steps=12), SENSOR, seed=1)
+    short = make_dataset(2, GctConfig(n_steps=12), SENSOR, seed=2).tracklets
+    long = make_dataset(2, GctConfig(n_steps=15), SENSOR, seed=3).tracklets
+    test = Dataset([short[0], long[0], long[1], short[1]], SENSOR, role="test")
+    test.tracklets[2].meas[5, 0] = np.nan
+    with pytest.raises(NumericsError, match=r"^step 5: row 2: "):
+        run_method(method, train, test)
+
+
+def spy_on(monkeypatch, name):
+    """Replace gp.<name> by a pass-through that records each call's arguments."""
+    calls, real = [], getattr(gp, name)
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(gp, name, spy)
+    return calls
+
+
+def test_only_a_collapsed_cloud_is_reseeded(monkeypatch):
+    """Tracklet 1's range jumps 5 km at row 8, so every weight of its cloud
+    underflows there: that cloud alone is reseeded around its z, and every
+    tracklet keeps the records it gets filtered alone."""
+    train = make_dataset(2, GctConfig(n_steps=12), SENSOR, seed=1)
+    test = make_dataset(3, GctConfig(n_steps=20), SENSOR, seed=2, role="test")
+    test.tracklets[1].meas[8, 0] += 5000.0
+    calls = spy_on(monkeypatch, "pf_reseed")  # pf_reseed(ps, z, sensor, rng, rows)
+    records = run_method("gp", train, test)
+    assert calls[0][1].t == 8
+    assert all(list(args[-1]) == [False, True, False] for args in calls)
+    z = polar_rows_to_cartesian(test.tracklets[1].meas[8:9], SENSOR)[0]
+    assert np.linalg.norm(records[1].post[8 - EVAL_START, :2] - z) < 50.0  # the track is 5 km off
+    assert_records_equal_alone("gp", train, test)
+
+
+def test_lockstep_ess_resampling_equals_filtering_each_tracklet_alone(monkeypatch):
+    """Under resample = ess each cloud decides for itself whether to resample."""
+    pf = PfSettings(n_particles=50, resample="ess")
+    calls = spy_on(monkeypatch, "pf_resample")  # pf_resample(ps, rng, rows)
+    train = make_dataset(2, GctConfig(n_steps=12), SENSOR, seed=1)
+    test = make_dataset(5, GctConfig(n_steps=20), SENSOR, seed=2, role="test")
+    assert_records_equal_alone("gp", train, test, pf)
+    batch_rows = [args[-1] for args in calls if np.ndim(args[-1]) == 1]
+    assert any(0 < rows.sum() < len(rows) for rows in batch_rows)
