@@ -226,7 +226,14 @@ def _cholesky(spd: np.ndarray, *operands) -> np.ndarray:
     try:
         return np.linalg.cholesky(spd)
     except np.linalg.LinAlgError as exc:
-        raise NumericsError(f"matrix is not positive definite: {exc}") from exc
+        bad = np.zeros(spd.shape[:-2], dtype=bool)  # the first slice of a stack that fails
+        for b in np.ndindex(bad.shape):
+            try:
+                np.linalg.cholesky(spd[b])
+            except np.linalg.LinAlgError:
+                bad[b] = True
+                break
+        raise NumericsError(f"{row_prefix(bad)}matrix is not positive definite: {exc}") from exc
 
 
 def _unary(opcode: int, forward):

@@ -8,7 +8,11 @@ velocity particles from the GP posterior and weighs positions against the
 range-bearing likelihood.  The filter steps one particle cloud, or a batch
 of B clouds (one per test tracklet) on a leading axis in lockstep; each
 cloud draws from its own random stream, in the order it would alone, and
-decides for itself when to reseed and when to resample.
+decides for itself when to reseed and when to resample.  Resampling leaves a
+cloud with runs of equal velocities side by side, and the GP posterior is
+predicted once per run (predict_axes) and spread back to its particles; the
+mean is still taken on the full-width kernel, whose summation order keeps
+the bits of predicting every particle.
 """
 
 from __future__ import annotations
@@ -100,19 +104,37 @@ class GpModel:
 def predict_axes(models, queries: np.ndarray) -> list:
     """predict_batch of models fitted on the same inputs (as gp_fit and load_gp
     make them): the distances are computed once, and a model with the previous
-    one's hyperparameters reuses its kernel and variances; only its mean is new."""
-    sq = cdist(models[0].inputs, queries, "sqeuclidean")  # (N, M)
+    one's hyperparameters reuses its kernel and variances; only its mean is new.
+
+    A query row equal to the row before it is a copy: the posterior is a pure
+    function of the query, so the distances, kernel, triangular solve and
+    variances are computed once per run of copies (after pf_resample, copies of
+    a particle sit side by side) and spread back to every row.  Copies that are
+    not adjacent are computed twice, which gives the same values.  The mean's
+    GEMV sums in an order that depends on the width of the kernel it is given,
+    so it runs on the kernel gathered back to full width, which keeps the bits
+    of predicting every row on its own.
+    """
+    new = np.ones(len(queries), dtype=bool)  # the first row of each run of copies
+    new[1:] = ~(queries[1:] == queries[:-1]).all(axis=1)
+    run = np.cumsum(new) - 1  # row -> its run's distinct row
+    distinct = queries[new]
+    sq = cdist(models[0].inputs, distinct, "sqeuclidean")  # (N, D)
     out, hyper = [], None
     for model in models:
         if model.hyper != hyper:
-            hyper, k_star, half = model.hyper, None, None  # free the last kernel before the next
-            k_star = kernel_matrix(model.inputs, queries, hyper, sq)
+            hyper, k_full = model.hyper, None  # free the last kernel before the next
+            k_star = kernel_matrix(model.inputs, distinct, hyper, sq)
             # half = L^-1 k_star: chol.T is L' in Fortran order, so BLAS takes it
             # uncopied as an upper factor, transposed (as solve_triangular did)
             half = dtrsm(1.0, model.chol.T, k_star, trans_a=1)
             variances = np.clip(hyper.sigma0_sq - np.einsum("nm,nm->m", half, half),
-                                0.0, hyper.sigma0_sq)
-        out.append((k_star.T @ model.solve_vector, variances))
+                                0.0, hyper.sigma0_sq)[run]
+            # np.take keeps C order (k_star[:, run] would not, and the GEMV would
+            # sum differently); half is freed before the gather, k_star after it
+            half = None
+            k_full, k_star = np.take(k_star, run, axis=1), None
+        out.append((k_full.T @ model.solve_vector, variances))
     return out
 
 
@@ -344,7 +366,8 @@ def pf_propagate(ps: ParticleSet, models, sigma_p: float, dt: float, rng) -> Par
     """Draw per-particle velocities from the GP posterior, then move positions."""
     m, batch = len(ps), ps.weights.shape[:-1]
     # predict_axes cloud by cloud: one call on all B*M queries gives the same
-    # bits, but its (N, B*M) temporaries outgrow the cache when N*M is large
+    # bits and finds no more copies (they are adjacent within a cloud), but its
+    # mean's full-width (N, B*M) kernel gather outgrows the cache when N*M is large
     pred = np.empty((*batch, 2, 2, m))  # (..., axis, mean/variance, particle)
     for cloud, velocities in zip(pred.reshape(-1, 2, 2, m), ps.velocities.reshape(-1, m, 2)):
         cloud[...] = predict_axes(models, velocities)

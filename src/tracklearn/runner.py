@@ -68,6 +68,12 @@ class PfSettings:
     def __post_init__(self):
         if self.resample not in ("systematic", "ess"):
             raise ValueError(f"resample must be systematic or ess, got {self.resample!r}")
+        if not isinstance(self.n_particles, (int, np.integer)) or self.n_particles < 1:
+            raise ValueError(f"n_particles must be an integer >= 1, got {self.n_particles!r}")
+        if not (np.isfinite(self.sigma_p) and self.sigma_p >= 0.0):
+            raise ValueError(f"sigma_p must be finite and >= 0, got {self.sigma_p!r}")
+        if not 0.0 < self.ess_fraction <= 1.0:
+            raise ValueError(f"ess_fraction must be in (0, 1], got {self.ess_fraction!r}")
 
 
 def run_gp_method(dataset: Dataset, models, settings: PfSettings, seed: int) -> list[RunRecord]:

@@ -359,3 +359,8 @@ def test_stacked_arrays_match_each_slice():
     spd = slices[0]["logdet"][1]
     with pytest.raises(NumericsError, match="^row 1: non-finite"):
         ad.cho_solve(np.stack([spd, spd * np.nan, spd]), np.ones((3, 3, 1)))
+    indefinite = np.stack([spd, -spd, spd])
+    with pytest.raises(NumericsError, match="^row 1: matrix is not positive definite"):
+        ad.cho_solve(indefinite, np.ones((3, 3, 1)))
+    with pytest.raises(NumericsError, match="^row 1: matrix is not positive definite"):
+        ad.logdet(indefinite)

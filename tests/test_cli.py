@@ -178,6 +178,22 @@ def test_evaluate_rejects_unknown_resample_scheme(gct_runs, tmp_path, capsys):
     assert err[0].startswith("error: [gp] resample")
 
 
+@pytest.mark.parametrize("key, value", [
+    ("n_particles", "0"), ("n_particles", "-3"),
+    ("sigma_p", "-1"), ("sigma_p", "inf"), ("sigma_p", "nan"),
+    ("ess_fraction", "0"), ("ess_fraction", "1.5"), ("ess_fraction", "nan"),
+])
+def test_evaluate_rejects_bad_particle_filter_settings(gct_runs, tmp_path, capsys, key, value):
+    root, _ = gct_runs[0]
+    cfg = experiment(tmp_path / "exp.ini", root, {("gp", key): value})
+    code = main(["evaluate", "--config", str(cfg), "--out", str(tmp_path / "eval"),
+                 "--data", str(root / "data"), "--seed", "7", "--method", "gp"])
+    err = capsys.readouterr().err.strip().splitlines()
+    assert code == 2
+    assert len(err) == 1
+    assert err[0].startswith(f"error: [gp] {key} must be")
+
+
 def test_evaluate_rejects_models_trained_at_another_dt(gct_runs, tmp_path, capsys):
     root, _ = gct_runs[0]
     cfg = str(experiment(tmp_path / "exp.ini", root, {("dataset", "dt"): "0.5"}))

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from scipy.linalg.blas import dtrsm
 from scipy.spatial.distance import cdist
 
 import tracklearn.autodiff as ad
+from tracklearn import gp
 from tracklearn.errors import WeightCollapseError
 from tracklearn.gp import (
     EXP_ZERO_AT,
@@ -19,6 +21,7 @@ from tracklearn.gp import (
     pf_resample,
     pf_reweight,
     pf_step,
+    predict_axes,
     save_gp,
     systematic_resample,
     velocity_pairs,
@@ -130,6 +133,65 @@ def test_predict_matches_dense_inverse_oracle():
         var_oracle = hyper.sigma0_sq - np.einsum("nm,nk,km->m", k_star, inv, k_star)
         assert np.allclose(means, mean_oracle, rtol=1e-8, atol=1e-8)
         assert np.allclose(variances, var_oracle, rtol=1e-8, atol=1e-8)
+
+
+def predict_every_row(models, queries):
+    """Full-width reference for predict_axes: kernel, triangular solve, variances
+    and mean on every query row, copies included."""
+    sq = cdist(models[0].inputs, queries, "sqeuclidean")
+    out = []
+    for model in models:
+        k_star = kernel_matrix(model.inputs, queries, model.hyper, sq)
+        half = dtrsm(1.0, model.chol.T, k_star, trans_a=1)
+        variances = np.clip(model.hyper.sigma0_sq - np.einsum("nm,nm->m", half, half),
+                            0.0, model.hyper.sigma0_sq)
+        out.append((k_star.T @ model.solve_vector, variances))
+    return out
+
+
+def _copies_queries(rng):
+    """(queries, their distinct rows): a resampled cloud's runs of adjacent
+    copies, then a copy of its first row that is not adjacent to it, 0.0 next
+    to -0.0 (equal, so one row) and two NaN rows (never equal, so two rows)."""
+    cloud = rng.standard_normal((300, 2)) * 1.5
+    keep = systematic_resample(rng.dirichlet(np.full(300, 0.05)), rng)
+    runs = cloud[np.unique(keep)]  # keep is sorted, so its copies are adjacent
+    tail = np.array([[0.0, 0.5], [-0.0, 0.5], [np.nan, 0.1], [np.nan, 0.1], runs[0]])
+    queries = np.vstack([cloud[keep], tail])
+    return queries, np.vstack([runs, tail[[0, 2, 3, 4]]])
+
+
+@pytest.mark.parametrize("repeats", [True, False], ids=["copies", "no-copies"])
+@pytest.mark.parametrize("shared", [True, False], ids=["shared-hyper", "per-axis-hyper"])
+def test_predict_axes_keeps_the_bits_of_predicting_every_row(monkeypatch, repeats, shared):
+    rng = np.random.default_rng(17)
+    inputs = rng.standard_normal((160, 2)) * 1.5
+    outputs = np.stack([np.sin(inputs[:, 0]), np.cos(inputs[:, 1])], axis=1)
+    hypers = [GpHyper(1.3, 0.7, 0.02)] * 2 if shared else [GpHyper(1.3, 0.7, 0.02),
+                                                           GpHyper(0.9, 1.6, 0.05)]
+    models = [GpModel(inputs, outputs[:, k], h) for k, h in enumerate(hypers)]
+    if repeats:
+        queries, distinct = _copies_queries(rng)
+    else:
+        queries = distinct = rng.standard_normal((300, 2)) * 1.5
+    kernel_queries = []
+
+    def spy(a, b, hyper, sq=None):
+        kernel_queries.append(b.copy())
+        return kernel_matrix(a, b, hyper, sq)
+
+    monkeypatch.setattr(gp, "kernel_matrix", spy)
+    got = predict_axes(models, queries)
+    monkeypatch.undo()
+    for (mean, var), (ref_mean, ref_var) in zip(got, predict_every_row(models, queries)):
+        assert np.array_equal(mean, ref_mean, equal_nan=True)
+        assert np.array_equal(var, ref_var, equal_nan=True)
+    assert np.isnan(got[0][0]).sum() == 2 * repeats
+    # the kernel sees each run of copies once, and once per distinct hyperparameters
+    assert len(kernel_queries) == (1 if shared else 2)
+    for seen in kernel_queries:
+        assert np.array_equal(seen, distinct, equal_nan=True)
+    assert len(distinct) < len(queries) / 2 if repeats else len(distinct) == len(queries)
 
 
 def test_variance_bounds_ten_thousand_queries():
