@@ -10,6 +10,10 @@ leading batch axis, (B, r, c), which is how the filters step a whole test
 set in lockstep.  A model written once against this layer therefore filters
 on arrays and trains on a tape; const_like, scalar, detach and value_of let
 it create constants and read values without knowing which.
+
+minimize is the one gradient-descent loop: the GP, IMM and LSTM-KF trainers
+each give it a record closure, which puts the loss on a fresh tape, and an
+update closure, which takes one optimizer step.
 """
 
 from __future__ import annotations
@@ -45,5 +49,5 @@ from .api import (
     var,
     vsum,
 )
-from .optim import GradientOptimizer, clip_by_global_norm
+from .optim import GradientOptimizer, clip_by_global_norm, minimize
 from .pure import PyTape

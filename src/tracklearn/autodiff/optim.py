@@ -1,10 +1,13 @@
-"""Gradient-step optimizers for the tape-trained models."""
+"""Gradient-step optimizers and the one descent loop the tape-trained models share."""
 
 from __future__ import annotations
 
 import math
 
 import numpy as np
+
+from ..errors import NumericsError
+from .api import backward, scalar
 
 
 def clip_by_global_norm(grads: dict, max_norm: float) -> dict:
@@ -16,11 +19,40 @@ def clip_by_global_norm(grads: dict, max_norm: float) -> dict:
     return {k: g * scale for k, g in grads.items()}
 
 
+def minimize(record, params, update, steps: int):
+    """Descend for steps steps from params.
+
+    record(params) records the loss on a fresh tape and returns (1x1 loss Var,
+    {name: leaf Var}); update(params, {name: leaf gradient}) returns the next
+    params.  A non-finite loss or a NumericsError in record or backward stops
+    the descent, which then returns the last params whose loss was finite
+    (params itself if none was).
+    Returns (params, history, stopped): history rows are (step, loss), and
+    stopped is None after every step ran, else {"step", "reason"}.
+    """
+    good = params
+    history = []
+    for step in range(steps):
+        try:
+            loss, leaves = record(params)
+            value = scalar(loss)
+            if not np.isfinite(value):
+                raise NumericsError(f"non-finite loss {value}")
+            backward(loss)
+        except NumericsError as exc:
+            return good, history, {"step": step, "reason": str(exc)}
+        good = params
+        history.append((step, value))
+        params = update(params, {name: leaf.grad for name, leaf in leaves.items()})
+    return params, history, None
+
+
 class GradientOptimizer:
     """Adam.
 
     Parameters and gradients travel as {name: ndarray} dicts; moment state is
-    kept per name.
+    kept per name.  A gradient may come in any shape of its parameter's size
+    (a tape leaf is 2-D).
     """
 
     def __init__(self, lr: float, beta1: float = 0.9, beta2: float = 0.999,
@@ -37,7 +69,7 @@ class GradientOptimizer:
         self.step_count += 1
         out = {}
         for name, theta in params.items():
-            g = grads[name]
+            g = grads[name].reshape(theta.shape)
             m = self._m.get(name)
             v = self._v.get(name)
             if m is None:
@@ -51,4 +83,3 @@ class GradientOptimizer:
             v_hat = v / (1.0 - self.beta2**self.step_count)
             out[name] = theta - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
         return out
-

@@ -17,7 +17,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .config import ExperimentConfig
+from .config import ExperimentConfig, build
+from .ekf import EVAL_START
 from .errors import ConfigError, CsvFormatError, EmptyDatasetError, GeometryError
 from .evaluate import RunRecord, make_report
 from .gp import GpHyper, gp_fit, load_gp, save_gp
@@ -82,6 +83,13 @@ def _check_sensor_match(a: SensorConfig, b: SensorConfig, what: str) -> None:
         raise ConfigError(f"sensor parameters of {what} do not match the dataset")
 
 
+def _at_least(cfg: ExperimentConfig, section: str, key: str, low: int) -> int:
+    value = cfg.inum(section, key)
+    if value < low:
+        raise ConfigError(f"[{section}] {key} must be at least {low}, got {value}")
+    return value
+
+
 def _dataset_dir(cfg: ExperimentConfig, args) -> Path:
     path = getattr(args, "data", None) or cfg.text("dataset", "path")
     if not path:
@@ -109,19 +117,22 @@ def cmd_simulate(args) -> int:
     sensor = cfg.sensor()
     kind = cfg.text("dataset", "kind")
     inputs = {}
+    # every filter starts its track on rows 0 and 1 and steps from EVAL_START on
     if kind == "gct":
         gct = cfg.gct()
-        train = make_dataset(cfg.inum("dataset", "n_train"), gct, sensor, seed=args.seed)
-        test = make_dataset(cfg.inum("dataset", "n_test"), gct, sensor, seed=args.seed + 1,
-                            role="test")
+        _at_least(cfg, "dataset", "n_steps", EVAL_START + 1)
+        n_train, n_test = (_at_least(cfg, "dataset", key, 1) for key in ("n_train", "n_test"))
+        train = make_dataset(n_train, gct, sensor, seed=args.seed)
+        test = make_dataset(n_test, gct, sensor, seed=args.seed + 1, role="test")
     elif kind == "csv":
         csv_path = Path(cfg.text("dataset", "csv_path"))
         if not csv_path.exists():
             raise ConfigError(f"[dataset] csv_path {csv_path} does not exist")
         inputs[str(csv_path)] = _sha256(csv_path)
+        tracklet_len = _at_least(cfg, "dataset", "tracklet_len", EVAL_START + 1)
         try:
-            whole = ingest_csv(csv_path, sensor, cfg.inum("dataset", "tracklet_len"),
-                               rng_seed=args.seed, dt=cfg.fnum("dataset", "dt"))
+            whole = ingest_csv(csv_path, sensor, tracklet_len, rng_seed=args.seed,
+                               dt=cfg.fnum("dataset", "dt"))
         except (CsvFormatError, EmptyDatasetError, GeometryError) as exc:
             raise ConfigError(f"[dataset] csv_path {csv_path}: {exc}") from exc
         n_train = int(round(len(whole) * cfg.fnum("dataset", "train_fraction")))
@@ -140,9 +151,10 @@ def cmd_simulate(args) -> int:
 
 
 def _train_gp(cfg: ExperimentConfig, train: Dataset, out: Path, seed: int):
-    n_sub = cfg.inum("gp", "n_train_tracklets")
+    n_sub = _at_least(cfg, "gp", "n_train_tracklets", 0)
     tracklets = train.tracklets[:n_sub] if n_sub else train.tracklets
-    hyper0 = GpHyper(
+    hyper0 = build(
+        "gp", GpHyper,
         sigma0_sq=cfg.fnum("gp", "sigma0_sq"),
         length_sq=cfg.fnum("gp", "length_sq"),
         noise_sq=cfg.fnum("gp", "noise_sq"),
@@ -154,7 +166,8 @@ def _train_gp(cfg: ExperimentConfig, train: Dataset, out: Path, seed: int):
 
 
 def _train_imm(cfg: ExperimentConfig, train: Dataset, out: Path, seed: int):
-    imm_cfg = ImmConfig(
+    imm_cfg = build(
+        "imm", ImmConfig,
         modes=tuple(m.strip() for m in cfg.text("imm", "modes").split(",")),
         likelihood=cfg.text("imm", "likelihood"),
         train_r=cfg.flag("imm", "train_r"),
@@ -169,7 +182,8 @@ def _train_imm(cfg: ExperimentConfig, train: Dataset, out: Path, seed: int):
 
 
 def _train_mkf(cfg: ExperimentConfig, train: Dataset, out: Path, seed: int):
-    mkf_cfg = MkfConfig(
+    mkf_cfg = build(
+        "mkf", MkfConfig,
         hidden=cfg.inum("mkf", "hidden"),
         dense=cfg.inum("mkf", "dense"),
         q_reg=cfg.fnum("mkf", "q_reg"),
@@ -182,11 +196,8 @@ def _train_mkf(cfg: ExperimentConfig, train: Dataset, out: Path, seed: int):
         if scale_text == "auto"
         else cfg.fnum("mkf", "input_scale")
     )
-    try:
-        w0 = init_weights(seed=seed, hidden=mkf_cfg.hidden, dense=mkf_cfg.dense,
-                          input_scale=scale)
-    except ValueError as exc:
-        raise ConfigError(f"[mkf] {exc}") from exc
+    w0 = build("mkf", init_weights, seed=seed, hidden=mkf_cfg.hidden, dense=mkf_cfg.dense,
+               input_scale=scale)
     weights, history, stopped = train_mkf(w0, train.tracklets, train.sensor,
                                           iterations=cfg.inum("mkf", "iterations"),
                                           lr=cfg.fnum("mkf", "lr"), seed=seed, cfg=mkf_cfg)
@@ -282,27 +293,25 @@ def cmd_evaluate(args) -> int:
                 raise ConfigError(f"dt {dt:g} s of model {model_path} does not match the "
                                   f"dataset's dt {test.dt:g} s")
             if method == "gp":
-                # read outside the try: a ConfigError is a ValueError and has its own prefix
-                pf_args = dict(
+                settings = build(
+                    "gp", PfSettings,
                     n_particles=cfg.inum("gp", "n_particles"),
                     sigma_p=cfg.fnum("gp", "sigma_p"),
                     resample=cfg.text("gp", "resample"),
                     ess_fraction=cfg.fnum("gp", "ess_fraction"),
                 )
-                try:
-                    settings = PfSettings(**pf_args)
-                except ValueError as exc:
-                    raise ConfigError(f"[gp] {exc}") from exc
                 per_method["gp"] = run_gp_method(test, model, settings, seed=args.seed)
             elif method == "imm":
-                imm_cfg = ImmConfig(
+                imm_cfg = build(
+                    "imm", ImmConfig,
                     modes=model.modes,
                     likelihood=cfg.text("imm", "likelihood"),
                     train_r=cfg.flag("imm", "train_r"),
                 )
                 per_method["imm"] = run_imm_method(test, model, imm_cfg)
             elif method == "mkf":
-                mkf_cfg = MkfConfig(q_reg=cfg.fnum("mkf", "q_reg"), loss=cfg.text("mkf", "loss"))
+                mkf_cfg = build("mkf", MkfConfig, q_reg=cfg.fnum("mkf", "q_reg"),
+                                loss=cfg.text("mkf", "loss"))
                 per_method["mkf"] = run_mkf_method(test, model, mkf_cfg)
         except ConfigError:
             raise
@@ -326,6 +335,8 @@ def cmd_evaluate(args) -> int:
 
 def cmd_report(args) -> int:
     out = Path(args.out)
+    if not (out / "records.npz").exists():
+        raise ConfigError(f"{out} has no records.npz; run evaluate first")
     per_method = load_records(out)
     make_report(out, per_method)
     print((out / "summary.txt").read_text())

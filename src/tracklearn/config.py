@@ -85,6 +85,20 @@ def _parse_bool(text: str) -> bool:
     raise ConfigError(f"expected boolean, got {text!r}")
 
 
+def build(section: str, factory, **values):
+    """factory(**values), with the ValueError it raises on a value it rejects
+    raised again as a ConfigError "[section] ...".
+
+    The caller reads the values, so they are read before the call and outside
+    this handler: a bad number raises a ConfigError, which is a ValueError,
+    and already names its own section and key.
+    """
+    try:
+        return factory(**values)
+    except ValueError as exc:
+        raise ConfigError(f"[{section}] {exc}") from exc
+
+
 class ExperimentConfig:
     """Typed view over the INI document with all defaults materialized."""
 
@@ -132,14 +146,16 @@ class ExperimentConfig:
     # -- typed assemblies -----------------------------------------------------
 
     def sensor(self) -> SensorConfig:
-        return SensorConfig(
+        return build(
+            "sensor", SensorConfig,
             origin=(self.fnum("sensor", "origin_x"), self.fnum("sensor", "origin_y")),
             sigma_r=self.fnum("sensor", "sigma_r"),
             sigma_a=self.fnum("sensor", "sigma_a"),
         )
 
     def gct(self) -> GctConfig:
-        return GctConfig(
+        return build(
+            "dataset", GctConfig,
             n_steps=self.inum("dataset", "n_steps"),
             dt=self.fnum("dataset", "dt"),
             half_period=self.inum("dataset", "half_period"),

@@ -168,8 +168,9 @@ def fit_hyper(inputs: np.ndarray, outputs: np.ndarray, hyper0: GpHyper,
               seed: int = 0) -> GpHyper:
     """Refine hyperparameters by LML ascent (Adam on the log-parameters).
 
-    Falls back to hyper0 when the ascent fails to improve the objective or
-    hits a numerical failure.
+    Returns the hyperparameters of the first step whose loss is least; falls
+    back to hyper0 when the ascent fails to improve the objective or hits a
+    numerical failure.
     """
     n = len(inputs)
     if n > max_points:
@@ -178,34 +179,21 @@ def fit_hyper(inputs: np.ndarray, outputs: np.ndarray, hyper0: GpHyper,
     sq = cdist(inputs, inputs, "sqeuclidean")
     y_col = outputs.reshape(-1, 1)
 
-    def recorded_loss(rho: np.ndarray):
-        tape = ad.make_tape()
-        leaf = ad.var(tape, rho.reshape(1, 3))
-        s0, l2, sv = (ad.exp(ad.item(leaf, 0, k)) for k in range(3))
-        return negative_lml(s0, l2, sv, sq, y_col), leaf
+    rhos = []  # the log-parameters of each step, in history order
 
-    rho = np.log([hyper0.sigma0_sq, hyper0.length_sq, hyper0.noise_sq])
-    opt = GradientOptimizer(lr=lr)
-    start_loss = None
-    best_rho, best_loss = rho.copy(), np.inf
-    try:
-        for _ in range(steps):
-            loss, leaf = recorded_loss(rho)
-            value = ad.scalar(loss)
-            if start_loss is None:
-                start_loss = value
-            if not np.isfinite(value):
-                return hyper0
-            if value < best_loss:
-                best_loss, best_rho = value, rho.copy()
-            ad.backward(loss)
-            grads = {"rho": leaf.grad.reshape(-1)}
-            rho = opt.step({"rho": rho}, grads)["rho"]
-    except (NumericsError, ValueError):
+    def record(params):
+        rhos.append(params["rho"])
+        tape = ad.make_tape()
+        leaf = ad.var(tape, params["rho"].reshape(1, 3))
+        s0, l2, sv = (ad.exp(ad.item(leaf, 0, k)) for k in range(3))
+        return negative_lml(s0, l2, sv, sq, y_col), {"rho": leaf}
+
+    rho0 = np.log([hyper0.sigma0_sq, hyper0.length_sq, hyper0.noise_sq])
+    _, history, stopped = ad.minimize(record, {"rho": rho0}, GradientOptimizer(lr=lr).step, steps)
+    losses = [loss for _, loss in history]
+    if stopped or not losses or min(losses) >= losses[0]:
         return hyper0
-    if start_loss is None or best_loss >= start_loss:
-        return hyper0
-    s0, l2, sv = np.exp(best_rho)
+    s0, l2, sv = np.exp(rhos[losses.index(min(losses))])
     return GpHyper(sigma0_sq=float(s0), length_sq=float(l2), noise_sq=float(sv))
 
 

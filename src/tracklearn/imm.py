@@ -20,7 +20,6 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import GradientOptimizer, Var
 from .ekf import cv_transition, filter_tracklet, gaussian_nll, joseph_update, wna_template
-from .errors import NumericsError
 from .statespace import SensorConfig, StateEstimate, Tracklet
 
 MODE_CV = "cv"
@@ -312,39 +311,22 @@ def run_imm(params: ImmParams, tracklets, sensor: SensorConfig, cfg: ImmConfig =
 
 def train_imm(params0: ImmParams, tracklets, sensor: SensorConfig, steps: int,
               lr: float = 5e-4, seed: int = 0, cfg: ImmConfig = ImmConfig()):
-    """Minibatch NLL descent over tracklets (one tracklet per step).
-
-    Deterministic given the seed.  Divergence (non-finite loss or a numerical
-    failure inside the recursion) aborts and returns the last parameters whose
-    loss was finite (params0 if none was).
-    Returns (params, history, stopped): history rows are (step, tracklet_nll),
-    and stopped is None after every step ran, else {"step", "reason"}.
+    """Minibatch NLL descent over tracklets (one tracklet per step),
+    deterministic given the seed.  Returns (params, history, stopped) as
+    ad.minimize does, which stops at a divergence; the loss is one tracklet's NLL.
     """
     if not tracklets:
         raise ValueError("empty training set")
     rng = np.random.default_rng(seed)
     opt = GradientOptimizer(lr=lr)
-    params = good = params0
-    history = []
-    for step in range(steps):
-        idx = int(rng.integers(len(tracklets)))
-        try:
-            loss, leaves = imm_nll(params, tracklets[idx], sensor, cfg)
-            value = ad.scalar(loss)
-            if not np.isfinite(value):
-                raise NumericsError(f"non-finite loss {value}")
-            ad.backward(loss)
-            grads = {}
-            for name, leaf in leaves.items():
-                g = leaf.grad
-                grads[name] = g.reshape(getattr(params, name).shape) if name != "log_r" else g.ravel()
-        except NumericsError as exc:
-            return good, history, {"step": step, "reason": str(exc)}
-        good = params
-        history.append((step, value))
-        updated = opt.step(params.to_dict(train_r=cfg.train_r), grads)
-        params = params.with_dict(updated)
-    return params, history, None
+
+    def record(params):
+        return imm_nll(params, tracklets[int(rng.integers(len(tracklets)))], sensor, cfg)
+
+    def update(params, grads):
+        return params.with_dict(opt.step(params.to_dict(train_r=cfg.train_r), grads))
+
+    return ad.minimize(record, params0, update, steps)
 
 
 # -- serialization (IMM1) ------------------------------------------------------
@@ -376,7 +358,7 @@ def save_imm(path, params: ImmParams, dt: float, sensor: SensorConfig) -> None:
 def load_imm(path):
     """Returns (params, dt, sensor)."""
     lines = [ln for ln in Path(path).read_text().splitlines() if ln and not ln.startswith("#")]
-    if lines[0] != "IMM1":
+    if not lines or lines[0] != "IMM1":
         raise ValueError(f"{path}: not an IMM1 document")
     fields = {}
     for line in lines[1:]:

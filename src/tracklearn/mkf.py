@@ -16,7 +16,6 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import GradientOptimizer, Var, clip_by_global_norm
 from .ekf import ekf_update, filter_tracklet
-from .errors import NumericsError
 from .statespace import (
     LOG_2PI,
     SensorConfig,
@@ -195,36 +194,25 @@ def mkf_loss(wvars: dict, inputs: np.ndarray, labels: np.ndarray, hidden: int,
 def train_mkf(w0: LstmWeights, tracklets, sensor: SensorConfig, iterations: int,
               lr: float = 5e-4, seed: int = 0, cfg: MkfConfig = None):
     """BPTT over one sampled tracklet per iteration with Adam and global-norm
-    gradient clipping.  Aborts on a non-finite loss or a numerical failure,
-    returning the last weights whose loss was finite (w0 if none was).  Returns
-    (weights, history, stopped): history rows are (iter, loss), and stopped is
-    None after every iteration ran, else {"step", "reason"}."""
+    gradient clipping.  Returns (weights, history, stopped) as ad.minimize
+    does, which stops at a divergence."""
     cfg = cfg or MkfConfig()
     if not tracklets:
         raise ValueError("empty training set")
     rng = np.random.default_rng(seed)
     opt = GradientOptimizer(lr=lr)
-    weights = good = w0
-    history = []
-    for it in range(iterations):
+
+    def record(weights):
         trk = tracklets[int(rng.integers(len(tracklets)))]
         inputs, labels = training_sequences(trk, sensor, weights.input_scale)
-        tape = ad.make_tape()
-        wvars = _tape_weights(tape, weights)
-        try:
-            loss = mkf_loss(wvars, inputs, labels, weights.hidden, cfg.loss)
-            value = ad.scalar(loss)
-            if not np.isfinite(value):
-                raise NumericsError(f"non-finite loss {value}")
-            ad.backward(loss)
-        except NumericsError as exc:
-            return good, history, {"step": it, "reason": str(exc)}
-        good = weights
-        grads = {name: leaf.grad for name, leaf in wvars.items()}
+        wvars = _tape_weights(ad.make_tape(), weights)
+        return mkf_loss(wvars, inputs, labels, weights.hidden, cfg.loss), wvars
+
+    def update(weights, grads):
         grads = clip_by_global_norm(grads, cfg.clip_norm)
-        weights = weights.with_dict(opt.step(weights.to_dict(), grads))
-        history.append((it, value))
-    return weights, history, None
+        return weights.with_dict(opt.step(weights.to_dict(), grads))
+
+    return ad.minimize(record, w0, update, iterations)
 
 
 def input_scale_from(tracklets, sensor: SensorConfig) -> float:

@@ -258,6 +258,74 @@ def test_clip_by_global_norm():
     assert untouched["a"][0] == 3.0
 
 
+
+def test_optimizer_reshapes_a_leaf_gradient_to_its_parameter():
+    theta = np.array([0.3, -1.2, 2.5])
+    grad = np.array([[0.7, -0.1, 4.0]])  # a (1, m) tape leaf's gradient for an (m,) parameter
+    shaped, flat = GradientOptimizer(lr=0.1), GradientOptimizer(lr=0.1)
+    for _ in range(3):
+        a = shaped.step({"w": theta}, {"w": grad})["w"]
+        b = flat.step({"w": theta}, {"w": grad.reshape(-1)})["w"]
+        assert a.shape == theta.shape
+        assert np.array_equal(a, b)
+        theta = a
+
+
+def _quadratic(blow_up_at=None, fail_at=None):
+    """record and update closures for sum((w - 1)^2), plus the list of the
+    params each record call saw.  The loss is inf from call blow_up_at on;
+    call fail_at raises a NumericsError."""
+    seen = []
+    opt = GradientOptimizer(lr=0.1)
+
+    def record(params):
+        seen.append(params)
+        if len(seen) - 1 == fail_at:
+            raise NumericsError("matrix is not positive definite")
+        leaf = ad.var(ad.make_tape(), params["w"].reshape(1, -1))
+        diff = leaf - ad.const(leaf.tape, np.ones((1, params["w"].size)))
+        loss = ad.vsum(diff * diff)
+        if blow_up_at is not None and len(seen) - 1 >= blow_up_at:
+            loss = loss * np.inf
+        return loss, {"w": leaf}
+
+    return record, opt.step, seen
+
+
+def test_minimize_zero_steps_returns_its_input():
+    record, update, seen = _quadratic()
+    params = {"w": np.array([3.0, -2.0])}
+    out, history, stopped = ad.minimize(record, params, update, 0)
+    assert out is params
+    assert history == [] and stopped is None and seen == []
+
+
+def test_minimize_descends_and_records_every_step():
+    record, update, seen = _quadratic()
+    out, history, stopped = ad.minimize(record, {"w": np.array([3.0, -2.0])}, update, 20)
+    assert stopped is None
+    assert [step for step, _ in history] == list(range(20))
+    assert history[-1][1] < history[0][1] == 13.0
+    assert len(seen) == 20 and out is not seen[-1]
+
+
+@pytest.mark.parametrize("k", [0, 1, 4])
+def test_minimize_stops_at_a_non_finite_loss_with_the_last_finite_params(k):
+    record, update, seen = _quadratic(blow_up_at=k)
+    params = {"w": np.array([3.0, -2.0])}
+    out, history, stopped = ad.minimize(record, params, update, 10)
+    assert stopped["step"] == k == len(history)
+    assert stopped["reason"] == "non-finite loss inf"
+    assert out is (seen[k - 1] if k else params)
+
+
+def test_minimize_reports_a_numerics_error_from_record():
+    record, update, seen = _quadratic(fail_at=2)
+    out, history, stopped = ad.minimize(record, {"w": np.array([3.0, -2.0])}, update, 10)
+    assert stopped == {"step": 2, "reason": "matrix is not positive definite"}
+    assert len(history) == 2 and out is seen[1]
+
+
 def _assert_same(on_arrays, on_tape, what):
     assert type(on_arrays) is np.ndarray, what
     assert np.array_equal(on_arrays, on_tape.value), what

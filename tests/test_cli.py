@@ -249,3 +249,52 @@ def test_train_refuses_another_methods_output_directory(gct_runs, tmp_path, caps
     assert (out / "manifest.json").read_text() == manifest
     assert not (out / "imm.txt").exists()
     assert main(train + ["gp"]) == 0  # the same method may retrain into it
+
+
+@pytest.mark.parametrize("section, key, value, command, cause", [
+    ("imm", "modes", "cv,xx", "imm", "unknown mode"),
+    ("imm", "likelihood", "foo", "imm", "unknown likelihood style 'foo'"),
+    ("mkf", "loss", "foo", "mkf", "unknown loss mode 'foo'"),
+    ("gp", "sigma0_sq", "-1", "gp", "GP hyperparameters must be positive"),
+    ("gp", "n_train_tracklets", "-1", "gp", "n_train_tracklets must be at least 0, got -1"),
+    ("sensor", "sigma_r", "0", "simulate", "sensor noise stds must be positive"),
+    ("dataset", "n_steps", "0", "simulate", "n_steps must be positive"),
+])
+def test_config_value_a_model_rejects_exits_2(gct_runs, tmp_path, capsys, section, key, value,
+                                              command, cause):
+    root, _ = gct_runs[0]
+    cfg = str(experiment(tmp_path / "exp.ini", root, {(section, key): value}))
+    if command == "simulate":
+        argv = ["simulate", "--config", cfg, "--out", str(tmp_path / "data"), "--seed", "1"]
+    else:
+        argv = ["train", "--config", cfg, "--out", str(tmp_path / command),
+                "--data", str(root / "data"), "--method", command, "--seed", "7"]
+    code = main(argv)
+    err = capsys.readouterr().err.strip().splitlines()
+    assert code == 2
+    assert len(err) == 1
+    assert err[0].startswith(f"error: [{section}] ") and cause in err[0]
+
+
+@pytest.mark.parametrize("overrides, cause", [
+    ({("dataset", "n_train"): "0"}, "n_train must be at least 1, got 0"),
+    ({("dataset", "n_test"): "0"}, "n_test must be at least 1, got 0"),
+    ({("dataset", "n_steps"): "2"}, "n_steps must be at least 3, got 2"),
+    ({("dataset", "kind"): "csv", ("dataset", "tracklet_len"): "2"},
+     "tracklet_len must be at least 3, got 2"),
+])
+def test_simulate_refuses_a_dataset_no_filter_can_run(tmp_path, capsys, gps_csv, overrides, cause):
+    cfg = write_config(tmp_path / "exp.ini", {("dataset", "csv_path"): str(gps_csv), **overrides})
+    out = tmp_path / "data"
+    code = main(["simulate", "--config", str(cfg), "--out", str(out), "--seed", "1"])
+    err = capsys.readouterr().err.strip().splitlines()
+    assert code == 2
+    assert err == [f"error: [dataset] {cause}"]
+    assert not (out / "manifest.json").exists()
+
+
+def test_report_needs_the_records_of_an_evaluate_run(tmp_path, capsys):
+    code = main(["report", "--out", str(tmp_path)])
+    assert code == 2
+    assert capsys.readouterr().err.strip().splitlines() == [
+        f"error: {tmp_path} has no records.npz; run evaluate first"]

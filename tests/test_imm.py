@@ -383,3 +383,11 @@ def test_serialization_roundtrip(tmp_path):
     assert np.allclose(loaded.trans_logits, params.trans_logits, rtol=0, atol=0)
     assert np.allclose(loaded.log_q, params.log_q)
     assert loaded.log_sigma_r == pytest.approx(params.log_sigma_r)
+
+
+@pytest.mark.parametrize("text", ["", "# only a comment\n", "GPM1\n"])
+def test_load_imm_rejects_a_document_that_is_not_imm1(tmp_path, text):
+    path = tmp_path / "model.imm"
+    path.write_text(text)
+    with pytest.raises(ValueError, match="not an IMM1 document"):
+        load_imm(path)
