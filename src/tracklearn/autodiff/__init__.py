@@ -32,7 +32,6 @@ from .api import (
     cos,
     detach,
     exp,
-    finite_difference,
     item,
     log,
     logdet,

@@ -330,16 +330,3 @@ def backward(root: Var) -> None:
     """Run reverse accumulation from a scalar root; fills .grad on all nodes."""
     root.tape.backward(root.i)
 
-
-def finite_difference(f, theta: np.ndarray, rel_step: float = 1e-6) -> np.ndarray:
-    """Central-difference gradient of a scalar function of a flat vector."""
-    theta = np.asarray(theta, dtype=float)
-    grad = np.zeros_like(theta)
-    for k in range(theta.size):
-        h = rel_step * max(1.0, abs(theta[k]))
-        up = theta.copy()
-        dn = theta.copy()
-        up[k] += h
-        dn[k] -= h
-        grad[k] = (f(up) - f(dn)) / (2.0 * h)
-    return grad

@@ -108,10 +108,14 @@ class PyTape:
         grads[root] = np.ones((1, 1))
         vals = self.values
 
+        # a node's first gradient is stored as given and later ones are added
+        # out of place: one g may be stored for two operands (ADD), so no stored
+        # gradient is ever written in place
         def acc(i: int, g):
-            if grads[i] is None:
-                grads[i] = np.zeros_like(vals[i])
-            grads[i] += g
+            if g.shape != vals[i].shape:
+                raise ValueError(f"gradient of shape {g.shape} for node {i} of shape "
+                                 f"{vals[i].shape}")
+            grads[i] = g if grads[i] is None else grads[i] + g
 
         for i in range(root, -1, -1):
             g = grads[i]

@@ -1,14 +1,17 @@
 """Command-line entry point: simulate, train, evaluate, report.
 
 Every command writes a manifest.json holding the resolved configuration,
-the seeds, and SHA-256 hashes of inputs and outputs, so a run can be
-reproduced exactly from its output directory.
+the seeds, SHA-256 hashes of inputs and outputs, and the BLAS thread
+counts, so a run can be reproduced exactly from its output directory.
 """
 
 from __future__ import annotations
 
 import argparse
+import ctypes
+import functools
 import hashlib
+import importlib
 import json
 import sys
 import time
@@ -47,6 +50,40 @@ def _hash_tree(root: Path) -> dict:
     }
 
 
+def _openblas(package: str, pattern: str):
+    """The OpenBLAS library that an installed package bundles, or None."""
+    libs = Path(importlib.import_module(package).__file__).parents[1] / f"{package}.libs"
+    found = sorted(libs.glob(pattern))
+    try:
+        return ctypes.CDLL(str(found[0])) if found else None
+    except OSError:
+        return None
+
+
+@functools.cache
+def _pin_blas() -> dict:
+    """Pin numpy's OpenBLAS to one thread, once per process.  Returns the
+    thread counts that numpy's and scipy's OpenBLAS report, "unpinned" where
+    the library or its symbol is missing.
+
+    numpy's LAPACK factors a GP gram differently at each thread count, so
+    its pool is pinned: the records then do not depend on the machine.
+    scipy's pool keeps its threads: its dtrsm, the particle filter's
+    triangular solve, gives the same bits at any count and runs faster.
+    """
+    counts = {"numpy": "unpinned", "scipy": "unpinned"}
+    numpy_blas = _openblas("numpy", "libscipy_openblas64_*.so")
+    set_threads = getattr(numpy_blas, "scipy_openblas_set_num_threads64_", None)
+    get_threads = getattr(numpy_blas, "scipy_openblas_get_num_threads64_", None)
+    if set_threads and get_threads:
+        set_threads(1)
+        counts["numpy"] = get_threads()
+    scipy_blas = _openblas("scipy", "libscipy_openblas-*.so")
+    if get_threads := getattr(scipy_blas, "scipy_openblas_get_num_threads", None):
+        counts["scipy"] = get_threads()
+    return counts
+
+
 def _write_manifest(out_dir: Path, command: str, cfg: ExperimentConfig, seed: int,
                     inputs: dict, wallclock: float, **fields) -> None:
     manifest = {
@@ -57,6 +94,7 @@ def _write_manifest(out_dir: Path, command: str, cfg: ExperimentConfig, seed: in
         "inputs": inputs,
         "outputs": _hash_tree(out_dir),
         "wallclock_s": round(wallclock, 3),
+        "blas_threads": _pin_blas(),
         **fields,
     }
     (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
@@ -172,8 +210,8 @@ def _train_imm(cfg: ExperimentConfig, train: Dataset, out: Path, seed: int):
         likelihood=cfg.text("imm", "likelihood"),
         train_r=cfg.flag("imm", "train_r"),
     )
-    params0 = default_params(train.sensor, imm_cfg, init_q=cfg.fnum("imm", "init_q"),
-                             init_omega=cfg.fnum("imm", "init_omega"))
+    params0 = build("imm", default_params, sensor=train.sensor, cfg=imm_cfg,
+                    init_q=cfg.fnum("imm", "init_q"), init_omega=cfg.fnum("imm", "init_omega"))
     params, history, stopped = train_imm(params0, train.tracklets, train.sensor,
                                          steps=cfg.inum("imm", "steps"), lr=cfg.fnum("imm", "lr"),
                                          seed=seed, cfg=imm_cfg)
@@ -380,6 +418,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    _pin_blas()
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -23,7 +23,6 @@ from pathlib import Path
 import numpy as np
 from scipy.linalg import cho_solve as _np_cho_solve
 from scipy.linalg.blas import dtrsm
-from scipy.spatial.distance import cdist
 
 from . import autodiff as ad
 from .autodiff import GradientOptimizer
@@ -54,6 +53,17 @@ class GpHyper:
 EXP_ZERO_AT = -745.1332191019412
 
 
+def sq_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Squared Euclidean distances between the rows of the (N, 2) a and the
+    (M, 2) b, as an (N, M) array."""
+    d0 = a[:, 0, None] - b[:, 0]
+    d1 = a[:, 1, None] - b[:, 1]
+    d0 *= d0
+    d1 *= d1
+    d0 += d1
+    return d0
+
+
 def kernel_matrix(a: np.ndarray, b: np.ndarray, hyper: GpHyper, sq=None) -> np.ndarray:
     """Kernel between the rows of a and b; sq, their squared distances, if known.
     Computed in place, so no (N, M) temporary outlives the expression.
@@ -62,7 +72,7 @@ def kernel_matrix(a: np.ndarray, b: np.ndarray, hyper: GpHyper, sq=None) -> np.n
     elsewhere: the same bits, but np.exp is many times slower on an argument
     whose result underflows, and with a short fitted length scale most do.
     """
-    arg = -0.5 * (cdist(a, b, "sqeuclidean") if sq is None else sq)
+    arg = -0.5 * (sq_distances(a, b) if sq is None else sq)
     arg /= hyper.length_sq
     zero = arg <= EXP_ZERO_AT  # false for NaN, whose exp stays NaN
     np.exp(arg, out=arg, where=~zero)
@@ -119,7 +129,7 @@ def predict_axes(models, queries: np.ndarray) -> list:
     new[1:] = ~(queries[1:] == queries[:-1]).all(axis=1)
     run = np.cumsum(new) - 1  # row -> its run's distinct row
     distinct = queries[new]
-    sq = cdist(models[0].inputs, distinct, "sqeuclidean")  # (N, D)
+    sq = sq_distances(models[0].inputs, distinct)  # (N, D)
     out, hyper = [], None
     for model in models:
         if model.hyper != hyper:
@@ -176,7 +186,7 @@ def fit_hyper(inputs: np.ndarray, outputs: np.ndarray, hyper0: GpHyper,
     if n > max_points:
         keep = np.sort(np.random.default_rng(seed).choice(n, size=max_points, replace=False))
         inputs, outputs = inputs[keep], outputs[keep]
-    sq = cdist(inputs, inputs, "sqeuclidean")
+    sq = sq_distances(inputs, inputs)
     y_col = outputs.reshape(-1, 1)
 
     rhos = []  # the log-parameters of each step, in history order

@@ -102,6 +102,8 @@ class ImmParams:
 def default_params(sensor: SensorConfig, cfg: ImmConfig = ImmConfig(),
                    init_q: float = 1.0, init_omega: float = 0.1,
                    diag_prob: float = 0.95) -> ImmParams:
+    if not init_q > 0.0:
+        raise ValueError(f"init_q must be positive, got {init_q}")
     m = len(cfg.modes)
     if m == 1:
         trans = np.zeros((1, 1))

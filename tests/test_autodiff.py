@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+from conftest import finite_difference
 import tracklearn.autodiff as ad
-from tracklearn.autodiff import GradientOptimizer, Var, clip_by_global_norm
+from tracklearn.autodiff import GradientOptimizer, Var, clip_by_global_norm, pure
 from tracklearn.ekf import gaussian_nll, joseph_update
 from tracklearn.errors import NumericsError
 from tracklearn.mkf import init_weights, lstm_step
@@ -66,7 +67,7 @@ def test_logdet_spd_gradient_matches_fd(make):
     root, leaves = build(theta0, tape)
     ad.backward(root)
     grad = np.array([leaf.grad[0, 0] for leaf in leaves])
-    fd = ad.finite_difference(lambda th: build(th), theta0, rel_step=1e-6)
+    fd = finite_difference(lambda th: build(th), theta0, rel_step=1e-6)
     assert np.allclose(grad, fd, rtol=1e-8, atol=1e-10)
 
 
@@ -91,7 +92,7 @@ def test_primitive_gradients_match_fd(make):
         tape = make()
         x = ad.var(tape, x0)
         ad.backward(fn(x))
-        fd = ad.finite_difference(scalar_fn, np.array([x0]))
+        fd = finite_difference(scalar_fn, np.array([x0]))
         assert x.grad[0, 0] == pytest.approx(fd[0], rel=1e-5), name
 
 
@@ -118,7 +119,7 @@ def test_binary_and_matrix_gradients_match_fd(make):
     root, (a, b) = f_tape(tape)
     ad.backward(root)
     theta0 = np.concatenate([a0.ravel(), b0.ravel()])
-    fd = ad.finite_difference(f, theta0)
+    fd = finite_difference(f, theta0)
     grad = np.concatenate([a.grad.ravel(), b.grad.ravel()])
     assert np.allclose(grad, fd, rtol=1e-6, atol=1e-8)
 
@@ -146,7 +147,7 @@ def test_cho_solve_gradient_matches_fd(make):
     x = ad.cho_solve(s, rhs)
     ad.backward(ad.vsum(x * x))
     theta0 = np.concatenate([base.ravel(), rhs0.ravel()])
-    fd = ad.finite_difference(f, theta0)
+    fd = finite_difference(f, theta0)
     grad = np.concatenate([m.grad.ravel(), rhs.grad.ravel()])
     assert np.allclose(grad, fd, rtol=1e-6, atol=1e-8)
 
@@ -209,6 +210,30 @@ def test_backward_requires_scalar_root(make):
     x = ad.var(tape, np.ones((2, 2)))
     with pytest.raises(ValueError):
         ad.backward(x + x)
+
+
+def test_shared_gradients_are_not_written_in_place(make):
+    tape = make()
+    x = ad.var(tape, np.array([[1.0, 2.0]]))
+    y = ad.var(tape, np.array([[3.0, 4.0]]))
+    s = x + y  # backward hands both operands of an add the same gradient array
+    d = x + x
+    ad.backward(ad.vsum(s + d))
+    assert np.array_equal(x.grad, [[3.0, 3.0]])
+    assert np.array_equal(y.grad, [[1.0, 1.0]])
+    assert np.array_equal(s.grad, [[1.0, 1.0]])
+    assert np.array_equal(d.grad, [[1.0, 1.0]])
+
+
+def test_gradient_of_the_wrong_shape_raises(make):
+    tape = make()
+    x = ad.var(tape, np.ones((2, 3)))
+    # a transpose recorded with an untransposed value: its backward gives a
+    # (3, 2) gradient to the (2, 3) leaf
+    t = tape.push(pure.TRANSPOSE, x.i, -1, None, np.ones((2, 3)))
+    root = tape.push(pure.SUM, t, -1, None, np.array([[6.0]]))
+    with pytest.raises(ValueError):
+        tape.backward(root)
 
 
 def test_unreachable_nodes_have_zero_gradient(make):

@@ -3,11 +3,16 @@ driven in-process through cli.main on tiny configs."""
 
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import write_config
+import tracklearn
 from tracklearn.cli import main
 
 TRAINED = {"gp": "gp.gpm", "imm": "imm.txt", "mkf": "mkf.npz"}
@@ -78,6 +83,34 @@ def test_same_seeds_give_identical_records(gct_runs):
     assert rec_a.keys() == rec_b.keys()
     for key in rec_a:
         assert np.array_equal(rec_a[key], rec_b[key]), key
+
+
+def test_records_do_not_depend_on_the_blas_thread_count(gct_runs, tmp_path):
+    """The GP's fitted hyperparameters and the particle filter's records are
+    the same bytes whatever OPENBLAS_NUM_THREADS says."""
+    root, _ = gct_runs[0]
+    src = str(Path(tracklearn.__file__).parents[1])
+    outs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads-{threads}"
+        cfg = str(experiment(tmp_path / f"exp-{threads}.ini", root, {
+            ("gp", "optimize_hyper"): "true", ("models", "gp"): str(out / "gp" / "gp.gpm")}))
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        common = ["--config", cfg, "--data", str(root / "data"), "--seed", "7"]
+        for argv in (["train", "--out", str(out / "gp"), "--method", "gp", *common],
+                     ["evaluate", "--out", str(out / "eval"), *common]):
+            subprocess.run([sys.executable, "-m", "tracklearn", *argv], env=env, check=True,
+                           stdout=subprocess.DEVNULL)
+        outs.append(out)
+    for out in outs:
+        for stage in ("gp", "eval"):
+            pinned = json.loads((out / stage / "manifest.json").read_text())["blas_threads"]
+            if pinned["numpy"] == "unpinned":
+                pytest.skip("numpy's OpenBLAS exports no thread-count setter to pin")
+            assert pinned["numpy"] == 1
+    for name in ("gp/gp.gpm", "eval/records.npz", "eval/scores.csv"):
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
 
 
 def test_csv_pipeline_writes_every_output(tmp_path, gps_csv):
@@ -254,6 +287,8 @@ def test_train_refuses_another_methods_output_directory(gct_runs, tmp_path, caps
 @pytest.mark.parametrize("section, key, value, command, cause", [
     ("imm", "modes", "cv,xx", "imm", "unknown mode"),
     ("imm", "likelihood", "foo", "imm", "unknown likelihood style 'foo'"),
+    ("imm", "init_q", "-1", "imm", "init_q must be positive, got -1.0"),
+    ("imm", "init_q", "0", "imm", "init_q must be positive, got 0.0"),
     ("mkf", "loss", "foo", "mkf", "unknown loss mode 'foo'"),
     ("gp", "sigma0_sq", "-1", "gp", "GP hyperparameters must be positive"),
     ("gp", "n_train_tracklets", "-1", "gp", "n_train_tracklets must be at least 0, got -1"),

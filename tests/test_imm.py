@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conftest import finite_difference
 import tracklearn.autodiff as ad
 from tracklearn import imm
 from tracklearn.ekf import CwnaModel, init_track, run_ekf
@@ -215,7 +216,7 @@ def test_nll_gradient_matches_finite_differences():
         value, _ = imm_nll(p, trk, SENSOR, cfg)
         return value.scalar()
 
-    fd = ad.finite_difference(f, vec0, rel_step=1e-6)
+    fd = finite_difference(f, vec0, rel_step=1e-6)
     rel_err = np.abs(grad - fd) / np.maximum.reduce([np.abs(grad), np.abs(fd), np.ones_like(fd)])
     assert np.mean(rel_err < 1e-5) >= 0.95
     assert np.all(rel_err < 1e-3)
