@@ -217,12 +217,16 @@ def _vsum(v: np.ndarray) -> np.ndarray:
     return v.sum(axis=(-2, -1), keepdims=True)
 
 
+def _check_finite(*operands) -> None:
+    bad = ~np.logical_and.reduce([np.isfinite(x).all(axis=(-2, -1)) for x in operands])
+    if bad.any():
+        raise NumericsError(f"{row_prefix(bad)}non-finite operand of a Cholesky solve")
+
+
 def _cholesky(spd: np.ndarray, *operands) -> np.ndarray:
     """Lower Cholesky factor; NumericsError when an operand is not finite or
     spd is not positive definite."""
-    bad = ~np.logical_and.reduce([np.isfinite(x).all(axis=(-2, -1)) for x in (spd, *operands)])
-    if bad.any():
-        raise NumericsError(f"{row_prefix(bad)}non-finite operand of a Cholesky solve")
+    _check_finite(spd, *operands)
     try:
         return np.linalg.cholesky(spd)
     except np.linalg.LinAlgError as exc:
@@ -234,6 +238,21 @@ def _cholesky(spd: np.ndarray, *operands) -> np.ndarray:
                 bad[b] = True
                 break
         raise NumericsError(f"{row_prefix(bad)}matrix is not positive definite: {exc}") from exc
+
+
+def _factor(spd, *operands) -> np.ndarray:
+    """_cholesky of spd's value.  A Var's factor is stored on its tape by the
+    first call and returned by every later one, whose operands are still
+    checked; an array has no node to key on and is factored each time."""
+    if not isinstance(spd, Var):
+        return _cholesky(spd, *operands)
+    factors = spd.tape.factors
+    low = factors.get(spd.i)
+    if low is None:
+        low = factors[spd.i] = _cholesky(spd.tape.values[spd.i], *operands)
+    else:
+        _check_finite(*operands)
+    return low
 
 
 def _unary(opcode: int, forward):
@@ -262,16 +281,18 @@ def atan2(a, b):
 
 
 def cho_solve(spd, rhs):
-    """Solve spd @ X = rhs for symmetric positive definite spd."""
-    spd_v, rhs_v = value_of(spd), value_of(rhs)
-    low = _cholesky(spd_v, rhs_v)
+    """Solve spd @ X = rhs for symmetric positive definite spd (one Cholesky
+    factor per tape node, shared with logdet)."""
+    rhs_v = value_of(rhs)
+    low = _factor(spd, rhs_v)
     sol = potrs(low, rhs_v)
     return _record(spd, CHO_SOLVE, [low, sol], sol, rhs)
 
 
 def logdet(spd):
-    """log det of a symmetric positive definite matrix, via Cholesky."""
-    low = _cholesky(value_of(spd))
+    """log det of a symmetric positive definite matrix, via its Cholesky factor
+    (shared with cho_solve on a tape)."""
+    low = _factor(spd)
     log_diag = np.log(np.diagonal(low, axis1=-2, axis2=-1))
     return _record(spd, LOGDET, [low], (2.0 * log_diag.sum(axis=-1))[..., None, None])
 

@@ -8,6 +8,7 @@ record order is the topological order; backward walks it once in reverse.
 from __future__ import annotations
 
 import numpy as np
+from scipy.linalg.blas import dtrsm
 from scipy.linalg.lapack import dpotrs
 
 from ..errors import NumericsError
@@ -39,8 +40,8 @@ SUM = 22
 SLICE = 23       # aux = (r0, r1, c0, c1)
 EMBED = 24       # aux = (rows, cols, r0, c0)
 SCALE_TMPL = 25  # aux = template ndarray
-CHO_SOLVE = 26   # aux = [L, Y] cached at forward time
-LOGDET = 27      # aux = [L]
+CHO_SOLVE = 26   # aux = [L, Y]: spd's stored factor and the solution
+LOGDET = 27      # aux = [L]: spd's stored factor
 
 
 def as_matrix(value) -> np.ndarray:
@@ -67,12 +68,18 @@ def potrs(low: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 
 
 class PyTape:
-    """Append-only record of matrix operations and their values."""
+    """Append-only record of matrix operations and their values.
+
+    factors maps a symmetric positive definite node to its lower Cholesky
+    factor, stored by the node's first cho_solve or logdet, so every later
+    solve or log det on that node reuses it (api._factor).
+    """
 
     def __init__(self):
         self.values: list[np.ndarray] = []  # node values, in record order
         self._ops: list[tuple[int, int, int, object]] = []
         self._grads: list[np.ndarray | None] | None = None
+        self.factors: dict[int, np.ndarray] = {}  # node index -> lower factor
 
     def __len__(self) -> int:
         return len(self.values)
@@ -193,7 +200,11 @@ class PyTape:
                 acc(b, gb)
                 acc(a, -gb @ sol.T)
             elif opcode == LOGDET:
-                inv_low = np.linalg.inv(aux[0])
+                # d log det S = S^-1 = L^-T L^-1, with L^-1 by one triangular
+                # solve: half the flops of an LU inverse, and the same bits at
+                # any BLAS thread count (LAPACK's dtrtri and dpotri are not)
+                low = aux[0]
+                inv_low = dtrsm(1.0, low, np.eye(len(low)), lower=1)
                 acc(a, g[0, 0] * (inv_low.T @ inv_low))
             else:
                 raise AssertionError(f"unhandled opcode {opcode}")

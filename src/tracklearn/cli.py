@@ -200,7 +200,12 @@ def _train_gp(cfg: ExperimentConfig, train: Dataset, out: Path, seed: int):
     models = gp_fit(tracklets, hyper0, max_pairs=cfg.inum("gp", "max_pairs"),
                     optimize=cfg.flag("gp", "optimize_hyper"), seed=seed)
     save_gp(out / "gp.gpm", models, dt=train.dt, sensor=train.sensor)
-    return [], None
+    fits = {axis: model.hyper_fit for axis, model in zip("xy", models) if model.hyper_fit}
+    history = [(axis, step, loss) for axis, fit in fits.items() for step, loss in fit.history]
+    if not fits:  # the hyperparameters were given, not fitted
+        return history, {"stopped_early": None, "hyper_fallback": None}
+    return history, {"stopped_early": {axis: fit.stopped for axis, fit in fits.items()},
+                     "hyper_fallback": {axis: fit.fell_back for axis, fit in fits.items()}}
 
 
 def _train_imm(cfg: ExperimentConfig, train: Dataset, out: Path, seed: int):
@@ -216,7 +221,7 @@ def _train_imm(cfg: ExperimentConfig, train: Dataset, out: Path, seed: int):
                                          steps=cfg.inum("imm", "steps"), lr=cfg.fnum("imm", "lr"),
                                          seed=seed, cfg=imm_cfg)
     save_imm(out / "imm.txt", params, dt=train.dt, sensor=train.sensor)
-    return history, stopped
+    return history, {"stopped_early": stopped}
 
 
 def _train_mkf(cfg: ExperimentConfig, train: Dataset, out: Path, seed: int):
@@ -240,10 +245,20 @@ def _train_mkf(cfg: ExperimentConfig, train: Dataset, out: Path, seed: int):
                                           iterations=cfg.inum("mkf", "iterations"),
                                           lr=cfg.fnum("mkf", "lr"), seed=seed, cfg=mkf_cfg)
     save_mkf(out / "mkf.npz", weights, dt=train.dt, sensor=train.sensor)
-    return history, stopped
+    return history, {"stopped_early": stopped}
 
 
 def cmd_train(args) -> int:
+    """Train one method into --out: its model file, loss_history.csv and a manifest.
+
+    loss_history.csv has one row per training step, "iter,loss" for imm and
+    mkf.  The GP fits each axis apart, so its rows are "axis,iter,loss", every
+    x row before every y row, and none when its hyperparameters are not fitted.
+    The manifest's stopped_early is None after every step ran, else
+    ad.minimize's {"step", "reason"}.  For the GP it is {axis: that} per axis,
+    and hyper_fallback is {axis: whether the axis kept the configured
+    hyperparameters}; both are None when the GP is not fitted.
+    """
     cfg = ExperimentConfig.load(args.config)
     if args.method not in ("gp", "imm", "mkf"):
         raise ConfigError(f"--method must be gp, imm or mkf, got {args.method!r}")
@@ -255,21 +270,23 @@ def cmd_train(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     train = _load_split(cfg, args, "train")
     started = time.time()
-    history, stopped = {"gp": _train_gp, "imm": _train_imm, "mkf": _train_mkf}[args.method](
+    history, fields = {"gp": _train_gp, "imm": _train_imm, "mkf": _train_mkf}[args.method](
         cfg, train, out, args.seed
     )
     wallclock = time.time() - started
     with (out / "loss_history.csv").open("w") as fh:
-        fh.write("iter,loss\n")
-        for step, loss in history:
-            fh.write(f"{step},{loss:.17g}\n")
+        fh.write("axis,iter,loss\n" if args.method == "gp" else "iter,loss\n")
+        for *keys, loss in history:
+            fh.write(",".join(map(str, keys)) + f",{loss:.17g}\n")
     data_root = _dataset_dir(cfg, args)
     inputs = {str(data_root): _sha256(data_root / "manifest.json")}
-    _write_manifest(out, command, cfg, args.seed, inputs, wallclock,
-                    stopped_early=stopped)
-    if stopped:
-        print(f"train {args.method}: stopped early at training step {stopped['step']}: "
-              f"{stopped['reason']}")
+    _write_manifest(out, command, cfg, args.seed, inputs, wallclock, **fields)
+    stopped = fields["stopped_early"]
+    for axis, stop in (stopped if args.method == "gp" and stopped else {"": stopped}).items():
+        if stop:
+            where = f" axis {axis}" if axis else ""
+            print(f"train {args.method}:{where} stopped early at training step {stop['step']}: "
+                  f"{stop['reason']}")
     print(f"train {args.method}: wallclock {wallclock:.1f} s -> {out}")
     return 0
 

@@ -81,10 +81,21 @@ def kernel_matrix(a: np.ndarray, b: np.ndarray, hyper: GpHyper, sq=None) -> np.n
     return arg
 
 
-class GpModel:
-    """One fitted per-axis GP: cached Cholesky factor and solve vector."""
+@dataclass(frozen=True)
+class HyperFit:
+    """One axis's hyperparameter ascent (fit_hyper): what it returned, and how it went."""
+    hyper: GpHyper
+    history: list  # ad.minimize's (step, loss) rows
+    stopped: dict | None  # ad.minimize's early stop; None after every step ran
+    fell_back: bool  # hyper is hyper0: the ascent stopped or never improved on its first loss
 
-    def __init__(self, inputs: np.ndarray, outputs: np.ndarray, hyper: GpHyper):
+
+class GpModel:
+    """One fitted per-axis GP: cached Cholesky factor and solve vector.
+    hyper_fit is the ascent that chose hyper (None when hyper was given or loaded)."""
+
+    def __init__(self, inputs: np.ndarray, outputs: np.ndarray, hyper: GpHyper,
+                 hyper_fit: HyperFit | None = None):
         self.inputs = np.asarray(inputs, dtype=float)
         self.outputs = np.asarray(outputs, dtype=float).reshape(-1)
         if self.inputs.ndim != 2 or self.inputs.shape[1] != 2:
@@ -92,6 +103,7 @@ class GpModel:
         if len(self.inputs) != len(self.outputs):
             raise ValueError("inputs and outputs must align")
         self.hyper = hyper
+        self.hyper_fit = hyper_fit
         gram = kernel_matrix(self.inputs, self.inputs, hyper)
         gram[np.diag_indices_from(gram)] += hyper.noise_sq
         try:
@@ -175,10 +187,10 @@ def negative_lml(s0, l2, sv, sq: np.ndarray, y_col: np.ndarray):
 
 def fit_hyper(inputs: np.ndarray, outputs: np.ndarray, hyper0: GpHyper,
               steps: int = 200, lr: float = 1e-2, max_points: int = 400,
-              seed: int = 0) -> GpHyper:
+              seed: int = 0) -> HyperFit:
     """Refine hyperparameters by LML ascent (Adam on the log-parameters).
 
-    Returns the hyperparameters of the first step whose loss is least; falls
+    The fit's hyper is that of the first step whose loss is least; it falls
     back to hyper0 when the ascent fails to improve the objective or hits a
     numerical failure.
     """
@@ -202,14 +214,16 @@ def fit_hyper(inputs: np.ndarray, outputs: np.ndarray, hyper0: GpHyper,
     _, history, stopped = ad.minimize(record, {"rho": rho0}, GradientOptimizer(lr=lr).step, steps)
     losses = [loss for _, loss in history]
     if stopped or not losses or min(losses) >= losses[0]:
-        return hyper0
+        return HyperFit(hyper0, history, stopped, fell_back=True)
     s0, l2, sv = np.exp(rhos[losses.index(min(losses))])
-    return GpHyper(sigma0_sq=float(s0), length_sq=float(l2), noise_sq=float(sv))
+    return HyperFit(GpHyper(sigma0_sq=float(s0), length_sq=float(l2), noise_sq=float(sv)),
+                    history, stopped, fell_back=False)
 
 
 def gp_fit(tracklets, hyper0: GpHyper | None = None, max_pairs: int = 2000,
            optimize: bool = True, seed: int = 0) -> tuple[GpModel, GpModel]:
-    """Fit the per-axis velocity GPs from training tracklets.
+    """Fit the per-axis velocity GPs from training tracklets; with optimize,
+    each model's hyper_fit holds its axis's hyperparameter ascent.
 
     Training pairs beyond max_pairs are subsampled uniformly (the cubic
     factorization cost is on the caller otherwise).
@@ -223,12 +237,8 @@ def gp_fit(tracklets, hyper0: GpHyper | None = None, max_pairs: int = 2000,
     hyper0 = hyper0 or GpHyper()
     models = []
     for axis in range(2):
-        hyper = (
-            fit_hyper(inputs, outputs[:, axis], hyper0, seed=seed + axis)
-            if optimize
-            else hyper0
-        )
-        models.append(GpModel(inputs, outputs[:, axis], hyper))
+        fit = fit_hyper(inputs, outputs[:, axis], hyper0, seed=seed + axis) if optimize else None
+        models.append(GpModel(inputs, outputs[:, axis], fit.hyper if fit else hyper0, fit))
     return models[0], models[1]
 
 

@@ -4,9 +4,13 @@ import pytest
 from conftest import finite_difference
 import tracklearn.autodiff as ad
 from tracklearn.autodiff import GradientOptimizer, Var, clip_by_global_norm, pure
-from tracklearn.ekf import gaussian_nll, joseph_update
+from tracklearn.ekf import gaussian_nll, init_track, joseph_update
 from tracklearn.errors import NumericsError
+from tracklearn.gp import negative_lml, sq_distances
+from tracklearn.imm import ImmConfig, ImmGraph, default_params
 from tracklearn.mkf import init_weights, lstm_step
+from tracklearn.simulate import GctConfig, generate_gct, simulate_measurements
+from tracklearn.statespace import Measurement, SensorConfig
 
 
 @pytest.fixture(params=["pure"])
@@ -186,6 +190,80 @@ def test_domain_errors(make):
             if np.isfinite(rhs).all():  # the matrix itself is bad
                 with pytest.raises(NumericsError):
                     ad.logdet(s)
+
+
+def _count_factorizations(monkeypatch) -> list:
+    """The list of every matrix np.linalg.cholesky is given from now on."""
+    given = []
+    cholesky = np.linalg.cholesky
+
+    def counting(a):
+        given.append(a)
+        return cholesky(a)
+
+    monkeypatch.setattr(np.linalg, "cholesky", counting)
+    return given
+
+
+def _assert_each_factored_once(tape, given, n_spd):
+    """n_spd nodes hold a stored factor, and each was factored by one call."""
+    assert len(tape.factors) == n_spd
+    assert [id(a) for a in given] == [id(tape.values[i]) for i in tape.factors]
+
+
+def test_negative_lml_factors_its_gram_once(monkeypatch):
+    rng = np.random.default_rng(4)
+    inputs, y_col = rng.standard_normal((30, 2)), rng.standard_normal((30, 1))
+    given = _count_factorizations(monkeypatch)
+    tape = ad.make_tape()
+    s0, l2, sv = (ad.var(tape, v) for v in (1.3, 0.7, 0.05))
+    loss = negative_lml(s0, l2, sv, sq_distances(inputs, inputs), y_col)
+    ad.backward(loss)
+    _assert_each_factored_once(tape, given, 1)  # the gram, shared by cho_solve and logdet
+
+
+@pytest.mark.parametrize("likelihood, n_spd", [("mixture", 2), ("moment", 3)])
+def test_imm_step_factors_each_innovation_covariance_once(monkeypatch, likelihood, n_spd):
+    """Each mode's S feeds joseph_update's gain and gaussian_nll's solve and log
+    det; the moment likelihood adds the matched S, also solved and log-det'd."""
+    sensor = SensorConfig(origin=(0.0, 0.0), sigma_r=1.5, sigma_a=0.00523)
+    rng = np.random.default_rng(0)
+    trk = simulate_measurements(generate_gct(GctConfig(n_steps=3), rng), sensor, rng)
+    cfg = ImmConfig(likelihood=likelihood)
+    init = init_track(Measurement(0, *trk.meas[0]), Measurement(1, *trk.meas[1]), sensor, trk.dt)
+    graph = ImmGraph(default_params(sensor, cfg), init, trk.dt, sensor.origin, cfg, record=True)
+    given = _count_factorizations(monkeypatch)
+    graph.step(*trk.meas[2])
+    ad.backward(graph.loss())
+    _assert_each_factored_once(graph.tape, given, n_spd)
+
+
+def test_a_stored_factor_still_checks_the_next_operand():
+    spd = np.array([[4.0, 1.0], [1.0, 3.0]])
+    tape = ad.make_tape()
+    s = ad.var(tape, spd)
+    ad.logdet(s)  # stores s's factor
+    with pytest.raises(NumericsError, match="non-finite operand"):
+        ad.cho_solve(s, ad.var(tape, [[np.nan], [1.0]]))
+    x = ad.cho_solve(s, ad.var(tape, [[1.0], [2.0]]))
+    assert np.allclose(x.value, np.linalg.solve(spd, [[1.0], [2.0]]), rtol=1e-14)
+
+
+def test_a_failed_factorization_is_not_stored():
+    tape = ad.make_tape()
+    rhs = ad.var(tape, [[1.0], [1.0]])
+    indefinite = ad.var(tape, [[1.0, 2.0], [2.0, 1.0]])
+    for fn in (lambda: ad.cho_solve(indefinite, rhs), lambda: ad.logdet(indefinite),
+               lambda: ad.cho_solve(indefinite, rhs)):
+        with pytest.raises(NumericsError, match="not positive definite"):
+            fn()
+    # a first call refused for its rhs leaves the matrix unfactored, not poisoned
+    spd = ad.var(tape, [[2.0, 0.0], [0.0, 8.0]])
+    with pytest.raises(NumericsError, match="non-finite operand"):
+        ad.cho_solve(spd, ad.var(tape, [[np.inf], [1.0]]))
+    assert list(tape.factors) == []
+    assert ad.logdet(spd).value[0, 0] == pytest.approx(np.log(16.0), rel=1e-15)
+    assert list(tape.factors) == [spd.i]
 
 
 def test_mixed_tapes_rejected(make):

@@ -13,7 +13,9 @@ import pytest
 
 from conftest import write_config
 import tracklearn
+from tracklearn import gp
 from tracklearn.cli import main
+from tracklearn.errors import NumericsError
 
 TRAINED = {"gp": "gp.gpm", "imm": "imm.txt", "mkf": "mkf.npz"}
 # the GPS-like CSV path starts at the default sensor origin (0, 0)
@@ -247,6 +249,59 @@ def test_train_records_completion_in_the_manifest(gct_runs):
     for method in TRAINED:
         manifest = json.loads((root / "model" / method / "manifest.json").read_text())
         assert manifest["stopped_early"] is None
+
+
+def _train_gp(root, tmp_path):
+    """train --method gp with fitted hyperparameters; returns (exit code, out, manifest,
+    loss_history.csv rows split at the commas)."""
+    cfg = experiment(tmp_path / "exp.ini", root, {("gp", "optimize_hyper"): "true"})
+    out = tmp_path / "gp"
+    code = main(["train", "--config", str(cfg), "--out", str(out),
+                 "--data", str(root / "data"), "--method", "gp", "--seed", "7"])
+    manifest = json.loads((out / "manifest.json").read_text())
+    rows = [line.split(",") for line in (out / "loss_history.csv").read_text().splitlines()]
+    return code, out, manifest, rows
+
+
+def test_train_gp_records_each_axis_ascent(gct_runs, tmp_path):
+    root, _ = gct_runs[0]
+    unfitted = root / "model" / "gp"
+    assert json.loads((unfitted / "manifest.json").read_text())["hyper_fallback"] is None
+    assert (unfitted / "loss_history.csv").read_text() == "axis,iter,loss\n"
+
+    code, out, manifest, rows = _train_gp(root, tmp_path)
+    assert code == 0
+    assert manifest["stopped_early"] == {"x": None, "y": None}
+    assert manifest["hyper_fallback"] == {"x": False, "y": False}
+    assert rows[0] == ["axis", "iter", "loss"]
+    assert [(axis, int(step)) for axis, step, _ in rows[1:]] == [
+        (axis, step) for axis in "xy" for step in range(200)]
+    assert all(np.isfinite(float(loss)) for *_, loss in rows[1:])
+
+
+def test_train_gp_says_which_axis_stopped_and_fell_back(gct_runs, tmp_path, capsys, monkeypatch):
+    root, _ = gct_runs[0]
+    calls = []
+    negative_lml = gp.negative_lml
+
+    def failing_fourth_call(*args):  # the x axis's step 3
+        calls.append(None)
+        if len(calls) == 4:
+            raise NumericsError("matrix is not positive definite")
+        return negative_lml(*args)
+
+    monkeypatch.setattr(gp, "negative_lml", failing_fourth_call)
+    code, out, manifest, rows = _train_gp(root, tmp_path)
+    assert code == 0
+    reason = "matrix is not positive definite"
+    assert manifest["stopped_early"] == {"x": {"step": 3, "reason": reason}, "y": None}
+    assert manifest["hyper_fallback"] == {"x": True, "y": False}
+    assert [(axis, int(step)) for axis, step, _ in rows[1:]] == (
+        [("x", step) for step in range(3)] + [("y", step) for step in range(200)])
+    (mx, my), _, _ = gp.load_gp(out / "gp.gpm")
+    assert mx.hyper == gp.GpHyper(1.0, 1.0, 0.01) != my.hyper  # the configured hyperparameters
+    assert f"train gp: axis x stopped early at training step 3: {reason}" in (
+        capsys.readouterr().out.splitlines())
 
 
 @pytest.mark.parametrize("method", ["imm", "mkf"])
