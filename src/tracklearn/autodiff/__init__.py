@@ -1,7 +1,9 @@
 """Reverse-mode autodiff over small dense matrices, on one numpy tape.
 
-make_tape() returns a fresh PyTape; var and const record leaves on it, and
-the functional layer in api.py records every other operation.
+make_tape() returns a fresh PyTape; var and const record rule-less leaves on
+it, and the functional layer in api.py records every other operation, each
+node with a reference to its backward rule, written beside its forward
+expression.
 
 The same functions also run on plain float64 arrays: given no Var
 operand, a function returns at once, without a tape, the value the tape

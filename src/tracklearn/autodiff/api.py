@@ -7,6 +7,9 @@ value is returned at once, with no tape.  The operand's type is the only
 switch.  Var and ndarray share + - * / @ with the same values, so a model
 written against this layer filters on arrays and trains on a tape.
 
+Each node carries its backward rule (its signature is in PyTape's docstring),
+a module-level function written beside the forward expression.
+
 Arrays may be stacks with a leading batch axis, (B, r, c): every function
 acts on the last two axes and broadcasts a 2-D operand against a stack, as
 JAX vmap does (Bradbury et al., 2018).
@@ -15,13 +18,30 @@ JAX vmap does (Bradbury et al., 2018).
 from __future__ import annotations
 
 import numpy as np
+from scipy.linalg.blas import dtrsm
 
 from ..errors import NumericsError, row_prefix
-from .pure import (
-    ABS, ADD, ADDC, ATAN2, CHO_SOLVE, COS, DIV, EMBED, EXP, LOG, LOGDET, MATMUL, MUL, MULC,
-    NEG, SCALE_TMPL, SDIV, SIGMOID, SIN, SLICE, SMUL, SQRT, SUB, SUM, TANH, TRANSPOSE,
-    PyTape, as_matrix, potrs,
-)
+from .pure import PyTape, as_matrix, potrs
+
+
+# the rules of Var's operators
+def _add_back(g, vals, i, a, b, aux): return g, g
+def _sub_back(g, vals, i, a, b, aux): return g, -g
+def _neg_back(g, vals, i, a, b, aux): return -g, None
+def _addc_back(g, vals, i, a, b, aux): return g, None
+def _mulc_back(g, vals, i, a, b, aux): return g * aux, None
+def _mul_back(g, vals, i, a, b, aux): return g * vals[b], g * vals[a]
+def _div_back(g, vals, i, a, b, aux): return g / vals[b], -g * vals[i] / vals[b]
+def _matmul_back(g, vals, i, a, b, aux): return g @ vals[b].T, vals[a].T @ g
+
+
+def _smul_back(g, vals, i, a, b, aux):  # a: 1x1 scalar, b: matrix
+    return np.array([[np.sum(g * vals[b])]]), vals[a][0, 0] * g
+
+
+def _sdiv_back(g, vals, i, a, b, aux):  # a: matrix, b: 1x1 scalar
+    s = vals[b][0, 0]
+    return g / s, np.array([[-np.sum(g * vals[i]) / s]])
 
 
 class Var:
@@ -52,8 +72,8 @@ class Var:
     def T(self) -> "Var":
         return transpose(self)
 
-    def _push(self, opcode: int, b: int, aux, value: np.ndarray) -> "Var":
-        return Var(self.tape, self.tape.push(opcode, self.i, b, aux, value))
+    def _push(self, value: np.ndarray, back, b: int = -1, aux=None) -> "Var":
+        return Var(self.tape, self.tape.push(value, back, self.i, b, aux))
 
     def _coerce(self, other) -> "Var":
         if isinstance(other, Var):
@@ -68,9 +88,9 @@ class Var:
         vals = self.tape.values
         if isinstance(other, (int, float)):
             c = float(other)
-            return self._push(ADDC, -1, c, vals[self.i] + c)
+            return self._push(vals[self.i] + c, _addc_back)
         other = self._coerce(other)
-        return self._push(ADD, other.i, None, vals[self.i] + vals[other.i])
+        return self._push(vals[self.i] + vals[other.i], _add_back, other.i)
 
     __radd__ = __add__
 
@@ -78,33 +98,33 @@ class Var:
         vals = self.tape.values
         if isinstance(other, (int, float)):
             c = float(other)
-            return self._push(ADDC, -1, -c, vals[self.i] - c)
+            return self._push(vals[self.i] - c, _addc_back)
         other = self._coerce(other)
-        return self._push(SUB, other.i, None, vals[self.i] - vals[other.i])
+        return self._push(vals[self.i] - vals[other.i], _sub_back, other.i)
 
     def __rsub__(self, other):
         if isinstance(other, (int, float)):
             c = float(other)
-            return (-self)._push(ADDC, -1, c, c - self.value)
+            return (-self)._push(c - self.value, _addc_back)
         return NotImplemented
 
     def __neg__(self):
-        return self._push(NEG, -1, None, -self.value)
+        return self._push(-self.value, _neg_back)
 
     def __mul__(self, other):
         vals = self.tape.values
         a = vals[self.i]
         if isinstance(other, (int, float)):
             c = float(other)
-            return self._push(MULC, -1, c, a * c)
+            return self._push(a * c, _mulc_back, aux=c)
         other = self._coerce(other)
         b = vals[other.i]
         if a.shape == b.shape:
-            return self._push(MUL, other.i, None, a * b)
+            return self._push(a * b, _mul_back, other.i)
         if a.shape == (1, 1):
-            return self._push(SMUL, other.i, None, a * b)
+            return self._push(a * b, _smul_back, other.i)
         if b.shape == (1, 1):
-            return other._push(SMUL, self.i, None, a * b)
+            return other._push(a * b, _smul_back, self.i)
         raise ValueError(f"shape mismatch in mul: {a.shape} vs {b.shape}")
 
     __rmul__ = __mul__
@@ -114,26 +134,26 @@ class Var:
         a = vals[self.i]
         if isinstance(other, (int, float)):
             c = float(other)
-            return self._push(MULC, -1, 1.0 / c, a / c)
+            return self._push(a / c, _mulc_back, aux=1.0 / c)
         other = self._coerce(other)
         b = vals[other.i]
         if a.shape == b.shape:
-            return self._push(DIV, other.i, None, a / b)
+            return self._push(a / b, _div_back, other.i)
         if b.shape == (1, 1):
-            return self._push(SDIV, other.i, None, a / b)
+            return self._push(a / b, _sdiv_back, other.i)
         raise ValueError(f"shape mismatch in div: {a.shape} vs {b.shape}")
 
     def __rtruediv__(self, other):
         if isinstance(other, (int, float)):
             c = float(other)
             num = self.tape.const(np.full_like(self.value, c))
-            return Var(self.tape, self.tape.push(DIV, num, self.i, None, c / self.value))
+            return Var(self.tape, self.tape.push(c / self.value, _div_back, num, self.i))
         return NotImplemented
 
     def __matmul__(self, other):
         other = self._coerce(other)
         vals = self.tape.values
-        return self._push(MATMUL, other.i, None, vals[self.i] @ vals[other.i])
+        return self._push(vals[self.i] @ vals[other.i], _matmul_back, other.i)
 
 
 def make_tape() -> PyTape:
@@ -147,7 +167,7 @@ def var(tape, value) -> Var:
 
 
 def const(tape, value) -> Var:
-    """New constant node (no gradient accumulated into it)."""
+    """New constant node: backward stops at it, but still stores its gradient."""
     return Var(tape, tape.const(value))
 
 
@@ -175,17 +195,14 @@ def value_of(x) -> np.ndarray:
     return x.tape.values[x.i] if isinstance(x, Var) else x
 
 
-def _record(x, opcode: int, aux, value: np.ndarray, other=None):
+def _record(x, value: np.ndarray, back, aux=None, other=None):
     """value as a node on x's tape when x is a Var (other, if given, is the
     second operand); value itself when the operands are arrays."""
     if isinstance(x, Var):
-        return x._push(opcode, -1 if other is None else x._coerce(other).i, aux, value)
+        return x._push(value, back, -1 if other is None else x._coerce(other).i, aux)
     if isinstance(other, Var):
         raise TypeError("cannot mix a Var with an array operand")
     return value
-
-
-# -- forward expressions --------------------------------------------------------
 
 
 def _log(v: np.ndarray) -> np.ndarray:
@@ -255,29 +272,44 @@ def _factor(spd, *operands) -> np.ndarray:
     return low
 
 
-def _unary(opcode: int, forward):
+def _unary(forward, grad):
+    """forward as a tape function whose rule is grad(g, x, y), y = forward(x)."""
+    def back(g, vals, i, a, b, aux):
+        return grad(g, vals[a], vals[i]), None
+
     def fn(v):
         if isinstance(v, Var):
-            return v._push(opcode, -1, None, forward(v.tape.values[v.i]))
+            return v._push(forward(v.tape.values[v.i]), back)
         return forward(v)
 
     return fn
 
 
-exp = _unary(EXP, np.exp)
-log = _unary(LOG, _log)
-tanh = _unary(TANH, np.tanh)
-sigmoid = _unary(SIGMOID, _logistic)
-sqrt = _unary(SQRT, _sqrt)
-sin = _unary(SIN, np.sin)
-cos = _unary(COS, np.cos)
-absval = _unary(ABS, np.abs)
-transpose = _unary(TRANSPOSE, _transpose)
-vsum = _unary(SUM, _vsum)
+exp = _unary(np.exp, lambda g, x, y: g * y)
+log = _unary(_log, lambda g, x, y: g / x)
+tanh = _unary(np.tanh, lambda g, x, y: g * (1.0 - y ** 2))
+sigmoid = _unary(_logistic, lambda g, x, y: g * y * (1.0 - y))
+sqrt = _unary(_sqrt, lambda g, x, y: g * 0.5 / y)
+sin = _unary(np.sin, lambda g, x, y: g * np.cos(x))
+cos = _unary(np.cos, lambda g, x, y: -g * np.sin(x))
+absval = _unary(np.abs, lambda g, x, y: g * np.sign(x))
+transpose = _unary(_transpose, lambda g, x, y: np.ascontiguousarray(g.T))
+vsum = _unary(_vsum, lambda g, x, y: np.full_like(x, g[0, 0]))
+
+
+def _atan2_back(g, vals, i, a, b, aux):
+    denom = vals[a] ** 2 + vals[b] ** 2
+    return g * vals[b] / denom, -g * vals[a] / denom
 
 
 def atan2(a, b):
-    return _record(a, ATAN2, None, np.arctan2(value_of(a), value_of(b)), b)
+    return _record(a, np.arctan2(value_of(a), value_of(b)), _atan2_back, other=b)
+
+
+def _cho_solve_back(g, vals, i, rhs, spd, aux):
+    low, sol = aux
+    g_rhs = potrs(low, g)
+    return g_rhs, -g_rhs @ sol.T
 
 
 def cho_solve(spd, rhs):
@@ -286,7 +318,15 @@ def cho_solve(spd, rhs):
     rhs_v = value_of(rhs)
     low = _factor(spd, rhs_v)
     sol = potrs(low, rhs_v)
-    return _record(spd, CHO_SOLVE, [low, sol], sol, rhs)
+    return _record(rhs, sol, _cho_solve_back, (low, sol), spd)
+
+
+def _logdet_back(g, vals, i, a, b, low):
+    # d log det S = S^-1 = L^-T L^-1, with L^-1 by one triangular solve: half
+    # the flops of an LU inverse, and the same bits at any BLAS thread count
+    # (LAPACK's dtrtri and dpotri are not)
+    inv_low = dtrsm(1.0, low, np.eye(len(low)), lower=1)
+    return g[0, 0] * (inv_low.T @ inv_low), None
 
 
 def logdet(spd):
@@ -294,12 +334,19 @@ def logdet(spd):
     (shared with cho_solve on a tape)."""
     low = _factor(spd)
     log_diag = np.log(np.diagonal(low, axis1=-2, axis2=-1))
-    return _record(spd, LOGDET, [low], (2.0 * log_diag.sum(axis=-1))[..., None, None])
+    return _record(spd, (2.0 * log_diag.sum(axis=-1))[..., None, None], _logdet_back, low)
+
+
+def _block_back(g, vals, i, a, b, aux):
+    r0, r1, c0, c1 = aux
+    ga = np.zeros_like(vals[a])
+    ga[r0:r1, c0:c1] = g
+    return ga, None
 
 
 def block(v, r0: int, r1: int, c0: int, c1: int):
-    return _record(v, SLICE, (r0, r1, c0, c1),
-                   np.ascontiguousarray(value_of(v)[..., r0:r1, c0:c1]))
+    return _record(v, np.ascontiguousarray(value_of(v)[..., r0:r1, c0:c1]), _block_back,
+                   (r0, r1, c0, c1))
 
 
 def cols(v, c0: int, c1: int):
@@ -310,17 +357,27 @@ def item(v, r: int, c: int):
     return block(v, r, r + 1, c, c + 1)
 
 
+def _scale_template_back(g, vals, i, a, b, tmpl):
+    return np.array([[np.sum(g * tmpl)]]), None
+
+
 def scale_template(s, template):
     """1x1 s times a constant matrix template."""
     tmpl = as_matrix(template)
-    return _record(s, SCALE_TMPL, tmpl, value_of(s) * tmpl)
+    return _record(s, value_of(s) * tmpl, _scale_template_back, tmpl)
+
+
+def _embed_back(g, vals, i, a, b, aux):
+    r0, c0 = aux
+    ra, ca = vals[a].shape
+    return np.ascontiguousarray(g[r0 : r0 + ra, c0 : c0 + ca]), None
 
 
 def _embed(v, rows_n: int, cols_n: int, r0: int, c0: int):
     src = value_of(v)
     val = np.zeros(src.shape[:-2] + (rows_n, cols_n))
     val[..., r0 : r0 + src.shape[-2], c0 : c0 + src.shape[-1]] = src
-    return _record(v, EMBED, (rows_n, cols_n, r0, c0), val)
+    return _record(v, val, _embed_back, (r0, c0))
 
 
 def concat_rows(parts: list):

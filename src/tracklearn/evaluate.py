@@ -72,8 +72,8 @@ def relative_score(avg_rmse: float, records: list[RunRecord]) -> float:
 def rmse_series(records: list[RunRecord], phase: str) -> np.ndarray:
     """Per-step RMSE with a 2-sigma band; returns (T, 3) columns rmse, lo, hi.
 
-    The band is a delta-method 2-sigma interval on the per-step RMSE from
-    the across-tracklet spread of squared errors.
+    The band is sqrt(mean_sq -/+ 2 se), where mean_sq is the per-step mean
+    squared error and se its standard error across tracklets.
     """
     if not records:
         raise ValueError("no records")
@@ -84,7 +84,6 @@ def rmse_series(records: list[RunRecord], phase: str) -> np.ndarray:
     rmse = np.sqrt(mean_sq)
     if n > 1:
         se_mean_sq = sq.std(axis=0, ddof=1) / np.sqrt(n)
-        half = np.divide(se_mean_sq, np.maximum(rmse, 1e-300))  # d sqrt(m) = dm / (2 sqrt(m))
         lo = np.sqrt(np.maximum(mean_sq - 2.0 * se_mean_sq, 0.0))
         hi = np.sqrt(mean_sq + 2.0 * se_mean_sq)
     else:

@@ -133,7 +133,7 @@ def lstm_step(weights: dict, h, c, x):
 
 
 def mkf_predict(prior: StateEstimate, state: tuple, w: LstmWeights, dt: float,
-                q_reg: np.ndarray | float = 1e-2):
+                q_reg: float = 1e-2):
     """One network prediction step from the posterior state.
 
     state is the LSTM's (h, c).  The network ingests the posterior velocity
@@ -146,9 +146,8 @@ def mkf_predict(prior: StateEstimate, state: tuple, w: LstmWeights, dt: float,
     v_phys = v_nn[..., 0, :] * w.input_scale
     c_phys = c_nn * w.input_scale
     mean = np.concatenate([prior.position + dt * v_phys, v_phys], axis=-1)
-    q_mat = np.eye(4) * q_reg if np.isscalar(q_reg) else np.asarray(q_reg)
     vel_cov = c_phys @ c_phys.swapaxes(-1, -2)
-    cov = prior.cov + VEL_PROJECTION.T @ vel_cov @ VEL_PROJECTION + q_mat
+    cov = prior.cov + VEL_PROJECTION.T @ vel_cov @ VEL_PROJECTION + np.eye(4) * q_reg
     pred = StateEstimate(mean=mean, cov=0.5 * (cov + cov.swapaxes(-1, -2)), t=prior.t + 1)
     return pred, (h, c)
 

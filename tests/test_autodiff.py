@@ -3,7 +3,7 @@ import pytest
 
 from conftest import finite_difference
 import tracklearn.autodiff as ad
-from tracklearn.autodiff import GradientOptimizer, Var, clip_by_global_norm, pure
+from tracklearn.autodiff import GradientOptimizer, Var, clip_by_global_norm
 from tracklearn.ekf import gaussian_nll, init_track, joseph_update
 from tracklearn.errors import NumericsError
 from tracklearn.gp import negative_lml, sq_distances
@@ -126,6 +126,47 @@ def test_binary_and_matrix_gradients_match_fd(make):
     fd = finite_difference(f, theta0)
     grad = np.concatenate([a.grad.ravel(), b.grad.ravel()])
     assert np.allclose(grad, fd, rtol=1e-6, atol=1e-8)
+
+
+# each arithmetic rule on its own: x, y are 2x3, s is 1x1, c is a float
+ARITHMETIC = {
+    "sub": lambda x, y, s: x - y,
+    "neg": lambda x, y, s: -x,
+    "div": lambda x, y, s: x / y,
+    "div_by_1x1": lambda x, y, s: x / s,
+    "1x1_mul": lambda x, y, s: s * x,
+    "mul_1x1": lambda x, y, s: x * s,
+    "const_sub": lambda x, y, s: 2.5 - x,
+    "const_div": lambda x, y, s: 2.5 / x,
+    "div_const": lambda x, y, s: x / 2.5,
+    "mul_const": lambda x, y, s: x * 2.5,
+    "const_mul": lambda x, y, s: 2.5 * x,
+    "add_const": lambda x, y, s: x + 2.5,
+    "const_add": lambda x, y, s: 2.5 + x,
+    "scale_template": lambda x, y, s: ad.scale_template(s, [[1.0, -2.0], [0.5, 3.0]]),
+    "concat_rows_unequal": lambda x, y, s: ad.concat_rows([ad.block(x, 1, 2, 0, 3), y]),
+}
+
+
+@pytest.mark.parametrize("name", list(ARITHMETIC))
+def test_arithmetic_gradients_match_fd(name):
+    fn = ARITHMETIC[name]
+    rng = np.random.default_rng(9)
+    x0 = rng.uniform(0.5, 2.0, (2, 3))
+    y0 = rng.uniform(0.5, 2.0, (2, 3))
+    s0 = np.array([[1.7]])
+
+    def f(theta):
+        out = fn(theta[:6].reshape(2, 3), theta[6:12].reshape(2, 3), theta[12:].reshape(1, 1))
+        return float(np.sum(out * out))
+
+    tape = ad.make_tape()
+    leaves = [ad.var(tape, v) for v in (x0, y0, s0)]
+    out = fn(*leaves)
+    ad.backward(ad.vsum(out * out))
+    theta0 = np.concatenate([x0.ravel(), y0.ravel(), s0.ravel()])
+    grad = np.concatenate([leaf.grad.ravel() for leaf in leaves])
+    assert np.allclose(grad, finite_difference(f, theta0), rtol=1e-6, atol=1e-8)
 
 
 def test_cho_solve_gradient_matches_fd(make):
@@ -306,12 +347,14 @@ def test_shared_gradients_are_not_written_in_place(make):
 def test_gradient_of_the_wrong_shape_raises(make):
     tape = make()
     x = ad.var(tape, np.ones((2, 3)))
-    # a transpose recorded with an untransposed value: its backward gives a
-    # (3, 2) gradient to the (2, 3) leaf
-    t = tape.push(pure.TRANSPOSE, x.i, -1, None, np.ones((2, 3)))
-    root = tape.push(pure.SUM, t, -1, None, np.array([[6.0]]))
+    # a transpose rule recorded over an untransposed value: it gives a (3, 2)
+    # gradient to the (2, 3) leaf
+    def transpose_back(g, vals, i, a, b, aux):
+        return np.ascontiguousarray(g.T), None
+
+    t = Var(tape, tape.push(np.ones((2, 3)), transpose_back, x.i))
     with pytest.raises(ValueError):
-        tape.backward(root)
+        ad.backward(ad.vsum(t))
 
 
 def test_unreachable_nodes_have_zero_gradient(make):

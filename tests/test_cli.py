@@ -304,6 +304,7 @@ def test_train_gp_says_which_axis_stopped_and_fell_back(gct_runs, tmp_path, caps
         capsys.readouterr().out.splitlines())
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # diverges on purpose
 @pytest.mark.parametrize("method", ["imm", "mkf"])
 def test_train_says_when_it_stopped_early(gct_runs, tmp_path, capsys, method):
     root, _ = gct_runs[0]

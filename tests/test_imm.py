@@ -259,6 +259,7 @@ def test_train_zero_steps_returns_input():
     assert stopped is None
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # diverges on purpose
 def test_divergent_training_returns_the_last_parameters_with_a_finite_loss(tmp_path):
     trk = gct_tracklet(seed=7, n_steps=12)
     cfg = ImmConfig()

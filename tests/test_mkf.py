@@ -231,6 +231,7 @@ def test_train_zero_iterations_returns_input():
     assert stopped is None
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # diverges on purpose
 def test_divergent_training_returns_the_last_weights_with_a_finite_loss():
     trk = simulate_measurements(
         generate_gct(GctConfig(n_steps=15), np.random.default_rng(1)),
