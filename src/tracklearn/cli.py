@@ -50,6 +50,13 @@ def _hash_tree(root: Path) -> dict:
     }
 
 
+def _hash_split(directory: Path) -> str:
+    """SHA-256 of a dataset split's sha256sum-style listing ("<hash>  <name>"
+    per file, in name order): two splits of the same CSV bytes hash alike."""
+    listing = "".join(f"{digest}  {name}\n" for name, digest in _hash_tree(directory).items())
+    return hashlib.sha256(listing.encode()).hexdigest()
+
+
 def _openblas(package: str, pattern: str):
     """The OpenBLAS library that an installed package bundles, or None."""
     libs = Path(importlib.import_module(package).__file__).parents[1] / f"{package}.libs"
@@ -135,13 +142,16 @@ def _dataset_dir(cfg: ExperimentConfig, args) -> Path:
     return Path(path)
 
 
-def _load_split(cfg: ExperimentConfig, args, role: str) -> Dataset:
+def _load_split(cfg: ExperimentConfig, args, role: str) -> tuple[Dataset, dict]:
+    """The dataset's split role ("train" or "test"), and the manifest inputs
+    entry {split directory: _hash_split of it} that identifies it by content."""
     root = _dataset_dir(cfg, args)
     manifest = _load_manifest(root)
     stored_sensor = ExperimentConfig(manifest["config"]).sensor()
     _check_sensor_match(cfg.sensor(), stored_sensor, "the experiment config")
     dt = float(manifest["config"]["dataset"]["dt"])
-    return load_dataset(root / role, stored_sensor, dt=dt, role=role)
+    split = load_dataset(root / role, stored_sensor, dt=dt, role=role)
+    return split, {str(root / role): _hash_split(root / role)}
 
 
 # -- subcommands -----------------------------------------------------------------
@@ -189,15 +199,13 @@ def cmd_simulate(args) -> int:
 
 
 def _train_gp(cfg: ExperimentConfig, train: Dataset, out: Path, seed: int):
-    n_sub = _at_least(cfg, "gp", "n_train_tracklets", 0)
-    tracklets = train.tracklets[:n_sub] if n_sub else train.tracklets
     hyper0 = build(
         "gp", GpHyper,
         sigma0_sq=cfg.fnum("gp", "sigma0_sq"),
         length_sq=cfg.fnum("gp", "length_sq"),
         noise_sq=cfg.fnum("gp", "noise_sq"),
     )
-    models = gp_fit(tracklets, hyper0, max_pairs=cfg.inum("gp", "max_pairs"),
+    models = gp_fit(train.tracklets, hyper0, max_pairs=cfg.inum("gp", "max_pairs"),
                     optimize=cfg.flag("gp", "optimize_hyper"), seed=seed)
     save_gp(out / "gp.gpm", models, dt=train.dt, sensor=train.sensor)
     fits = {axis: model.hyper_fit for axis, model in zip("xy", models) if model.hyper_fit}
@@ -212,7 +220,6 @@ def _train_imm(cfg: ExperimentConfig, train: Dataset, out: Path, seed: int):
     imm_cfg = build(
         "imm", ImmConfig,
         modes=tuple(m.strip() for m in cfg.text("imm", "modes").split(",")),
-        likelihood=cfg.text("imm", "likelihood"),
         train_r=cfg.flag("imm", "train_r"),
     )
     params0 = build("imm", default_params, sensor=train.sensor, cfg=imm_cfg,
@@ -233,14 +240,8 @@ def _train_mkf(cfg: ExperimentConfig, train: Dataset, out: Path, seed: int):
         loss=cfg.text("mkf", "loss"),
         clip_norm=cfg.fnum("mkf", "clip_norm"),
     )
-    scale_text = cfg.text("mkf", "input_scale")
-    scale = (
-        input_scale_from(train.tracklets, train.sensor)
-        if scale_text == "auto"
-        else cfg.fnum("mkf", "input_scale")
-    )
-    w0 = build("mkf", init_weights, seed=seed, hidden=mkf_cfg.hidden, dense=mkf_cfg.dense,
-               input_scale=scale)
+    w0 = init_weights(seed=seed, hidden=mkf_cfg.hidden, dense=mkf_cfg.dense,
+                      input_scale=input_scale_from(train.tracklets, train.sensor))
     weights, history, stopped = train_mkf(w0, train.tracklets, train.sensor,
                                           iterations=cfg.inum("mkf", "iterations"),
                                           lr=cfg.fnum("mkf", "lr"), seed=seed, cfg=mkf_cfg)
@@ -257,7 +258,8 @@ def cmd_train(args) -> int:
     The manifest's stopped_early is None after every step ran, else
     ad.minimize's {"step", "reason"}.  For the GP it is {axis: that} per axis,
     and hyper_fallback is {axis: whether the axis kept the configured
-    hyperparameters}; both are None when the GP is not fitted.
+    hyperparameters}; both are None when the GP is not fitted.  The manifest's
+    inputs identify the train split by content (_hash_split).
     """
     cfg = ExperimentConfig.load(args.config)
     if args.method not in ("gp", "imm", "mkf"):
@@ -268,7 +270,7 @@ def cmd_train(args) -> int:
         raise ConfigError(f"--out {out} holds the outputs of '{previous}'; "
                           f"give {command} a directory of its own")
     out.mkdir(parents=True, exist_ok=True)
-    train = _load_split(cfg, args, "train")
+    train, inputs = _load_split(cfg, args, "train")
     started = time.time()
     history, fields = {"gp": _train_gp, "imm": _train_imm, "mkf": _train_mkf}[args.method](
         cfg, train, out, args.seed
@@ -278,8 +280,6 @@ def cmd_train(args) -> int:
         fh.write("axis,iter,loss\n" if args.method == "gp" else "iter,loss\n")
         for *keys, loss in history:
             fh.write(",".join(map(str, keys)) + f",{loss:.17g}\n")
-    data_root = _dataset_dir(cfg, args)
-    inputs = {str(data_root): _sha256(data_root / "manifest.json")}
     _write_manifest(out, command, cfg, args.seed, inputs, wallclock, **fields)
     stopped = fields["stopped_early"]
     for axis, stop in (stopped if args.method == "gp" and stopped else {"": stopped}).items():
@@ -320,13 +320,12 @@ def cmd_evaluate(args) -> int:
     cfg = ExperimentConfig.load(args.config)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    test = _load_split(cfg, args, "test")
+    test, inputs = _load_split(cfg, args, "test")
     methods = [m.strip() for m in (args.method or "ekf,gp,imm,mkf").split(",")]
     for m in methods:
         if m not in METHODS:
             raise ConfigError(f"unknown method {m!r}")
     started = time.time()
-    inputs = {}
     per_method = {}
     failures = {}
     for method in methods:
@@ -352,22 +351,13 @@ def cmd_evaluate(args) -> int:
                     "gp", PfSettings,
                     n_particles=cfg.inum("gp", "n_particles"),
                     sigma_p=cfg.fnum("gp", "sigma_p"),
-                    resample=cfg.text("gp", "resample"),
-                    ess_fraction=cfg.fnum("gp", "ess_fraction"),
                 )
                 per_method["gp"] = run_gp_method(test, model, settings, seed=args.seed)
             elif method == "imm":
-                imm_cfg = build(
-                    "imm", ImmConfig,
-                    modes=model.modes,
-                    likelihood=cfg.text("imm", "likelihood"),
-                    train_r=cfg.flag("imm", "train_r"),
-                )
-                per_method["imm"] = run_imm_method(test, model, imm_cfg)
+                per_method["imm"] = run_imm_method(test, model, ImmConfig(modes=model.modes))
             elif method == "mkf":
-                mkf_cfg = build("mkf", MkfConfig, q_reg=cfg.fnum("mkf", "q_reg"),
-                                loss=cfg.text("mkf", "loss"))
-                per_method["mkf"] = run_mkf_method(test, model, mkf_cfg)
+                per_method["mkf"] = run_mkf_method(test, model,
+                                                   MkfConfig(q_reg=cfg.fnum("mkf", "q_reg")))
         except ConfigError:
             raise
         except Exception as exc:  # keep other methods alive, report at the end

@@ -1,9 +1,11 @@
 """Experiment configuration: one INI document per experiment.
 
-Sections: [dataset] (gct parameters or a csv path), [sensor], per-method
-sections [ekf], [gp], [imm], [mkf] with nested training keys, [output].
-Seeds are mandatory wherever randomness is consumed; every resolved value is
-materialized back into the run manifest so nothing depends on hidden
+Sections: [dataset] (gct parameters or a csv path, and the path of a
+simulated dataset), [sensor], one per method, [ekf], [gp], [imm] and [mkf],
+holding its filter's and its training's settings, and [models] (the trained
+model files evaluate reads).  A section or key not listed in _DEFAULTS is an
+error.  Seeds are mandatory wherever randomness is consumed; every resolved
+value is materialized back into the run manifest so nothing depends on hidden
 defaults.
 """
 
@@ -43,19 +45,15 @@ _DEFAULTS = {
     "ekf": {"q": "0.08"},
     "gp": {
         "max_pairs": "2000",
-        "n_train_tracklets": "0",  # 0 = all
         "optimize_hyper": "true",
         "sigma0_sq": "1.0",
         "length_sq": "1.0",
         "noise_sq": "0.01",
         "n_particles": "1000",
         "sigma_p": "0.5",
-        "resample": "systematic",
-        "ess_fraction": "0.5",
     },
     "imm": {
         "modes": "cv,ct",
-        "likelihood": "mixture",
         "train_r": "true",
         "init_q": "0.08",
         "init_omega": "0.1",
@@ -70,7 +68,6 @@ _DEFAULTS = {
         "clip_norm": "10.0",
         "iterations": "10000",
         "lr": "5e-4",
-        "input_scale": "auto",
     },
     "models": {"gp": "", "imm": "", "mkf": ""},
 }

@@ -8,11 +8,11 @@ velocity particles from the GP posterior and weighs positions against the
 range-bearing likelihood.  The filter steps one particle cloud, or a batch
 of B clouds (one per test tracklet) on a leading axis in lockstep; each
 cloud draws from its own random stream, in the order it would alone, and
-decides for itself when to reseed and when to resample.  Resampling leaves a
-cloud with runs of equal velocities side by side, and the GP posterior is
-predicted once per run (predict_axes) and spread back to its particles; the
-mean is still taken on the full-width kernel, whose summation order keeps
-the bits of predicting every particle.
+decides for itself when to reseed.  Every cloud is resampled at every step,
+which leaves it with runs of equal velocities side by side; the GP posterior
+is predicted once per run (predict_axes) and spread back to its particles.
+The mean is still taken on the full-width kernel, whose summation order
+keeps the bits of predicting every particle.
 """
 
 from __future__ import annotations
@@ -185,6 +185,15 @@ def negative_lml(s0, l2, sv, sq: np.ndarray, y_col: np.ndarray):
     return 0.5 * quad + 0.5 * ad.logdet(gram) + 0.5 * n_pts * LOG_2PI
 
 
+def _subsample(inputs: np.ndarray, outputs: np.ndarray, size: int, seed: int):
+    """(inputs, outputs) cut to size rows drawn uniformly, in their order; whole
+    when they have no more than size rows."""
+    if len(inputs) <= size:
+        return inputs, outputs
+    keep = np.sort(np.random.default_rng(seed).choice(len(inputs), size=size, replace=False))
+    return inputs[keep], outputs[keep]
+
+
 def fit_hyper(inputs: np.ndarray, outputs: np.ndarray, hyper0: GpHyper,
               steps: int = 200, lr: float = 1e-2, max_points: int = 400,
               seed: int = 0) -> HyperFit:
@@ -194,10 +203,7 @@ def fit_hyper(inputs: np.ndarray, outputs: np.ndarray, hyper0: GpHyper,
     back to hyper0 when the ascent fails to improve the objective or hits a
     numerical failure.
     """
-    n = len(inputs)
-    if n > max_points:
-        keep = np.sort(np.random.default_rng(seed).choice(n, size=max_points, replace=False))
-        inputs, outputs = inputs[keep], outputs[keep]
+    inputs, outputs = _subsample(inputs, outputs, max_points, seed)
     sq = sq_distances(inputs, inputs)
     y_col = outputs.reshape(-1, 1)
 
@@ -231,9 +237,7 @@ def gp_fit(tracklets, hyper0: GpHyper | None = None, max_pairs: int = 2000,
     inputs, outputs = velocity_pairs(tracklets)
     if len(inputs) < 2:
         raise ValueError("need at least 2 training pairs")
-    if len(inputs) > max_pairs:
-        keep = np.sort(np.random.default_rng(seed).choice(len(inputs), size=max_pairs, replace=False))
-        inputs, outputs = inputs[keep], outputs[keep]
+    inputs, outputs = _subsample(inputs, outputs, max_pairs, seed)
     hyper0 = hyper0 or GpHyper()
     models = []
     for axis in range(2):
@@ -326,11 +330,6 @@ class ParticleSet:
         """Particles per cloud."""
         return self.weights.shape[-1]
 
-    @property
-    def ess(self):
-        """Effective sample size, one per cloud of a batch."""
-        return 1.0 / np.sum(self.weights**2, axis=-1)
-
 
 def _draw(rng, draw, out, rows=True) -> np.ndarray:
     """out, with draw(generator, b) written into each row b of a batch where
@@ -356,18 +355,16 @@ def init_particles(est: StateEstimate, n_particles: int, rng) -> ParticleSet:
     return ParticleSet(positions=positions, velocities=velocities, weights=weights)
 
 
-def systematic_resample(weights: np.ndarray, rng, rows=True) -> np.ndarray:
-    """Particle indices systematic resampling keeps, per row of weights; a row
-    of a batch where rows is false draws nothing and keeps every particle."""
+def systematic_resample(weights: np.ndarray, rng) -> np.ndarray:
+    """Particle indices systematic resampling keeps, per row of weights."""
     m = weights.shape[-1]
-    anchors = (np.arange(m) + _draw(rng, lambda g, _: g.uniform(), np.zeros(weights.shape[:-1]),
-                                    rows)[..., None]) / m
+    anchors = (np.arange(m) + _draw(rng, lambda g, _: g.uniform(),
+                                    np.zeros(weights.shape[:-1]))[..., None]) / m
     # np.searchsorted(cumsum, anchors) on every row at once: the count of
     # cumulative weights a stable merge puts before each anchor (ties after it)
     is_cum = np.argsort(np.concatenate([anchors, np.cumsum(weights, axis=-1)], axis=-1),
                         axis=-1, kind="stable") >= m
-    idx = np.cumsum(is_cum, axis=-1)[~is_cum].reshape(anchors.shape).clip(max=m - 1)
-    return np.where(np.expand_dims(rows, -1), idx, np.arange(m))
+    return np.cumsum(is_cum, axis=-1)[~is_cum].reshape(anchors.shape).clip(max=m - 1)
 
 
 def pf_propagate(ps: ParticleSet, models, sigma_p: float, dt: float, rng) -> ParticleSet:
@@ -428,13 +425,13 @@ def pf_estimate(ps: ParticleSet, t: int = 0) -> StateEstimate:
     return StateEstimate(mean=mean, cov=0.5 * (cov + cov.swapaxes(-1, -2)), t=t)
 
 
-def pf_resample(ps: ParticleSet, rng, rows=True) -> ParticleSet:
-    """Systematic resampling of every cloud where rows holds (one bool per batch row)."""
-    idx = systematic_resample(ps.weights, rng, rows)[..., None]
+def pf_resample(ps: ParticleSet, rng) -> ParticleSet:
+    """Systematic resampling of every cloud, to uniform weights."""
+    idx = systematic_resample(ps.weights, rng)[..., None]
     return ParticleSet(
         positions=np.take_along_axis(ps.positions, idx, axis=-2),
         velocities=np.take_along_axis(ps.velocities, idx, axis=-2),
-        weights=np.where(np.expand_dims(rows, -1), 1.0 / len(ps), ps.weights),
+        weights=np.full(ps.weights.shape, 1.0 / len(ps)),
     )
 
 
@@ -455,16 +452,14 @@ def pf_reseed(ps: ParticleSet, z: Measurement, sensor: SensorConfig, rng,
 
 
 def pf_step(ps: ParticleSet, z: Measurement, models, sensor: SensorConfig,
-            sigma_p: float, rng, dt: float = 1.0,
-            resample: str = "systematic", ess_fraction: float = 0.5):
+            sigma_p: float, rng, dt: float = 1.0):
     """One SIR cycle: propagate, reweight, estimate, resample, on one cloud or
-    on a batch of clouds, each deciding for itself.
+    on a batch of clouds.
 
     Returns (particles, prior estimate, posterior estimate).  The prior is
     taken after propagation, the posterior from the normalized weights before
     resampling.  A cloud whose every weight underflows is reseeded around z
-    instead of raising.  resample='ess' only resamples a cloud when its
-    effective sample size drops below ess_fraction * M.
+    instead of raising; every cloud is then resampled systematically.
     """
     ps = pf_propagate(ps, models, sigma_p, dt, rng)
     prior = pf_estimate(ps, t=z.t)
@@ -472,7 +467,4 @@ def pf_step(ps: ParticleSet, z: Measurement, models, sensor: SensorConfig,
     if np.any(collapsed):
         ps = pf_reseed(ps, z, sensor, rng, collapsed)
     post = pf_estimate(ps, t=z.t)
-    due = resample == "systematic" or (resample == "ess" and ps.ess < ess_fraction * len(ps))
-    if np.any(due):
-        ps = pf_resample(ps, rng, due)
-    return ps, prior, post
+    return pf_resample(ps, rng), prior, post

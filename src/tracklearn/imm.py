@@ -36,7 +36,6 @@ _T_S = np.zeros((4, 4)); _T_S[2, 3] = -1.0; _T_S[3, 2] = 1.0
 @dataclass(frozen=True)
 class ImmConfig:
     modes: tuple = (MODE_CV, MODE_CT)
-    likelihood: str = "mixture"  # "mixture" (exact log-sum-exp) or "moment" (matched Gaussian)
     prob_floor: float = 1e-12
     train_r: bool = True
 
@@ -45,8 +44,6 @@ class ImmConfig:
             raise ValueError("need at least one mode")
         if any(m not in (MODE_CV, MODE_CT) for m in self.modes):
             raise ValueError(f"unknown mode in {self.modes}")
-        if self.likelihood not in ("mixture", "moment"):
-            raise ValueError(f"unknown likelihood style {self.likelihood!r}")
 
 
 @dataclass
@@ -239,7 +236,6 @@ class ImmGraph:
 
     # one full IMM cycle against measurement (z_range, z_bearing), one per batch row on stacks
     def step(self, z_range, z_bearing):
-        cfg = self.cfg
         m = len(self.modes_x)
         # -- mixing
         mu_pred = [_weighted_sum([row[j] for row in self.p_rows], self.mu) for j in range(m)]
@@ -252,19 +248,17 @@ class ImmGraph:
             xp = f @ mixed_x
             x_post, p_post, nu, s = joseph_update(xp, f @ mixed_p @ f.T + q, z_range, z_bearing,
                                                   self.r_var, self.origin)
-            modes.append((xp, x_post, p_post, nu, s, gaussian_nll(nu, s)))
-        pred_x, post_x, post_p, innovations, s_vars, nlls = zip(*modes)
+            modes.append((xp, x_post, p_post, gaussian_nll(nu, s)))
+        pred_x, post_x, post_p, nlls = zip(*modes)
 
-        # -- predictive log-density of this measurement
+        # -- predictive log-density of this measurement, the exact mixture's
         joint = [ad.log(mu_pred[j]) - nlls[j] for j in range(m)]
         log_norm = ad.logsumexp(joint)
-        if cfg.likelihood == "mixture":
-            self.loss_terms.append(-log_norm)
-        else:
-            self.loss_terms.append(gaussian_nll(*_moment_match(mu_pred, innovations, s_vars)))
+        self.loss_terms.append(-log_norm)
 
         # -- mode probability update (normalized by construction)
-        mu_post = _floor_probs([ad.exp(joint[j] - log_norm) for j in range(m)], cfg.prob_floor)
+        mu_post = _floor_probs([ad.exp(joint[j] - log_norm) for j in range(m)],
+                               self.cfg.prob_floor)
 
         # -- combination
         x_comb, p_comb = _moment_match(mu_post, post_x, post_p)

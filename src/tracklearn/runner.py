@@ -62,18 +62,12 @@ def run_mkf_method(dataset: Dataset, weights: LstmWeights, cfg: MkfConfig) -> li
 class PfSettings:
     n_particles: int = 1000
     sigma_p: float = 0.5
-    resample: str = "systematic"  # or "ess"
-    ess_fraction: float = 0.5
 
     def __post_init__(self):
-        if self.resample not in ("systematic", "ess"):
-            raise ValueError(f"resample must be systematic or ess, got {self.resample!r}")
         if not isinstance(self.n_particles, (int, np.integer)) or self.n_particles < 1:
             raise ValueError(f"n_particles must be an integer >= 1, got {self.n_particles!r}")
         if not (np.isfinite(self.sigma_p) and self.sigma_p >= 0.0):
             raise ValueError(f"sigma_p must be finite and >= 0, got {self.sigma_p!r}")
-        if not 0.0 < self.ess_fraction <= 1.0:
-            raise ValueError(f"ess_fraction must be in (0, 1], got {self.ess_fraction!r}")
 
 
 def run_gp_method(dataset: Dataset, models, settings: PfSettings, seed: int) -> list[RunRecord]:
@@ -88,8 +82,7 @@ def run_gp_method(dataset: Dataset, models, settings: PfSettings, seed: int) -> 
 
         def step(clouds, z):
             clouds, prior, post = pf_step(clouds, z, models, dataset.sensor, settings.sigma_p, rngs,
-                                          dt=tracklets[0].dt, resample=settings.resample,
-                                          ess_fraction=settings.ess_fraction)
+                                          dt=tracklets[0].dt)
             return clouds, prior.mean, post.mean, post.cov
 
         return filter_tracklet(tracklets, dataset.sensor,

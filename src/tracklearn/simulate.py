@@ -137,36 +137,39 @@ def _floats(fields, name: str, lineno: int) -> list[float]:
     return values
 
 
-def read_trajectory_csv(path) -> tuple[np.ndarray, np.ndarray]:
-    """Read an interchange trajectory CSV (t,x,y,vx,vy); returns (t, states)."""
+def _read_csv(path, header: list[str]) -> tuple[np.ndarray, np.ndarray]:
+    """(t, the other columns) of a CSV whose first line is header.  Blank lines
+    are skipped, and CsvFormatError names the file and line of a fault."""
     path = Path(path)
-    times, states = [], []
+    times, rows = [], []
     with path.open(newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != TRUTH_HEADER:
-            raise CsvFormatError(f"{path.name} line 1: expected header {','.join(TRUTH_HEADER)}")
+        found = next(reader, None)
+        if found is None or [h.strip() for h in found] != header:
+            raise CsvFormatError(f"{path.name} line 1: expected header {','.join(header)}")
         for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue
-            if len(row) != 5:
-                raise CsvFormatError(f"{path.name} line {lineno}: expected 5 fields, got {len(row)}")
+            if len(row) != len(header):
+                raise CsvFormatError(f"{path.name} line {lineno}: expected {len(header)} fields, "
+                                     f"got {len(row)}")
             values = _floats(row, path.name, lineno)
             times.append(values[0])
-            states.append(values[1:])
-    return np.asarray(times), np.asarray(states)
+            rows.append(values[1:])
+    return np.asarray(times), np.asarray(rows)
 
 
 def ingest_csv(traj_path, sensor: SensorConfig, tracklet_len: int,
                rng_seed: int, dt: float, role: str = "train") -> Dataset:
-    """Split an external trajectory into tracklets and synthesize measurements.
+    """Split an external trajectory CSV (t,x,y,vx,vy) into tracklets and
+    synthesize measurements.
 
     Consecutive non-overlapping windows of tracklet_len rows; the remainder
     is discarded.  Every time step of the CSV must equal dt to within
     1e-6 dt, or CsvFormatError names the first data row (counted from 1)
     that breaks it.
     """
-    times, states = read_trajectory_csv(traj_path)
+    times, states = _read_csv(traj_path, TRUTH_HEADER)
     n = len(states)
     if n < tracklet_len:
         raise EmptyDatasetError(
@@ -191,36 +194,20 @@ def ingest_csv(traj_path, sensor: SensorConfig, tracklet_len: int,
 def write_tracklet(directory, index: int, tracklet: Tracklet) -> None:
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    with (directory / f"truth_{index:04d}.csv").open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(TRUTH_HEADER)
-        for t, row in enumerate(tracklet.truth):
-            writer.writerow([t] + [f"{v:.17g}" for v in row])
-    with (directory / f"meas_{index:04d}.csv").open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(MEAS_HEADER)
-        for t, row in enumerate(tracklet.meas):
-            writer.writerow([t] + [f"{v:.17g}" for v in row])
+    for kind, header, rows in (("truth", TRUTH_HEADER, tracklet.truth),
+                               ("meas", MEAS_HEADER, tracklet.meas)):
+        with (directory / f"{kind}_{index:04d}.csv").open("w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(header)
+            for t, row in enumerate(rows):
+                writer.writerow([t] + [f"{v:.17g}" for v in row])
 
 
 def read_tracklet(directory, index: int, dt: float) -> Tracklet:
     directory = Path(directory)
-    _, states = read_trajectory_csv(directory / f"truth_{index:04d}.csv")
-    meas_path = directory / f"meas_{index:04d}.csv"
-    meas = []
-    with meas_path.open(newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != MEAS_HEADER:
-            raise CsvFormatError(f"{meas_path.name} line 1: expected header {','.join(MEAS_HEADER)}")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 3:
-                raise CsvFormatError(f"{meas_path.name} line {lineno}: expected 3 fields, "
-                                     f"got {len(row)}")
-            meas.append(_floats(row[1:], meas_path.name, lineno))
-    return Tracklet(dt=dt, truth=states, meas=np.asarray(meas))
+    _, truth = _read_csv(directory / f"truth_{index:04d}.csv", TRUTH_HEADER)
+    _, meas = _read_csv(directory / f"meas_{index:04d}.csv", MEAS_HEADER)
+    return Tracklet(dt=dt, truth=truth, meas=meas)
 
 
 def save_dataset(directory, dataset: Dataset) -> None:

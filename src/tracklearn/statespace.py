@@ -83,11 +83,12 @@ class Measurement:
 
 @dataclass(frozen=True)
 class SensorConfig:
-    """Range-bearing sensor: position and noise standard deviations."""
+    """Range-bearing sensor: position and noise standard deviations (m, rad).
+    The defaults are the CLI's [sensor] defaults."""
 
     origin: np.ndarray = field(default_factory=lambda: np.zeros(2))
-    sigma_r: float = 1.0
-    sigma_a: float = 0.01
+    sigma_r: float = 1.5
+    sigma_a: float = 0.00523
 
     def __post_init__(self):
         object.__setattr__(self, "origin", np.asarray(self.origin, dtype=float).reshape(2))

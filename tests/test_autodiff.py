@@ -263,20 +263,18 @@ def test_negative_lml_factors_its_gram_once(monkeypatch):
     _assert_each_factored_once(tape, given, 1)  # the gram, shared by cho_solve and logdet
 
 
-@pytest.mark.parametrize("likelihood, n_spd", [("mixture", 2), ("moment", 3)])
-def test_imm_step_factors_each_innovation_covariance_once(monkeypatch, likelihood, n_spd):
-    """Each mode's S feeds joseph_update's gain and gaussian_nll's solve and log
-    det; the moment likelihood adds the matched S, also solved and log-det'd."""
+def test_imm_step_factors_each_innovation_covariance_once(monkeypatch):
+    """Each mode's S feeds joseph_update's gain and gaussian_nll's solve and log det."""
     sensor = SensorConfig(origin=(0.0, 0.0), sigma_r=1.5, sigma_a=0.00523)
     rng = np.random.default_rng(0)
     trk = simulate_measurements(generate_gct(GctConfig(n_steps=3), rng), sensor, rng)
-    cfg = ImmConfig(likelihood=likelihood)
+    cfg = ImmConfig()
     init = init_track(Measurement(0, *trk.meas[0]), Measurement(1, *trk.meas[1]), sensor, trk.dt)
     graph = ImmGraph(default_params(sensor, cfg), init, trk.dt, sensor.origin, cfg, record=True)
     given = _count_factorizations(monkeypatch)
     graph.step(*trk.meas[2])
     ad.backward(graph.loss())
-    _assert_each_factored_once(graph.tape, given, n_spd)
+    _assert_each_factored_once(graph.tape, given, len(cfg.modes))
 
 
 def test_a_stored_factor_still_checks_the_next_operand():

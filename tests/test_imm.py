@@ -222,10 +222,9 @@ def test_nll_gradient_matches_finite_differences():
     assert np.all(rel_err < 1e-3)
 
 
-@pytest.mark.parametrize("likelihood", ["mixture", "moment"])
 @pytest.mark.parametrize("modes", [(MODE_CV, MODE_CT), (MODE_CV, MODE_CT, MODE_CT)])
-def test_array_path_matches_taped_recursion_bit_for_bit(modes, likelihood):
-    cfg = ImmConfig(modes=modes, likelihood=likelihood)
+def test_array_path_matches_taped_recursion_bit_for_bit(modes):
+    cfg = ImmConfig(modes=modes)
     floored = default_params(SENSOR, cfg, init_q=0.3, init_omega=1.0, diag_prob=1.0 - 1e-9)
     cases = [(default_params(SENSOR, cfg, init_q=0.3, init_omega=0.12), gct_tracklet(seed=20)),
              (floored, straight_tracklet())]
@@ -320,21 +319,6 @@ def test_softmax_logit_shift_invariance():
     params.trans_logits = params.trans_logits + 7.3  # constant shift per row
     assert np.allclose(params.transition_matrix, trans0, rtol=1e-12)
     assert np.allclose(params.transition_matrix.sum(axis=1), 1.0, rtol=0, atol=1e-15)
-
-
-def test_moment_matched_likelihood_mode_runs():
-    trk = gct_tracklet(seed=10, n_steps=15)
-    cfg = ImmConfig(likelihood="moment")
-    params = default_params(SENSOR, cfg, init_q=0.5, init_omega=0.15)
-    loss, _ = imm_nll(params, trk, SENSOR, cfg)
-    assert np.isfinite(loss.scalar())
-    # mixture and moment agree when the modes are identical
-    cfg_same = ImmConfig(modes=(MODE_CV, MODE_CV), likelihood="moment")
-    params_same = default_params(SENSOR, cfg_same, init_q=0.5)
-    loss_m, _ = imm_nll(params_same, trk, SENSOR, cfg_same)
-    cfg_mix = ImmConfig(modes=(MODE_CV, MODE_CV), likelihood="mixture")
-    loss_x, _ = imm_nll(params_same, trk, SENSOR, cfg_mix)
-    assert loss_m.scalar() == pytest.approx(loss_x.scalar(), rel=1e-9)
 
 
 def test_recovers_transition_probability_from_known_generator():

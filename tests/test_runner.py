@@ -32,17 +32,17 @@ def gp_models(train):
     return gp_fit(train.tracklets, max_pairs=50, optimize=False)
 
 
-def run_method(method, train, test, pf=PF):
+def run_method(method, train, test):
     if method == "ekf":
         return run_ekf_method(test, q=1.0)
     if method == "imm":
         return run_imm_method(test, default_params(test.sensor), ImmConfig())
     if method == "mkf":
         return run_mkf_method(test, WEIGHTS, MKF_CFG)
-    return run_gp_method(test, gp_models(train), pf, seed=0)
+    return run_gp_method(test, gp_models(train), PF, seed=0)
 
 
-def run_alone(method, train, test, k, pf=PF):
+def run_alone(method, train, test, k):
     """(pred_means, post_means) of method on test's tracklet k by itself, with
     no batch axis; the particle filter draws from tracklet k's stream."""
     trk = test.tracklets[k]
@@ -56,21 +56,20 @@ def run_alone(method, train, test, k, pf=PF):
     models = gp_models(train)
 
     def step(ps, z):
-        ps, prior, post = pf_step(ps, z, models, SENSOR, pf.sigma_p, rng, dt=trk.dt,
-                                  resample=pf.resample, ess_fraction=pf.ess_fraction)
+        ps, prior, post = pf_step(ps, z, models, SENSOR, PF.sigma_p, rng, dt=trk.dt)
         return ps, prior.mean, post.mean, post.cov
 
     def start(init, dt):
-        return init_particles(init, pf.n_particles, rng)
+        return init_particles(init, PF.n_particles, rng)
 
     return filter_tracklet(trk, SENSOR, start, step)[:2]
 
 
-def assert_records_equal_alone(method, train, test, pf=PF):
-    records = run_method(method, train, test, pf)
+def assert_records_equal_alone(method, train, test):
+    records = run_method(method, train, test)
     assert len(records) == len(test.tracklets)
     for k, (trk, rec) in enumerate(zip(test.tracklets, records)):
-        pred, post = run_alone(method, train, test, k, pf)
+        pred, post = run_alone(method, train, test, k)
         assert np.array_equal(rec.pred, pred[EVAL_START:]), (method, k)
         assert np.array_equal(rec.post, post[EVAL_START:]), (method, k)
         assert np.array_equal(rec.truth, trk.truth[EVAL_START:])
@@ -151,14 +150,3 @@ def test_only_a_collapsed_cloud_is_reseeded(monkeypatch):
     z = polar_rows_to_cartesian(test.tracklets[1].meas[8:9], SENSOR)[0]
     assert np.linalg.norm(records[1].post[8 - EVAL_START, :2] - z) < 50.0  # the track is 5 km off
     assert_records_equal_alone("gp", train, test)
-
-
-def test_lockstep_ess_resampling_equals_filtering_each_tracklet_alone(monkeypatch):
-    """Under resample = ess each cloud decides for itself whether to resample."""
-    pf = PfSettings(n_particles=50, resample="ess")
-    calls = spy_on(monkeypatch, "pf_resample")  # pf_resample(ps, rng, rows)
-    train = make_dataset(2, GctConfig(n_steps=12), SENSOR, seed=1)
-    test = make_dataset(5, GctConfig(n_steps=20), SENSOR, seed=2, role="test")
-    assert_records_equal_alone("gp", train, test, pf)
-    batch_rows = [args[-1] for args in calls if np.ndim(args[-1]) == 1]
-    assert any(0 < rows.sum() < len(rows) for rows in batch_rows)

@@ -192,3 +192,21 @@ def test_tracklet_roundtrip_disk(tmp_path):
     for a, b in zip(ds.tracklets, loaded.tracklets):
         assert np.allclose(a.truth, b.truth, rtol=0, atol=0)
         assert np.allclose(a.meas, b.meas, rtol=0, atol=0)
+
+
+@pytest.mark.parametrize("kind, line, text, message", [
+    ("meas", 0, "t,range", "meas_0000.csv line 1: expected header t,range,bearing"),
+    ("meas", 2, "1,2,3,4", "meas_0000.csv line 3: expected 3 fields, got 4"),
+    ("meas", 3, "2,inf,0.5", "meas_0000.csv line 4: non-finite value"),
+    ("truth", 1, "0,1,2,3", "truth_0000.csv line 2: expected 5 fields, got 4"),
+])
+def test_read_tracklet_names_the_file_and_line_of_a_fault(tmp_path, kind, line, text, message):
+    sensor = SensorConfig(origin=(0, 0), sigma_r=5.0, sigma_a=0.005)
+    save_dataset(tmp_path, make_dataset(1, GctConfig(n_steps=5), sensor, seed=5))
+    path = tmp_path / f"{kind}_0000.csv"
+    lines = path.read_text().splitlines()
+    lines[line] = text
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(CsvFormatError) as caught:
+        read_tracklet(tmp_path, 0, dt=1.0)
+    assert str(caught.value) == message
