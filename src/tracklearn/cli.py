@@ -23,13 +23,13 @@ from . import __version__
 from .config import ExperimentConfig, build
 from .ekf import EVAL_START
 from .errors import ConfigError, CsvFormatError, EmptyDatasetError, GeometryError
-from .evaluate import RunRecord, make_report
+from .evaluate import make_report
 from .gp import GpHyper, gp_fit, load_gp, save_gp
 from .imm import ImmConfig, default_params, load_imm, save_imm, train_imm
 from .mkf import MkfConfig, init_weights, input_scale_from, load_mkf, save_mkf, train_mkf
 from .runner import PfSettings, run_ekf_method, run_gp_method, run_imm_method, run_mkf_method
 from .simulate import Dataset, ingest_csv, load_dataset, make_dataset, save_dataset
-from .statespace import SensorConfig
+from .statespace import SensorConfig, polar_rows_to_cartesian
 
 METHODS = ("ekf", "gp", "imm", "mkf")
 
@@ -142,16 +142,20 @@ def _dataset_dir(cfg: ExperimentConfig, args) -> Path:
     return Path(path)
 
 
-def _load_split(cfg: ExperimentConfig, args, role: str) -> tuple[Dataset, dict]:
-    """The dataset's split role ("train" or "test"), and the manifest inputs
-    entry {split directory: _hash_split of it} that identifies it by content."""
+def _load_split(cfg: ExperimentConfig, args, name: str) -> tuple[Dataset, dict]:
+    """The dataset's split name ("train" or "test"), and the manifest inputs
+    entry {split directory: _hash_split of it} that identifies it by content.
+    A split that load_dataset refuses is a ConfigError naming its directory."""
     root = _dataset_dir(cfg, args)
     manifest = _load_manifest(root)
     stored_sensor = ExperimentConfig(manifest["config"]).sensor()
     _check_sensor_match(cfg.sensor(), stored_sensor, "the experiment config")
     dt = float(manifest["config"]["dataset"]["dt"])
-    split = load_dataset(root / role, stored_sensor, dt=dt, role=role)
-    return split, {str(root / role): _hash_split(root / role)}
+    try:
+        split = load_dataset(root / name, stored_sensor, dt=dt)
+    except (CsvFormatError, EmptyDatasetError) as exc:
+        raise ConfigError(f"dataset split {root / name}: {exc}") from exc
+    return split, {str(root / name): _hash_split(root / name)}
 
 
 # -- subcommands -----------------------------------------------------------------
@@ -171,7 +175,7 @@ def cmd_simulate(args) -> int:
         _at_least(cfg, "dataset", "n_steps", EVAL_START + 1)
         n_train, n_test = (_at_least(cfg, "dataset", key, 1) for key in ("n_train", "n_test"))
         train = make_dataset(n_train, gct, sensor, seed=args.seed)
-        test = make_dataset(n_test, gct, sensor, seed=args.seed + 1, role="test")
+        test = make_dataset(n_test, gct, sensor, seed=args.seed + 1)
     elif kind == "csv":
         csv_path = Path(cfg.text("dataset", "csv_path"))
         if not csv_path.exists():
@@ -186,8 +190,8 @@ def cmd_simulate(args) -> int:
         n_train = int(round(len(whole) * cfg.fnum("dataset", "train_fraction")))
         if n_train == 0 or n_train == len(whole):
             raise ConfigError("train_fraction leaves an empty split")
-        train = Dataset(tracklets=whole.tracklets[:n_train], sensor=sensor, role="train")
-        test = Dataset(tracklets=whole.tracklets[n_train:], sensor=sensor, role="test")
+        train = Dataset(tracklets=whole.tracklets[:n_train], sensor=sensor)
+        test = Dataset(tracklets=whole.tracklets[n_train:], sensor=sensor)
     else:
         raise ConfigError(f"unknown dataset kind {kind!r}")
     save_dataset(out / "train", train)
@@ -291,29 +295,10 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _save_records(out: Path, per_method: dict) -> None:
-    arrays = {"methods": np.array(sorted(per_method))}
-    for method, records in per_method.items():
-        arrays[f"{method}_pred"] = np.stack([r.pred for r in records])
-        arrays[f"{method}_post"] = np.stack([r.post for r in records])
-        arrays[f"{method}_truth"] = np.stack([r.truth for r in records])
-        arrays[f"{method}_meas"] = np.stack([r.meas_cart for r in records])
-    np.savez(out / "records.npz", **arrays)
-
-
 def load_records(directory) -> dict:
-    per_method = {}
+    """The records mapping (see evaluate.make_report) that evaluate saved in directory."""
     with np.load(Path(directory) / "records.npz", allow_pickle=False) as data:
-        for method in data["methods"]:
-            method = str(method)
-            per_method[method] = [
-                RunRecord(pred=p, post=o, truth=t, meas_cart=m)
-                for p, o, t, m in zip(
-                    data[f"{method}_pred"], data[f"{method}_post"],
-                    data[f"{method}_truth"], data[f"{method}_meas"],
-                )
-            ]
-    return per_method
+        return {key: data[key] for key in data.files}
 
 
 def cmd_evaluate(args) -> int:
@@ -326,12 +311,15 @@ def cmd_evaluate(args) -> int:
         if m not in METHODS:
             raise ConfigError(f"unknown method {m!r}")
     started = time.time()
-    per_method = {}
+    truth = np.stack([trk.truth[EVAL_START:] for trk in test.tracklets])
+    meas = np.stack([polar_rows_to_cartesian(trk.meas, test.sensor)[EVAL_START:]
+                     for trk in test.tracklets])
+    estimates = {}
     failures = {}
     for method in methods:
         try:
             if method == "ekf":
-                per_method["ekf"] = run_ekf_method(test, q=cfg.fnum("ekf", "q"))
+                estimates["ekf"] = run_ekf_method(test, q=cfg.fnum("ekf", "q"))
                 continue
             model_text = cfg.text("models", method)
             if not model_text:
@@ -352,25 +340,29 @@ def cmd_evaluate(args) -> int:
                     n_particles=cfg.inum("gp", "n_particles"),
                     sigma_p=cfg.fnum("gp", "sigma_p"),
                 )
-                per_method["gp"] = run_gp_method(test, model, settings, seed=args.seed)
+                estimates["gp"] = run_gp_method(test, model, settings, seed=args.seed)
             elif method == "imm":
-                per_method["imm"] = run_imm_method(test, model, ImmConfig(modes=model.modes))
+                estimates["imm"] = run_imm_method(test, model, ImmConfig(modes=model.modes))
             elif method == "mkf":
-                per_method["mkf"] = run_mkf_method(test, model,
-                                                   MkfConfig(q_reg=cfg.fnum("mkf", "q_reg")))
+                estimates["mkf"] = run_mkf_method(test, model,
+                                                  MkfConfig(q_reg=cfg.fnum("mkf", "q_reg")))
         except ConfigError:
             raise
         except Exception as exc:  # keep other methods alive, report at the end
             failures[method] = f"{type(exc).__name__}: {exc}"
-    if per_method:
-        _save_records(out, per_method)
-        make_report(out, per_method)
+    if estimates:
+        records = {"methods": np.array(sorted(estimates))}
+        for method, (pred, post) in estimates.items():
+            records |= {f"{method}_pred": pred, f"{method}_post": post,
+                        f"{method}_truth": truth, f"{method}_meas": meas}
+        np.savez(out / "records.npz", **records)
+        make_report(out, records)
     if failures:
         report = "\n".join(f"{m}: {msg}" for m, msg in sorted(failures.items()))
         (out / "failure_report.txt").write_text(report + "\n")
     _write_manifest(out, f"evaluate --method {','.join(methods)}", cfg, args.seed, inputs,
                     time.time() - started)
-    print((out / "summary.txt").read_text() if per_method else "evaluate: nothing ran")
+    print((out / "summary.txt").read_text() if estimates else "evaluate: nothing ran")
     if failures:
         print(f"evaluate: {len(failures)} method(s) failed, see failure_report.txt",
               file=sys.stderr)
@@ -382,8 +374,7 @@ def cmd_report(args) -> int:
     out = Path(args.out)
     if not (out / "records.npz").exists():
         raise ConfigError(f"{out} has no records.npz; run evaluate first")
-    per_method = load_records(out)
-    make_report(out, per_method)
+    make_report(out, load_records(out))
     print((out / "summary.txt").read_text())
     return 0
 

@@ -1,19 +1,11 @@
 """Exception types shared across the toolkit."""
 
-import re
-
 import numpy as np
 
 
 def row_prefix(bad) -> str:
     """"row <i>: " for the first true row i of a batch check's verdicts; "" for one verdict."""
     return f"row {int(np.argmax(bad))}: " if np.ndim(bad) else ""
-
-
-def renumber_row(message: str, rows) -> str:
-    """message with the batch row b of its first row_prefix ("row <b>: ") read
-    as rows[b], for a batch that holds the rows listed in rows."""
-    return re.sub(r"(?<=row )\d+(?=: )", lambda m: str(rows[int(m.group())]), message, count=1)
 
 
 class GeometryError(ValueError):

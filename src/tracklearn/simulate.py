@@ -54,7 +54,6 @@ class Dataset:
 
     tracklets: list = field(default_factory=list)
     sensor: SensorConfig = field(default_factory=SensorConfig)
-    role: str = "train"
 
     def __len__(self) -> int:
         return len(self.tracklets)
@@ -112,8 +111,7 @@ def simulate_measurements(truth: Tracklet, sensor: SensorConfig, rng: np.random.
     return Tracklet(dt=truth.dt, truth=truth.truth.copy(), meas=meas)
 
 
-def make_dataset(n_tracklets: int, cfg: GctConfig, sensor: SensorConfig, seed: int,
-                 role: str = "train") -> Dataset:
+def make_dataset(n_tracklets: int, cfg: GctConfig, sensor: SensorConfig, seed: int) -> Dataset:
     """n independent GCT tracklets with measurements; pure function of (cfg, seed).
 
     Each tracklet draws from its own RNG stream spawned from (seed, index),
@@ -123,7 +121,7 @@ def make_dataset(n_tracklets: int, cfg: GctConfig, sensor: SensorConfig, seed: i
     for rng in _tracklet_rngs(seed, n_tracklets):
         truth = generate_gct(cfg, rng)
         tracklets.append(simulate_measurements(truth, sensor, rng))
-    return Dataset(tracklets=tracklets, sensor=sensor, role=role)
+    return Dataset(tracklets=tracklets, sensor=sensor)
 
 
 def _floats(fields, name: str, lineno: int) -> list[float]:
@@ -159,8 +157,8 @@ def _read_csv(path, header: list[str]) -> tuple[np.ndarray, np.ndarray]:
     return np.asarray(times), np.asarray(rows)
 
 
-def ingest_csv(traj_path, sensor: SensorConfig, tracklet_len: int,
-               rng_seed: int, dt: float, role: str = "train") -> Dataset:
+def ingest_csv(traj_path, sensor: SensorConfig, tracklet_len: int, rng_seed: int,
+               dt: float) -> Dataset:
     """Split an external trajectory CSV (t,x,y,vx,vy) into tracklets and
     synthesize measurements.
 
@@ -188,7 +186,7 @@ def ingest_csv(traj_path, sensor: SensorConfig, tracklet_len: int,
         chunk = states[i * tracklet_len : (i + 1) * tracklet_len]
         truth = Tracklet(dt=dt, truth=chunk, meas=np.full((tracklet_len, 2), np.nan))
         tracklets.append(simulate_measurements(truth, sensor, rngs[i]))
-    return Dataset(tracklets=tracklets, sensor=sensor, role=role)
+    return Dataset(tracklets=tracklets, sensor=sensor)
 
 
 def write_tracklet(directory, index: int, tracklet: Tracklet) -> None:
@@ -204,9 +202,15 @@ def write_tracklet(directory, index: int, tracklet: Tracklet) -> None:
 
 
 def read_tracklet(directory, index: int, dt: float) -> Tracklet:
-    directory = Path(directory)
-    _, truth = _read_csv(directory / f"truth_{index:04d}.csv", TRUTH_HEADER)
-    _, meas = _read_csv(directory / f"meas_{index:04d}.csv", MEAS_HEADER)
+    """Tracklet index of a saved split.  A missing file, or a measurement file
+    whose row count differs from its truth file's, is a CsvFormatError."""
+    paths = [Path(directory) / f"{kind}_{index:04d}.csv" for kind in ("truth", "meas")]
+    if missing := [p.name for p in paths if not p.is_file()]:
+        raise CsvFormatError(f"{missing[0]} is missing")
+    _, truth = _read_csv(paths[0], TRUTH_HEADER)
+    _, meas = _read_csv(paths[1], MEAS_HEADER)
+    if len(meas) != len(truth):
+        raise CsvFormatError(f"{paths[1].name} has {len(meas)} rows, {paths[0].name} {len(truth)}")
     return Tracklet(dt=dt, truth=truth, meas=meas)
 
 
@@ -215,10 +219,17 @@ def save_dataset(directory, dataset: Dataset) -> None:
         write_tracklet(directory, i, trk)
 
 
-def load_dataset(directory, sensor: SensorConfig, dt: float, role: str = "train") -> Dataset:
+def load_dataset(directory, sensor: SensorConfig, dt: float) -> Dataset:
+    """The split that save_dataset wrote to directory.  The filters run a
+    split as one lockstep batch, so a tracklet whose length differs from
+    tracklet 0's is a CsvFormatError naming its truth file."""
     directory = Path(directory)
-    paths = sorted(directory.glob("truth_*.csv"))
-    if not paths:
+    n = len(list(directory.glob("truth_*.csv")))
+    if not n:
         raise EmptyDatasetError(f"no truth_*.csv files under {directory}")
-    tracklets = [read_tracklet(directory, i, dt) for i in range(len(paths))]
-    return Dataset(tracklets=tracklets, sensor=sensor, role=role)
+    tracklets = [read_tracklet(directory, i, dt) for i in range(n)]
+    for i, trk in enumerate(tracklets):
+        if len(trk) != len(tracklets[0]):
+            raise CsvFormatError(f"truth_{i:04d}.csv has {len(trk)} rows, truth_0000.csv "
+                                 f"{len(tracklets[0])}: a split's tracklets share one length")
+    return Dataset(tracklets=tracklets, sensor=sensor)

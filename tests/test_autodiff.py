@@ -13,31 +13,24 @@ from tracklearn.simulate import GctConfig, generate_gct, simulate_measurements
 from tracklearn.statespace import Measurement, SensorConfig
 
 
-@pytest.fixture(params=["pure"])
-def make(request):
-    """Fresh-tape factory.  The "pure" id names the numpy tape of
-    autodiff/pure.py and keeps these tests' reported names stable."""
-    return ad.make_tape
-
-
-def test_square_derivative(make):
-    tape = make()
+def test_square_derivative():
+    tape = ad.make_tape()
     x = ad.var(tape, 3.0)
     y = x * x
     ad.backward(y)
     assert x.grad[0, 0] == pytest.approx(6.0, abs=1e-12)
 
 
-def test_log_derivative(make):
-    tape = make()
+def test_log_derivative():
+    tape = ad.make_tape()
     x = ad.var(tape, 2.0)
     y = ad.log(x)
     ad.backward(y)
     assert x.grad[0, 0] == pytest.approx(0.5, abs=1e-12)
 
 
-def test_sum_of_leaves_gradient_is_one(make):
-    tape = make()
+def test_sum_of_leaves_gradient_is_one():
+    tape = ad.make_tape()
     leaves = [ad.var(tape, float(i)) for i in range(5)]
     total = leaves[0]
     for leaf in leaves[1:]:
@@ -47,7 +40,7 @@ def test_sum_of_leaves_gradient_is_one(make):
         assert leaf.grad[0, 0] == pytest.approx(1.0)
 
 
-def test_logdet_spd_gradient_matches_fd(make):
+def test_logdet_spd_gradient_matches_fd():
     # gradient of x -> log det S(x) for a 2x2 SPD family
     def build(theta, tape=None):
         if tape is None:
@@ -67,7 +60,7 @@ def test_logdet_spd_gradient_matches_fd(make):
         return ad.logdet(s), (a, b, c)
 
     theta0 = np.array([0.3, -0.2, 0.4])
-    tape = make()
+    tape = ad.make_tape()
     root, leaves = build(theta0, tape)
     ad.backward(root)
     grad = np.array([leaf.grad[0, 0] for leaf in leaves])
@@ -75,7 +68,7 @@ def test_logdet_spd_gradient_matches_fd(make):
     assert np.allclose(grad, fd, rtol=1e-8, atol=1e-10)
 
 
-def test_primitive_gradients_match_fd(make):
+def test_primitive_gradients_match_fd():
     unary = {
         "exp": (ad.exp, 0.7),
         "log": (ad.log, 1.3),
@@ -88,19 +81,19 @@ def test_primitive_gradients_match_fd(make):
     }
     for name, (fn, x0) in unary.items():
         def scalar_fn(th, fn=fn):
-            tape = make()
+            tape = ad.make_tape()
             x = ad.var(tape, th[0])
             y = fn(x)
             return y.value[0, 0]
 
-        tape = make()
+        tape = ad.make_tape()
         x = ad.var(tape, x0)
         ad.backward(fn(x))
         fd = finite_difference(scalar_fn, np.array([x0]))
         assert x.grad[0, 0] == pytest.approx(fd[0], rel=1e-5), name
 
 
-def test_binary_and_matrix_gradients_match_fd(make):
+def test_binary_and_matrix_gradients_match_fd():
     rng = np.random.default_rng(5)
     a0 = rng.standard_normal((2, 3))
     b0 = rng.standard_normal((3, 2))
@@ -119,7 +112,7 @@ def test_binary_and_matrix_gradients_match_fd(make):
         part2 = ad.vsum(ad.atan2(a, a + 2.0))
         return part1 + part2, (a, b)
 
-    tape = make()
+    tape = ad.make_tape()
     root, (a, b) = f_tape(tape)
     ad.backward(root)
     theta0 = np.concatenate([a0.ravel(), b0.ravel()])
@@ -169,7 +162,7 @@ def test_arithmetic_gradients_match_fd(name):
     assert np.allclose(grad, finite_difference(f, theta0), rtol=1e-6, atol=1e-8)
 
 
-def test_cho_solve_gradient_matches_fd(make):
+def test_cho_solve_gradient_matches_fd():
     rng = np.random.default_rng(11)
     base = rng.standard_normal((3, 3))
     rhs0 = rng.standard_normal((3, 1))
@@ -184,7 +177,7 @@ def test_cho_solve_gradient_matches_fd(make):
         x = np.linalg.solve(s, rhs)
         return float(np.sum(x * x))
 
-    tape = make()
+    tape = ad.make_tape()
     m = ad.var(tape, base)
     rhs = ad.var(tape, rhs0)
     eye3 = ad.const(tape, 3.0 * np.eye(3))
@@ -197,8 +190,8 @@ def test_cho_solve_gradient_matches_fd(make):
     assert np.allclose(grad, fd, rtol=1e-6, atol=1e-8)
 
 
-def test_slicing_concat_gradients(make):
-    tape = make()
+def test_slicing_concat_gradients():
+    tape = ad.make_tape()
     x = ad.var(tape, np.arange(6.0).reshape(2, 3) + 1.0)
     top = ad.block(x, 0, 1, 0, 3)
     bottom = ad.block(x, 1, 2, 0, 3)
@@ -207,12 +200,12 @@ def test_slicing_concat_gradients(make):
     assert np.allclose(x.grad, 2.0 * x.value)
 
 
-def test_domain_errors(make):
-    tape = make()
+def test_domain_errors():
+    tape = ad.make_tape()
     x = ad.var(tape, -1.0)
     with pytest.raises(ValueError):
         ad.log(x)
-    tape = make()
+    tape = ad.make_tape()
     x = ad.var(tape, -1.0)
     with pytest.raises(ValueError):
         ad.sqrt(x)
@@ -224,7 +217,7 @@ def test_domain_errors(make):
     for spd, rhs in (([[1.0, 2.0], [2.0, 1.0]], ones), ([[np.nan, 0.0], [0.0, 1.0]], ones),
                      ([[np.inf, 0.0], [0.0, 1.0]], ones), ([[1.0, 0.0], [0.0, 1.0]], [[np.nan], [1.0]])):
         spd, rhs = np.array(spd), np.array(rhs)
-        tape = make()
+        tape = ad.make_tape()
         for s, r in ((spd, rhs), (ad.var(tape, spd), ad.var(tape, rhs))):
             with pytest.raises(NumericsError):
                 ad.cho_solve(s, r)
@@ -305,16 +298,16 @@ def test_a_failed_factorization_is_not_stored():
     assert list(tape.factors) == [spd.i]
 
 
-def test_mixed_tapes_rejected(make):
-    t1, t2 = make(), make()
+def test_mixed_tapes_rejected():
+    t1, t2 = ad.make_tape(), ad.make_tape()
     x = ad.var(t1, 1.0)
     y = ad.var(t2, 1.0)
     with pytest.raises(ValueError):
         _ = x + y
 
 
-def test_backward_twice_is_error(make):
-    tape = make()
+def test_backward_twice_is_error():
+    tape = ad.make_tape()
     x = ad.var(tape, 2.0)
     y = x * x
     ad.backward(y)
@@ -322,15 +315,15 @@ def test_backward_twice_is_error(make):
         ad.backward(y)
 
 
-def test_backward_requires_scalar_root(make):
-    tape = make()
+def test_backward_requires_scalar_root():
+    tape = ad.make_tape()
     x = ad.var(tape, np.ones((2, 2)))
     with pytest.raises(ValueError):
         ad.backward(x + x)
 
 
-def test_shared_gradients_are_not_written_in_place(make):
-    tape = make()
+def test_shared_gradients_are_not_written_in_place():
+    tape = ad.make_tape()
     x = ad.var(tape, np.array([[1.0, 2.0]]))
     y = ad.var(tape, np.array([[3.0, 4.0]]))
     s = x + y  # backward hands both operands of an add the same gradient array
@@ -342,8 +335,8 @@ def test_shared_gradients_are_not_written_in_place(make):
     assert np.array_equal(d.grad, [[1.0, 1.0]])
 
 
-def test_gradient_of_the_wrong_shape_raises(make):
-    tape = make()
+def test_gradient_of_the_wrong_shape_raises():
+    tape = ad.make_tape()
     x = ad.var(tape, np.ones((2, 3)))
     # a transpose rule recorded over an untransposed value: it gives a (3, 2)
     # gradient to the (2, 3) leaf
@@ -355,8 +348,8 @@ def test_gradient_of_the_wrong_shape_raises(make):
         ad.backward(ad.vsum(t))
 
 
-def test_unreachable_nodes_have_zero_gradient(make):
-    tape = make()
+def test_unreachable_nodes_have_zero_gradient():
+    tape = ad.make_tape()
     x = ad.var(tape, 1.5)
     y = ad.var(tape, 2.5)
     _orphan = y * y  # never feeds the root
@@ -366,8 +359,8 @@ def test_unreachable_nodes_have_zero_gradient(make):
     assert y.grad[0, 0] == 0.0
 
 
-def test_logsumexp_matches_dense(make):
-    tape = make()
+def test_logsumexp_matches_dense():
+    tape = ad.make_tape()
     xs = [ad.var(tape, v) for v in (-3.0, 1.2, 0.5)]
     out = ad.logsumexp(xs)
     expected = np.log(np.sum(np.exp([-3.0, 1.2, 0.5])))

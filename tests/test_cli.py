@@ -16,7 +16,10 @@ from conftest import write_config
 import tracklearn
 from tracklearn import gp
 from tracklearn.cli import main
+from tracklearn.ekf import EVAL_START
 from tracklearn.errors import NumericsError
+from tracklearn.simulate import load_dataset
+from tracklearn.statespace import SensorConfig
 
 TRAINED = {"gp": "gp.gpm", "imm": "imm.txt", "mkf": "mkf.npz"}
 # the GPS-like CSV path starts at the default sensor origin (0, 0)
@@ -64,6 +67,12 @@ def assert_pipeline_outputs(root, codes):
         assert (root / "eval" / f).is_file()
     assert not (root / "eval" / "failure_report.txt").exists()
     assert scored_methods(root / "eval") == {"ekf", "gp", "imm", "mkf"}
+    # every method's truth rows are the test split's, from EVAL_START on
+    test = load_dataset(root / "data" / "test", SensorConfig(), dt=1.0)
+    truth = np.stack([trk.truth[EVAL_START:] for trk in test.tracklets])
+    records = load_records(root / "eval" / "records.npz")
+    for method in ("ekf", *TRAINED):
+        assert np.array_equal(records[f"{method}_truth"], truth), method
 
 
 def load_records(path):
@@ -408,3 +417,38 @@ def test_report_needs_the_records_of_an_evaluate_run(tmp_path, capsys):
     assert code == 2
     assert capsys.readouterr().err.strip().splitlines() == [
         f"error: {tmp_path} has no records.npz; run evaluate first"]
+
+
+BAD_SPLIT_CAUSES = {
+    "non_numeric": "meas_0000.csv line 42: could not convert string to float: 'x'",
+    "short_tracklet": "truth_0001.csv has 38 rows, truth_0000.csv 40: "
+                      "a split's tracklets share one length",
+    "no_meas": "meas_0001.csv is missing",
+}
+
+
+@pytest.mark.parametrize("command", ["train", "evaluate"])
+@pytest.mark.parametrize("case", BAD_SPLIT_CAUSES)
+def test_a_bad_dataset_split_exits_2_naming_the_file(gct_runs, tmp_path, capsys, command, case):
+    """A split that load_dataset refuses fails train and evaluate with one
+    error line naming the split and the file, not with a traceback."""
+    root, _ = gct_runs[0]
+    data = tmp_path / "data"
+    shutil.copytree(root / "data", data)
+    split = data / ("train" if command == "train" else "test")
+    if case == "non_numeric":
+        with (split / "meas_0000.csv").open("a") as fh:
+            fh.write("1,2,x\n")
+    elif case == "short_tracklet":  # 40 rows of truth and of measurements, cut to 38
+        for kind in ("truth", "meas"):
+            path = split / f"{kind}_0001.csv"
+            path.write_text("".join(path.read_text().splitlines(keepends=True)[:-2]))
+    else:
+        (split / "meas_0001.csv").unlink()
+    cfg = str(experiment(tmp_path / "exp.ini", root))
+    argv = [command, "--config", cfg, "--out", str(tmp_path / "out"), "--data", str(data),
+            "--seed", "7", "--method", "imm" if command == "train" else "ekf"]
+    code = main(argv)
+    err = capsys.readouterr().err.strip().splitlines()
+    assert code == 2
+    assert err == [f"error: dataset split {split}: {BAD_SPLIT_CAUSES[case]}"]

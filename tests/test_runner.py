@@ -18,7 +18,7 @@ from tracklearn.runner import (
     run_imm_method,
     run_mkf_method,
 )
-from tracklearn.simulate import Dataset, GctConfig, make_dataset
+from tracklearn.simulate import GctConfig, make_dataset
 from tracklearn.statespace import SensorConfig, polar_rows_to_cartesian
 
 SENSOR = SensorConfig(origin=(0.0, 0.0), sigma_r=1.5, sigma_a=0.00523)
@@ -66,29 +66,18 @@ def run_alone(method, train, test, k):
 
 
 def assert_records_equal_alone(method, train, test):
-    records = run_method(method, train, test)
-    assert len(records) == len(test.tracklets)
-    for k, (trk, rec) in enumerate(zip(test.tracklets, records)):
-        pred, post = run_alone(method, train, test, k)
-        assert np.array_equal(rec.pred, pred[EVAL_START:]), (method, k)
-        assert np.array_equal(rec.post, post[EVAL_START:]), (method, k)
-        assert np.array_equal(rec.truth, trk.truth[EVAL_START:])
+    pred, post = run_method(method, train, test)
+    assert pred.shape == post.shape == (len(test), len(test.tracklets[0]) - EVAL_START, 4)
+    for k in range(len(test)):
+        pred_alone, post_alone = run_alone(method, train, test, k)
+        assert np.array_equal(pred[k], pred_alone[EVAL_START:]), (method, k)
+        assert np.array_equal(post[k], post_alone[EVAL_START:]), (method, k)
 
 
 @pytest.mark.parametrize("method", METHODS)
 def test_lockstep_records_equal_filtering_each_tracklet_alone(method):
     train = make_dataset(2, GctConfig(n_steps=12), SENSOR, seed=1)
-    test = make_dataset(5, GctConfig(n_steps=20), SENSOR, seed=2, role="test")
-    assert_records_equal_alone(method, train, test)
-
-
-@pytest.mark.parametrize("method", METHODS)
-def test_two_lengths_are_filtered_in_groups_in_dataset_order(method):
-    train = make_dataset(2, GctConfig(n_steps=12), SENSOR, seed=1)
-    short = make_dataset(2, GctConfig(n_steps=12), SENSOR, seed=2).tracklets
-    long = make_dataset(2, GctConfig(n_steps=15), SENSOR, seed=3).tracklets
-    test = Dataset([short[0], long[0], long[1], short[1]], SENSOR, role="test")
-    assert [len(r.post) for r in run_method(method, train, test)] == [10, 13, 13, 10]
+    test = make_dataset(5, GctConfig(n_steps=20), SENSOR, seed=2)
     assert_records_equal_alone(method, train, test)
 
 
@@ -103,24 +92,11 @@ def test_lockstep_needs_one_length():
 def test_filters_name_the_failing_row(method, row):
     cfg = GctConfig(n_steps=12)
     train = make_dataset(2, cfg, SENSOR, seed=1)
-    test = make_dataset(3, cfg, SENSOR, seed=2, role="test")
-    assert len(run_method(method, train, test)[0].post) == 12 - 2
+    test = make_dataset(3, cfg, SENSOR, seed=2)
+    assert run_method(method, train, test)[1].shape == (3, 12 - EVAL_START, 4)
     test.tracklets[1].meas[5, 0] = np.nan
     # step names the tracklet row, and row 1 the tracklet's index in the dataset
     with pytest.raises(NumericsError, match=rf"^step {row}: row 1: "):
-        run_method(method, train, test)
-
-
-@pytest.mark.parametrize("method", METHODS)
-def test_a_failure_names_its_tracklet_by_dataset_index(method):
-    """With two lengths, each is filtered as its own batch; the error still
-    names the tracklet's index in the dataset, not its row in that batch."""
-    train = make_dataset(2, GctConfig(n_steps=12), SENSOR, seed=1)
-    short = make_dataset(2, GctConfig(n_steps=12), SENSOR, seed=2).tracklets
-    long = make_dataset(2, GctConfig(n_steps=15), SENSOR, seed=3).tracklets
-    test = Dataset([short[0], long[0], long[1], short[1]], SENSOR, role="test")
-    test.tracklets[2].meas[5, 0] = np.nan
-    with pytest.raises(NumericsError, match=r"^step 5: row 2: "):
         run_method(method, train, test)
 
 
@@ -141,12 +117,12 @@ def test_only_a_collapsed_cloud_is_reseeded(monkeypatch):
     underflows there: that cloud alone is reseeded around its z, and every
     tracklet keeps the records it gets filtered alone."""
     train = make_dataset(2, GctConfig(n_steps=12), SENSOR, seed=1)
-    test = make_dataset(3, GctConfig(n_steps=20), SENSOR, seed=2, role="test")
+    test = make_dataset(3, GctConfig(n_steps=20), SENSOR, seed=2)
     test.tracklets[1].meas[8, 0] += 5000.0
     calls = spy_on(monkeypatch, "pf_reseed")  # pf_reseed(ps, z, sensor, rng, rows)
-    records = run_method("gp", train, test)
+    _, post = run_method("gp", train, test)
     assert calls[0][1].t == 8
     assert all(list(args[-1]) == [False, True, False] for args in calls)
     z = polar_rows_to_cartesian(test.tracklets[1].meas[8:9], SENSOR)[0]
-    assert np.linalg.norm(records[1].post[8 - EVAL_START, :2] - z) < 50.0  # the track is 5 km off
+    assert np.linalg.norm(post[1, 8 - EVAL_START, :2] - z) < 50.0  # the track is 5 km off
     assert_records_equal_alone("gp", train, test)
