@@ -22,7 +22,6 @@ from __future__ import annotations
 
 from .api import (
     Var,
-    absval,
     atan2,
     backward,
     block,

@@ -292,7 +292,6 @@ sigmoid = _unary(_logistic, lambda g, x, y: g * y * (1.0 - y))
 sqrt = _unary(_sqrt, lambda g, x, y: g * 0.5 / y)
 sin = _unary(np.sin, lambda g, x, y: g * np.cos(x))
 cos = _unary(np.cos, lambda g, x, y: -g * np.sin(x))
-absval = _unary(np.abs, lambda g, x, y: g * np.sign(x))
 transpose = _unary(_transpose, lambda g, x, y: np.ascontiguousarray(g.T))
 vsum = _unary(_vsum, lambda g, x, y: np.full_like(x, g[0, 0]))
 

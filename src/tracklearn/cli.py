@@ -135,6 +135,13 @@ def _at_least(cfg: ExperimentConfig, section: str, key: str, low: int) -> int:
     return value
 
 
+def _positive(cfg: ExperimentConfig, section: str, key: str) -> float:
+    value = cfg.fnum(section, key)
+    if not 0.0 < value < np.inf:
+        raise ConfigError(f"[{section}] {key} must be positive and finite, got {value}")
+    return value
+
+
 def _dataset_dir(cfg: ExperimentConfig, args) -> Path:
     path = getattr(args, "data", None) or cfg.text("dataset", "path")
     if not path:
@@ -241,7 +248,6 @@ def _train_mkf(cfg: ExperimentConfig, train: Dataset, out: Path, seed: int):
         hidden=cfg.inum("mkf", "hidden"),
         dense=cfg.inum("mkf", "dense"),
         q_reg=cfg.fnum("mkf", "q_reg"),
-        loss=cfg.text("mkf", "loss"),
         clip_norm=cfg.fnum("mkf", "clip_norm"),
     )
     w0 = init_weights(seed=seed, hidden=mkf_cfg.hidden, dense=mkf_cfg.dense,
@@ -319,7 +325,7 @@ def cmd_evaluate(args) -> int:
     for method in methods:
         try:
             if method == "ekf":
-                estimates["ekf"] = run_ekf_method(test, q=cfg.fnum("ekf", "q"))
+                estimates["ekf"] = run_ekf_method(test, q=_positive(cfg, "ekf", "q"))
                 continue
             model_text = cfg.text("models", method)
             if not model_text:

@@ -64,7 +64,6 @@ _DEFAULTS = {
         "hidden": "32",
         "dense": "32",
         "q_reg": "1e-2",
-        "loss": "nll",
         "clip_norm": "10.0",
         "iterations": "10000",
         "lr": "5e-4",

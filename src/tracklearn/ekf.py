@@ -1,11 +1,12 @@
-"""Constant-velocity EKF benchmark and the shared range-bearing update.
+"""The shared constant-velocity model, range-bearing update and step loop.
 
 The CV model, the range-bearing measurement model, the Joseph-form update
 and the Gaussian innovation NLL are written once here, against the autodiff
-functions.  ekf_update runs them on plain arrays; the IMM runs the same
-functions for every mode (imm.ImmGraph.step), on arrays to filter and on
-its tape to train, and the LSTM filter reaches them through ekf_update.
-Their numerical hygiene therefore carries the whole package.
+functions.  The IMM runs them for every mode (imm.ImmGraph.step), on arrays
+to filter and on its tape to train, and the LSTM filter reaches them through
+ekf_update.  Their numerical hygiene therefore carries the whole package.
+There is no separate EKF filter: the EKF benchmark is the IMM with one cv
+mode (runner.run_ekf_method), whose mixing weight is 1 and spread term 0.
 
 The step loop is also written once, here: filter_tracklet owns the
 two-point initialization, the rows every filter reports and the first
@@ -16,8 +17,6 @@ on stacks of B matrices, with the bits of filtering each tracklet alone.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -58,36 +57,6 @@ def wna_template(dt: float) -> np.ndarray:
     q[2, 2] = q[3, 3] = dt
     q[0, 2] = q[2, 0] = q[1, 3] = q[3, 1] = dt**2 / 2.0
     return q
-
-
-@dataclass(frozen=True)
-class CwnaModel:
-    """Constant-velocity transition with white-noise-acceleration process noise."""
-
-    dt: float
-    q: float  # noise intensity, m^2/s^3
-
-    def __post_init__(self):
-        if self.dt <= 0.0:
-            raise ValueError("dt must be positive")
-        if self.q < 0.0:
-            raise ValueError("q must be non-negative")
-
-    @property
-    def transition(self) -> np.ndarray:
-        return cv_transition(self.dt)
-
-    @property
-    def process_noise(self) -> np.ndarray:
-        return self.q * wna_template(self.dt)
-
-
-def predict_cwna(prior: StateEstimate, model: CwnaModel) -> StateEstimate:
-    """Markov prediction under the CV model: mean F x, covariance F P F' + Q."""
-    f = model.transition
-    mean = (f @ prior.mean[..., None])[..., 0]
-    cov = f @ prior.cov @ f.T + model.process_noise
-    return StateEstimate(mean=mean, cov=0.5 * (cov + cov.swapaxes(-1, -2)), t=prior.t + 1)
 
 
 def range_bearing(x, origin: np.ndarray):
@@ -198,19 +167,3 @@ def filter_tracklet(tracklets, sensor: SensorConfig, start, step):
     time_axis = init.mean.ndim - 1  # after the batch axis, if any
     pred_means, post_means, post_covs = (np.stack(column, axis=time_axis) for column in zip(*rows))
     return pred_means, post_means, post_covs, state
-
-
-def run_ekf(tracklets, sensor: SensorConfig, model: CwnaModel):
-    """Filter one tracklet, or a list in lockstep (see filter_tracklet);
-    returns (pred_means, post_means, total_nll), a total per tracklet."""
-
-    def step(state, z):
-        est, total_nll = state
-        pred = predict_cwna(est, model)
-        est, innovation, s = ekf_update(pred, z, sensor)
-        total_nll = total_nll + gaussian_nll(innovation[..., None], s)[..., 0, 0]
-        return (est, total_nll), pred.mean, est.mean, est.cov
-
-    pred_means, post_means, _, (_, total_nll) = filter_tracklet(
-        tracklets, sensor, lambda init, dt: (init, 0.0), step)
-    return pred_means, post_means, total_nll

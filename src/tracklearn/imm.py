@@ -4,7 +4,9 @@ The full IMM cycle (mixing, mode-matched EKF filtering, probability update,
 combination) is written once against the autodiff functions.  Training
 records it on a tape, whose backward pass gives exact gradients of the
 measurement negative log-likelihood; filtering runs the same recursion on
-plain arrays, with no tape, for a batch of tracklets in lockstep.
+plain arrays, with no tape, for a batch of tracklets in lockstep.  With the
+one mode cv it is the constant-velocity EKF: the mixing weight is 1 and the
+spread term 0, so the EKF benchmark runs here (runner.run_ekf_method).
 
 Constrained parameters are optimized through smooth bijections: transition
 rows through a softmax, variances through exp.

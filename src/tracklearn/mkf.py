@@ -37,12 +37,7 @@ class MkfConfig:
     hidden: int = 32
     dense: int = 32
     q_reg: float = 1e-2  # diagonal regularization added to the predicted covariance
-    loss: str = "nll"  # "nll" (Gaussian) or "literal" (L1 form)
     clip_norm: float = 10.0
-
-    def __post_init__(self):
-        if self.loss not in ("nll", "literal"):
-            raise ValueError(f"unknown loss mode {self.loss!r}")
 
 
 @dataclass
@@ -161,13 +156,9 @@ def training_sequences(tracklet: Tracklet, sensor: SensorConfig, scale: float):
     return scaled[:-1], scaled[1:]
 
 
-def mkf_loss(wvars: dict, inputs: np.ndarray, labels: np.ndarray, hidden: int,
-             mode: str = "nll") -> Var:
-    """Sequence loss on the tape.
-
-    nll: 0.5 r'(CC')^-1 r + log det C + log 2pi per step.
-    literal: the L1 alternative |0.5 C r - diag(C)|_1 per step.
-    """
+def mkf_loss(wvars: dict, inputs: np.ndarray, labels: np.ndarray, hidden: int) -> Var:
+    """Sequence Gaussian NLL on the tape: 0.5 r'(CC')^-1 r + log det C + log 2pi
+    per step, for the residual r of the predicted velocity against its label."""
     tape = next(iter(wvars.values())).tape
     h = ad.const(tape, np.zeros((1, hidden)))
     c = ad.const(tape, np.zeros((1, hidden)))
@@ -175,17 +166,11 @@ def mkf_loss(wvars: dict, inputs: np.ndarray, labels: np.ndarray, hidden: int,
     for x_row, y_row in zip(inputs, labels):
         h, c, v, chol = lstm_step(wvars, h, c, ad.const(tape, x_row.reshape(1, 2)))
         residual = ad.transpose(v) - ad.const(tape, y_row.reshape(2, 1))
-        if mode == "nll":
-            cov = chol @ chol.T
-            solve = ad.cho_solve(cov, residual)
-            quad = ad.vsum(residual * solve)
-            log_det_chol = ad.log(ad.item(chol, 0, 0)) + ad.log(ad.item(chol, 1, 1))
-            term = quad * 0.5 + log_det_chol + LOG_2PI
-        else:
-            inner = (chol @ residual) * 0.5 - ad.concat_rows(
-                [ad.item(chol, 0, 0), ad.item(chol, 1, 1)]
-            )
-            term = ad.vsum(ad.absval(inner))
+        cov = chol @ chol.T
+        solve = ad.cho_solve(cov, residual)
+        quad = ad.vsum(residual * solve)
+        log_det_chol = ad.log(ad.item(chol, 0, 0)) + ad.log(ad.item(chol, 1, 1))
+        term = quad * 0.5 + log_det_chol + LOG_2PI
         total = term if total is None else total + term
     return total
 
@@ -205,7 +190,7 @@ def train_mkf(w0: LstmWeights, tracklets, sensor: SensorConfig, iterations: int,
         trk = tracklets[int(rng.integers(len(tracklets)))]
         inputs, labels = training_sequences(trk, sensor, weights.input_scale)
         wvars = _tape_weights(ad.make_tape(), weights)
-        return mkf_loss(wvars, inputs, labels, weights.hidden, cfg.loss), wvars
+        return mkf_loss(wvars, inputs, labels, weights.hidden), wvars
 
     def update(weights, grads):
         grads = clip_by_global_norm(grads, cfg.clip_norm)

@@ -2,7 +2,9 @@
 lockstep batch.
 
 Every filter runs through ekf.filter_tracklet, which consumes the first two
-measurements for track initialization.  Each run_*_method returns the
+measurements for track initialization.  The EKF benchmark is the IMM with
+one cv mode and the sensor's own noise: mixing and combination then pass
+the one mode's estimate through unchanged.  Each run_*_method returns the
 (pred, post) state means of the whole test set, (B, T, 4) arrays from
 ekf.EVAL_START on, so all methods see identical indices; batch row b is
 dataset tracklet b, and a failure names it so.  The GP particle filter steps
@@ -16,9 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ekf import EVAL_START, CwnaModel, filter_tracklet, run_ekf
+from .ekf import EVAL_START, filter_tracklet
 from .gp import init_particles, pf_step
-from .imm import ImmConfig, ImmParams, run_imm
+from .imm import MODE_CV, ImmConfig, ImmParams, default_params, run_imm
 from .mkf import LstmWeights, MkfConfig, run_mkf
 from .simulate import Dataset
 
@@ -29,7 +31,11 @@ def _scored(pred, post, *_):
 
 
 def run_ekf_method(dataset: Dataset, q: float):
-    return _scored(*run_ekf(dataset.tracklets, dataset.sensor, CwnaModel(dataset.dt, q)))
+    """The CV-EKF with white-noise-acceleration intensity q, run as the IMM
+    with the one mode cv."""
+    cfg = ImmConfig(modes=(MODE_CV,), train_r=False)
+    params = default_params(dataset.sensor, cfg, init_q=q)
+    return _scored(*run_imm(params, dataset.tracklets, dataset.sensor, cfg))
 
 
 def run_imm_method(dataset: Dataset, params: ImmParams, cfg: ImmConfig):

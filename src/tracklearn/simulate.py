@@ -14,6 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .ekf import EVAL_START
 from .errors import CsvFormatError, EmptyDatasetError
 from .statespace import SensorConfig, Tracklet, measure, wrap_angle
 
@@ -222,7 +223,9 @@ def save_dataset(directory, dataset: Dataset) -> None:
 def load_dataset(directory, sensor: SensorConfig, dt: float) -> Dataset:
     """The split that save_dataset wrote to directory.  The filters run a
     split as one lockstep batch, so a tracklet whose length differs from
-    tracklet 0's is a CsvFormatError naming its truth file."""
+    tracklet 0's is a CsvFormatError naming its truth file, and so is a split
+    too short to filter: every filter starts its track on rows 0 and 1 and
+    steps from EVAL_START on."""
     directory = Path(directory)
     n = len(list(directory.glob("truth_*.csv")))
     if not n:
@@ -232,4 +235,7 @@ def load_dataset(directory, sensor: SensorConfig, dt: float) -> Dataset:
         if len(trk) != len(tracklets[0]):
             raise CsvFormatError(f"truth_{i:04d}.csv has {len(trk)} rows, truth_0000.csv "
                                  f"{len(tracklets[0])}: a split's tracklets share one length")
+    if len(tracklets[0]) <= EVAL_START:
+        raise CsvFormatError(f"truth_0000.csv has {len(tracklets[0])} rows: a filter needs at "
+                             f"least {EVAL_START + 1}")
     return Dataset(tracklets=tracklets, sensor=sensor)

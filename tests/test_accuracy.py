@@ -1,0 +1,38 @@
+"""The shared accuracy gate: on one small pinned GCT scenario, a method's
+pooled post-update position RMSE must be below the raw measurements'.
+
+The scenario is the accuracy probes' test set: 12 GCT tracklets of 50 steps
+at seed 2000, seen by the CLI's default sensor (sigma_r = 1.5 m,
+sigma_a = 0.00523 rad), scored from EVAL_START on as scores.csv scores them.
+Each learned method gains its case here once it beats the measurements.
+"""
+
+import numpy as np
+import pytest
+
+from tracklearn.ekf import EVAL_START
+from tracklearn.evaluate import pooled_rmse, position_errors
+from tracklearn.runner import run_ekf_method
+from tracklearn.simulate import GctConfig, make_dataset
+from tracklearn.statespace import SensorConfig, polar_rows_to_cartesian
+
+
+@pytest.fixture(scope="module")
+def scenario():
+    return make_dataset(12, GctConfig(n_steps=50), SensorConfig(), seed=2000)
+
+
+def post_and_raw_rmse(dataset, post):
+    """Pooled RMSE of the post means and of the Cartesian measurements."""
+    records = {
+        "m_post": post,
+        "m_meas": np.stack([polar_rows_to_cartesian(trk.meas, dataset.sensor)[EVAL_START:]
+                            for trk in dataset.tracklets]),
+        "m_truth": np.stack([trk.truth[EVAL_START:] for trk in dataset.tracklets]),
+    }
+    return tuple(pooled_rmse(position_errors(records, "m", phase)) for phase in ("post", "meas"))
+
+
+def test_ekf_beats_the_raw_measurements(scenario):
+    post_rmse, raw_rmse = post_and_raw_rmse(scenario, run_ekf_method(scenario, q=1.0)[1])
+    assert post_rmse < raw_rmse

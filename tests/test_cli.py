@@ -244,6 +244,30 @@ def test_evaluate_rejects_the_removed_resample_key(gct_runs, tmp_path, capsys):
         "error: unknown key 'resample' in section [gp]"]
 
 
+def test_train_rejects_the_removed_loss_key(gct_runs, tmp_path, capsys):
+    """The LSTM-KF trains on the Gaussian NLL alone, so loss is no [mkf] key."""
+    root, _ = gct_runs[0]
+    cfg = experiment(tmp_path / "exp.ini", root, {("mkf", "loss"): "nll"})
+    code = main(["train", "--config", str(cfg), "--out", str(tmp_path / "mkf"),
+                 "--data", str(root / "data"), "--method", "mkf", "--seed", "7"])
+    assert code == 2
+    assert capsys.readouterr().err.strip().splitlines() == [
+        "error: unknown key 'loss' in section [mkf]"]
+
+
+@pytest.mark.parametrize("value", ["0", "-1", "nan"])
+def test_evaluate_rejects_an_ekf_q_that_is_not_positive(gct_runs, tmp_path, capsys, value):
+    root, _ = gct_runs[0]
+    cfg = experiment(tmp_path / "exp.ini", root, {("ekf", "q"): value})
+    out = tmp_path / "eval"
+    code = main(["evaluate", "--config", str(cfg), "--out", str(out),
+                 "--data", str(root / "data"), "--seed", "7", "--method", "ekf"])
+    assert code == 2
+    assert capsys.readouterr().err.strip().splitlines() == [
+        f"error: [ekf] q must be positive and finite, got {float(value)}"]
+    assert not (out / "failure_report.txt").exists()
+
+
 @pytest.mark.parametrize("key, value", [
     ("n_particles", "0"), ("n_particles", "-3"),
     ("sigma_p", "-1"), ("sigma_p", "inf"), ("sigma_p", "nan"),
@@ -374,7 +398,6 @@ def test_train_refuses_another_methods_output_directory(gct_runs, tmp_path, caps
     ("imm", "modes", "cv,xx", "imm", "unknown mode"),
     ("imm", "init_q", "-1", "imm", "init_q must be positive, got -1.0"),
     ("imm", "init_q", "0", "imm", "init_q must be positive, got 0.0"),
-    ("mkf", "loss", "foo", "mkf", "unknown loss mode 'foo'"),
     ("gp", "sigma0_sq", "-1", "gp", "GP hyperparameters must be positive"),
     ("sensor", "sigma_r", "0", "simulate", "sensor noise stds must be positive"),
     ("dataset", "n_steps", "0", "simulate", "n_steps must be positive"),
@@ -424,7 +447,14 @@ BAD_SPLIT_CAUSES = {
     "short_tracklet": "truth_0001.csv has 38 rows, truth_0000.csv 40: "
                       "a split's tracklets share one length",
     "no_meas": "meas_0001.csv is missing",
+    "too_short": "truth_0000.csv has 2 rows: a filter needs at least 3",
 }
+
+
+def cut_split(split, rows):
+    """Every truth and measurement file of split cut to its header and rows rows."""
+    for path in split.glob("*.csv"):
+        path.write_text("".join(path.read_text().splitlines(keepends=True)[:1 + rows]))
 
 
 @pytest.mark.parametrize("command", ["train", "evaluate"])
@@ -443,6 +473,8 @@ def test_a_bad_dataset_split_exits_2_naming_the_file(gct_runs, tmp_path, capsys,
         for kind in ("truth", "meas"):
             path = split / f"{kind}_0001.csv"
             path.write_text("".join(path.read_text().splitlines(keepends=True)[:-2]))
+    elif case == "too_short":  # init_track needs rows 0 and 1, the first step row 2
+        cut_split(split, EVAL_START)
     else:
         (split / "meas_0001.csv").unlink()
     cfg = str(experiment(tmp_path / "exp.ini", root))
@@ -452,3 +484,16 @@ def test_a_bad_dataset_split_exits_2_naming_the_file(gct_runs, tmp_path, capsys,
     err = capsys.readouterr().err.strip().splitlines()
     assert code == 2
     assert err == [f"error: dataset split {split}: {BAD_SPLIT_CAUSES[case]}"]
+
+
+def test_a_split_of_one_filtered_row_is_scored(gct_runs, tmp_path):
+    root, _ = gct_runs[0]
+    data = tmp_path / "data"
+    shutil.copytree(root / "data", data)
+    cut_split(data / "test", EVAL_START + 1)
+    out = tmp_path / "eval"
+    cfg = str(experiment(tmp_path / "exp.ini", root))
+    assert main(["evaluate", "--config", cfg, "--out", str(out), "--data", str(data),
+                 "--seed", "7"]) == 0
+    records = load_records(out / "records.npz")
+    assert all(records[f"{m}_post"].shape == (4, 1, 4) for m in ("ekf", *TRAINED))

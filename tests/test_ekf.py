@@ -3,12 +3,12 @@ import pytest
 
 import tracklearn.autodiff as ad
 from tracklearn.ekf import (
-    CwnaModel,
+    cv_transition,
     ekf_update,
     gaussian_nll,
     init_track,
-    predict_cwna,
     range_bearing,
+    wna_template,
 )
 from tracklearn.errors import NumericsError
 from tracklearn.statespace import Measurement, SensorConfig, StateEstimate, measure
@@ -25,32 +25,27 @@ def random_spd(rng, scale=10.0):
 
 
 def test_predict_deterministic_drift():
-    model = CwnaModel(dt=1.0, q=0.0)
-    prior = StateEstimate(mean=[0.0, 0.0, 1.0, 2.0], cov=np.eye(4))
-    pred = predict_cwna(prior, model)
-    assert pred.mean == pytest.approx([1.0, 2.0, 1.0, 2.0])
-    f = model.transition
-    assert np.allclose(pred.cov, f @ np.eye(4) @ f.T)
-    assert pred.t == prior.t + 1
+    for dt in (1.0, 0.5):
+        f = cv_transition(dt)
+        assert np.array_equal(f @ np.array([0.0, 0.0, 1.0, 2.0]), [dt, 2.0 * dt, 1.0, 2.0])
+        assert np.array_equal(f @ np.eye(4) @ f.T, f @ f.T)
 
 
 def test_predict_zero_noise_zero_cov():
-    model = CwnaModel(dt=0.5, q=0.0)
-    prior = StateEstimate(mean=[1.0, 1.0, 0.0, 0.0], cov=np.zeros((4, 4)))
-    pred = predict_cwna(prior, model)
-    assert np.allclose(pred.cov, 0.0)
+    f = cv_transition(0.5)
+    assert np.array_equal(f @ np.zeros((4, 4)) @ f.T + 0.0 * wna_template(0.5), np.zeros((4, 4)))
 
 
 def test_predict_noise_inflates_trace():
     rng = np.random.default_rng(0)
-    model = CwnaModel(dt=1.0, q=2.0)
-    for _ in range(20):
-        cov = random_spd(rng)
-        prior = StateEstimate(mean=np.zeros(4), cov=cov)
-        f = model.transition
-        drift_only = f @ cov @ f.T
-        pred = predict_cwna(prior, model)
-        assert np.trace(pred.cov) >= np.trace(drift_only)
+    for dt in (0.1, 1.0, 3.0):
+        noise = 2.0 * wna_template(dt)
+        assert np.array_equal(noise, noise.T)
+        assert np.linalg.eigvalsh(noise).min() >= -1e-12 * np.trace(noise)
+        f = cv_transition(dt)
+        for _ in range(20):
+            drift_only = f @ random_spd(rng) @ f.T
+            assert np.trace(drift_only + noise) >= np.trace(drift_only)
 
 
 def test_update_uninformative_measurement(sensor):

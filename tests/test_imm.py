@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from conftest import finite_difference
+from conftest import cv_ekf_reference, finite_difference
 import tracklearn.autodiff as ad
 from tracklearn import imm
-from tracklearn.ekf import CwnaModel, init_track, run_ekf
+from tracklearn.ekf import EVAL_START, init_track
 from tracklearn.imm import (
     ImmConfig,
     ImmGraph,
@@ -66,10 +66,9 @@ def test_single_mode_imm_matches_ekf():
     cfg = ImmConfig(modes=(MODE_CV,), train_r=False)
     params = default_params(SENSOR, cfg, init_q=q)
     pred_imm, post_imm, covs_imm, nll_imm = run_imm(params, trk, SENSOR, cfg)
-    pred_ekf, post_ekf, nll_ekf = run_ekf(trk, SENSOR, CwnaModel(dt=trk.dt, q=q))
-    scale = np.maximum(1.0, np.abs(post_ekf))
-    assert np.max(np.abs(post_imm - post_ekf) / scale) < 1e-12
-    assert np.max(np.abs(pred_imm - pred_ekf) / np.maximum(1.0, np.abs(pred_ekf))) < 1e-12
+    pred_ekf, post_ekf, nll_ekf = cv_ekf_reference(trk, SENSOR, q)
+    for rows, ref in ((pred_imm, pred_ekf), (post_imm, post_ekf)):
+        assert np.max(np.abs(rows[EVAL_START:] - ref) / np.maximum(1.0, np.abs(ref))) < 1e-12
     assert nll_imm == pytest.approx(nll_ekf, rel=1e-12)
 
 
@@ -95,8 +94,8 @@ def test_identical_modes_share_everything():
     params = default_params(SENSOR, cfg, init_q=0.7)
     params.trans_logits = np.log(np.array([[0.7, 0.3], [0.2, 0.8]]))
     _, post_imm, _, nll_imm = run_imm(params, trk, SENSOR, cfg)
-    _, post_ekf, nll_ekf = run_ekf(trk, SENSOR, CwnaModel(dt=trk.dt, q=0.7))
-    assert np.allclose(post_imm, post_ekf, rtol=1e-9, atol=1e-9)
+    _, post_ekf, nll_ekf = cv_ekf_reference(trk, SENSOR, 0.7)
+    assert np.allclose(post_imm[EVAL_START:], post_ekf, rtol=1e-9, atol=1e-9)
     assert nll_imm == pytest.approx(nll_ekf, rel=1e-9)
 
 
@@ -174,27 +173,12 @@ def test_ct_mode_zero_rate_equals_cv():
 def test_mode_likelihood_matches_density_oracle():
     """The per-mode log-likelihood equals the bivariate Gaussian density of
     the innovation under S, checked against a direct evaluation."""
-    from tracklearn.ekf import CwnaModel
-
     trk = gct_tracklet(seed=5, n_steps=10)
     cfg = ImmConfig(modes=(MODE_CV,), train_r=False)
     params = default_params(SENSOR, cfg, init_q=0.5)
     loss, _ = imm_nll(params, trk, SENSOR, cfg)
-
-    # independent oracle: run the plain EKF and evaluate densities directly
-    model = CwnaModel(dt=trk.dt, q=0.5)
-    from tracklearn.ekf import ekf_update, init_track, predict_cwna
-
-    est = two_point_init(trk)
-    total = 0.0
-    for t in range(2, len(trk)):
-        pred = predict_cwna(est, model)
-        est, nu, s = ekf_update(pred, Measurement(t, *trk.meas[t]), SENSOR)
-        density = np.exp(-0.5 * nu @ np.linalg.solve(s, nu)) / (
-            2 * np.pi * np.sqrt(np.linalg.det(s))
-        )
-        total -= np.log(density)
-    assert loss.scalar() == pytest.approx(total, rel=1e-9)
+    # the reference EKF evaluates each innovation's density directly
+    assert loss.scalar() == pytest.approx(cv_ekf_reference(trk, SENSOR, 0.5)[2], rel=1e-9)
 
 
 def test_nll_gradient_matches_finite_differences():

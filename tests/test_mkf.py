@@ -118,17 +118,8 @@ def test_loss_zero_residual_identity_chol():
     wvars = _tape_weights(tape, w)
     inputs = np.zeros((6, 2))
     labels = np.zeros((6, 2))  # network emits v=0, so residuals vanish; C = I
-    loss = mkf_loss(wvars, inputs, labels, hidden=4, mode="nll")
+    loss = mkf_loss(wvars, inputs, labels, hidden=4)
     assert loss.scalar() == pytest.approx(6 * np.log(2 * np.pi), rel=1e-12)
-
-
-def test_literal_loss_zero_residual_is_diag_l1():
-    w = zero_weights()
-    tape = ad.make_tape()
-    wvars = _tape_weights(tape, w)
-    loss = mkf_loss(wvars, np.zeros((4, 2)), np.zeros((4, 2)), hidden=4, mode="literal")
-    # residual term vanishes, |diag(C)|_1 = 2 per step with C = I
-    assert loss.scalar() == pytest.approx(8.0, rel=1e-12)
 
 
 def test_loss_gradient_matches_finite_differences():
@@ -140,14 +131,14 @@ def test_loss_gradient_matches_finite_differences():
 
     tape = ad.make_tape()
     wvars = _tape_weights(tape, w)
-    loss = mkf_loss(wvars, inputs, labels, hidden=6, mode="nll")
+    loss = mkf_loss(wvars, inputs, labels, hidden=6)
     ad.backward(loss)
     grads = {name: leaf.grad for name, leaf in wvars.items()}
 
     def loss_value(weights: LstmWeights) -> float:
         t = ad.make_tape()
         wv = _tape_weights(t, weights)
-        return mkf_loss(wv, inputs, labels, hidden=6, mode="nll").scalar()
+        return mkf_loss(wv, inputs, labels, hidden=6).scalar()
 
     names = list(w.to_dict())
     flat_positions = []

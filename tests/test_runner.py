@@ -5,11 +5,12 @@ the tracklet where it fails."""
 import numpy as np
 import pytest
 
+from conftest import cv_ekf_reference
 from tracklearn import gp
-from tracklearn.ekf import EVAL_START, CwnaModel, filter_tracklet, run_ekf
+from tracklearn.ekf import EVAL_START, filter_tracklet
 from tracklearn.errors import NumericsError
 from tracklearn.gp import gp_fit, init_particles, pf_step
-from tracklearn.imm import ImmConfig, default_params, run_imm
+from tracklearn.imm import MODE_CV, ImmConfig, default_params, run_imm
 from tracklearn.mkf import MkfConfig, init_weights, run_mkf
 from tracklearn.runner import (
     PfSettings,
@@ -47,7 +48,8 @@ def run_alone(method, train, test, k):
     no batch axis; the particle filter draws from tracklet k's stream."""
     trk = test.tracklets[k]
     if method == "ekf":
-        return run_ekf(trk, SENSOR, CwnaModel(dt=trk.dt, q=1.0))[:2]
+        cfg = ImmConfig(modes=(MODE_CV,), train_r=False)
+        return run_imm(default_params(SENSOR, cfg, init_q=1.0), trk, SENSOR, cfg)[:2]
     if method == "imm":
         return run_imm(default_params(SENSOR), trk, SENSOR, ImmConfig())[:2]
     if method == "mkf":
@@ -81,11 +83,19 @@ def test_lockstep_records_equal_filtering_each_tracklet_alone(method):
     assert_records_equal_alone(method, train, test)
 
 
+def test_ekf_method_equals_the_reference_cv_ekf():
+    test = make_dataset(4, GctConfig(n_steps=30), SENSOR, seed=3)
+    pred, post = run_ekf_method(test, q=0.6)
+    for k, trk in enumerate(test.tracklets):
+        for rows, ref in zip((pred[k], post[k]), cv_ekf_reference(trk, SENSOR, 0.6)):
+            assert np.max(np.abs(rows - ref) / np.maximum(1.0, np.abs(ref))) < 1e-12
+
+
 def test_lockstep_needs_one_length():
     short = make_dataset(1, GctConfig(n_steps=12), SENSOR, seed=2).tracklets
     long = make_dataset(1, GctConfig(n_steps=15), SENSOR, seed=3).tracklets
     with pytest.raises(ValueError, match="one length and one dt"):
-        run_ekf(short + long, SENSOR, CwnaModel(dt=1.0, q=1.0))
+        run_imm(default_params(SENSOR), short + long, SENSOR)
 
 
 @pytest.mark.parametrize("method, row", [("ekf", 5), ("imm", 5), ("gp", 5), ("mkf", 5)])
