@@ -29,7 +29,7 @@ from .imm import ImmConfig, default_params, load_imm, save_imm, train_imm
 from .mkf import MkfConfig, init_weights, input_scale_from, load_mkf, save_mkf, train_mkf
 from .runner import PfSettings, run_ekf_method, run_gp_method, run_imm_method, run_mkf_method
 from .simulate import Dataset, ingest_csv, load_dataset, make_dataset, save_dataset
-from .statespace import SensorConfig, polar_rows_to_cartesian
+from .statespace import SensorConfig, polar_to_cartesian
 
 METHODS = ("ekf", "gp", "imm", "mkf")
 
@@ -318,7 +318,7 @@ def cmd_evaluate(args) -> int:
             raise ConfigError(f"unknown method {m!r}")
     started = time.time()
     truth = np.stack([trk.truth[EVAL_START:] for trk in test.tracklets])
-    meas = np.stack([polar_rows_to_cartesian(trk.meas, test.sensor)[EVAL_START:]
+    meas = np.stack([polar_to_cartesian(*trk.meas.T, test.sensor)[EVAL_START:]
                      for trk in test.tracklets])
     estimates = {}
     failures = {}

@@ -3,17 +3,18 @@
 The CV model, the range-bearing measurement model, the Joseph-form update
 and the Gaussian innovation NLL are written once here, against the autodiff
 functions.  The IMM runs them for every mode (imm.ImmGraph.step), on arrays
-to filter and on its tape to train, and the LSTM filter reaches them through
-ekf_update.  Their numerical hygiene therefore carries the whole package.
+to filter and on its tape to train, and the LSTM filter calls joseph_update
+on arrays.  Their numerical hygiene therefore carries the whole package.
 There is no separate EKF filter: the EKF benchmark is the IMM with one cv
 mode (runner.run_ekf_method), whose mixing weight is 1 and spread term 0.
 
 The step loop is also written once, here: filter_tracklet owns the
 two-point initialization, the rows every filter reports and the first
 filtered row EVAL_START, for the EKF, the IMM, the LSTM filter and the GP
-particle filter alike.  Given B tracklets, it steps them in lockstep: states,
-measurements and outputs gain a leading batch axis, so each step runs once
-on stacks of B matrices, with the bits of filtering each tracklet alone.
+particle filter alike, and checks every row they report (check_estimate).
+Given B tracklets, it steps them in lockstep: states, measurements and
+outputs gain a leading batch axis, so each step runs once on stacks of B
+matrices, with the bits of filtering each tracklet alone.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from .statespace import (
     LOG_2PI,
     Measurement,
     SensorConfig,
-    StateEstimate,
     Tracklet,
     measurement_noise_cartesian,
     polar_to_cartesian,
@@ -111,30 +111,43 @@ def gaussian_nll(nu, s):
     return (quad + ad.logdet(s) + 2.0 * LOG_2PI) * 0.5
 
 
-def ekf_update(pred: StateEstimate, z: Measurement, sensor: SensorConfig):
-    """Range-bearing EKF update of a StateEstimate (joseph_update on arrays).
+def check_estimate(mean, cov, pred=None):
+    """Raise ValueError unless a state belief is sane: mean (and the predicted
+    mean pred, if given) finite, and cov finite, symmetric and PSD.  On a batch
+    of beliefs the message names the first failing row ("row <b>: ")."""
+    peak = np.abs(cov).max(axis=(-2, -1))  # NaN where cov holds a NaN
+    finite = np.isfinite(mean).all(axis=-1)
+    if pred is not None:
+        finite &= np.isfinite(pred).all(axis=-1)
+    bad = ~(np.isfinite(peak) & finite)
+    if bad.any():
+        raise ValueError(f"{row_prefix(bad)}state estimate is not finite")
+    # np.allclose(cov, cov.T, rtol=0, atol=...)'s verdict on a finite cov, without its overhead
+    cov_t = cov.swapaxes(-1, -2)
+    bad = ~(np.abs(cov - cov_t).max(axis=(-2, -1)) <= 1e-9 * np.maximum(1.0, peak))
+    if bad.any():
+        raise ValueError(f"{row_prefix(bad)}covariance is not symmetric")
+    min_eig = np.linalg.eigvalsh(0.5 * (cov + cov_t)).min(axis=-1)
+    bad = min_eig < -1e-9 * np.maximum(np.trace(cov, axis1=-2, axis2=-1), 1.0)
+    if bad.any():
+        raise ValueError(f"{row_prefix(bad)}covariance is not PSD "
+                         f"(min eigenvalue {np.ravel(min_eig)[np.argmax(bad)]:g})")
 
-    Returns (posterior, innovation, innovation covariance).
-    """
-    x, p, nu, s = joseph_update(pred.mean[..., None], pred.cov, z.range, z.bearing,
-                                sensor.noise_cov, sensor.origin)
-    return StateEstimate(mean=x[..., 0], cov=p, t=pred.t), nu[..., 0], s
 
-
-def init_track(z0: Measurement, z1: Measurement, sensor: SensorConfig, dt: float) -> StateEstimate:
+def init_track(z0: Measurement, z1: Measurement, sensor: SensorConfig, dt: float):
     """Two-point track initialization from the first two measurements.
 
     Position is the second converted point, velocity its finite difference;
     the covariance is the exact propagation of both polar noise covariances
-    through that linear map.
+    through that linear map.  Returns (mean, cov).
     """
-    p0 = polar_to_cartesian(z0, sensor)
-    p1 = polar_to_cartesian(z1, sensor)
+    p0 = polar_to_cartesian(z0.range, z0.bearing, sensor)
+    p1 = polar_to_cartesian(z1.range, z1.bearing, sensor)
     r0 = measurement_noise_cartesian(z0, sensor)
     r1 = measurement_noise_cartesian(z1, sensor)
     mean = np.concatenate([p1, (p1 - p0) / dt], axis=-1)
     cov = np.block([[r1, r1 / dt], [r1 / dt, (r0 + r1) / dt**2]])
-    return StateEstimate(mean=mean, cov=cov, t=z1.t)
+    return mean, cov
 
 
 def filter_tracklet(tracklets, sensor: SensorConfig, start, step):
@@ -142,12 +155,15 @@ def filter_tracklet(tracklets, sensor: SensorConfig, start, step):
     over a list of B Tracklets in lockstep, with a leading batch axis on init,
     every z and every output (row b is tracklets[b]).
 
-    start(init, dt) turns the init_track estimate into the filter's state, and
-    step(state, z) filters the Measurement z of one row into (state, predicted
-    mean, posterior mean, posterior covariance).  Rows before EVAL_START hold
-    the initialization.  A step's NumericsError, ValueError or LinAlgError is
-    raised again as NumericsError("step <row>: ..."), then "row <b>: " when a
-    check names tracklet b.  Returns (pred_means, post_means, post_covs, state).
+    start(init, dt) turns the init_track (mean, cov) into the filter's state,
+    and step(state, z) filters the Measurement z of one row into (state,
+    predicted mean, posterior mean, posterior covariance).  Rows before
+    EVAL_START hold the initialization.  check_estimate checks the
+    initialization and every step's row, so each filter's output is held to
+    the same test.  A step's NumericsError, ValueError or LinAlgError, the
+    check's included, is raised again as NumericsError("step <row>: ..."),
+    then "row <b>: " when a check names tracklet b.  Returns (pred_means,
+    post_means, post_covs, state).
     """
     single = isinstance(tracklets, Tracklet)
     if not single and len({(len(trk), trk.dt) for trk in tracklets}) != 1:
@@ -155,15 +171,17 @@ def filter_tracklet(tracklets, sensor: SensorConfig, start, step):
     dt = (tracklets if single else tracklets[0]).dt
     # row t unpacks into (range, bearing): two floats, or two (B,) arrays from (T, 2, B)
     meas = tracklets.meas if single else np.stack([trk.meas for trk in tracklets], axis=-1)
-    init = init_track(Measurement(0, *meas[0]), Measurement(1, *meas[1]), sensor, dt)
-    rows = [(init.mean, init.mean, init.cov)] * EVAL_START
-    state = start(init, dt)
+    mean, cov = init_track(Measurement(*meas[0]), Measurement(*meas[1]), sensor, dt)
+    check_estimate(mean, cov)
+    rows = [(mean, mean, cov)] * EVAL_START
+    state = start((mean, cov), dt)
     for t in range(EVAL_START, len(meas)):
         try:
-            state, *row = step(state, Measurement(t, *meas[t]))
+            state, pred, post, post_cov = step(state, Measurement(*meas[t]))
+            check_estimate(post, post_cov, pred)
         except (NumericsError, ValueError, np.linalg.LinAlgError) as exc:
             raise NumericsError(f"step {t}: {exc}") from exc
-        rows.append(row)
-    time_axis = init.mean.ndim - 1  # after the batch axis, if any
+        rows.append((pred, post, post_cov))
+    time_axis = mean.ndim - 1  # after the batch axis, if any
     pred_means, post_means, post_covs = (np.stack(column, axis=time_axis) for column in zip(*rows))
     return pred_means, post_means, post_covs, state

@@ -31,7 +31,6 @@ from .statespace import (
     LOG_2PI,
     Measurement,
     SensorConfig,
-    StateEstimate,
     measurement_noise_cartesian,
     polar_to_cartesian,
     wrap_angle,
@@ -344,13 +343,15 @@ def _draw(rng, draw, out, rows=True) -> np.ndarray:
     return out
 
 
-def init_particles(est: StateEstimate, n_particles: int, rng) -> ParticleSet:
-    """A cloud drawn from est, or one per row of a batch of estimates."""
-    shape = (*est.mean.shape[:-1], n_particles, 2)
+def init_particles(init, n_particles: int, rng) -> ParticleSet:
+    """A cloud drawn from the Gaussian init = (mean, cov), or one per row of a
+    batch of them."""
+    mean, cov = init
+    shape = (*mean.shape[:-1], n_particles, 2)
     positions = _draw(rng, lambda g, b: g.multivariate_normal(
-        est.position[b], est.cov[b][:2, :2], size=n_particles), np.empty(shape))
+        mean[b][:2], cov[b][:2, :2], size=n_particles), np.empty(shape))
     velocities = _draw(rng, lambda g, b: g.multivariate_normal(
-        est.velocity[b], est.cov[b][2:, 2:], size=n_particles), np.empty(shape))
+        mean[b][2:], cov[b][2:, 2:], size=n_particles), np.empty(shape))
     weights = np.full(shape[:-1], 1.0 / n_particles)
     return ParticleSet(positions=positions, velocities=velocities, weights=weights)
 
@@ -415,14 +416,14 @@ def pf_reweight(ps: ParticleSet, z: Measurement, sensor: SensorConfig) -> Partic
     return ps
 
 
-def pf_estimate(ps: ParticleSet, t: int = 0) -> StateEstimate:
-    """Weighted mean of positions and velocities with weighted sample covariance;
-    one batched StateEstimate for a batch of clouds."""
+def pf_estimate(ps: ParticleSet):
+    """(mean, cov): the weighted mean of positions and velocities and their
+    weighted sample covariance, with a leading batch axis for a batch of clouds."""
     state = np.concatenate([ps.positions, ps.velocities], axis=-1)
     mean = (ps.weights[..., None, :] @ state)[..., 0, :]
     state -= mean[..., None, :]  # centred in place
     cov = (ps.weights[..., None] * state).swapaxes(-1, -2) @ state
-    return StateEstimate(mean=mean, cov=0.5 * (cov + cov.swapaxes(-1, -2)), t=t)
+    return mean, 0.5 * (cov + cov.swapaxes(-1, -2))
 
 
 def pf_resample(ps: ParticleSet, rng) -> ParticleSet:
@@ -439,7 +440,7 @@ def pf_reseed(ps: ParticleSet, z: Measurement, sensor: SensorConfig, rng,
               rows=True) -> ParticleSet:
     """Recovery after weight collapse: in every cloud where rows holds, positions
     re-drawn around the measurement, with uniform weights."""
-    cart = polar_to_cartesian(z, sensor)
+    cart = polar_to_cartesian(z.range, z.bearing, sensor)
     noise_cov = measurement_noise_cartesian(z, sensor)
     bad = ~np.isfinite(cart).all(axis=-1) & rows
     if np.any(bad):
@@ -456,15 +457,15 @@ def pf_step(ps: ParticleSet, z: Measurement, models, sensor: SensorConfig,
     """One SIR cycle: propagate, reweight, estimate, resample, on one cloud or
     on a batch of clouds.
 
-    Returns (particles, prior estimate, posterior estimate).  The prior is
-    taken after propagation, the posterior from the normalized weights before
-    resampling.  A cloud whose every weight underflows is reseeded around z
-    instead of raising; every cloud is then resampled systematically.
+    Returns (particles, prior mean, posterior mean, posterior covariance), the
+    rows ekf.filter_tracklet asks of a step.  The prior is taken after
+    propagation, the posterior from the normalized weights before resampling.
+    A cloud whose every weight underflows is reseeded around z instead of
+    raising; every cloud is then resampled systematically.
     """
     ps = pf_propagate(ps, models, sigma_p, dt, rng)
-    prior = pf_estimate(ps, t=z.t)
+    prior_mean = pf_estimate(ps)[0]
     ps, collapsed = _reweight(ps, z, sensor)
     if np.any(collapsed):
         ps = pf_reseed(ps, z, sensor, rng, collapsed)
-    post = pf_estimate(ps, t=z.t)
-    return pf_resample(ps, rng), prior, post
+    return pf_resample(ps, rng), prior_mean, *pf_estimate(ps)

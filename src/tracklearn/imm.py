@@ -22,7 +22,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import GradientOptimizer, Var
 from .ekf import cv_transition, filter_tracklet, gaussian_nll, joseph_update, wna_template
-from .statespace import SensorConfig, StateEstimate, Tracklet
+from .statespace import SensorConfig, Tracklet
 
 MODE_CV = "cv"
 MODE_CT = "ct"
@@ -195,9 +195,10 @@ def _floor_probs(mu: list, floor: float) -> list:
 class ImmGraph:
     """The IMM recursion over a measurement sequence.  With record=True the
     parameters are leaves on self.tape and every step records its nodes there,
-    for imm_nll's backward pass; otherwise they are arrays and the tape stays empty."""
+    for imm_nll's backward pass; otherwise they are arrays and the tape stays empty.
+    Every mode starts from init, the two-point (mean, cov) of ekf.init_track."""
 
-    def __init__(self, params: ImmParams, init: StateEstimate, dt: float,
+    def __init__(self, params: ImmParams, init: tuple, dt: float,
                  origin: np.ndarray, cfg: ImmConfig, record: bool = False):
         self.cfg = cfg
         self.origin = np.asarray(origin, dtype=float)
@@ -231,8 +232,9 @@ class ImmGraph:
             q_scale = ad.exp(ad.item(self.leaves["log_q"], 0, j))
             self.q_vars.append(ad.scale_template(q_scale, wna))
 
-        self.modes_x = [ad.const_like(like, init.mean[..., None]) for _ in range(m)]
-        self.modes_p = [ad.const_like(like, init.cov) for _ in range(m)]
+        mean, cov = init
+        self.modes_x = [ad.const_like(like, mean[..., None]) for _ in range(m)]
+        self.modes_p = [ad.const_like(like, cov) for _ in range(m)]
         self.mu = [ad.const_like(like, 1.0 / m) for _ in range(m)]
         self.loss_terms = []
 

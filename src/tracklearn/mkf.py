@@ -1,6 +1,7 @@
 """LSTM-driven Kalman filter: a recurrent network supplies the predicted
-velocity and the Cholesky factor of its covariance, and a standard EKF
-update closes the recursion against the range-bearing sensor.
+velocity and the Cholesky factor of its covariance, and the shared
+Joseph-form EKF update (ekf.joseph_update) closes the recursion against the
+range-bearing sensor.  The state between steps is plain (mean, cov) arrays.
 
 The network is trained by full backpropagation through time on the tape,
 with inputs and labels built purely from Cartesian-converted measurements
@@ -15,15 +16,8 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import GradientOptimizer, Var, clip_by_global_norm
-from .ekf import ekf_update, filter_tracklet
-from .statespace import (
-    LOG_2PI,
-    SensorConfig,
-    StateEstimate,
-    Tracklet,
-    VEL_PROJECTION,
-    polar_rows_to_cartesian,
-)
+from .ekf import filter_tracklet, joseph_update
+from .statespace import LOG_2PI, SensorConfig, Tracklet, polar_to_cartesian
 
 _E00 = np.array([[1.0, 0.0], [0.0, 0.0]])
 _E11 = np.array([[0.0, 0.0], [0.0, 1.0]])
@@ -127,30 +121,30 @@ def lstm_step(weights: dict, h, c, x):
     return h_new, c_new, v, chol
 
 
-def mkf_predict(prior: StateEstimate, state: tuple, w: LstmWeights, dt: float,
-                q_reg: float = 1e-2):
-    """One network prediction step from the posterior state.
+def mkf_predict(mean, cov, state: tuple, w: LstmWeights, dt: float, q_reg: float = 1e-2):
+    """One network prediction step from the posterior (mean, cov).
 
     state is the LSTM's (h, c).  The network ingests the posterior velocity
-    (scaled); position moves by dt * v_nn; the covariance grows by the
-    velocity-projected network covariance plus the regularization term.
-    Returns (predicted StateEstimate, new (h, c)).
+    (scaled) and replaces it by its own v_nn, of covariance C C'; position
+    moves by dt * v_nn.  With G = [dt I; I], the predicted covariance is
+    G C C' G' + [[P_pp, 0], [0, 0]] + q_reg I, for the posterior's position
+    block P_pp.  Returns (predicted mean, predicted cov, new (h, c)).
     """
-    x = (prior.velocity / w.input_scale)[..., None, :]
+    x = (mean[..., 2:] / w.input_scale)[..., None, :]
     h, c, v_nn, c_nn = lstm_step(w.to_dict(), *state, x)
     v_phys = v_nn[..., 0, :] * w.input_scale
     c_phys = c_nn * w.input_scale
-    mean = np.concatenate([prior.position + dt * v_phys, v_phys], axis=-1)
-    vel_cov = c_phys @ c_phys.swapaxes(-1, -2)
-    cov = prior.cov + VEL_PROJECTION.T @ vel_cov @ VEL_PROJECTION + np.eye(4) * q_reg
-    pred = StateEstimate(mean=mean, cov=0.5 * (cov + cov.swapaxes(-1, -2)), t=prior.t + 1)
-    return pred, (h, c)
+    pred = np.concatenate([mean[..., :2] + dt * v_phys, v_phys], axis=-1)
+    g = np.vstack([dt * np.eye(2), np.eye(2)])
+    pred_cov = g @ c_phys @ c_phys.swapaxes(-1, -2) @ g.T + np.eye(4) * q_reg
+    pred_cov[..., :2, :2] += cov[..., :2, :2]
+    return pred, 0.5 * (pred_cov + pred_cov.swapaxes(-1, -2)), (h, c)
 
 
 def training_sequences(tracklet: Tracklet, sensor: SensorConfig, scale: float):
     """Inputs and labels from measurements only: scaled finite-difference
     velocities of the Cartesian-converted returns, shifted by one step."""
-    cart = polar_rows_to_cartesian(tracklet.meas, sensor)
+    cart = polar_to_cartesian(*tracklet.meas.T, sensor)
     fd_vel = np.diff(cart, axis=0) / tracklet.dt
     scaled = fd_vel / scale
     return scaled[:-1], scaled[1:]
@@ -203,7 +197,7 @@ def input_scale_from(tracklets, sensor: SensorConfig) -> float:
     """Pooled std of measurement-derived velocity components; 1.0 floor."""
     samples = []
     for trk in tracklets[:64]:
-        cart = polar_rows_to_cartesian(trk.meas, sensor)
+        cart = polar_to_cartesian(*trk.meas.T, sensor)
         samples.append(np.diff(cart, axis=0).ravel() / trk.dt)
     scale = float(np.std(np.concatenate(samples)))
     return max(scale, 1.0)
@@ -215,10 +209,11 @@ def run_mkf(tracklets, sensor: SensorConfig, w: LstmWeights, cfg: MkfConfig = No
     cfg = cfg or MkfConfig()
 
     def step(state, z):
-        est, lstm_state, dt = state
-        pred, lstm_state = mkf_predict(est, lstm_state, w, dt, cfg.q_reg)
-        est, _, _ = ekf_update(pred, z, sensor)
-        return (est, lstm_state, dt), pred.mean, est.mean, est.cov
+        (mean, cov), lstm_state, dt = state
+        pred, cov, lstm_state = mkf_predict(mean, cov, lstm_state, w, dt, cfg.q_reg)
+        x, p, _, _ = joseph_update(pred[..., None], cov, z.range, z.bearing, sensor.noise_cov,
+                                   sensor.origin)
+        return ((x[..., 0], p), lstm_state, dt), pred, x[..., 0], p
 
     zero_state = (np.zeros((1, w.hidden)), np.zeros((1, w.hidden)))  # LSTM (h, c)
     return filter_tracklet(tracklets, sensor, lambda init, dt: (init, zero_state, dt), step)[:3]

@@ -66,9 +66,7 @@ def run_gp_method(dataset: Dataset, models, settings: PfSettings, seed: int):
     rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(len(dataset))]
 
     def step(clouds, z):
-        clouds, prior, post = pf_step(clouds, z, models, dataset.sensor, settings.sigma_p, rngs,
-                                      dt=dataset.dt)
-        return clouds, prior.mean, post.mean, post.cov
+        return pf_step(clouds, z, models, dataset.sensor, settings.sigma_p, rngs, dt=dataset.dt)
 
     def start(init, dt):
         return init_particles(init, settings.n_particles, rngs)

@@ -2,6 +2,8 @@
 
 State ordering is fixed to [x1, x2, v1, v2] (meters, meters/second) and is
 relied on by every filter in the package.  Bearings live in (-pi, pi].
+A filter's state belief is plain arrays: a (4,) mean and a (4, 4) covariance,
+or (B, 4) and (B, 4, 4) for a batch of B; ekf.check_estimate validates them.
 """
 
 from __future__ import annotations
@@ -16,9 +18,6 @@ STATE_DIM = 4
 TWO_PI = 2.0 * np.pi
 LOG_2PI = np.log(TWO_PI)
 
-# Projects a 4-D state onto its velocity components.
-VEL_PROJECTION = np.array([[0.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, 1.0]])
-
 
 def wrap_angle(theta):
     """Wrap an angle (scalar or array) into (-pi, pi]."""
@@ -27,50 +26,10 @@ def wrap_angle(theta):
 
 
 @dataclass(frozen=True)
-class StateEstimate:
-    """Gaussian state belief: 4-D mean, 4x4 covariance, integer time index;
-    a batch of B beliefs has (B, 4) means and (B, 4, 4) covariances."""
-
-    mean: np.ndarray
-    cov: np.ndarray
-    t: int = 0
-
-    def __post_init__(self):
-        mean = np.asarray(self.mean, dtype=float)
-        mean = mean.reshape(*mean.shape[:-1], STATE_DIM)
-        cov = np.asarray(self.cov, dtype=float).reshape(*mean.shape[:-1], STATE_DIM, STATE_DIM)
-        object.__setattr__(self, "mean", mean)
-        object.__setattr__(self, "cov", cov)
-        peak = np.abs(cov).max(axis=(-2, -1))  # NaN where cov holds a NaN
-        bad = ~(np.isfinite(peak) & np.isfinite(mean).all(axis=-1))
-        if bad.any():
-            raise ValueError(f"{row_prefix(bad)}state estimate is not finite")
-        # np.allclose(cov, cov.T, rtol=0, atol=...)'s verdict on a finite cov, without its overhead
-        cov_t = cov.swapaxes(-1, -2)
-        bad = ~(np.abs(cov - cov_t).max(axis=(-2, -1)) <= 1e-9 * np.maximum(1.0, peak))
-        if bad.any():
-            raise ValueError(f"{row_prefix(bad)}covariance is not symmetric")
-        min_eig = np.linalg.eigvalsh(0.5 * (cov + cov_t)).min(axis=-1)
-        bad = min_eig < -1e-9 * np.maximum(np.trace(cov, axis1=-2, axis2=-1), 1.0)
-        if bad.any():
-            raise ValueError(f"{row_prefix(bad)}covariance is not PSD "
-                             f"(min eigenvalue {np.ravel(min_eig)[np.argmax(bad)]:g})")
-
-    @property
-    def position(self) -> np.ndarray:
-        return self.mean[..., :2]
-
-    @property
-    def velocity(self) -> np.ndarray:
-        return self.mean[..., 2:]
-
-
-@dataclass(frozen=True)
 class Measurement:
-    """One polar sensor return: time index, range (m), bearing (rad in (-pi, pi]);
+    """One polar sensor return: range (m), bearing (rad in (-pi, pi]);
     range and bearing are (B,) arrays for a batch of B tracklets."""
 
-    t: int
     range: float
     bearing: float
 
@@ -135,17 +94,11 @@ def measure(state_pos, sensor: SensorConfig):
     return np.sqrt(r_sq), np.arctan2(dy, dx)
 
 
-def polar_to_cartesian(m: Measurement, sensor: SensorConfig) -> np.ndarray:
-    """Invert measure(): place a (range, bearing) pair back into the plane."""
-    unit = np.stack([np.cos(m.bearing), np.sin(m.bearing)], axis=-1)
-    return sensor.origin + np.expand_dims(m.range, -1) * unit
-
-
-def polar_rows_to_cartesian(meas_rows: np.ndarray, sensor: SensorConfig) -> np.ndarray:
-    """Vectorized polar_to_cartesian over (T, 2) rows of (range, bearing)."""
-    rows = np.asarray(meas_rows, dtype=float)
-    xy = np.stack([rows[:, 0] * np.cos(rows[:, 1]), rows[:, 0] * np.sin(rows[:, 1])], axis=1)
-    return xy + sensor.origin
+def polar_to_cartesian(r, bearing, sensor: SensorConfig) -> np.ndarray:
+    """Invert measure(): place ranges and bearings of any one shape back into
+    the plane, as that shape plus a trailing (x, y) axis."""
+    return np.stack([r * np.cos(bearing) + sensor.origin[0],
+                     r * np.sin(bearing) + sensor.origin[1]], axis=-1)
 
 
 def measurement_noise_cartesian(m: Measurement, sensor: SensorConfig) -> np.ndarray:

@@ -4,8 +4,8 @@ a CV-EKF written apart from the program's filters."""
 import numpy as np
 import pytest
 
-from tracklearn.ekf import EVAL_START, cv_transition, ekf_update, init_track, wna_template
-from tracklearn.statespace import Measurement, StateEstimate
+from tracklearn.ekf import EVAL_START, cv_transition, init_track, joseph_update, wna_template
+from tracklearn.statespace import Measurement
 
 
 def write_config(path, overrides=None):
@@ -55,18 +55,20 @@ def finite_difference(f, theta: np.ndarray, rel_step: float = 1e-6) -> np.ndarra
 
 def cv_ekf_reference(tracklet, sensor, q):
     """The CV-EKF of intensity q on one tracklet, stepped here rather than by
-    the IMM: F x and F P F' + q W predict, ekf_update updates, from the
+    the IMM: F x and F P F' + q W predict, joseph_update updates, from the
     two-point init.  Returns (pred means, post means), one row per measurement
     from EVAL_START on, and the total NLL from each innovation's Gaussian density."""
     f, noise = cv_transition(tracklet.dt), q * wna_template(tracklet.dt)
-    z = [Measurement(t, *row) for t, row in enumerate(tracklet.meas)]
-    est = init_track(z[0], z[1], sensor, tracklet.dt)
+    z = [Measurement(*row) for row in tracklet.meas]
+    mean, cov = init_track(z[0], z[1], sensor, tracklet.dt)
     pred_means, post_means, nll = [], [], 0.0
     for t in range(EVAL_START, len(tracklet)):
-        pred = StateEstimate(mean=f @ est.mean, cov=f @ est.cov @ f.T + noise, t=t)
-        est, nu, s = ekf_update(pred, z[t], sensor)
-        pred_means.append(pred.mean)
-        post_means.append(est.mean)
+        pred = f @ mean
+        x, cov, nu, s = joseph_update(pred[:, None], f @ cov @ f.T + noise, z[t].range,
+                                      z[t].bearing, sensor.noise_cov, sensor.origin)
+        mean, nu = x[:, 0], nu[:, 0]
+        pred_means.append(pred)
+        post_means.append(mean)
         nll += 0.5 * (nu @ np.linalg.solve(s, nu) + np.log(np.linalg.det(s))) + np.log(2 * np.pi)
     return np.array(pred_means), np.array(post_means), nll
 

@@ -12,9 +12,10 @@ import pytest
 
 from tracklearn.ekf import EVAL_START
 from tracklearn.evaluate import pooled_rmse, position_errors
-from tracklearn.runner import run_ekf_method
+from tracklearn.mkf import MkfConfig, init_weights, input_scale_from
+from tracklearn.runner import run_ekf_method, run_mkf_method
 from tracklearn.simulate import GctConfig, make_dataset
-from tracklearn.statespace import SensorConfig, polar_rows_to_cartesian
+from tracklearn.statespace import SensorConfig, polar_to_cartesian
 
 
 @pytest.fixture(scope="module")
@@ -26,7 +27,7 @@ def post_and_raw_rmse(dataset, post):
     """Pooled RMSE of the post means and of the Cartesian measurements."""
     records = {
         "m_post": post,
-        "m_meas": np.stack([polar_rows_to_cartesian(trk.meas, dataset.sensor)[EVAL_START:]
+        "m_meas": np.stack([polar_to_cartesian(*trk.meas.T, dataset.sensor)[EVAL_START:]
                             for trk in dataset.tracklets]),
         "m_truth": np.stack([trk.truth[EVAL_START:] for trk in dataset.tracklets]),
     }
@@ -35,4 +36,14 @@ def post_and_raw_rmse(dataset, post):
 
 def test_ekf_beats_the_raw_measurements(scenario):
     post_rmse, raw_rmse = post_and_raw_rmse(scenario, run_ekf_method(scenario, q=1.0)[1])
+    assert post_rmse < raw_rmse
+
+
+def test_untrained_mkf_beats_the_raw_measurements(scenario):
+    """The LSTM filter at its initial weights: the measurement updates alone
+    must keep it below the measurements, whatever the network predicts."""
+    train = make_dataset(32, GctConfig(n_steps=50), SensorConfig(), seed=1000)
+    weights = init_weights(seed=7, input_scale=input_scale_from(train.tracklets, train.sensor))
+    post = run_mkf_method(scenario, weights, MkfConfig())[1]
+    post_rmse, raw_rmse = post_and_raw_rmse(scenario, post)
     assert post_rmse < raw_rmse

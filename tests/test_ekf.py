@@ -3,15 +3,19 @@ import pytest
 
 import tracklearn.autodiff as ad
 from tracklearn.ekf import (
+    EVAL_START,
+    check_estimate,
     cv_transition,
-    ekf_update,
+    filter_tracklet,
     gaussian_nll,
     init_track,
+    joseph_update,
     range_bearing,
     wna_template,
 )
 from tracklearn.errors import NumericsError
-from tracklearn.statespace import Measurement, SensorConfig, StateEstimate, measure
+from tracklearn.simulate import GctConfig, make_dataset
+from tracklearn.statespace import Measurement, SensorConfig, measure
 
 
 @pytest.fixture
@@ -22,6 +26,14 @@ def sensor():
 def random_spd(rng, scale=10.0):
     m = rng.standard_normal((4, 4))
     return m @ m.T + scale * np.eye(4)
+
+
+def update(mean, cov, z, sensor):
+    """joseph_update of one (mean, cov) by the Measurement z on arrays:
+    (posterior mean, posterior cov, innovation, innovation covariance)."""
+    x, p, nu, s = joseph_update(np.reshape(mean, (4, 1)), cov, z.range, z.bearing,
+                                sensor.noise_cov, sensor.origin)
+    return x[:, 0], p, nu[:, 0], s
 
 
 def test_predict_deterministic_drift():
@@ -50,18 +62,18 @@ def test_predict_noise_inflates_trace():
 
 def test_update_uninformative_measurement(sensor):
     huge = SensorConfig(origin=(0, 0), sigma_r=1e6, sigma_a=1e6)
-    pred = StateEstimate(mean=[100.0, 50.0, 1.0, 0.0], cov=np.eye(4))
-    z = Measurement(t=1, range=130.0, bearing=0.6)
-    post, _, _ = ekf_update(pred, z, huge)
-    assert np.allclose(post.mean, pred.mean, atol=1e-3)
-    assert np.allclose(post.cov, pred.cov, atol=1e-3)
+    mean = np.array([100.0, 50.0, 1.0, 0.0])
+    z = Measurement(range=130.0, bearing=0.6)
+    post, post_cov, _, _ = update(mean, np.eye(4), z, huge)
+    assert np.allclose(post, mean, atol=1e-3)
+    assert np.allclose(post_cov, np.eye(4), atol=1e-3)
 
 
 def test_update_fully_confident_prior(sensor):
-    pred = StateEstimate(mean=[100.0, 50.0, 1.0, 0.0], cov=np.zeros((4, 4)))
-    z = Measurement(t=1, range=130.0, bearing=0.6)
-    post, _, _ = ekf_update(pred, z, sensor)
-    assert np.allclose(post.mean, pred.mean)
+    mean = np.array([100.0, 50.0, 1.0, 0.0])
+    z = Measurement(range=130.0, bearing=0.6)
+    post, _, _, _ = update(mean, np.zeros((4, 4)), z, sensor)
+    assert np.allclose(post, mean)
 
 
 def test_update_against_hand_kalman_oracle():
@@ -69,27 +81,23 @@ def test_update_against_hand_kalman_oracle():
     hand-computed scalar-block Kalman answer."""
     sensor = SensorConfig(origin=(0.0, 0.0), sigma_r=3.0, sigma_a=1e-9)
     p = np.diag([4.0, 1e-18, 1e-18, 1e-18])
-    pred = StateEstimate(mean=[100.0, 0.0, 0.0, 0.0], cov=p)
-    z = Measurement(t=0, range=106.0, bearing=0.0)
-    post, innovation, s = ekf_update(pred, z, sensor)
+    z = Measurement(range=106.0, bearing=0.0)
+    post, post_cov, innovation, s = update([100.0, 0.0, 0.0, 0.0], p, z, sensor)
     # range is x here: K = 4 / (4 + 9), posterior x = 100 + K * 6
     gain = 4.0 / 13.0
     assert innovation[0] == pytest.approx(6.0)
     assert s[0, 0] == pytest.approx(13.0)
-    assert post.mean[0] == pytest.approx(100.0 + gain * 6.0, rel=1e-9)
-    assert post.cov[0, 0] == pytest.approx((1 - gain) ** 2 * 4.0 + gain**2 * 9.0, rel=1e-9)
+    assert post[0] == pytest.approx(100.0 + gain * 6.0, rel=1e-9)
+    assert post_cov[0, 0] == pytest.approx((1 - gain) ** 2 * 4.0 + gain**2 * 9.0, rel=1e-9)
 
 
 def test_update_wraps_bearing_innovation(sensor):
-    pred = StateEstimate(mean=[-100.0, -1e-6, 0.0, 0.0], cov=np.eye(4))
-    z = Measurement(t=0, range=100.0, bearing=np.pi - 1e-6)
-    _, innovation, _ = ekf_update(pred, z, sensor)
+    z = Measurement(range=100.0, bearing=np.pi - 1e-6)
+    _, _, innovation, _ = update([-100.0, -1e-6, 0.0, 0.0], np.eye(4), z, sensor)
     assert abs(innovation[1]) < 1e-4  # not ~2*pi
 
 
 def test_update_singular_s_raises():
-    sensor_ok = SensorConfig(origin=(0, 0), sigma_r=1.0, sigma_a=0.01)
-    pred = StateEstimate(mean=[100.0, 0.0, 0.0, 0.0], cov=np.zeros((4, 4)))
     bad_r = np.array([[0.0, 0.0], [0.0, 0.0]])
 
     class ZeroNoise(SensorConfig):
@@ -99,7 +107,8 @@ def test_update_singular_s_raises():
 
     zero_sensor = ZeroNoise(origin=(0, 0), sigma_r=1.0, sigma_a=0.01)
     with pytest.raises(NumericsError):
-        ekf_update(pred, Measurement(t=0, range=100.0, bearing=0.0), zero_sensor)
+        update([100.0, 0.0, 0.0, 0.0], np.zeros((4, 4)), Measurement(range=100.0, bearing=0.0),
+               zero_sensor)
 
 
 def test_joseph_form_stays_psd():
@@ -111,12 +120,11 @@ def test_joseph_form_stays_psd():
         if np.hypot(*pos) < 1.0:
             pos[0] += 10.0
         mean = np.concatenate([pos, rng.uniform(-10, 10, size=2)])
-        pred = StateEstimate(mean=mean, cov=cov)
         r, a = measure(pos, sensor)
-        z = Measurement(t=0, range=max(r + rng.normal(0, 1), 0.1), bearing=a + rng.normal(0, 0.005))
-        post, _, _ = ekf_update(pred, z, sensor)
-        min_eig = np.linalg.eigvalsh(post.cov).min()
-        assert min_eig >= -1e-9 * np.trace(post.cov)
+        z = Measurement(range=max(r + rng.normal(0, 1), 0.1), bearing=a + rng.normal(0, 0.005))
+        _, post_cov, _, _ = update(mean, cov, z, sensor)
+        min_eig = np.linalg.eigvalsh(post_cov).min()
+        assert min_eig >= -1e-9 * np.trace(post_cov)
 
 
 def test_update_reduces_measured_directions():
@@ -125,12 +133,11 @@ def test_update_reduces_measured_directions():
     for _ in range(200):
         cov = random_spd(rng)
         mean = np.array([200.0, 100.0, 1.0, 1.0]) + rng.normal(0, 10, size=4)
-        pred = StateEstimate(mean=mean, cov=cov)
         r, a = measure(mean[:2], sensor)
-        z = Measurement(t=0, range=r + rng.normal(), bearing=a + rng.normal(0, 0.005))
-        post, _, _ = ekf_update(pred, z, sensor)
+        z = Measurement(range=r + rng.normal(), bearing=a + rng.normal(0, 0.005))
+        _, post_cov, _, _ = update(mean, cov, z, sensor)
         h = range_bearing(mean.reshape(4, 1), sensor.origin)[2]
-        assert np.trace(h @ post.cov @ h.T) <= np.trace(h @ pred.cov @ h.T) + 1e-12
+        assert np.trace(h @ post_cov @ h.T) <= np.trace(h @ cov @ h.T) + 1e-12
 
 
 def nll_term(innovation, s):
@@ -158,12 +165,57 @@ def test_nll_matches_density_oracle():
 
 def test_init_track_two_point():
     sensor = SensorConfig(origin=(0, 0), sigma_r=1.0, sigma_a=0.01)
-    z0 = Measurement(t=0, range=100.0, bearing=0.0)
-    z1 = Measurement(t=1, range=102.0, bearing=0.0)
-    est = init_track(z0, z1, sensor, dt=1.0)
-    assert est.mean == pytest.approx([102.0, 0.0, 2.0, 0.0])
-    assert est.t == 1
+    z0 = Measurement(range=100.0, bearing=0.0)
+    z1 = Measurement(range=102.0, bearing=0.0)
+    mean, cov = init_track(z0, z1, sensor, dt=1.0)
+    assert mean == pytest.approx([102.0, 0.0, 2.0, 0.0])
     # velocity variance: (R0 + R1)/dt^2 along range axis = 2 * sigma_r^2
-    assert est.cov[2, 2] == pytest.approx(2.0)
-    min_eig = np.linalg.eigvalsh(est.cov).min()
-    assert min_eig >= -1e-12 * np.trace(est.cov)
+    assert cov[2, 2] == pytest.approx(2.0)
+    min_eig = np.linalg.eigvalsh(cov).min()
+    assert min_eig >= -1e-12 * np.trace(cov)
+
+
+def asymmetric():
+    cov = np.eye(4)
+    cov[0, 1] = 0.5
+    return cov
+
+
+def test_check_estimate_validation():
+    cases = [(np.zeros(4), np.zeros(4), np.diag([1.0, 1.0, 1.0, -1.0]), "not PSD"),
+             (np.zeros(4), np.zeros(4), asymmetric(), "not symmetric")]
+    for value in (np.inf, -np.inf, np.nan):
+        cases.append((np.zeros(4), np.zeros(4), np.diag([value, 1.0, 1.0, 1.0]), "not finite"))
+        cases.append((np.zeros(4), np.array([0.0, value, 0.0, 0.0]), np.eye(4), "not finite"))
+        cases.append((np.array([0.0, 0.0, value, 0.0]), np.zeros(4), np.eye(4), "not finite"))
+    sound_means, sound_covs = np.ones((4, 4)), np.stack([np.eye(4)] * 4)
+    check_estimate(sound_means, sound_covs, sound_means)
+    for pred, mean, cov, reason in cases:
+        with pytest.raises(ValueError, match=reason):
+            check_estimate(mean, cov, pred)
+        # the same belief as row 2 of a batch whose other rows pass
+        preds, means, covs = sound_means.copy(), sound_means.copy(), sound_covs.copy()
+        preds[2], means[2], covs[2] = pred, mean, cov
+        with pytest.raises(ValueError, match=f"^row 2: .*{reason}"):
+            check_estimate(means, covs, preds)
+
+
+@pytest.mark.parametrize("pred, cov, reason", [
+    ([0.0, np.nan, 0.0, 0.0], np.eye(4), "not finite"),
+    (np.zeros(4), asymmetric(), "not symmetric"),
+    (np.zeros(4), np.diag([1.0, 1.0, 1.0, -1.0]), "not PSD"),
+], ids=["pred_not_finite", "not_symmetric", "not_psd"])
+def test_filter_tracklet_checks_every_step(pred, cov, reason):
+    """Whatever the filter, an unsound row fails with its step index and batch
+    row: here a stub step that spoils batch row 1 at step 4."""
+    tracklets = make_dataset(3, GctConfig(n_steps=8), SensorConfig(), seed=1).tracklets
+
+    def step(state, z):
+        t, (means, covs) = state
+        rows = means.copy(), means.copy(), covs.copy()
+        if t == 4:
+            rows[0][1], rows[2][1] = pred, cov
+        return (t + 1, state[1]), *rows
+
+    with pytest.raises(NumericsError, match=f"^step 4: row 1: .*{reason}"):
+        filter_tracklet(tracklets, SensorConfig(), lambda init, dt: (EVAL_START, init), step)

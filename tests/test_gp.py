@@ -30,7 +30,6 @@ from tracklearn.gp import (
 from tracklearn.statespace import (
     Measurement,
     SensorConfig,
-    StateEstimate,
     Tracklet,
     measure,
     polar_to_cartesian,
@@ -321,7 +320,7 @@ def test_weights_normalized_after_reweight():
     )
     sensor = SensorConfig(origin=(0, 0), sigma_r=2.0, sigma_a=0.01)
     r, a = measure([100.0, 100.0], sensor)
-    ps2 = pf_reweight(ps, Measurement(t=0, range=r, bearing=a), sensor)
+    ps2 = pf_reweight(ps, Measurement(range=r, bearing=a), sensor)
     assert abs(ps2.weights.sum() - 1.0) <= 1e-12
 
 
@@ -333,7 +332,7 @@ def test_reweight_collapse_raises():
     )
     sensor = SensorConfig(origin=(0, 0), sigma_r=0.1, sigma_a=1e-4)
     with pytest.raises(WeightCollapseError):
-        pf_reweight(ps, Measurement(t=0, range=10.0, bearing=0.0), sensor)
+        pf_reweight(ps, Measurement(range=10.0, bearing=0.0), sensor)
 
 
 def test_resampling_preserves_weighted_mean():
@@ -359,10 +358,10 @@ def test_pf_estimate_weighted_moments():
     positions = np.array([[0.0, 0.0], [2.0, 0.0]])
     velocities = np.array([[1.0, 0.0], [1.0, 0.0]])
     ps = ParticleSet(positions=positions, velocities=velocities, weights=[0.25, 0.75])
-    est = pf_estimate(ps)
-    assert est.mean[:2] == pytest.approx([1.5, 0.0])
+    mean, cov = pf_estimate(ps)
+    assert mean[:2] == pytest.approx([1.5, 0.0])
     # weighted sample variance of x: 0.25*(1.5)^2 + 0.75*(0.5)^2 = 0.75
-    assert est.cov[0, 0] == pytest.approx(0.75)
+    assert cov[0, 0] == pytest.approx(0.75)
 
 
 def test_pf_step_tracks_constant_velocity():
@@ -380,21 +379,17 @@ def test_pf_step_tracks_constant_velocity():
     for _ in range(20):
         start = np.array([200.0, 150.0])
         truth = start + np.arange(n_steps)[:, None] * vel
-        init = StateEstimate(
-            mean=np.concatenate([start, vel]),
-            cov=np.diag([1.0, 1.0, 0.2, 0.2]),
-        )
-        ps = init_particles(init, 300, rng)
+        ps = init_particles((np.concatenate([start, vel]), np.diag([1.0, 1.0, 0.2, 0.2])), 300,
+                            rng)
         for k in range(1, n_steps):
             r, a = measure(truth[k], sensor)
             z = Measurement(
-                t=k,
                 range=r + sensor.sigma_r * rng.standard_normal(),
                 bearing=a + sensor.sigma_a * rng.standard_normal(),
             )
-            ps, _, est = pf_step(ps, z, models, sensor, sigma_p=1e-3, rng=rng, dt=1.0)
-            pf_err.append(np.linalg.norm(est.position - truth[k]))
-            meas_err.append(np.linalg.norm(polar_to_cartesian(z, sensor) - truth[k]))
+            ps, _, post, _ = pf_step(ps, z, models, sensor, sigma_p=1e-3, rng=rng, dt=1.0)
+            pf_err.append(np.linalg.norm(post[:2] - truth[k]))
+            meas_err.append(np.linalg.norm(polar_to_cartesian(z.range, z.bearing, sensor) - truth[k]))
     assert np.sqrt(np.mean(np.square(pf_err))) <= np.sqrt(np.mean(np.square(meas_err)))
 
 
@@ -405,11 +400,11 @@ def test_pf_step_reseeds_around_measurement_after_collapse():
     sensor = SensorConfig(origin=(0.0, 0.0), sigma_r=1.0, sigma_a=0.002)
     models = gp_fit([make_tracklet(np.tile([3.0, 1.0], (40, 1)))], GpHyper(noise_sq=1e-4),
                     optimize=False)
-    init = StateEstimate(mean=[5000.0, 5000.0, 3.0, 1.0], cov=np.diag([1.0, 1.0, 0.2, 0.2]))
+    init = np.array([5000.0, 5000.0, 3.0, 1.0]), np.diag([1.0, 1.0, 0.2, 0.2])
     ps = init_particles(init, 200, rng)
-    z = Measurement(t=1, range=500.0, bearing=0.3)
-    ps, prior, post = pf_step(ps, z, models, sensor, sigma_p=1e-3, rng=rng)
-    target = polar_to_cartesian(z, sensor)
-    assert np.linalg.norm(prior.position - target) > 5000.0
-    assert np.linalg.norm(post.position - target) < 5.0
+    z = Measurement(range=500.0, bearing=0.3)
+    ps, prior, post, _ = pf_step(ps, z, models, sensor, sigma_p=1e-3, rng=rng)
+    target = polar_to_cartesian(z.range, z.bearing, sensor)
+    assert np.linalg.norm(prior[:2] - target) > 5000.0
+    assert np.linalg.norm(post[:2] - target) < 5.0
     assert np.all(np.linalg.norm(ps.positions - target, axis=1) < 50.0)

@@ -40,7 +40,7 @@ def straight_tracklet(n_steps=30):
 
 
 def two_point_init(trk):
-    return init_track(Measurement(0, *trk.meas[0]), Measurement(1, *trk.meas[1]), SENSOR, trk.dt)
+    return init_track(Measurement(*trk.meas[0]), Measurement(*trk.meas[1]), SENSOR, trk.dt)
 
 
 def params_vector(params: ImmParams, cfg: ImmConfig):
@@ -102,12 +102,10 @@ def test_identical_modes_share_everything():
 def test_mixing_spread_scalar_hand_oracle():
     """2 modes, equal weights, uniform transitions: the mixed covariance must
     include the outer-product spread of the mode means (hand computation)."""
-    from tracklearn.statespace import StateEstimate
-
     cfg = ImmConfig(modes=(MODE_CV, MODE_CV), train_r=False)
     params = default_params(SENSOR, cfg, init_q=1.0)
     params.trans_logits = np.zeros((2, 2))  # uniform rows
-    init = StateEstimate(mean=[100.0, 0.0, 1.0, 0.0], cov=np.eye(4))
+    init = np.array([100.0, 0.0, 1.0, 0.0]), np.eye(4)
     graph = ImmGraph(params, init, 1.0, SENSOR.origin, cfg, record=True)
     # override per-mode states with distinct means
     xa = np.array([[1.0], [0.0], [0.0], [0.0]])

@@ -17,9 +17,9 @@ from tracklearn.mkf import (
     train_mkf,
     training_sequences,
 )
-from tracklearn.ekf import ekf_update
+from tracklearn.ekf import init_track, joseph_update
 from tracklearn.simulate import GctConfig, generate_gct, make_dataset, simulate_measurements
-from tracklearn.statespace import Measurement, SensorConfig, StateEstimate, Tracklet
+from tracklearn.statespace import Measurement, SensorConfig, Tracklet
 
 SENSOR = SensorConfig(origin=(0.0, 0.0), sigma_r=1.5, sigma_a=0.00523)
 
@@ -82,34 +82,46 @@ def test_input_scale_must_be_positive_and_finite():
 def test_mkf_predict_cv_drift():
     """If the network emits the prior velocity, prediction is a CV drift."""
     w = zero_weights()
-    prior = StateEstimate(mean=[10.0, 20.0, 0.0, 0.0], cov=np.eye(4))
-    pred, _ = mkf_predict(prior, zero_state(4), w, dt=2.0, q_reg=0.0)
+    prior = np.array([10.0, 20.0, 0.0, 0.0])
+    pred, _, _ = mkf_predict(prior, np.eye(4), zero_state(4), w, dt=2.0, q_reg=0.0)
     # zero network velocity matches the zero prior velocity here
-    assert np.allclose(pred.velocity, prior.velocity)
-    assert np.allclose(pred.mean[:2], prior.position + 2.0 * pred.velocity)
-    assert pred.t == prior.t + 1
+    assert np.allclose(pred[2:], prior[2:])
+    assert np.allclose(pred[:2], prior[:2] + 2.0 * pred[2:])
 
 
-def test_mkf_predict_covariance_identity_chol():
+def test_mkf_predict_covariance_hand_set_network():
+    """The network's velocity covariance C C' reaches position through dt: with
+    a hand-set output head the predicted covariance is exactly
+    [[P_pp + dt^2 C C', dt C C'], [dt C C', C C']] + q_reg I."""
     w = zero_weights()
-    prior = StateEstimate(mean=[0.0, 0.0, 1.0, 1.0], cov=np.diag([4.0, 4.0, 2.0, 2.0]))
-    pred, _ = mkf_predict(prior, zero_state(4), w, dt=1.0, q_reg=0.0)
-    # C = I: covariance picks up V' V on the velocity block only
-    expected = prior.cov + np.diag([0.0, 0.0, 1.0, 1.0])
-    assert np.allclose(pred.cov, expected)
+    w.bo = np.array([[0.5, -1.0, np.log(2.0), np.log(3.0), 0.4]])  # v and C's entries
+    chol = np.array([[2.0, 0.0], [0.4, 3.0]])
+    vel_cov = chol @ chol.T
+    m = np.random.default_rng(3).standard_normal((4, 4))
+    prior_cov = m @ m.T + np.eye(4)
+    dt, q_reg = 2.0, 1e-2
+    pred, cov, _ = mkf_predict(np.array([10.0, 20.0, 1.0, 1.0]), prior_cov, zero_state(4), w,
+                               dt=dt, q_reg=q_reg)
+    assert np.allclose(pred, [11.0, 18.0, 0.5, -1.0])
+    assert np.allclose(cov[:2, :2] - prior_cov[:2, :2], dt**2 * vel_cov + q_reg * np.eye(2),
+                       rtol=1e-12, atol=1e-12)
+    assert np.allclose(cov[:2, 2:], dt * vel_cov, rtol=1e-12, atol=1e-12)
+    assert np.allclose(cov[2:, 2:], vel_cov + q_reg * np.eye(2), rtol=1e-12, atol=1e-12)
+    assert np.array_equal(cov, cov.T)
 
 
-def test_mkf_predict_growth_is_psd():
+def test_mkf_predict_covariance_is_psd():
     rng = np.random.default_rng(5)
     w = init_weights(seed=9, hidden=6, dense=6)
     for _ in range(20):
         m = rng.standard_normal((4, 4))
         cov = m @ m.T + 2.0 * np.eye(4)
-        prior = StateEstimate(mean=rng.standard_normal(4) * 10, cov=cov)
-        pred, _ = mkf_predict(prior, zero_state(6), w, dt=1.0, q_reg=1e-2)
-        growth = pred.cov - prior.cov
+        _, pred_cov, _ = mkf_predict(rng.standard_normal(4) * 10, cov, zero_state(6), w, dt=1.0,
+                                     q_reg=1e-2)
+        assert np.min(np.linalg.eigvalsh(pred_cov)) >= 1e-2 - 1e-12  # q_reg I at least
+        # the position block only grows: by dt^2 C C' + q_reg I
+        growth = pred_cov[:2, :2] - cov[:2, :2]
         assert np.min(np.linalg.eigvalsh(growth)) >= -1e-12
-        assert np.trace(pred.cov) >= np.trace(prior.cov)
 
 
 def test_loss_zero_residual_identity_chol():
@@ -193,9 +205,9 @@ def test_translation_invariance_of_training_loss():
     # shifted positions with the sensor shifted identically, so the polar
     # returns differ but the relative geometry does not
     shift = np.array([500.0, -300.0])
-    from tracklearn.statespace import polar_rows_to_cartesian, measure
+    from tracklearn.statespace import polar_to_cartesian, measure
 
-    cart = polar_rows_to_cartesian(trk.meas, SENSOR)
+    cart = polar_to_cartesian(*trk.meas.T, SENSOR)
     shifted_sensor = SensorConfig(origin=SENSOR.origin + shift, sigma_r=SENSOR.sigma_r,
                                   sigma_a=SENSOR.sigma_a)
     rows = []
@@ -292,14 +304,13 @@ def test_pipeline_matches_composed_calls():
     w = init_weights(seed=6, input_scale=10.0)
     pred_all, post_all, _ = run_mkf(trk, SENSOR, w)
 
-    from tracklearn.ekf import init_track
-
-    est = init_track(Measurement(0, *trk.meas[0]), Measurement(1, *trk.meas[1]), SENSOR,
-                     trk.dt)
-    pred, _ = mkf_predict(est, zero_state(w.hidden), w, trk.dt, MkfConfig().q_reg)
-    post, _, _ = ekf_update(pred, Measurement(2, *trk.meas[2]), SENSOR)
-    assert np.allclose(pred_all[2], pred.mean, rtol=0, atol=0)
-    assert np.allclose(post_all[2], post.mean, rtol=0, atol=0)
+    mean, cov = init_track(Measurement(*trk.meas[0]), Measurement(*trk.meas[1]), SENSOR, trk.dt)
+    pred, cov, _ = mkf_predict(mean, cov, zero_state(w.hidden), w, trk.dt, MkfConfig().q_reg)
+    z = Measurement(*trk.meas[2])
+    post, _, _, _ = joseph_update(pred[:, None], cov, z.range, z.bearing, SENSOR.noise_cov,
+                                  SENSOR.origin)
+    assert np.allclose(pred_all[2], pred, rtol=0, atol=0)
+    assert np.allclose(post_all[2], post[:, 0], rtol=0, atol=0)
 
 
 def test_checkpoint_roundtrip(tmp_path):

@@ -20,7 +20,7 @@ from tracklearn.runner import (
     run_mkf_method,
 )
 from tracklearn.simulate import GctConfig, make_dataset
-from tracklearn.statespace import SensorConfig, polar_rows_to_cartesian
+from tracklearn.statespace import SensorConfig, polar_to_cartesian
 
 SENSOR = SensorConfig(origin=(0.0, 0.0), sigma_r=1.5, sigma_a=0.00523)
 METHODS = ("ekf", "imm", "gp", "mkf")
@@ -58,8 +58,7 @@ def run_alone(method, train, test, k):
     models = gp_models(train)
 
     def step(ps, z):
-        ps, prior, post = pf_step(ps, z, models, SENSOR, PF.sigma_p, rng, dt=trk.dt)
-        return ps, prior.mean, post.mean, post.cov
+        return pf_step(ps, z, models, SENSOR, PF.sigma_p, rng, dt=trk.dt)
 
     def start(init, dt):
         return init_particles(init, PF.n_particles, rng)
@@ -131,8 +130,9 @@ def test_only_a_collapsed_cloud_is_reseeded(monkeypatch):
     test.tracklets[1].meas[8, 0] += 5000.0
     calls = spy_on(monkeypatch, "pf_reseed")  # pf_reseed(ps, z, sensor, rng, rows)
     _, post = run_method("gp", train, test)
-    assert calls[0][1].t == 8
     assert all(list(args[-1]) == [False, True, False] for args in calls)
-    z = polar_rows_to_cartesian(test.tracklets[1].meas[8:9], SENSOR)[0]
+    assert calls[0][1].range[1] == test.tracklets[1].meas[8, 0]  # the z of row 8
+    assert calls[0][1].bearing[1] == test.tracklets[1].meas[8, 1]
+    z = polar_to_cartesian(*test.tracklets[1].meas[8], SENSOR)
     assert np.linalg.norm(post[1, 8 - EVAL_START, :2] - z) < 50.0  # the track is 5 km off
     assert_records_equal_alone("gp", train, test)

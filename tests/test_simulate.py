@@ -100,7 +100,7 @@ def test_measurement_noise_floor_at_gct_range():
     """With the simulated-experiment sensor, the Cartesian measurement error
     at ~2800 m of range lands on the 14-16 m noise floor that the relative
     scores divide by."""
-    from tracklearn.statespace import polar_rows_to_cartesian
+    from tracklearn.statespace import polar_to_cartesian
 
     sensor = SensorConfig(origin=(0.0, 0.0), sigma_r=1.5, sigma_a=0.00523)
     pos = np.array([1980.0, 1980.0])  # range 2800 m
@@ -111,7 +111,7 @@ def test_measurement_noise_floor_at_gct_range():
         meas=np.full((n, 2), np.nan),
     )
     trk = simulate_measurements(truth, sensor, np.random.default_rng(11))
-    cart = polar_rows_to_cartesian(trk.meas, sensor)
+    cart = polar_to_cartesian(*trk.meas.T, sensor)
     rms = np.sqrt(np.mean(np.sum((cart - pos) ** 2, axis=1)))
     assert 14.0 <= rms <= 16.0
 

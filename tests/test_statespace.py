@@ -6,7 +6,6 @@ from tracklearn.errors import GeometryError, NumericsError
 from tracklearn.statespace import (
     Measurement,
     SensorConfig,
-    StateEstimate,
     measure,
     measurement_noise_cartesian,
     polar_to_cartesian,
@@ -85,10 +84,15 @@ def test_jacobian_matches_finite_differences(origin_sensor):
 
 
 def test_polar_to_cartesian_examples(origin_sensor):
-    m = Measurement(t=0, range=5.0, bearing=0.9272952180016122)
-    assert polar_to_cartesian(m, origin_sensor) == pytest.approx([3.0, 4.0], abs=1e-9)
-    m = Measurement(t=0, range=10.0, bearing=0.0)
-    assert polar_to_cartesian(m, origin_sensor) == pytest.approx([10.0, 0.0])
+    assert polar_to_cartesian(5.0, 0.9272952180016122, origin_sensor) == pytest.approx(
+        [3.0, 4.0], abs=1e-9)
+    assert polar_to_cartesian(10.0, 0.0, origin_sensor) == pytest.approx([10.0, 0.0])
+    # any shape of ranges and bearings gains a trailing (x, y) axis
+    rows = np.array([[[5.0, 0.9272952180016122], [10.0, 0.0]]] * 3)
+    shifted = SensorConfig(origin=(1.0, -2.0), sigma_r=1.0, sigma_a=0.01)
+    xy = polar_to_cartesian(rows[..., 0], rows[..., 1], shifted)
+    assert xy.shape == (3, 2, 2)
+    assert np.allclose(xy[2], [[4.0, 2.0], [11.0, -2.0]], rtol=0, atol=1e-9)
 
 
 def test_polar_roundtrip_property(origin_sensor):
@@ -99,7 +103,7 @@ def test_polar_roundtrip_property(origin_sensor):
         if np.hypot(*pos) < 1e-3:
             continue
         r, a = measure(pos, origin_sensor)
-        back = polar_to_cartesian(Measurement(t=0, range=r, bearing=a), origin_sensor)
+        back = polar_to_cartesian(r, a, origin_sensor)
         worst = max(worst, float(np.max(np.abs(back - pos))))
     assert worst < 1e-9
 
@@ -109,7 +113,7 @@ def test_measure_after_polar_is_identity(origin_sensor):
     for _ in range(200):
         r0 = rng.uniform(1e-3, 1e4)
         a0 = rng.uniform(-np.pi, np.pi)
-        pos = polar_to_cartesian(Measurement(t=0, range=r0, bearing=a0), origin_sensor)
+        pos = polar_to_cartesian(r0, a0, origin_sensor)
         r1, a1 = measure(pos, origin_sensor)
         assert abs(r1 - r0) < 1e-9 * max(1.0, r0)
         assert abs(wrap_angle(a1 - a0)) < 1e-12
@@ -134,30 +138,10 @@ def test_wrap_angle_range():
     assert wrap_angle(-np.pi) == pytest.approx(np.pi)
 
 
-def test_state_estimate_validation():
-    bad = np.eye(4)
-    bad[0, 1] = 0.5
-    cases = [(np.zeros(4), np.diag([1.0, 1.0, 1.0, -1.0]), "not PSD"),
-             (np.zeros(4), bad, "not symmetric")]
-    for value in (np.inf, -np.inf, np.nan):
-        cases.append((np.zeros(4), np.diag([value, 1.0, 1.0, 1.0]), "not finite"))
-        cases.append(([0.0, value, 0.0, 0.0], np.eye(4), "not finite"))
-    sound_means, sound_covs = np.ones((4, 4)), np.stack([np.eye(4)] * 4)
-    StateEstimate(mean=sound_means, cov=sound_covs)
-    for mean, cov, reason in cases:
-        with pytest.raises(ValueError, match=reason):
-            StateEstimate(mean=mean, cov=cov)
-        # the same belief as row 2 of a batch whose other rows pass
-        means, covs = sound_means.copy(), sound_covs.copy()
-        means[2], covs[2] = mean, cov
-        with pytest.raises(ValueError, match=f"^row 2: .*{reason}"):
-            StateEstimate(mean=means, cov=covs)
-
-
 def test_measurement_validation():
     with pytest.raises(ValueError):
-        Measurement(t=0, range=-1.0, bearing=0.0)
-    m = Measurement(t=0, range=1.0, bearing=3 * np.pi)
+        Measurement(range=-1.0, bearing=0.0)
+    m = Measurement(range=1.0, bearing=3 * np.pi)
     assert m.bearing == pytest.approx(np.pi)
 
 
@@ -168,7 +152,7 @@ def test_sensor_validation():
 
 def test_measurement_noise_cartesian_at_zero_bearing():
     sensor = SensorConfig(origin=(0, 0), sigma_r=2.0, sigma_a=0.01)
-    cov = measurement_noise_cartesian(Measurement(t=0, range=100.0, bearing=0.0), sensor)
+    cov = measurement_noise_cartesian(Measurement(range=100.0, bearing=0.0), sensor)
     assert cov[0, 0] == pytest.approx(4.0)
     assert cov[1, 1] == pytest.approx(1.0)  # (100 * 0.01)^2
     assert abs(cov[0, 1]) < 1e-12
