@@ -191,7 +191,7 @@ def cmd_simulate(args) -> int:
         tracklet_len = _at_least(cfg, "dataset", "tracklet_len", EVAL_START + 1)
         try:
             whole = ingest_csv(csv_path, sensor, tracklet_len, rng_seed=args.seed,
-                               dt=cfg.fnum("dataset", "dt"))
+                               dt=_positive(cfg, "dataset", "dt"))
         except (CsvFormatError, EmptyDatasetError, GeometryError) as exc:
             raise ConfigError(f"[dataset] csv_path {csv_path}: {exc}") from exc
         n_train = int(round(len(whole) * cfg.fnum("dataset", "train_fraction")))
@@ -216,7 +216,7 @@ def _train_gp(cfg: ExperimentConfig, train: Dataset, out: Path, seed: int):
         length_sq=cfg.fnum("gp", "length_sq"),
         noise_sq=cfg.fnum("gp", "noise_sq"),
     )
-    models = gp_fit(train.tracklets, hyper0, max_pairs=cfg.inum("gp", "max_pairs"),
+    models = gp_fit(train.tracklets, hyper0, max_pairs=_at_least(cfg, "gp", "max_pairs", 2),
                     optimize=cfg.flag("gp", "optimize_hyper"), seed=seed)
     save_gp(out / "gp.gpm", models, dt=train.dt, sensor=train.sensor)
     fits = {axis: model.hyper_fit for axis, model in zip("xy", models) if model.hyper_fit}
@@ -350,8 +350,8 @@ def cmd_evaluate(args) -> int:
             elif method == "imm":
                 estimates["imm"] = run_imm_method(test, model, ImmConfig(modes=model.modes))
             elif method == "mkf":
-                estimates["mkf"] = run_mkf_method(test, model,
-                                                  MkfConfig(q_reg=cfg.fnum("mkf", "q_reg")))
+                mkf_cfg = build("mkf", MkfConfig, q_reg=cfg.fnum("mkf", "q_reg"))
+                estimates["mkf"] = run_mkf_method(test, model, mkf_cfg)
         except ConfigError:
             raise
         except Exception as exc:  # keep other methods alive, report at the end

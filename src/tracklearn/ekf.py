@@ -25,7 +25,6 @@ from . import autodiff as ad
 from .errors import NumericsError, row_prefix
 from .statespace import (
     LOG_2PI,
-    Measurement,
     SensorConfig,
     Tracklet,
     measurement_noise_cartesian,
@@ -134,17 +133,16 @@ def check_estimate(mean, cov, pred=None):
                          f"(min eigenvalue {np.ravel(min_eig)[np.argmax(bad)]:g})")
 
 
-def init_track(z0: Measurement, z1: Measurement, sensor: SensorConfig, dt: float):
-    """Two-point track initialization from the first two measurements.
+def init_track(z0, z1, sensor: SensorConfig, dt: float):
+    """Two-point track initialization from the first two (range, bearing)
+    rows, each (2,), or (2, B) for a batch.
 
     Position is the second converted point, velocity its finite difference;
     the covariance is the exact propagation of both polar noise covariances
     through that linear map.  Returns (mean, cov).
     """
-    p0 = polar_to_cartesian(z0.range, z0.bearing, sensor)
-    p1 = polar_to_cartesian(z1.range, z1.bearing, sensor)
-    r0 = measurement_noise_cartesian(z0, sensor)
-    r1 = measurement_noise_cartesian(z1, sensor)
+    p0, p1 = (polar_to_cartesian(*z, sensor) for z in (z0, z1))
+    r0, r1 = (measurement_noise_cartesian(*z, sensor) for z in (z0, z1))
     mean = np.concatenate([p1, (p1 - p0) / dt], axis=-1)
     cov = np.block([[r1, r1 / dt], [r1 / dt, (r0 + r1) / dt**2]])
     return mean, cov
@@ -156,7 +154,7 @@ def filter_tracklet(tracklets, sensor: SensorConfig, start, step):
     every z and every output (row b is tracklets[b]).
 
     start(init, dt) turns the init_track (mean, cov) into the filter's state,
-    and step(state, z) filters the Measurement z of one row into (state,
+    and step(state, z) filters the (range, bearing) row z into (state,
     predicted mean, posterior mean, posterior covariance).  Rows before
     EVAL_START hold the initialization.  check_estimate checks the
     initialization and every step's row, so each filter's output is held to
@@ -171,13 +169,13 @@ def filter_tracklet(tracklets, sensor: SensorConfig, start, step):
     dt = (tracklets if single else tracklets[0]).dt
     # row t unpacks into (range, bearing): two floats, or two (B,) arrays from (T, 2, B)
     meas = tracklets.meas if single else np.stack([trk.meas for trk in tracklets], axis=-1)
-    mean, cov = init_track(Measurement(*meas[0]), Measurement(*meas[1]), sensor, dt)
+    mean, cov = init_track(meas[0], meas[1], sensor, dt)
     check_estimate(mean, cov)
     rows = [(mean, mean, cov)] * EVAL_START
     state = start((mean, cov), dt)
     for t in range(EVAL_START, len(meas)):
         try:
-            state, pred, post, post_cov = step(state, Measurement(*meas[t]))
+            state, pred, post, post_cov = step(state, meas[t])
             check_estimate(post, post_cov, pred)
         except (NumericsError, ValueError, np.linalg.LinAlgError) as exc:
             raise NumericsError(f"step {t}: {exc}") from exc

@@ -16,8 +16,12 @@ class NumericsError(ArithmeticError):
     """Raised when a covariance or innovation matrix has lost positive definiteness."""
 
 
-class WeightCollapseError(NumericsError):
-    """Raised when every particle weight underflows to zero."""
+class RowError(ValueError):
+    """Raised on a bad row of a per-step array: "row <row>: <cause>"."""
+
+    def __init__(self, row: int, cause: str):
+        super().__init__(f"row {row}: {cause}")
+        self.row, self.cause = row, cause
 
 
 class CsvFormatError(ValueError):

@@ -5,14 +5,18 @@ to the next per-axis velocity.  A squared-exponential kernel is used; the
 three hyperparameters are refined by log-marginal-likelihood ascent on the
 autodiff tape.  Online, a sequential importance resampling filter draws
 velocity particles from the GP posterior and weighs positions against the
-range-bearing likelihood.  The filter steps one particle cloud, or a batch
-of B clouds (one per test tracklet) on a leading axis in lockstep; each
-cloud draws from its own random stream, in the order it would alone, and
-decides for itself when to reseed.  Every cloud is resampled at every step,
-which leaves it with runs of equal velocities side by side; the GP posterior
-is predicted once per run (predict_axes) and spread back to its particles.
-The mean is still taken on the full-width kernel, whose summation order
-keeps the bits of predicting every particle.
+range-bearing likelihood.  A particle cloud is one (M, 4) array of
+[x1, x2, v1, v2] rows, the filters' state order; its weights exist only
+within pf_step, which starts them uniform and resamples back to uniform.
+The filter steps one cloud, or a batch of B clouds (one per test tracklet)
+as one (B, M, 4) array in lockstep; each cloud draws from its own random
+stream, in the order it would alone, and decides for itself when to
+reseed (pf_reweight flags the clouds whose every weight underflows).
+Every cloud is resampled at every step, which leaves it with runs of equal
+velocities side by side; the GP posterior is predicted once per run
+(predict_axes) and spread back to its particles.  The mean is still taken
+on the full-width kernel, whose summation order keeps the bits of
+predicting every particle.
 """
 
 from __future__ import annotations
@@ -26,10 +30,9 @@ from scipy.linalg.blas import dtrsm
 
 from . import autodiff as ad
 from .autodiff import GradientOptimizer
-from .errors import NumericsError, WeightCollapseError, row_prefix
+from .errors import NumericsError, row_prefix
 from .statespace import (
     LOG_2PI,
-    Measurement,
     SensorConfig,
     measurement_noise_cartesian,
     polar_to_cartesian,
@@ -44,8 +47,9 @@ class GpHyper:
     noise_sq: float = 0.01  # observation noise variance
 
     def __post_init__(self):
-        if min(self.sigma0_sq, self.length_sq, self.noise_sq) <= 0.0:
-            raise ValueError("GP hyperparameters must be positive")
+        values = (self.sigma0_sq, self.length_sq, self.noise_sq)
+        if not all(0.0 < v < np.inf for v in values):
+            raise ValueError(f"GP hyperparameters must be positive and finite, got {values}")
 
 
 # the largest argument at which np.exp returns exactly 0.0 (exp(x) < 2**-1075)
@@ -161,12 +165,8 @@ def predict_axes(models, queries: np.ndarray) -> list:
 
 def velocity_pairs(tracklets) -> tuple[np.ndarray, np.ndarray]:
     """Stack (previous velocity pair, next velocity) training rows from truth."""
-    ins, outs = [], []
-    for trk in tracklets:
-        vel = trk.truth[:, 2:4]
-        ins.append(vel[:-1])
-        outs.append(vel[1:])
-    return np.concatenate(ins), np.concatenate(outs)
+    vels = [trk.truth[:, 2:4] for trk in tracklets]
+    return np.concatenate([v[:-1] for v in vels]), np.concatenate([v[1:] for v in vels])
 
 
 def negative_lml(s0, l2, sv, sq: np.ndarray, y_col: np.ndarray):
@@ -231,12 +231,11 @@ def gp_fit(tracklets, hyper0: GpHyper | None = None, max_pairs: int = 2000,
     each model's hyper_fit holds its axis's hyperparameter ascent.
 
     Training pairs beyond max_pairs are subsampled uniformly (the cubic
-    factorization cost is on the caller otherwise).
+    factorization cost is on the caller otherwise); at least 2 must remain.
     """
-    inputs, outputs = velocity_pairs(tracklets)
+    inputs, outputs = _subsample(*velocity_pairs(tracklets), max_pairs, seed)
     if len(inputs) < 2:
-        raise ValueError("need at least 2 training pairs")
-    inputs, outputs = _subsample(inputs, outputs, max_pairs, seed)
+        raise ValueError(f"need at least 2 training pairs, got {len(inputs)}")
     hyper0 = hyper0 or GpHyper()
     models = []
     for axis in range(2):
@@ -249,20 +248,15 @@ def gp_fit(tracklets, hyper0: GpHyper | None = None, max_pairs: int = 2000,
 
 
 def save_gp(path, models: tuple[GpModel, GpModel], dt: float, sensor: SensorConfig) -> None:
-    mx, my = models
-    lines = ["GPM1"]
-    lines.append(f"n_pairs {len(mx)}")
-    lines.append(f"dt {dt:.17g}")
-    lines.append(f"sensor {sensor.origin[0]:.17g} {sensor.origin[1]:.17g} "
-                 f"{sensor.sigma_r:.17g} {sensor.sigma_a:.17g}")
-    for tag, m in (("x", mx), ("y", my)):
-        lines.append(f"hyper_{tag} {m.hyper.sigma0_sq:.17g} {m.hyper.length_sq:.17g} "
-                     f"{m.hyper.noise_sq:.17g}")
-    for row in mx.inputs:
-        lines.append(f"u {row[0]:.17g} {row[1]:.17g}")
-    for tag, m in (("x", mx), ("y", my)):
-        for v, a in zip(m.outputs, m.solve_vector):
-            lines.append(f"z_{tag} {v:.17g} {a:.17g}")
+    tagged = tuple(zip("xy", models))
+    lines = ["GPM1", f"n_pairs {len(models[0])}", f"dt {dt:.17g}",
+             f"sensor {sensor.origin[0]:.17g} {sensor.origin[1]:.17g} "
+             f"{sensor.sigma_r:.17g} {sensor.sigma_a:.17g}"]
+    lines += [f"hyper_{tag} {m.hyper.sigma0_sq:.17g} {m.hyper.length_sq:.17g} "
+              f"{m.hyper.noise_sq:.17g}" for tag, m in tagged]
+    lines += [f"u {u0:.17g} {u1:.17g}" for u0, u1 in models[0].inputs]
+    lines += [f"z_{tag} {v:.17g} {a:.17g}" for tag, m in tagged
+              for v, a in zip(m.outputs, m.solve_vector)]
     Path(path).write_text("\n".join(lines) + "\n")
 
 
@@ -271,29 +265,19 @@ def load_gp(path):
     lines = Path(path).read_text().splitlines()
     if not lines or lines[0] != "GPM1":
         raise ValueError(f"{path}: not a GPM1 document")
-    fields = {}
-    inputs, z_x, z_y = [], [], []
-    for line in lines[1:]:
-        parts = line.split()
-        if not parts:
-            continue
-        if parts[0] == "u":
-            inputs.append([float(parts[1]), float(parts[2])])
-        elif parts[0] == "z_x":
-            z_x.append((float(parts[1]), float(parts[2])))
-        elif parts[0] == "z_y":
-            z_y.append((float(parts[1]), float(parts[2])))
+    fields = {"u": [], "z_x": [], "z_y": []}  # one row per line; other tags hold one line
+    for tag, *values in (line.split() for line in lines[1:] if line.strip()):
+        values = [float(v) for v in values]
+        if tag in ("u", "z_x", "z_y"):
+            fields[tag].append(values)
         else:
-            fields[parts[0]] = [float(v) for v in parts[1:]]
-    inputs = np.asarray(inputs)
+            fields[tag] = values
     sensor = SensorConfig(origin=fields["sensor"][:2], sigma_r=fields["sensor"][2],
                           sigma_a=fields["sensor"][3])
     models = []
-    for tag, rows_ in (("x", z_x), ("y", z_y)):
-        s0, l2, sv = fields[f"hyper_{tag}"]
-        outputs = np.array([r[0] for r in rows_])
-        model = GpModel(inputs, outputs, GpHyper(s0, l2, sv))
-        stored_alpha = np.array([r[1] for r in rows_])
+    for tag in "xy":
+        outputs, stored_alpha = np.array(fields[f"z_{tag}"]).reshape(-1, 2).T
+        model = GpModel(np.asarray(fields["u"]), outputs, GpHyper(*fields[f"hyper_{tag}"]))
         if not np.allclose(model.solve_vector, stored_alpha, rtol=1e-8, atol=1e-10):
             raise ValueError(f"{path}: stored solve vector inconsistent with K and outputs")
         models.append(model)
@@ -302,32 +286,8 @@ def load_gp(path):
 
 # -- SIR particle filter -----------------------------------------------------
 #
-# A ParticleSet holds one cloud, or a batch of B clouds on a leading axis, and
-# every function below takes either.  rng is one Generator for one cloud and
-# a sequence of B Generators, one per cloud, for a batch.
-
-
-@dataclass
-class ParticleSet:
-    positions: np.ndarray  # (M, 2) m, or (B, M, 2) for B clouds
-    velocities: np.ndarray  # (M, 2) m/s, or (B, M, 2)
-    weights: np.ndarray  # (M,) or (B, M); each cloud's sum to 1
-
-    def __post_init__(self):
-        self.positions = np.asarray(self.positions, dtype=float)
-        self.velocities = np.asarray(self.velocities, dtype=float)
-        self.weights = np.asarray(self.weights, dtype=float)
-        if self.weights.ndim not in (1, 2) or self.weights.shape[-1] < 1:
-            raise ValueError("need at least one particle")
-        shape = (*self.weights.shape, 2)
-        if self.positions.shape != shape or self.velocities.shape != shape:
-            raise ValueError("positions/velocities must be (M, 2), or (B, M, 2) for a batch")
-        if np.any(self.weights < 0.0) or np.any(np.abs(self.weights.sum(axis=-1) - 1.0) > 1e-12):
-            raise ValueError("weights must be non-negative and sum to 1")
-
-    def __len__(self) -> int:
-        """Particles per cloud."""
-        return self.weights.shape[-1]
+# Every function below takes one (M, 4) cloud or a (B, M, 4) batch of them.
+# rng is one Generator for one cloud and a sequence of B, one per cloud, for a batch.
 
 
 def _draw(rng, draw, out, rows=True) -> np.ndarray:
@@ -343,17 +303,15 @@ def _draw(rng, draw, out, rows=True) -> np.ndarray:
     return out
 
 
-def init_particles(init, n_particles: int, rng) -> ParticleSet:
+def init_particles(init, n_particles: int, rng) -> np.ndarray:
     """A cloud drawn from the Gaussian init = (mean, cov), or one per row of a
-    batch of them."""
+    batch of them: every cloud's positions, then every cloud's velocities."""
     mean, cov = init
-    shape = (*mean.shape[:-1], n_particles, 2)
-    positions = _draw(rng, lambda g, b: g.multivariate_normal(
-        mean[b][:2], cov[b][:2, :2], size=n_particles), np.empty(shape))
-    velocities = _draw(rng, lambda g, b: g.multivariate_normal(
-        mean[b][2:], cov[b][2:, 2:], size=n_particles), np.empty(shape))
-    weights = np.full(shape[:-1], 1.0 / n_particles)
-    return ParticleSet(positions=positions, velocities=velocities, weights=weights)
+    particles = np.empty((*mean.shape[:-1], n_particles, 4))
+    for part in (slice(0, 2), slice(2, 4)):
+        _draw(rng, lambda g, b: g.multivariate_normal(mean[b][part], cov[b][part, part],
+                                                      size=n_particles), particles[..., part])
+    return particles
 
 
 def systematic_resample(weights: np.ndarray, rng) -> np.ndarray:
@@ -368,104 +326,92 @@ def systematic_resample(weights: np.ndarray, rng) -> np.ndarray:
     return np.cumsum(is_cum, axis=-1)[~is_cum].reshape(anchors.shape).clip(max=m - 1)
 
 
-def pf_propagate(ps: ParticleSet, models, sigma_p: float, dt: float, rng) -> ParticleSet:
+def pf_propagate(particles: np.ndarray, models, sigma_p: float, dt: float, rng) -> np.ndarray:
     """Draw per-particle velocities from the GP posterior, then move positions."""
-    m, batch = len(ps), ps.weights.shape[:-1]
+    *batch, m, _ = particles.shape
     # predict_axes cloud by cloud: one call on all B*M queries gives the same
     # bits and finds no more copies (they are adjacent within a cloud), but its
     # mean's full-width (N, B*M) kernel gather outgrows the cache when N*M is large
     pred = np.empty((*batch, 2, 2, m))  # (..., axis, mean/variance, particle)
-    for cloud, velocities in zip(pred.reshape(-1, 2, 2, m), ps.velocities.reshape(-1, m, 2)):
+    for cloud, velocities in zip(pred.reshape(-1, 2, 2, m), particles[..., 2:].reshape(-1, m, 2)):
         cloud[...] = predict_axes(models, velocities)
     # one draw of the x velocity, y velocity and position noise, in that order
     noise = _draw(rng, lambda g, _: g.standard_normal(4 * m), np.empty((*batch, 4 * m)))
-    new_vel = pred[..., 0, :] + np.sqrt(pred[..., 1, :]) * noise[..., :2 * m].reshape(*batch, 2, m)
-    new_vel = new_vel.swapaxes(-1, -2)
-    new_pos = ps.positions + dt * new_vel + sigma_p * noise[..., 2 * m:].reshape(*batch, m, 2)
-    return ParticleSet(positions=new_pos, velocities=new_vel, weights=ps.weights.copy())
+    moved = np.empty_like(particles)
+    moved[..., 2:] = (pred[..., 0, :] + np.sqrt(pred[..., 1, :])
+                      * noise[..., :2 * m].reshape(*batch, 2, m)).swapaxes(-1, -2)
+    moved[..., :2] = (particles[..., :2] + dt * moved[..., 2:]
+                      + sigma_p * noise[..., 2 * m:].reshape(*batch, m, 2))
+    return moved
 
 
-def _reweight(ps: ParticleSet, z: Measurement, sensor: SensorConfig):
-    """(pf_reweight's particles, collapsed): collapsed holds for each cloud
-    whose every weight underflowed to zero, and such a cloud keeps its weights."""
-    delta = ps.positions - sensor.origin
+def pf_reweight(particles: np.ndarray, z, sensor: SensorConfig):
+    """(weights, collapsed): the uniform weights a cloud starts a step with,
+    times the range-bearing likelihood of z, normalized.  collapsed holds for
+    each cloud whose every weight underflows to zero, and such a cloud's
+    weights stay uniform; pf_step reseeds it."""
+    delta = particles[..., :2] - sensor.origin
     ranges = np.hypot(delta[..., 0], delta[..., 1])
     bearings = np.arctan2(delta[..., 1], delta[..., 0])
-    log_lik = -0.5 * (
-        ((np.expand_dims(z.range, -1) - ranges) / sensor.sigma_r) ** 2
-        + (wrap_angle(np.expand_dims(z.bearing, -1) - bearings) / sensor.sigma_a) ** 2
-    )
-    with np.errstate(divide="ignore"):
-        log_w = np.log(ps.weights) + log_lik
+    z_range, z_bearing = (np.expand_dims(v, -1) for v in z)
+    log_lik = -0.5 * (((z_range - ranges) / sensor.sigma_r) ** 2
+                      + (wrap_angle(z_bearing - bearings) / sensor.sigma_a) ** 2)
+    log_w = np.log(1.0 / particles.shape[-2]) + log_lik
     peak = np.max(log_w, axis=-1, keepdims=True)
-    collapsed = (np.max(log_lik, axis=-1) < np.log(np.finfo(float).tiny)) | ~np.isfinite(peak[..., 0])
+    collapsed = ((np.max(log_lik, axis=-1) < np.log(np.finfo(float).tiny))
+                 | ~np.isfinite(peak[..., 0]))
     kept = np.expand_dims(collapsed, -1)
-    w = np.where(kept, ps.weights, np.exp(log_w - np.where(kept, 0.0, peak)))
-    w /= w.sum(axis=-1, keepdims=True)
-    return ParticleSet(positions=ps.positions.copy(), velocities=ps.velocities.copy(),
-                       weights=w), collapsed
+    weights = np.where(kept, 1.0, np.exp(log_w - np.where(kept, 0.0, peak)))
+    weights /= weights.sum(axis=-1, keepdims=True)
+    return weights, collapsed
 
 
-def pf_reweight(ps: ParticleSet, z: Measurement, sensor: SensorConfig) -> ParticleSet:
-    """Multiply weights by the range-bearing likelihood of z, then normalize.
-    Raises WeightCollapseError, naming the first such row of a batch, when every
-    weight of a cloud underflows; pf_step reseeds such a cloud instead."""
-    ps, collapsed = _reweight(ps, z, sensor)
-    if np.any(collapsed):
-        raise WeightCollapseError(f"{row_prefix(collapsed)}all particle weights underflowed to zero")
-    return ps
-
-
-def pf_estimate(ps: ParticleSet):
-    """(mean, cov): the weighted mean of positions and velocities and their
-    weighted sample covariance, with a leading batch axis for a batch of clouds."""
-    state = np.concatenate([ps.positions, ps.velocities], axis=-1)
-    mean = (ps.weights[..., None, :] @ state)[..., 0, :]
-    state -= mean[..., None, :]  # centred in place
-    cov = (ps.weights[..., None] * state).swapaxes(-1, -2) @ state
+def pf_estimate(particles: np.ndarray, weights: np.ndarray):
+    """(mean, cov): the weighted mean of the particles and their weighted
+    sample covariance, with a leading batch axis for a batch of clouds."""
+    mean = (weights[..., None, :] @ particles)[..., 0, :]
+    centred = particles - mean[..., None, :]
+    cov = (weights[..., None] * centred).swapaxes(-1, -2) @ centred
     return mean, 0.5 * (cov + cov.swapaxes(-1, -2))
 
 
-def pf_resample(ps: ParticleSet, rng) -> ParticleSet:
-    """Systematic resampling of every cloud, to uniform weights."""
-    idx = systematic_resample(ps.weights, rng)[..., None]
-    return ParticleSet(
-        positions=np.take_along_axis(ps.positions, idx, axis=-2),
-        velocities=np.take_along_axis(ps.velocities, idx, axis=-2),
-        weights=np.full(ps.weights.shape, 1.0 / len(ps)),
-    )
+def pf_resample(particles: np.ndarray, weights: np.ndarray, rng) -> np.ndarray:
+    """Systematic resampling of every cloud; the copies' weights are uniform."""
+    return np.take_along_axis(particles, systematic_resample(weights, rng)[..., None], axis=-2)
 
 
-def pf_reseed(ps: ParticleSet, z: Measurement, sensor: SensorConfig, rng,
-              rows=True) -> ParticleSet:
-    """Recovery after weight collapse: in every cloud where rows holds, positions
-    re-drawn around the measurement, with uniform weights."""
-    cart = polar_to_cartesian(z.range, z.bearing, sensor)
-    noise_cov = measurement_noise_cartesian(z, sensor)
+def pf_reseed(particles: np.ndarray, weights: np.ndarray, z, sensor: SensorConfig, rng,
+              rows=True):
+    """Recovery after weight collapse: (particles, weights) with, in every
+    cloud where rows holds, positions re-drawn around the measurement z and
+    uniform weights."""
+    cart = polar_to_cartesian(*z, sensor)
+    noise_cov = measurement_noise_cartesian(*z, sensor)
     bad = ~np.isfinite(cart).all(axis=-1) & rows
     if np.any(bad):
         raise NumericsError(f"{row_prefix(bad)}cannot reseed around a non-finite measurement")
-    m = len(ps)
-    positions = _draw(rng, lambda g, b: g.multivariate_normal(cart[b], noise_cov[b], size=m),
-                      ps.positions.copy(), rows)
-    weights = np.where(np.expand_dims(rows, -1), 1.0 / m, ps.weights)
-    return ParticleSet(positions=positions, velocities=ps.velocities.copy(), weights=weights)
+    m = particles.shape[-2]
+    particles = particles.copy()
+    _draw(rng, lambda g, b: g.multivariate_normal(cart[b], noise_cov[b], size=m),
+          particles[..., :2], rows)
+    return particles, np.where(np.expand_dims(rows, -1), 1.0 / m, weights)
 
 
-def pf_step(ps: ParticleSet, z: Measurement, models, sensor: SensorConfig,
-            sigma_p: float, rng, dt: float = 1.0):
-    """One SIR cycle: propagate, reweight, estimate, resample, on one cloud or
-    on a batch of clouds.
+def pf_step(particles: np.ndarray, z, models, sensor: SensorConfig, sigma_p: float, rng,
+            dt: float = 1.0):
+    """One SIR cycle against the (range, bearing) row z: propagate, reweight,
+    estimate, resample, on one cloud or on a batch of clouds.
 
     Returns (particles, prior mean, posterior mean, posterior covariance), the
     rows ekf.filter_tracklet asks of a step.  The prior is taken after
     propagation, the posterior from the normalized weights before resampling.
-    A cloud whose every weight underflows is reseeded around z instead of
-    raising; every cloud is then resampled systematically.
+    A cloud whose every weight underflows is reseeded around z; every cloud
+    is then resampled systematically, back to uniform weights.
     """
-    ps = pf_propagate(ps, models, sigma_p, dt, rng)
-    prior_mean = pf_estimate(ps)[0]
-    ps, collapsed = _reweight(ps, z, sensor)
+    particles = pf_propagate(particles, models, sigma_p, dt, rng)
+    uniform = np.full(particles.shape[:-1], 1.0 / particles.shape[-2])
+    prior_mean = pf_estimate(particles, uniform)[0]
+    weights, collapsed = pf_reweight(particles, z, sensor)
     if np.any(collapsed):
-        ps = pf_reseed(ps, z, sensor, rng, collapsed)
-    return pf_resample(ps, rng), prior_mean, *pf_estimate(ps)
+        particles, weights = pf_reseed(particles, weights, z, sensor, rng, collapsed)
+    return pf_resample(particles, weights, rng), prior_mean, *pf_estimate(particles, weights)

@@ -279,7 +279,7 @@ def _filter(params: ImmParams, tracklets, sensor: SensorConfig, cfg: ImmConfig, 
     """filter_tracklet over the IMM recursion; the final state is the ImmGraph."""
 
     def step(graph, z):
-        pred, post, cov = graph.step(z.range, z.bearing)
+        pred, post, cov = graph.step(*z)
         return graph, ad.value_of(pred)[..., 0], ad.value_of(post)[..., 0], ad.value_of(cov)
 
     return filter_tracklet(
@@ -289,7 +289,7 @@ def _filter(params: ImmParams, tracklets, sensor: SensorConfig, cfg: ImmConfig, 
 
 def imm_nll(params: ImmParams, tracklet: Tracklet, sensor: SensorConfig,
             cfg: ImmConfig = ImmConfig()):
-    """Measurement NLL of one tracklet, recorded on a fresh tape.
+    """The measurement NLL of one tracklet, recorded on a fresh tape.
 
     Returns (loss Var, leaves dict) with the recursion initialized from the
     first two measurements; the loss sums the filtered rows (ekf.EVAL_START on).

@@ -33,6 +33,15 @@ class MkfConfig:
     q_reg: float = 1e-2  # diagonal regularization added to the predicted covariance
     clip_norm: float = 10.0
 
+    def __post_init__(self):
+        if min(self.hidden, self.dense) < 1:
+            raise ValueError(f"hidden and dense must be at least 1, "
+                             f"got {self.hidden}, {self.dense}")
+        if not 0.0 <= self.q_reg < np.inf:
+            raise ValueError(f"q_reg must be finite and >= 0, got {self.q_reg}")
+        if not 0.0 < self.clip_norm < np.inf:
+            raise ValueError(f"clip_norm must be positive and finite, got {self.clip_norm}")
+
 
 @dataclass
 class LstmWeights:
@@ -211,8 +220,7 @@ def run_mkf(tracklets, sensor: SensorConfig, w: LstmWeights, cfg: MkfConfig = No
     def step(state, z):
         (mean, cov), lstm_state, dt = state
         pred, cov, lstm_state = mkf_predict(mean, cov, lstm_state, w, dt, cfg.q_reg)
-        x, p, _, _ = joseph_update(pred[..., None], cov, z.range, z.bearing, sensor.noise_cov,
-                                   sensor.origin)
+        x, p, _, _ = joseph_update(pred[..., None], cov, *z, sensor.noise_cov, sensor.origin)
         return ((x[..., 0], p), lstm_state, dt), pred, x[..., 0], p
 
     zero_state = (np.zeros((1, w.hidden)), np.zeros((1, w.hidden)))  # LSTM (h, c)

@@ -64,11 +64,8 @@ def run_gp_method(dataset: Dataset, models, settings: PfSettings, seed: int):
     step runs pf_step once on the batch of clouds; the cloud of dataset
     tracklet i draws from SeedSequence(seed).spawn(n)[i], as it would alone."""
     rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(len(dataset))]
-
-    def step(clouds, z):
-        return pf_step(clouds, z, models, dataset.sensor, settings.sigma_p, rngs, dt=dataset.dt)
-
-    def start(init, dt):
-        return init_particles(init, settings.n_particles, rngs)
-
-    return _scored(*filter_tracklet(dataset.tracklets, dataset.sensor, start, step))
+    return _scored(*filter_tracklet(
+        dataset.tracklets, dataset.sensor,
+        lambda init, dt: init_particles(init, settings.n_particles, rngs),
+        lambda clouds, z: pf_step(clouds, z, models, dataset.sensor, settings.sigma_p, rngs,
+                                  dataset.dt)))

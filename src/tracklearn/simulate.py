@@ -15,8 +15,8 @@ from pathlib import Path
 import numpy as np
 
 from .ekf import EVAL_START
-from .errors import CsvFormatError, EmptyDatasetError
-from .statespace import SensorConfig, Tracklet, measure, wrap_angle
+from .errors import CsvFormatError, EmptyDatasetError, RowError
+from .statespace import SensorConfig, Tracklet, measure
 
 TRUTH_HEADER = ["t", "x", "y", "vx", "vy"]
 MEAS_HEADER = ["t", "range", "bearing"]
@@ -41,12 +41,18 @@ class GctConfig:
     def __post_init__(self):
         if self.n_steps <= 0:
             raise ValueError("n_steps must be positive")
+        if not 0.0 < self.dt < np.inf:
+            raise ValueError(f"dt must be positive and finite, got {self.dt}")
         if self.half_period <= 0:
             raise ValueError("half_period must be positive")
-        if not self.turn_rate_bounds[0] < self.turn_rate_bounds[1]:
-            raise ValueError("turn_rate_bounds must be an increasing pair")
-        if self.speed <= 0.0:
-            raise ValueError("speed must be positive")
+        low, high = self.turn_rate_bounds
+        if not -np.inf < low < high < np.inf:
+            raise ValueError(f"turn_rate_bounds must be an increasing finite pair, "
+                             f"got {low}, {high}")
+        if not 0.0 < self.speed < np.inf:
+            raise ValueError(f"speed must be positive and finite, got {self.speed}")
+        if not np.isfinite(self.start_box).all():
+            raise ValueError(f"start_box must be finite, got {self.start_box}")
 
 
 @dataclass
@@ -99,15 +105,10 @@ def generate_gct(cfg: GctConfig, rng: np.random.Generator) -> Tracklet:
 
 
 def simulate_measurements(truth: Tracklet, sensor: SensorConfig, rng: np.random.Generator) -> Tracklet:
-    """Attach noisy range-bearing returns to a truth trajectory."""
-    if len(truth) == 0:
-        raise ValueError("empty tracklet")
-    n = len(truth)
-    meas = np.empty((n, 2))
-    for k in range(n):
-        r, a = measure(truth.truth[k, :2], sensor)
-        meas[k, 0] = r + sensor.sigma_r * rng.standard_normal()
-        meas[k, 1] = wrap_angle(a + sensor.sigma_a * rng.standard_normal())
+    """Attach noisy range-bearing returns to a truth trajectory: each step
+    draws its range noise, then its bearing noise (Tracklet wraps the bearings)."""
+    meas = np.array([measure(state[:2], sensor) for state in truth.truth]).reshape(-1, 2)
+    meas += rng.standard_normal(meas.shape) * [sensor.sigma_r, sensor.sigma_a]
     meas[:, 0] = np.abs(meas[:, 0])  # range stays non-negative
     return Tracklet(dt=truth.dt, truth=truth.truth.copy(), meas=meas)
 
@@ -136,11 +137,12 @@ def _floats(fields, name: str, lineno: int) -> list[float]:
     return values
 
 
-def _read_csv(path, header: list[str]) -> tuple[np.ndarray, np.ndarray]:
-    """(t, the other columns) of a CSV whose first line is header.  Blank lines
-    are skipped, and CsvFormatError names the file and line of a fault."""
+def _read_csv(path, header: list[str]) -> tuple[np.ndarray, np.ndarray, list[int]]:
+    """(t, the other columns, the line number of each row) of a CSV whose first
+    line is header.  Blank lines are skipped, and CsvFormatError names the file
+    and line of a fault."""
     path = Path(path)
-    times, rows = [], []
+    times, rows, lines = [], [], []
     with path.open(newline="") as fh:
         reader = csv.reader(fh)
         found = next(reader, None)
@@ -155,7 +157,8 @@ def _read_csv(path, header: list[str]) -> tuple[np.ndarray, np.ndarray]:
             values = _floats(row, path.name, lineno)
             times.append(values[0])
             rows.append(values[1:])
-    return np.asarray(times), np.asarray(rows)
+            lines.append(lineno)
+    return np.asarray(times), np.asarray(rows), lines
 
 
 def ingest_csv(traj_path, sensor: SensorConfig, tracklet_len: int, rng_seed: int,
@@ -168,7 +171,7 @@ def ingest_csv(traj_path, sensor: SensorConfig, tracklet_len: int, rng_seed: int
     1e-6 dt, or CsvFormatError names the first data row (counted from 1)
     that breaks it.
     """
-    times, states = _read_csv(traj_path, TRUTH_HEADER)
+    times, states, _ = _read_csv(traj_path, TRUTH_HEADER)
     n = len(states)
     if n < tracklet_len:
         raise EmptyDatasetError(
@@ -203,16 +206,20 @@ def write_tracklet(directory, index: int, tracklet: Tracklet) -> None:
 
 
 def read_tracklet(directory, index: int, dt: float) -> Tracklet:
-    """Tracklet index of a saved split.  A missing file, or a measurement file
-    whose row count differs from its truth file's, is a CsvFormatError."""
+    """Tracklet index of a saved split.  A missing file, a measurement file
+    whose row count differs from its truth file's, or a measurement row that
+    Tracklet rejects is a CsvFormatError; the last names its line."""
     paths = [Path(directory) / f"{kind}_{index:04d}.csv" for kind in ("truth", "meas")]
     if missing := [p.name for p in paths if not p.is_file()]:
         raise CsvFormatError(f"{missing[0]} is missing")
-    _, truth = _read_csv(paths[0], TRUTH_HEADER)
-    _, meas = _read_csv(paths[1], MEAS_HEADER)
+    _, truth, _ = _read_csv(paths[0], TRUTH_HEADER)
+    _, meas, lines = _read_csv(paths[1], MEAS_HEADER)
     if len(meas) != len(truth):
         raise CsvFormatError(f"{paths[1].name} has {len(meas)} rows, {paths[0].name} {len(truth)}")
-    return Tracklet(dt=dt, truth=truth, meas=meas)
+    try:
+        return Tracklet(dt=dt, truth=truth, meas=meas)
+    except RowError as exc:
+        raise CsvFormatError(f"{paths[1].name} line {lines[exc.row]}: {exc.cause}") from exc
 
 
 def save_dataset(directory, dataset: Dataset) -> None:

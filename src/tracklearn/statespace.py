@@ -1,9 +1,15 @@
 """Shared kinematic types and the range-bearing sensor model.
 
 State ordering is fixed to [x1, x2, v1, v2] (meters, meters/second) and is
-relied on by every filter in the package.  Bearings live in (-pi, pi].
-A filter's state belief is plain arrays: a (4,) mean and a (4, 4) covariance,
-or (B, 4) and (B, 4, 4) for a batch of B; ekf.check_estimate validates them.
+relied on by every filter in the package.  A filter's state belief is plain
+arrays: a (4,) mean and a (4, 4) covariance, or (B, 4) and (B, 4, 4) for a
+batch of B; ekf.check_estimate validates them.
+
+A measurement is a (range, bearing) row of Tracklet.meas: a (2,) array, or
+(2, B) for a batch of B tracklets stepped in lockstep.  Tracklet checks its
+rows once, at construction: a negative range is a RowError naming the row,
+and every bearing is wrapped into (-pi, pi], so the filters take rows as
+they are.
 """
 
 from __future__ import annotations
@@ -12,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import GeometryError, row_prefix
+from .errors import GeometryError, RowError
 
 STATE_DIM = 4
 TWO_PI = 2.0 * np.pi
@@ -26,21 +32,6 @@ def wrap_angle(theta):
 
 
 @dataclass(frozen=True)
-class Measurement:
-    """One polar sensor return: range (m), bearing (rad in (-pi, pi]);
-    range and bearing are (B,) arrays for a batch of B tracklets."""
-
-    range: float
-    bearing: float
-
-    def __post_init__(self):
-        bad = np.less(self.range, 0.0)
-        if bad.any():
-            raise ValueError(f"{row_prefix(bad)}negative range {self.range}")
-        object.__setattr__(self, "bearing", wrap_angle(self.bearing)[()])  # 0-d to a float
-
-
-@dataclass(frozen=True)
 class SensorConfig:
     """Range-bearing sensor: position and noise standard deviations (m, rad).
     The defaults are the CLI's [sensor] defaults."""
@@ -51,8 +42,11 @@ class SensorConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "origin", np.asarray(self.origin, dtype=float).reshape(2))
-        if self.sigma_r <= 0.0 or self.sigma_a <= 0.0:
-            raise ValueError("sensor noise stds must be positive")
+        if not np.isfinite(self.origin).all():
+            raise ValueError(f"sensor origin must be finite, got {self.origin}")
+        if not (0.0 < self.sigma_r < np.inf and 0.0 < self.sigma_a < np.inf):
+            raise ValueError("sensor noise stds must be positive and finite, got "
+                             f"{self.sigma_r}, {self.sigma_a}")
 
     @property
     def noise_cov(self) -> np.ndarray:
@@ -64,7 +58,9 @@ class Tracklet:
     """Fixed-length trajectory segment: truth states and matched measurements.
 
     truth is a (T, 4) array of state means; meas a (T, 2) array of
-    (range, bearing) rows, one per step.  Time indices run 0..T-1.
+    (range, bearing) rows, one per step, held as a copy whose bearings are
+    wrapped into (-pi, pi].  A negative range is a RowError naming its row;
+    a NaN row (truth without measurements yet) passes.  Time indices run 0..T-1.
     """
 
     dt: float
@@ -73,11 +69,15 @@ class Tracklet:
 
     def __post_init__(self):
         self.truth = np.asarray(self.truth, dtype=float)
-        self.meas = np.asarray(self.meas, dtype=float)
+        self.meas = np.array(self.meas, dtype=float)
         if self.truth.ndim != 2 or self.truth.shape[1] != STATE_DIM:
             raise ValueError(f"truth must be (T, {STATE_DIM}), got {self.truth.shape}")
         if self.meas.shape != (len(self.truth), 2):
             raise ValueError("meas must align with truth, one (range, bearing) row per step")
+        if (negative := self.meas[:, 0] < 0.0).any():
+            row = int(np.argmax(negative))
+            raise RowError(row, f"negative range {self.meas[row, 0]:g}")
+        self.meas[:, 1] = wrap_angle(self.meas[:, 1])
 
     def __len__(self) -> int:
         return len(self.truth)
@@ -85,9 +85,7 @@ class Tracklet:
 
 def measure(state_pos, sensor: SensorConfig):
     """Noiseless range and bearing of a position, relative to the sensor origin."""
-    pos = np.asarray(state_pos, dtype=float).reshape(2)
-    dx = pos[0] - sensor.origin[0]
-    dy = pos[1] - sensor.origin[1]
+    dx, dy = np.asarray(state_pos, dtype=float).reshape(2) - sensor.origin
     r_sq = dx * dx + dy * dy
     if r_sq == 0.0:
         raise GeometryError("target position coincides with the sensor origin")
@@ -101,8 +99,9 @@ def polar_to_cartesian(r, bearing, sensor: SensorConfig) -> np.ndarray:
                      r * np.sin(bearing) + sensor.origin[1]], axis=-1)
 
 
-def measurement_noise_cartesian(m: Measurement, sensor: SensorConfig) -> np.ndarray:
-    """Polar noise covariance propagated to Cartesian coordinates at measurement m."""
-    c, s = np.cos(m.bearing), np.sin(m.bearing)
-    jac = np.stack([c, -m.range * s, s, m.range * c], axis=-1).reshape(*np.shape(c), 2, 2)
+def measurement_noise_cartesian(r, bearing, sensor: SensorConfig) -> np.ndarray:
+    """Polar noise covariance propagated to Cartesian coordinates at ranges r
+    and bearings of any one shape, as that shape plus a trailing (2, 2)."""
+    c, s = np.cos(bearing), np.sin(bearing)
+    jac = np.stack([c, -r * s, s, r * c], axis=-1).reshape(*np.shape(c), 2, 2)
     return jac @ sensor.noise_cov @ jac.swapaxes(-1, -2)

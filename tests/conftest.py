@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from tracklearn.ekf import EVAL_START, cv_transition, init_track, joseph_update, wna_template
-from tracklearn.statespace import Measurement
 
 
 def write_config(path, overrides=None):
@@ -59,13 +58,13 @@ def cv_ekf_reference(tracklet, sensor, q):
     two-point init.  Returns (pred means, post means), one row per measurement
     from EVAL_START on, and the total NLL from each innovation's Gaussian density."""
     f, noise = cv_transition(tracklet.dt), q * wna_template(tracklet.dt)
-    z = [Measurement(*row) for row in tracklet.meas]
+    z = tracklet.meas
     mean, cov = init_track(z[0], z[1], sensor, tracklet.dt)
     pred_means, post_means, nll = [], [], 0.0
     for t in range(EVAL_START, len(tracklet)):
         pred = f @ mean
-        x, cov, nu, s = joseph_update(pred[:, None], f @ cov @ f.T + noise, z[t].range,
-                                      z[t].bearing, sensor.noise_cov, sensor.origin)
+        x, cov, nu, s = joseph_update(pred[:, None], f @ cov @ f.T + noise, *z[t],
+                                      sensor.noise_cov, sensor.origin)
         mean, nu = x[:, 0], nu[:, 0]
         pred_means.append(pred)
         post_means.append(mean)

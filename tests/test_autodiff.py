@@ -10,7 +10,7 @@ from tracklearn.gp import negative_lml, sq_distances
 from tracklearn.imm import ImmConfig, ImmGraph, default_params
 from tracklearn.mkf import init_weights, lstm_step
 from tracklearn.simulate import GctConfig, generate_gct, simulate_measurements
-from tracklearn.statespace import Measurement, SensorConfig
+from tracklearn.statespace import SensorConfig
 
 
 def test_square_derivative():
@@ -261,7 +261,7 @@ def test_imm_step_factors_each_innovation_covariance_once(monkeypatch):
     rng = np.random.default_rng(0)
     trk = simulate_measurements(generate_gct(GctConfig(n_steps=3), rng), sensor, rng)
     cfg = ImmConfig()
-    init = init_track(Measurement(*trk.meas[0]), Measurement(*trk.meas[1]), sensor, trk.dt)
+    init = init_track(trk.meas[0], trk.meas[1], sensor, trk.dt)
     graph = ImmGraph(default_params(sensor, cfg), init, trk.dt, sensor.origin, cfg, record=True)
     given = _count_factorizations(monkeypatch)
     graph.step(*trk.meas[2])

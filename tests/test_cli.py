@@ -399,8 +399,20 @@ def test_train_refuses_another_methods_output_directory(gct_runs, tmp_path, caps
     ("imm", "init_q", "-1", "imm", "init_q must be positive, got -1.0"),
     ("imm", "init_q", "0", "imm", "init_q must be positive, got 0.0"),
     ("gp", "sigma0_sq", "-1", "gp", "GP hyperparameters must be positive"),
+    ("gp", "sigma0_sq", "nan", "gp", "GP hyperparameters must be positive and finite"),
+    ("gp", "max_pairs", "0", "gp", "max_pairs must be at least 2, got 0"),
+    ("gp", "max_pairs", "1", "gp", "max_pairs must be at least 2, got 1"),
     ("sensor", "sigma_r", "0", "simulate", "sensor noise stds must be positive"),
+    ("sensor", "sigma_r", "nan", "simulate", "sensor noise stds must be positive and finite"),
+    ("sensor", "origin_x", "inf", "simulate", "sensor origin must be finite"),
     ("dataset", "n_steps", "0", "simulate", "n_steps must be positive"),
+    ("dataset", "dt", "0", "simulate", "dt must be positive and finite, got 0.0"),
+    ("dataset", "speed", "inf", "simulate", "speed must be positive and finite, got inf"),
+    ("dataset", "turn_rate_low_deg", "nan", "simulate", "increasing finite pair, got nan, 15.0"),
+    ("dataset", "start_low", "nan", "simulate", "start_box must be finite"),
+    ("mkf", "hidden", "0", "mkf", "hidden and dense must be at least 1, got 0,"),
+    ("mkf", "clip_norm", "0", "mkf", "clip_norm must be positive and finite, got 0.0"),
+    ("mkf", "q_reg", "-1", "evaluate", "q_reg must be finite and >= 0, got -1.0"),
 ])
 def test_config_value_a_model_rejects_exits_2(gct_runs, tmp_path, capsys, section, key, value,
                                               command, cause):
@@ -408,6 +420,9 @@ def test_config_value_a_model_rejects_exits_2(gct_runs, tmp_path, capsys, sectio
     cfg = str(experiment(tmp_path / "exp.ini", root, {(section, key): value}))
     if command == "simulate":
         argv = ["simulate", "--config", cfg, "--out", str(tmp_path / "data"), "--seed", "1"]
+    elif command == "evaluate":
+        argv = ["evaluate", "--config", cfg, "--out", str(tmp_path / "eval"),
+                "--data", str(root / "data"), "--method", section, "--seed", "7"]
     else:
         argv = ["train", "--config", cfg, "--out", str(tmp_path / command),
                 "--data", str(root / "data"), "--method", command, "--seed", "7"]
@@ -448,6 +463,7 @@ BAD_SPLIT_CAUSES = {
                       "a split's tracklets share one length",
     "no_meas": "meas_0001.csv is missing",
     "too_short": "truth_0000.csv has 2 rows: a filter needs at least 3",
+    "negative_range": "meas_0000.csv line 7: negative range -1",
 }
 
 
@@ -475,6 +491,12 @@ def test_a_bad_dataset_split_exits_2_naming_the_file(gct_runs, tmp_path, capsys,
             path.write_text("".join(path.read_text().splitlines(keepends=True)[:-2]))
     elif case == "too_short":  # init_track needs rows 0 and 1, the first step row 2
         cut_split(split, EVAL_START)
+    elif case == "negative_range":  # row 5, on line 7 after the header
+        path = split / "meas_0000.csv"
+        lines = path.read_text().splitlines(keepends=True)
+        t, _, bearing = lines[6].split(",")
+        lines[6] = f"{t},-1,{bearing}"
+        path.write_text("".join(lines))
     else:
         (split / "meas_0001.csv").unlink()
     cfg = str(experiment(tmp_path / "exp.ini", root))

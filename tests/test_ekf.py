@@ -15,7 +15,7 @@ from tracklearn.ekf import (
 )
 from tracklearn.errors import NumericsError
 from tracklearn.simulate import GctConfig, make_dataset
-from tracklearn.statespace import Measurement, SensorConfig, measure
+from tracklearn.statespace import SensorConfig, measure
 
 
 @pytest.fixture
@@ -29,10 +29,10 @@ def random_spd(rng, scale=10.0):
 
 
 def update(mean, cov, z, sensor):
-    """joseph_update of one (mean, cov) by the Measurement z on arrays:
+    """joseph_update of one (mean, cov) by the (range, bearing) row z on arrays:
     (posterior mean, posterior cov, innovation, innovation covariance)."""
-    x, p, nu, s = joseph_update(np.reshape(mean, (4, 1)), cov, z.range, z.bearing,
-                                sensor.noise_cov, sensor.origin)
+    x, p, nu, s = joseph_update(np.reshape(mean, (4, 1)), cov, *z, sensor.noise_cov,
+                                sensor.origin)
     return x[:, 0], p, nu[:, 0], s
 
 
@@ -63,7 +63,7 @@ def test_predict_noise_inflates_trace():
 def test_update_uninformative_measurement(sensor):
     huge = SensorConfig(origin=(0, 0), sigma_r=1e6, sigma_a=1e6)
     mean = np.array([100.0, 50.0, 1.0, 0.0])
-    z = Measurement(range=130.0, bearing=0.6)
+    z = np.array([130.0, 0.6])
     post, post_cov, _, _ = update(mean, np.eye(4), z, huge)
     assert np.allclose(post, mean, atol=1e-3)
     assert np.allclose(post_cov, np.eye(4), atol=1e-3)
@@ -71,7 +71,7 @@ def test_update_uninformative_measurement(sensor):
 
 def test_update_fully_confident_prior(sensor):
     mean = np.array([100.0, 50.0, 1.0, 0.0])
-    z = Measurement(range=130.0, bearing=0.6)
+    z = np.array([130.0, 0.6])
     post, _, _, _ = update(mean, np.zeros((4, 4)), z, sensor)
     assert np.allclose(post, mean)
 
@@ -81,7 +81,7 @@ def test_update_against_hand_kalman_oracle():
     hand-computed scalar-block Kalman answer."""
     sensor = SensorConfig(origin=(0.0, 0.0), sigma_r=3.0, sigma_a=1e-9)
     p = np.diag([4.0, 1e-18, 1e-18, 1e-18])
-    z = Measurement(range=106.0, bearing=0.0)
+    z = np.array([106.0, 0.0])
     post, post_cov, innovation, s = update([100.0, 0.0, 0.0, 0.0], p, z, sensor)
     # range is x here: K = 4 / (4 + 9), posterior x = 100 + K * 6
     gain = 4.0 / 13.0
@@ -92,7 +92,7 @@ def test_update_against_hand_kalman_oracle():
 
 
 def test_update_wraps_bearing_innovation(sensor):
-    z = Measurement(range=100.0, bearing=np.pi - 1e-6)
+    z = np.array([100.0, np.pi - 1e-6])
     _, _, innovation, _ = update([-100.0, -1e-6, 0.0, 0.0], np.eye(4), z, sensor)
     assert abs(innovation[1]) < 1e-4  # not ~2*pi
 
@@ -107,7 +107,7 @@ def test_update_singular_s_raises():
 
     zero_sensor = ZeroNoise(origin=(0, 0), sigma_r=1.0, sigma_a=0.01)
     with pytest.raises(NumericsError):
-        update([100.0, 0.0, 0.0, 0.0], np.zeros((4, 4)), Measurement(range=100.0, bearing=0.0),
+        update([100.0, 0.0, 0.0, 0.0], np.zeros((4, 4)), np.array([100.0, 0.0]),
                zero_sensor)
 
 
@@ -121,7 +121,7 @@ def test_joseph_form_stays_psd():
             pos[0] += 10.0
         mean = np.concatenate([pos, rng.uniform(-10, 10, size=2)])
         r, a = measure(pos, sensor)
-        z = Measurement(range=max(r + rng.normal(0, 1), 0.1), bearing=a + rng.normal(0, 0.005))
+        z = np.array([max(r + rng.normal(0, 1), 0.1), a + rng.normal(0, 0.005)])
         _, post_cov, _, _ = update(mean, cov, z, sensor)
         min_eig = np.linalg.eigvalsh(post_cov).min()
         assert min_eig >= -1e-9 * np.trace(post_cov)
@@ -134,7 +134,7 @@ def test_update_reduces_measured_directions():
         cov = random_spd(rng)
         mean = np.array([200.0, 100.0, 1.0, 1.0]) + rng.normal(0, 10, size=4)
         r, a = measure(mean[:2], sensor)
-        z = Measurement(range=r + rng.normal(), bearing=a + rng.normal(0, 0.005))
+        z = np.array([r + rng.normal(), a + rng.normal(0, 0.005)])
         _, post_cov, _, _ = update(mean, cov, z, sensor)
         h = range_bearing(mean.reshape(4, 1), sensor.origin)[2]
         assert np.trace(h @ post_cov @ h.T) <= np.trace(h @ cov @ h.T) + 1e-12
@@ -165,8 +165,8 @@ def test_nll_matches_density_oracle():
 
 def test_init_track_two_point():
     sensor = SensorConfig(origin=(0, 0), sigma_r=1.0, sigma_a=0.01)
-    z0 = Measurement(range=100.0, bearing=0.0)
-    z1 = Measurement(range=102.0, bearing=0.0)
+    z0 = np.array([100.0, 0.0])
+    z1 = np.array([102.0, 0.0])
     mean, cov = init_track(z0, z1, sensor, dt=1.0)
     assert mean == pytest.approx([102.0, 0.0, 2.0, 0.0])
     # velocity variance: (R0 + R1)/dt^2 along range axis = 2 * sigma_r^2

@@ -6,12 +6,10 @@ from scipy.spatial.distance import cdist
 from conftest import finite_difference
 import tracklearn.autodiff as ad
 from tracklearn import gp
-from tracklearn.errors import WeightCollapseError
 from tracklearn.gp import (
     EXP_ZERO_AT,
     GpHyper,
     GpModel,
-    ParticleSet,
     gp_fit,
     init_particles,
     kernel_matrix,
@@ -28,7 +26,6 @@ from tracklearn.gp import (
     velocity_pairs,
 )
 from tracklearn.statespace import (
-    Measurement,
     SensorConfig,
     Tracklet,
     measure,
@@ -273,6 +270,13 @@ def test_gp_fit_subsamples_to_budget():
     assert len(my) == 50
 
 
+@pytest.mark.parametrize("max_pairs", [0, 1])
+def test_gp_fit_needs_two_pairs_after_the_cut(max_pairs):
+    trk = make_tracklet(np.random.default_rng(9).standard_normal((30, 2)))
+    with pytest.raises(ValueError, match=f"need at least 2 training pairs, got {max_pairs}"):
+        gp_fit([trk], max_pairs=max_pairs, optimize=False)
+
+
 def test_serialization_roundtrip(tmp_path):
     rng = np.random.default_rng(13)
     vels = rng.standard_normal((40, 2)) * 3.0
@@ -313,41 +317,36 @@ def test_systematic_resample_one_hot():
 
 def test_weights_normalized_after_reweight():
     rng = np.random.default_rng(8)
-    ps = ParticleSet(
-        positions=rng.uniform(90, 110, (200, 2)),
-        velocities=rng.standard_normal((200, 2)),
-        weights=np.full(200, 1 / 200),
-    )
+    particles = np.hstack([rng.uniform(90, 110, (200, 2)), rng.standard_normal((200, 2))])
     sensor = SensorConfig(origin=(0, 0), sigma_r=2.0, sigma_a=0.01)
-    r, a = measure([100.0, 100.0], sensor)
-    ps2 = pf_reweight(ps, Measurement(range=r, bearing=a), sensor)
-    assert abs(ps2.weights.sum() - 1.0) <= 1e-12
+    weights, collapsed = pf_reweight(particles, measure([100.0, 100.0], sensor), sensor)
+    assert not collapsed
+    assert abs(weights.sum() - 1.0) <= 1e-12
 
 
-def test_reweight_collapse_raises():
-    ps = ParticleSet(
-        positions=np.full((10, 2), 1e7),
-        velocities=np.zeros((10, 2)),
-        weights=np.full(10, 0.1),
-    )
+def test_reweight_flags_a_collapsed_cloud_and_keeps_its_weights_uniform():
+    """Cloud 1 sits 10 000 km from its z, so every weight underflows: it is
+    flagged, and its weights stay uniform; cloud 0, at its z, is reweighted."""
     sensor = SensorConfig(origin=(0, 0), sigma_r=0.1, sigma_a=1e-4)
-    with pytest.raises(WeightCollapseError):
-        pf_reweight(ps, Measurement(range=10.0, bearing=0.0), sensor)
+    particles = np.zeros((2, 10, 4))
+    particles[0, :, 0] = 10.0 + np.linspace(-0.1, 0.1, 10)
+    particles[1, :, :2] = 1e7
+    weights, collapsed = pf_reweight(particles, np.array([[10.0, 10.0], [0.0, 0.0]]), sensor)
+    assert list(collapsed) == [False, True]
+    assert np.array_equal(weights[1], np.full(10, 0.1))
+    assert weights[0].argmax() in (4, 5) and abs(weights[0].sum() - 1.0) <= 1e-12
 
 
 def test_resampling_preserves_weighted_mean():
     rng = np.random.default_rng(17)
     m = 100
-    ps = ParticleSet(
-        positions=rng.standard_normal((m, 2)) * 5.0,
-        velocities=rng.standard_normal((m, 2)),
-        weights=np.random.default_rng(1).dirichlet(np.ones(m)),
-    )
-    target = ps.weights @ ps.positions
+    particles = np.hstack([rng.standard_normal((m, 2)) * 5.0, rng.standard_normal((m, 2))])
+    weights = np.random.default_rng(1).dirichlet(np.ones(m))
+    target = weights @ particles[:, :2]
     means = []
     for _ in range(10_000):
-        res = pf_resample(ps, rng)
-        means.append(res.positions.mean(axis=0))
+        res = pf_resample(particles, weights, rng)
+        means.append(res[:, :2].mean(axis=0))
     means = np.asarray(means)
     mc_mean = means.mean(axis=0)
     se = means.std(axis=0, ddof=1) / np.sqrt(len(means))
@@ -355,10 +354,8 @@ def test_resampling_preserves_weighted_mean():
 
 
 def test_pf_estimate_weighted_moments():
-    positions = np.array([[0.0, 0.0], [2.0, 0.0]])
-    velocities = np.array([[1.0, 0.0], [1.0, 0.0]])
-    ps = ParticleSet(positions=positions, velocities=velocities, weights=[0.25, 0.75])
-    mean, cov = pf_estimate(ps)
+    particles = np.array([[0.0, 0.0, 1.0, 0.0], [2.0, 0.0, 1.0, 0.0]])
+    mean, cov = pf_estimate(particles, np.array([0.25, 0.75]))
     assert mean[:2] == pytest.approx([1.5, 0.0])
     # weighted sample variance of x: 0.25*(1.5)^2 + 0.75*(0.5)^2 = 0.75
     assert cov[0, 0] == pytest.approx(0.75)
@@ -383,13 +380,11 @@ def test_pf_step_tracks_constant_velocity():
                             rng)
         for k in range(1, n_steps):
             r, a = measure(truth[k], sensor)
-            z = Measurement(
-                range=r + sensor.sigma_r * rng.standard_normal(),
-                bearing=a + sensor.sigma_a * rng.standard_normal(),
-            )
+            z = np.array([r + sensor.sigma_r * rng.standard_normal(),
+                          a + sensor.sigma_a * rng.standard_normal()])
             ps, _, post, _ = pf_step(ps, z, models, sensor, sigma_p=1e-3, rng=rng, dt=1.0)
             pf_err.append(np.linalg.norm(post[:2] - truth[k]))
-            meas_err.append(np.linalg.norm(polar_to_cartesian(z.range, z.bearing, sensor) - truth[k]))
+            meas_err.append(np.linalg.norm(polar_to_cartesian(*z, sensor) - truth[k]))
     assert np.sqrt(np.mean(np.square(pf_err))) <= np.sqrt(np.mean(np.square(meas_err)))
 
 
@@ -402,9 +397,9 @@ def test_pf_step_reseeds_around_measurement_after_collapse():
                     optimize=False)
     init = np.array([5000.0, 5000.0, 3.0, 1.0]), np.diag([1.0, 1.0, 0.2, 0.2])
     ps = init_particles(init, 200, rng)
-    z = Measurement(range=500.0, bearing=0.3)
+    z = np.array([500.0, 0.3])
     ps, prior, post, _ = pf_step(ps, z, models, sensor, sigma_p=1e-3, rng=rng)
-    target = polar_to_cartesian(z.range, z.bearing, sensor)
+    target = polar_to_cartesian(*z, sensor)
     assert np.linalg.norm(prior[:2] - target) > 5000.0
     assert np.linalg.norm(post[:2] - target) < 5.0
-    assert np.all(np.linalg.norm(ps.positions - target, axis=1) < 50.0)
+    assert np.all(np.linalg.norm(ps[:, :2] - target, axis=1) < 50.0)

@@ -19,7 +19,7 @@ from tracklearn.imm import (
     train_imm,
 )
 from tracklearn.simulate import GctConfig, generate_gct, make_dataset, simulate_measurements
-from tracklearn.statespace import Measurement, SensorConfig, Tracklet
+from tracklearn.statespace import SensorConfig, Tracklet
 
 
 SENSOR = SensorConfig(origin=(0.0, 0.0), sigma_r=1.5, sigma_a=0.00523)
@@ -40,7 +40,7 @@ def straight_tracklet(n_steps=30):
 
 
 def two_point_init(trk):
-    return init_track(Measurement(*trk.meas[0]), Measurement(*trk.meas[1]), SENSOR, trk.dt)
+    return init_track(trk.meas[0], trk.meas[1], SENSOR, trk.dt)
 
 
 def params_vector(params: ImmParams, cfg: ImmConfig):

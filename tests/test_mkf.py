@@ -19,7 +19,7 @@ from tracklearn.mkf import (
 )
 from tracklearn.ekf import init_track, joseph_update
 from tracklearn.simulate import GctConfig, generate_gct, make_dataset, simulate_measurements
-from tracklearn.statespace import Measurement, SensorConfig, Tracklet
+from tracklearn.statespace import SensorConfig, Tracklet
 
 SENSOR = SensorConfig(origin=(0.0, 0.0), sigma_r=1.5, sigma_a=0.00523)
 
@@ -304,10 +304,9 @@ def test_pipeline_matches_composed_calls():
     w = init_weights(seed=6, input_scale=10.0)
     pred_all, post_all, _ = run_mkf(trk, SENSOR, w)
 
-    mean, cov = init_track(Measurement(*trk.meas[0]), Measurement(*trk.meas[1]), SENSOR, trk.dt)
+    mean, cov = init_track(trk.meas[0], trk.meas[1], SENSOR, trk.dt)
     pred, cov, _ = mkf_predict(mean, cov, zero_state(w.hidden), w, trk.dt, MkfConfig().q_reg)
-    z = Measurement(*trk.meas[2])
-    post, _, _, _ = joseph_update(pred[:, None], cov, z.range, z.bearing, SENSOR.noise_cov,
+    post, _, _, _ = joseph_update(pred[:, None], cov, *trk.meas[2], SENSOR.noise_cov,
                                   SENSOR.origin)
     assert np.allclose(pred_all[2], pred, rtol=0, atol=0)
     assert np.allclose(post_all[2], post[:, 0], rtol=0, atol=0)

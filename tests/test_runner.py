@@ -57,8 +57,8 @@ def run_alone(method, train, test, k):
     rng = np.random.default_rng(np.random.SeedSequence(0).spawn(len(test.tracklets))[k])
     models = gp_models(train)
 
-    def step(ps, z):
-        return pf_step(ps, z, models, SENSOR, PF.sigma_p, rng, dt=trk.dt)
+    def step(particles, z):
+        return pf_step(particles, z, models, SENSOR, PF.sigma_p, rng, dt=trk.dt)
 
     def start(init, dt):
         return init_particles(init, PF.n_particles, rng)
@@ -128,11 +128,10 @@ def test_only_a_collapsed_cloud_is_reseeded(monkeypatch):
     train = make_dataset(2, GctConfig(n_steps=12), SENSOR, seed=1)
     test = make_dataset(3, GctConfig(n_steps=20), SENSOR, seed=2)
     test.tracklets[1].meas[8, 0] += 5000.0
-    calls = spy_on(monkeypatch, "pf_reseed")  # pf_reseed(ps, z, sensor, rng, rows)
+    calls = spy_on(monkeypatch, "pf_reseed")  # pf_reseed(particles, weights, z, sensor, rng, rows)
     _, post = run_method("gp", train, test)
     assert all(list(args[-1]) == [False, True, False] for args in calls)
-    assert calls[0][1].range[1] == test.tracklets[1].meas[8, 0]  # the z of row 8
-    assert calls[0][1].bearing[1] == test.tracklets[1].meas[8, 1]
+    assert np.array_equal(calls[0][2][:, 1], test.tracklets[1].meas[8])  # the z of row 8
     z = polar_to_cartesian(*test.tracklets[1].meas[8], SENSOR)
     assert np.linalg.norm(post[1, 8 - EVAL_START, :2] - z) < 50.0  # the track is 5 km off
     assert_records_equal_alone("gp", train, test)

@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from tracklearn.ekf import range_bearing
-from tracklearn.errors import GeometryError, NumericsError
+from tracklearn.errors import GeometryError, NumericsError, RowError
 from tracklearn.statespace import (
-    Measurement,
     SensorConfig,
+    Tracklet,
     measure,
     measurement_noise_cartesian,
     polar_to_cartesian,
@@ -138,21 +138,28 @@ def test_wrap_angle_range():
     assert wrap_angle(-np.pi) == pytest.approx(np.pi)
 
 
-def test_measurement_validation():
-    with pytest.raises(ValueError):
-        Measurement(range=-1.0, bearing=0.0)
-    m = Measurement(range=1.0, bearing=3 * np.pi)
-    assert m.bearing == pytest.approx(np.pi)
+def test_tracklet_rejects_a_negative_range_and_wraps_bearings():
+    truth = np.zeros((3, 4))
+    meas = np.array([[1.0, 0.0], [1.0, 3 * np.pi], [2.0, -np.pi]])
+    with pytest.raises(RowError, match=r"^row 2: negative range -1$"):
+        Tracklet(dt=1.0, truth=truth, meas=meas * [[1.0], [1.0], [-0.5]])
+    trk = Tracklet(dt=1.0, truth=truth, meas=meas)
+    assert trk.meas[1, 1] == pytest.approx(np.pi) and trk.meas[2, 1] == pytest.approx(np.pi)
+    assert np.all(trk.meas[:, 1] > -np.pi) and np.all(trk.meas[:, 1] <= np.pi)
+    assert meas[1, 1] == 3 * np.pi  # the caller's rows are left as they were
+    Tracklet(dt=1.0, truth=truth, meas=np.full((3, 2), np.nan))  # truth before measurements
 
 
 def test_sensor_validation():
-    with pytest.raises(ValueError):
-        SensorConfig(origin=(0, 0), sigma_r=0.0, sigma_a=0.1)
+    for kwargs in ({"sigma_r": 0.0}, {"sigma_a": -0.1}, {"sigma_r": np.nan}, {"sigma_a": np.inf},
+                   {"origin": (0.0, np.nan)}):
+        with pytest.raises(ValueError):
+            SensorConfig(**kwargs)
 
 
 def test_measurement_noise_cartesian_at_zero_bearing():
     sensor = SensorConfig(origin=(0, 0), sigma_r=2.0, sigma_a=0.01)
-    cov = measurement_noise_cartesian(Measurement(range=100.0, bearing=0.0), sensor)
+    cov = measurement_noise_cartesian(100.0, 0.0, sensor)
     assert cov[0, 0] == pytest.approx(4.0)
     assert cov[1, 1] == pytest.approx(1.0)  # (100 * 0.01)^2
     assert abs(cov[0, 1]) < 1e-12
