@@ -7,11 +7,12 @@ expression.
 
 The same functions also run on plain float64 arrays: given no Var
 operand, a function returns at once, without a tape, the value the tape
-would record, computed by the same expression.  Arrays may be stacks with a
-leading batch axis, (B, r, c), which is how the filters step a whole test
-set in lockstep.  A model written once against this layer therefore filters
-on arrays and trains on a tape; const_like, scalar, detach and value_of let
-it create constants and read values without knowing which.
+would record, computed by the same expression.  Values on the tape and off
+it may be stacks with leading axes, (..., r, c), broadcast as numpy does:
+the filters step a whole test set in lockstep on a batch axis, and the IMM
+records its modes as one stack.  A model written once against this layer
+therefore filters on arrays and trains on a tape; const_like, scalar and
+value_of let it create constants and read values without knowing which.
 
 minimize is the one gradient-descent loop: the GP, IMM and LSTM-KF trainers
 each give it a record closure, which puts the loss on a fresh tape, and an
@@ -31,18 +32,18 @@ from .api import (
     const,
     const_like,
     cos,
-    detach,
     exp,
     item,
     log,
     logdet,
     logsumexp,
     make_tape,
+    reshape,
     scalar,
-    scale_template,
     sigmoid,
     sin,
     sqrt,
+    stack_sum,
     tanh,
     transpose,
     value_of,

@@ -10,9 +10,15 @@ written against this layer filters on arrays and trains on a tape.
 Each node carries its backward rule (its signature is in PyTape's docstring),
 a module-level function written beside the forward expression.
 
-Arrays may be stacks with a leading batch axis, (B, r, c): every function
-acts on the last two axes and broadcasts a 2-D operand against a stack, as
-JAX vmap does (Bradbury et al., 2018).
+Values on the tape and off it may be stacks, (..., r, c): every function
+acts on the last two axes and broadcasts its operands as numpy does, as JAX
+vmap does (Bradbury et al., 2018).  So a 1x1 scalar scales a matrix, and a
+2-D matrix or a smaller stack applies to every matrix of a stack, with no
+rule of their own: each rule returns its gradients in the node's shape, and
+the tape sums them over the axes an operand was broadcast along
+(PyTape.backward).  The filters step a whole test set in lockstep on a
+leading batch axis, and the IMM records its modes as one stack; reshape and
+stack_sum move between stack layouts and reduce a stack axis.
 """
 
 from __future__ import annotations
@@ -20,8 +26,13 @@ from __future__ import annotations
 import numpy as np
 from scipy.linalg.blas import dtrsm
 
-from ..errors import NumericsError, row_prefix
-from .pure import PyTape, as_matrix, potrs
+from ..errors import NumericsError
+from .pure import PyTape, as_matrix, per_matrix, potrs
+
+
+def _t(v: np.ndarray) -> np.ndarray:
+    """The transpose of each matrix of a stack, as a view."""
+    return v.swapaxes(-1, -2)
 
 
 # the rules of Var's operators
@@ -32,22 +43,17 @@ def _addc_back(g, vals, i, a, b, aux): return g, None
 def _mulc_back(g, vals, i, a, b, aux): return g * aux, None
 def _mul_back(g, vals, i, a, b, aux): return g * vals[b], g * vals[a]
 def _div_back(g, vals, i, a, b, aux): return g / vals[b], -g * vals[i] / vals[b]
-def _matmul_back(g, vals, i, a, b, aux): return g @ vals[b].T, vals[a].T @ g
+def _matmul_back(g, vals, i, a, b, aux): return g @ _t(vals[b]), _t(vals[a]) @ g
 
 
-def _smul_back(g, vals, i, a, b, aux):  # a: 1x1 scalar, b: matrix
-    return np.array([[np.sum(g * vals[b])]]), vals[a][0, 0] * g
-
-
-def _sdiv_back(g, vals, i, a, b, aux):  # a: matrix, b: 1x1 scalar
-    s = vals[b][0, 0]
-    return g / s, np.array([[-np.sum(g * vals[i]) / s]])
+_CONSTANT = (int, float, np.ndarray)  # operands an operator records as constants
 
 
 class Var:
     """Handle to one tape node.  Arithmetic operators record new nodes."""
 
     __slots__ = ("tape", "i")
+    __array_ufunc__ = None  # ndarray <op> Var defers to Var's reflected operator
 
     def __init__(self, tape, i: int):
         self.tape = tape
@@ -66,7 +72,7 @@ class Var:
         return self.tape.values[self.i].shape
 
     def scalar(self) -> float:
-        return float(self.tape.values[self.i][0, 0])
+        return float(self.tape.values[self.i].item())
 
     @property
     def T(self) -> "Var":
@@ -86,9 +92,8 @@ class Var:
     # for every node, so they skip the value property's call
     def __add__(self, other):
         vals = self.tape.values
-        if isinstance(other, (int, float)):
-            c = float(other)
-            return self._push(vals[self.i] + c, _addc_back)
+        if isinstance(other, _CONSTANT):
+            return self._push(vals[self.i] + other, _addc_back)
         other = self._coerce(other)
         return self._push(vals[self.i] + vals[other.i], _add_back, other.i)
 
@@ -96,16 +101,14 @@ class Var:
 
     def __sub__(self, other):
         vals = self.tape.values
-        if isinstance(other, (int, float)):
-            c = float(other)
-            return self._push(vals[self.i] - c, _addc_back)
+        if isinstance(other, _CONSTANT):
+            return self._push(vals[self.i] - other, _addc_back)
         other = self._coerce(other)
         return self._push(vals[self.i] - vals[other.i], _sub_back, other.i)
 
     def __rsub__(self, other):
-        if isinstance(other, (int, float)):
-            c = float(other)
-            return (-self)._push(c - self.value, _addc_back)
+        if isinstance(other, _CONSTANT):
+            return (-self)._push(other - self.value, _addc_back)
         return NotImplemented
 
     def __neg__(self):
@@ -113,35 +116,20 @@ class Var:
 
     def __mul__(self, other):
         vals = self.tape.values
-        a = vals[self.i]
-        if isinstance(other, (int, float)):
-            c = float(other)
-            return self._push(a * c, _mulc_back, aux=c)
+        if isinstance(other, _CONSTANT):
+            return self._push(vals[self.i] * other, _mulc_back, aux=other)
         other = self._coerce(other)
-        b = vals[other.i]
-        if a.shape == b.shape:
-            return self._push(a * b, _mul_back, other.i)
-        if a.shape == (1, 1):
-            return self._push(a * b, _smul_back, other.i)
-        if b.shape == (1, 1):
-            return other._push(a * b, _smul_back, self.i)
-        raise ValueError(f"shape mismatch in mul: {a.shape} vs {b.shape}")
+        return self._push(vals[self.i] * vals[other.i], _mul_back, other.i)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         vals = self.tape.values
-        a = vals[self.i]
         if isinstance(other, (int, float)):
             c = float(other)
-            return self._push(a / c, _mulc_back, aux=1.0 / c)
+            return self._push(vals[self.i] / c, _mulc_back, aux=1.0 / c)
         other = self._coerce(other)
-        b = vals[other.i]
-        if a.shape == b.shape:
-            return self._push(a / b, _div_back, other.i)
-        if b.shape == (1, 1):
-            return self._push(a / b, _sdiv_back, other.i)
-        raise ValueError(f"shape mismatch in div: {a.shape} vs {b.shape}")
+        return self._push(vals[self.i] / vals[other.i], _div_back, other.i)
 
     def __rtruediv__(self, other):
         if isinstance(other, (int, float)):
@@ -174,24 +162,16 @@ def const(tape, value) -> Var:
 def const_like(like, value):
     """value as a constant beside `like`: a constant node on like's tape when
     like is a Var, else the value itself as a matrix (or a stack of them)."""
-    if isinstance(like, Var):
-        return const(like.tape, value)
-    arr = np.asarray(value, dtype=np.float64)
-    return np.ascontiguousarray(arr) if arr.ndim > 2 else as_matrix(arr)
+    return const(like.tape, value) if isinstance(like, Var) else as_matrix(value)
 
 
 def scalar(x) -> float:
-    """The float held by a 1x1 Var or array."""
-    return float(value_of(x)[0, 0])
-
-
-def detach(x):
-    """x's value off the tape: the float of a 1x1 Var, or the array itself."""
-    return scalar(x) if isinstance(x, Var) else x
+    """The float held by a Var or array of one value."""
+    return float(value_of(x).item())
 
 
 def value_of(x) -> np.ndarray:
-    """The matrix held by a Var or array."""
+    """The matrix or stack held by a Var or array: x's value off the tape."""
     return x.tape.values[x.i] if isinstance(x, Var) else x
 
 
@@ -203,6 +183,13 @@ def _record(x, value: np.ndarray, back, aux=None, other=None):
     if isinstance(other, Var):
         raise TypeError("cannot mix a Var with an array operand")
     return value
+
+
+def _spread(g: np.ndarray, shape: tuple) -> np.ndarray:
+    """g broadcast to shape, as a new array."""
+    out = np.empty(shape)
+    out[...] = g
+    return out
 
 
 def _log(v: np.ndarray) -> np.ndarray:
@@ -237,7 +224,7 @@ def _vsum(v: np.ndarray) -> np.ndarray:
 def _check_finite(*operands) -> None:
     bad = ~np.logical_and.reduce([np.isfinite(x).all(axis=(-2, -1)) for x in operands])
     if bad.any():
-        raise NumericsError(f"{row_prefix(bad)}non-finite operand of a Cholesky solve")
+        raise NumericsError("non-finite operand of a Cholesky solve", bad)
 
 
 def _cholesky(spd: np.ndarray, *operands) -> np.ndarray:
@@ -254,7 +241,7 @@ def _cholesky(spd: np.ndarray, *operands) -> np.ndarray:
             except np.linalg.LinAlgError:
                 bad[b] = True
                 break
-        raise NumericsError(f"{row_prefix(bad)}matrix is not positive definite: {exc}") from exc
+        raise NumericsError(f"matrix is not positive definite: {exc}", bad) from exc
 
 
 def _factor(spd, *operands) -> np.ndarray:
@@ -292,8 +279,8 @@ sigmoid = _unary(_logistic, lambda g, x, y: g * y * (1.0 - y))
 sqrt = _unary(_sqrt, lambda g, x, y: g * 0.5 / y)
 sin = _unary(np.sin, lambda g, x, y: g * np.cos(x))
 cos = _unary(np.cos, lambda g, x, y: -g * np.sin(x))
-transpose = _unary(_transpose, lambda g, x, y: np.ascontiguousarray(g.T))
-vsum = _unary(_vsum, lambda g, x, y: np.full_like(x, g[0, 0]))
+transpose = _unary(_transpose, lambda g, x, y: _transpose(g))
+vsum = _unary(_vsum, lambda g, x, y: _spread(g, x.shape))
 
 
 def _atan2_back(g, vals, i, a, b, aux):
@@ -308,7 +295,7 @@ def atan2(a, b):
 def _cho_solve_back(g, vals, i, rhs, spd, aux):
     low, sol = aux
     g_rhs = potrs(low, g)
-    return g_rhs, -g_rhs @ sol.T
+    return g_rhs, -g_rhs @ _t(sol)
 
 
 def cho_solve(spd, rhs):
@@ -320,12 +307,17 @@ def cho_solve(spd, rhs):
     return _record(rhs, sol, _cho_solve_back, (low, sol), spd)
 
 
+def _inv_lower(low: np.ndarray) -> np.ndarray:
+    """L^-1 of a lower triangular L by one triangular solve (dtrsm)."""
+    return dtrsm(1.0, low, np.eye(len(low)), lower=1)
+
+
 def _logdet_back(g, vals, i, a, b, low):
     # d log det S = S^-1 = L^-T L^-1, with L^-1 by one triangular solve: half
     # the flops of an LU inverse, and the same bits at any BLAS thread count
     # (LAPACK's dtrtri and dpotri are not)
-    inv_low = dtrsm(1.0, low, np.eye(len(low)), lower=1)
-    return g[0, 0] * (inv_low.T @ inv_low), None
+    inv_low = per_matrix(_inv_lower, low)
+    return g * (_t(inv_low) @ inv_low), None
 
 
 def logdet(spd):
@@ -339,7 +331,7 @@ def logdet(spd):
 def _block_back(g, vals, i, a, b, aux):
     r0, r1, c0, c1 = aux
     ga = np.zeros_like(vals[a])
-    ga[r0:r1, c0:c1] = g
+    ga[..., r0:r1, c0:c1] = g
     return ga, None
 
 
@@ -356,51 +348,58 @@ def item(v, r: int, c: int):
     return block(v, r, r + 1, c, c + 1)
 
 
-def _scale_template_back(g, vals, i, a, b, tmpl):
-    return np.array([[np.sum(g * tmpl)]]), None
+def _reshape_back(g, vals, i, a, b, aux):
+    return g.reshape(vals[a].shape), None
 
 
-def scale_template(s, template):
-    """1x1 s times a constant matrix template."""
-    tmpl = as_matrix(template)
-    return _record(s, value_of(s) * tmpl, _scale_template_back, tmpl)
+def reshape(v, shape: tuple):
+    """v's values in another stack layout of the same size, such as (m, r, c)
+    as (m, 1, r, c)."""
+    return _record(v, value_of(v).reshape(shape), _reshape_back)
 
 
-def _embed_back(g, vals, i, a, b, aux):
-    r0, c0 = aux
-    ra, ca = vals[a].shape
-    return np.ascontiguousarray(g[r0 : r0 + ra, c0 : c0 + ca]), None
-
-
-def _embed(v, rows_n: int, cols_n: int, r0: int, c0: int):
-    src = value_of(v)
-    val = np.zeros(src.shape[:-2] + (rows_n, cols_n))
-    val[..., r0 : r0 + src.shape[-2], c0 : c0 + src.shape[-1]] = src
-    return _record(v, val, _embed_back, (r0, c0))
+def _concat_back(g, vals, i, parts, b, bounds):
+    return [np.ascontiguousarray(g[..., r0:r1, :]) for r0, r1 in zip(bounds, bounds[1:])], None
 
 
 def concat_rows(parts: list):
-    rows_total = sum(p.shape[-2] for p in parts)
-    cols_n = parts[0].shape[-1]
-    out = None
-    r = 0
-    for p in parts:
-        piece = _embed(p, rows_total, cols_n, r, 0)
-        out = piece if out is None else out + piece
-        r += p.shape[-2]
-    return out
+    """The rows of every part, in order: one node over all the parts."""
+    values = [value_of(p) for p in parts]
+    out = np.concatenate(values, axis=-2)
+    first = parts[0]
+    if not isinstance(first, Var):
+        return out
+    bounds = np.cumsum([0] + [v.shape[-2] for v in values]).tolist()
+    operands = tuple(first._coerce(p).i for p in parts)
+    return Var(first.tape, first.tape.push(out, _concat_back, operands, -1, bounds))
 
 
-def logsumexp(terms: list):
-    """Stable log(sum(exp(t))) over 1x1 terms; the max is detached, so the
-    gradient is exact.  On stacks the max is taken per batch row."""
-    values = [detach(t) for t in terms]
-    m = max(values) if isinstance(terms[0], Var) else np.max(values, axis=0)
-    acc = None
-    for t in terms:
-        e = exp(t + (-m))
-        acc = e if acc is None else acc + e
-    return log(acc) + m
+def _stack_sum(v: np.ndarray, axis: int, keepdims: bool) -> np.ndarray:
+    rest = (slice(None),) * (-axis - 1)  # the axes after `axis`
+    total = v[(..., 0) + rest]
+    for k in range(1, v.shape[axis]):  # in index order, so the bits do not depend on the layout
+        total = total + v[(..., k) + rest]
+    total = np.ascontiguousarray(total)
+    return total[(..., None) + rest] if keepdims else total
+
+
+def _stack_sum_back(g, vals, i, a, b, aux):
+    axis, keepdims = aux
+    return _spread(g if keepdims else g[(..., None) + (slice(None),) * (-axis - 1)],
+                   vals[a].shape), None
+
+
+def stack_sum(v, axis: int = -3, keepdims: bool = False):
+    """The sum of a stack's matrices along one of its leading axes (axis < -2),
+    added term by term in index order."""
+    return _record(v, _stack_sum(value_of(v), axis, keepdims), _stack_sum_back, (axis, keepdims))
+
+
+def logsumexp(v):
+    """Stable log(sum(exp(v))) over the stack axis -3 of a stack of 1x1 values,
+    kept as a unit axis; the max is a constant, so the gradient is exact."""
+    peak = value_of(v).max(axis=-3, keepdims=True)
+    return log(stack_sum(exp(v - peak), keepdims=True)) + peak
 
 
 def backward(root: Var) -> None:

@@ -1,10 +1,17 @@
-"""The tape: reverse-mode autodiff over 2-D float64 arrays, numpy-backed.
+"""The tape: reverse-mode autodiff over float64 matrices and stacks of them, numpy-backed.
 
-Every node is a matrix (scalars are 1x1).  The tape only records: api.py
-computes each node's value and pushes it with its operands and a reference
-to its backward rule, a module-level function written beside the forward
+Every node is a matrix (scalars are 1x1) or a stack of equal-shape matrices
+along leading axes, (..., r, c).  The tape only records: api.py computes
+each node's value and pushes it with its operands and a reference to its
+backward rule, a module-level function written beside the forward
 expression.  The record order is the topological order; backward walks it
 once in reverse and calls each node's rule.
+
+A rule returns each operand's gradient in the shape of the node's value.
+Where numpy broadcast an operand to get there (a 1x1 scalar times a matrix,
+a matrix against a stack), backward sums the gradient over the axes the
+operand was broadcast along, as numpy's own broadcasting rules define them;
+any other shape mismatch raises.
 """
 
 from __future__ import annotations
@@ -16,22 +23,43 @@ from ..errors import NumericsError
 
 
 def as_matrix(value) -> np.ndarray:
-    """value as a C-contiguous 2-D float64 array (scalars 1x1, vectors one row)."""
+    """value as a C-contiguous float64 matrix or stack (scalars 1x1, vectors one row)."""
     arr = np.asarray(value, dtype=np.float64)
-    if arr.ndim == 0:
-        arr = arr.reshape(1, 1)
-    elif arr.ndim == 1:
+    if arr.ndim < 2:
         arr = arr.reshape(1, -1)
-    elif arr.ndim != 2:
-        raise ValueError(f"tape values are 2-D, got shape {arr.shape}")
     return np.ascontiguousarray(arr)
+
+
+def _sum_to(g: np.ndarray, shape: tuple, i: int) -> np.ndarray:
+    """g summed over the axes along which an operand of this shape (node i)
+    was broadcast to g's shape; ValueError when it cannot have been."""
+    lead = g.ndim - len(shape)
+    if lead < 0 or any(n != 1 and n != k for n, k in zip(shape, g.shape[lead:])):
+        raise ValueError(f"gradient of shape {g.shape} for node {i} of shape {shape}")
+    axes = tuple(range(lead)) + tuple(lead + d for d, n in enumerate(shape)
+                                      if n != g.shape[lead + d])
+    return np.add.reduce(g, axis=axes).reshape(shape)
+
+
+def per_matrix(fn, *stacks: np.ndarray) -> np.ndarray:
+    """fn, a function of matrices that returns a matrix, applied to the
+    matrices of equal-layout stacks one by one; fn itself on matrices."""
+    if stacks[0].ndim == 2:
+        return fn(*stacks)
+    flat = [s.reshape((-1,) + s.shape[-2:]) for s in stacks]
+    first = fn(*(f[0] for f in flat))
+    out = np.empty((len(flat[0]),) + first.shape)
+    out[0] = first
+    for k in range(1, len(out)):
+        out[k] = fn(*(f[k] for f in flat))
+    return out.reshape(stacks[0].shape[:-2] + first.shape)
 
 
 def potrs(low: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Solve L L' X = rhs given the lower Cholesky factor L (LAPACK dpotrs,
-    without scipy.linalg.cho_solve's per-call validation); stacks slice by slice."""
+    without scipy.linalg.cho_solve's per-call validation), per matrix on stacks."""
     if low.ndim > 2:
-        return np.stack([potrs(lo, r) for lo, r in zip(low, rhs)])
+        return per_matrix(potrs, low, rhs)
     sol, info = dpotrs(low, rhs, lower=1)
     if info != 0:
         raise NumericsError(f"dpotrs: illegal value in argument {-info}")
@@ -44,6 +72,8 @@ class PyTape:
     Node i is stored as values[i] and (back, a, b, aux): back is the rule
     back(g, values, i, a, b, aux) -> (gradient of a, gradient of b or None)
     over operand nodes a, b (-1 when absent), or None for a leaf or constant.
+    An n-ary node has a tuple of operand nodes as a, and its rule returns
+    one gradient per operand in place of a's.
 
     factors maps a symmetric positive definite node to its lower Cholesky
     factor, stored by the node's first cho_solve or logdet, so every later
@@ -92,9 +122,9 @@ class PyTape:
         # out of place: a rule may return one g for both operands (add), so no
         # stored gradient is ever written in place
         def acc(i: int, g):
-            if g.shape != vals[i].shape:
-                raise ValueError(f"gradient of shape {g.shape} for node {i} of shape "
-                                 f"{vals[i].shape}")
+            shape = vals[i].shape
+            if g.shape != shape:
+                g = _sum_to(g, shape, i)
             grads[i] = g if grads[i] is None else grads[i] + g
 
         nodes = self._nodes
@@ -106,6 +136,10 @@ class PyTape:
             if back is None:
                 continue
             ga, gb = back(g, vals, i, a, b, aux)
+            if a.__class__ is tuple:
+                for k, gk in zip(a, ga):
+                    acc(k, gk)
+                continue
             acc(a, ga)
             if gb is not None:
                 acc(b, gb)

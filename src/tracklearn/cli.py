@@ -194,7 +194,10 @@ def cmd_simulate(args) -> int:
                                dt=_positive(cfg, "dataset", "dt"))
         except (CsvFormatError, EmptyDatasetError, GeometryError) as exc:
             raise ConfigError(f"[dataset] csv_path {csv_path}: {exc}") from exc
-        n_train = int(round(len(whole) * cfg.fnum("dataset", "train_fraction")))
+        fraction = cfg.fnum("dataset", "train_fraction")
+        if not 0.0 < fraction < 1.0:
+            raise ConfigError(f"[dataset] train_fraction must be in (0, 1), got {fraction}")
+        n_train = int(round(len(whole) * fraction))
         if n_train == 0 or n_train == len(whole):
             raise ConfigError("train_fraction leaves an empty split")
         train = Dataset(tracklets=whole.tracklets[:n_train], sensor=sensor)

@@ -2,11 +2,12 @@
 
 The CV model, the range-bearing measurement model, the Joseph-form update
 and the Gaussian innovation NLL are written once here, against the autodiff
-functions.  The IMM runs them for every mode (imm.ImmGraph.step), on arrays
-to filter and on its tape to train, and the LSTM filter calls joseph_update
-on arrays.  Their numerical hygiene therefore carries the whole package.
-There is no separate EKF filter: the EKF benchmark is the IMM with one cv
-mode (runner.run_ekf_method), whose mixing weight is 1 and spread term 0.
+functions.  The IMM runs them once per step on its stack of modes
+(imm.ImmGraph.step), on arrays to filter and on its tape to train, and the
+LSTM filter calls joseph_update on arrays.  Their numerical hygiene
+therefore carries the whole package.  There is no separate EKF filter: the
+EKF benchmark is the IMM with one cv mode (runner.run_ekf_method), whose
+mixing weight is 1 and spread term 0.
 
 The step loop is also written once, here: filter_tracklet owns the
 two-point initialization, the rows every filter reports and the first
@@ -59,7 +60,8 @@ def wna_template(dt: float) -> np.ndarray:
 
 
 def range_bearing(x, origin: np.ndarray):
-    """(range, bearing, 2x4 Jacobian) of a 4x1 state column x, seen from origin.
+    """(range, bearing, 2x4 Jacobian) of a 4x1 state column x, or of each
+    column of a stack, seen from origin.
 
     Raises NumericsError when the state coincides with the origin.
     """
@@ -68,30 +70,28 @@ def range_bearing(x, origin: np.ndarray):
     r_sq = dx * dx + dy * dy
     at_origin = ad.value_of(r_sq)[..., 0, 0] == 0.0
     if at_origin.any():
-        raise NumericsError(f"{row_prefix(at_origin)}state coincides with the sensor origin")
+        raise NumericsError("state coincides with the sensor origin", at_origin)
     r = ad.sqrt(r_sq)
     bearing = ad.atan2(dy, dx)
-    jac = (
-        ad.scale_template(dx / r, _H00)
-        + ad.scale_template(dy / r, _H01)
-        + ad.scale_template(-(dy / r_sq), _H10)
-        + ad.scale_template(dx / r_sq, _H11)
-    )
+    jac = (dx / r) * _H00 + (dy / r) * _H01 + (-(dy / r_sq)) * _H10 + (dx / r_sq) * _H11
     return r, bearing, jac
 
 
 def joseph_update(x, p, z_range, z_bearing, r_noise, origin: np.ndarray):
     """Range-bearing EKF update of a 4x1 mean x and 4x4 covariance p.
 
-    r_noise is the 2x2 measurement noise covariance; z is one value per batch
-    row on stacks.  The bearing residual is wrapped into (-pi, pi]; Joseph form.
-    Returns (posterior mean, posterior covariance, 2x1 innovation, S).
+    r_noise is the 2x2 measurement noise covariance; on stacks z holds one
+    value per batch row, the same for every matrix of the row's further stack
+    axes (the IMM's modes).  The bearing residual is wrapped into (-pi, pi];
+    Joseph form.  Returns (posterior mean, posterior covariance, 2x1
+    innovation, S).
     """
     if np.ndim(z_range):
-        z_range, z_bearing = (np.reshape(z, (-1, 1, 1)) for z in (z_range, z_bearing))
+        unit = (1,) * (len(x.shape) - np.ndim(z_range))
+        z_range, z_bearing = (np.reshape(z, np.shape(z) + unit) for z in (z_range, z_bearing))
     r, bearing, jac = range_bearing(x, origin)
     dr = -(r - z_range)
-    raw = z_bearing - ad.detach(bearing)
+    raw = z_bearing - ad.value_of(bearing)
     da = (-(bearing - z_bearing)) + (wrap_angle(raw) - raw)
     nu = ad.concat_rows([dr, da])
     s = jac @ p @ ad.transpose(jac) + r_noise
@@ -160,8 +160,9 @@ def filter_tracklet(tracklets, sensor: SensorConfig, start, step):
     initialization and every step's row, so each filter's output is held to
     the same test.  A step's NumericsError, ValueError or LinAlgError, the
     check's included, is raised again as NumericsError("step <row>: ..."),
-    then "row <b>: " when a check names tracklet b.  Returns (pred_means,
-    post_means, post_covs, state).
+    then "row <b>: " when a check names tracklet b, and no row for one
+    tracklet, whatever further stack axes its check had.  Returns
+    (pred_means, post_means, post_covs, state).
     """
     single = isinstance(tracklets, Tracklet)
     if not single and len({(len(trk), trk.dt) for trk in tracklets}) != 1:
@@ -178,7 +179,8 @@ def filter_tracklet(tracklets, sensor: SensorConfig, start, step):
             state, pred, post, post_cov = step(state, meas[t])
             check_estimate(post, post_cov, pred)
         except (NumericsError, ValueError, np.linalg.LinAlgError) as exc:
-            raise NumericsError(f"step {t}: {exc}") from exc
+            cause = exc.cause if single and getattr(exc, "rows", None) is not None else exc
+            raise NumericsError(f"step {t}: {cause}") from exc
         rows.append((pred, post, post_cov))
     time_axis = mean.ndim - 1  # after the batch axis, if any
     pred_means, post_means, post_covs = (np.stack(column, axis=time_axis) for column in zip(*rows))

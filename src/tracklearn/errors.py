@@ -4,8 +4,12 @@ import numpy as np
 
 
 def row_prefix(bad) -> str:
-    """"row <i>: " for the first true row i of a batch check's verdicts; "" for one verdict."""
-    return f"row {int(np.argmax(bad))}: " if np.ndim(bad) else ""
+    """"row <i>: " for the first row i of a batch check's verdicts that holds a
+    true one (a row's verdicts along further axes, such as the IMM's modes,
+    count as one); "" for one verdict."""
+    if not np.ndim(bad):
+        return ""
+    return f"row {int(np.argmax(np.reshape(bad, (len(bad), -1)).any(axis=1)))}: "
 
 
 class GeometryError(ValueError):
@@ -13,7 +17,14 @@ class GeometryError(ValueError):
 
 
 class NumericsError(ArithmeticError):
-    """Raised when a covariance or innovation matrix has lost positive definiteness."""
+    """Raised when a covariance or innovation matrix has lost positive definiteness.
+
+    rows, when given, holds the verdicts of the batch check that failed, and
+    the message is row_prefix(rows) + cause."""
+
+    def __init__(self, cause: str, rows=None):
+        super().__init__(cause if rows is None else row_prefix(rows) + cause)
+        self.cause, self.rows = cause, rows
 
 
 class RowError(ValueError):

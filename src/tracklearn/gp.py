@@ -30,7 +30,7 @@ from scipy.linalg.blas import dtrsm
 
 from . import autodiff as ad
 from .autodiff import GradientOptimizer
-from .errors import NumericsError, row_prefix
+from .errors import NumericsError
 from .statespace import (
     LOG_2PI,
     SensorConfig,
@@ -178,7 +178,7 @@ def negative_lml(s0, l2, sv, sq: np.ndarray, y_col: np.ndarray):
     """
     n_pts = len(y_col)
     arg = ad.const_like(l2, -0.5 * sq) * (1.0 / l2)
-    gram = s0 * ad.exp(arg) + ad.scale_template(sv, np.eye(n_pts))
+    gram = s0 * ad.exp(arg) + sv * np.eye(n_pts)
     alpha = ad.cho_solve(gram, ad.const_like(s0, y_col))
     quad = ad.vsum(ad.const_like(s0, y_col) * alpha)
     return 0.5 * quad + 0.5 * ad.logdet(gram) + 0.5 * n_pts * LOG_2PI
@@ -389,7 +389,7 @@ def pf_reseed(particles: np.ndarray, weights: np.ndarray, z, sensor: SensorConfi
     noise_cov = measurement_noise_cartesian(*z, sensor)
     bad = ~np.isfinite(cart).all(axis=-1) & rows
     if np.any(bad):
-        raise NumericsError(f"{row_prefix(bad)}cannot reseed around a non-finite measurement")
+        raise NumericsError("cannot reseed around a non-finite measurement", bad)
     m = particles.shape[-2]
     particles = particles.copy()
     _draw(rng, lambda g, b: g.multivariate_normal(cart[b], noise_cov[b], size=m),

@@ -1,7 +1,8 @@
 """Interacting multiple model filter with tape-differentiable recursion.
 
 The full IMM cycle (mixing, mode-matched EKF filtering, probability update,
-combination) is written once against the autodiff functions.  Training
+combination) is written once against the autodiff functions, on the modes
+as one stack, so a step records the same nodes at any mode count.  Training
 records it on a tape, whose backward pass gives exact gradients of the
 measurement negative log-likelihood; filtering runs the same recursion on
 plain arrays, with no tape, for a batch of tracklets in lockstep.  With the
@@ -122,19 +123,6 @@ def default_params(sensor: SensorConfig, cfg: ImmConfig = ImmConfig(),
 # -- tape construction ---------------------------------------------------------
 
 
-def _softmax_rows(logits: Var) -> list:
-    """Row-wise softmax of an (m, m) Var; returns nested scalar Vars."""
-    m = logits.shape[0]
-    rows = []
-    for i in range(m):
-        items = [ad.item(logits, i, j) for j in range(m)]
-        peak = max(ad.scalar(it) for it in items)
-        exps = [ad.exp(it - peak) for it in items]
-        total = sum(exps[1:], exps[0])
-        rows.append([e / total for e in exps])
-    return rows
-
-
 def _transition_vars(like, params: ImmParams, mode_idx: int, dt: float,
                      omega_var: Var | None) -> Var:
     """Transition matrix for one mode, beside `like` (see ad.const_like); ct
@@ -152,51 +140,62 @@ def _transition_vars(like, params: ImmParams, mode_idx: int, dt: float,
     else:
         a = ad.sin(theta) / omega_var
         b = (1.0 - ad.cos(theta)) / omega_var
-    f_var = (
-        ad.const_like(like, _T_POS)
-        + ad.scale_template(a, _T_A)
-        + ad.scale_template(b, _T_B)
-        + ad.scale_template(ad.cos(theta), _T_C)
-        + ad.scale_template(ad.sin(theta), _T_S)
-    )
-    return f_var
+    return (ad.const_like(like, _T_POS) + a * _T_A + b * _T_B
+            + ad.cos(theta) * _T_C + ad.sin(theta) * _T_S)
 
 
-def _weighted_sum(weights, values):
-    """sum_i weights[i] * values[i], recorded term by term."""
-    terms = (w * v for w, v in zip(weights, values))
-    first = next(terms)
-    return sum(terms, first)
+def _source(v):
+    """A (..., m, r, c) mode stack as (..., m, 1, r, c): mode i on axis -4."""
+    return ad.reshape(v, v.shape[:-2] + (1,) + v.shape[-2:])
 
 
-def _moment_match(weights, means, covs):
-    """Mean and covariance of the Gaussian mixture sum_i weights[i] N(means[i], covs[i]).
+def _target(v):
+    """A (..., 1, m, r, c) stack as (..., m, r, c), its modes back on axis -3."""
+    return ad.reshape(v, v.shape[:-4] + v.shape[-3:])
 
-    The spreads are generated lazily, so each one is recorded just before
-    its weighted term: one mode's nodes, then the next mode's.
+
+def _mix(trans, mu, x, p):
+    """IMM mixing of the mode stacks: (mu_pred, mixed means, mixed covs).
+
+    trans is the (m, m, 1, 1) stack of transition probabilities p_ij, and
+    mu, x, p the (..., m, ., .) stacks of mode probabilities, means and
+    covariances.  With source mode i on axis -4 and target mode j on axis
+    -3, mu_pred_j = sum_i p_ij mu_i, the weights are w_ij = p_ij mu_i /
+    mu_pred_j, and mode j starts from the moment-matched mixture: mean_j =
+    sum_i w_ij x_i and cov_j = sum_i w_ij (P_i + d_ij d_ij'), d_ij = x_i - mean_j.
     """
-    mean = _weighted_sum(weights, means)
-    spreads = (p + d @ ad.transpose(d) for p, d in zip(covs, (x - mean for x in means)))
-    return mean, _weighted_sum(weights, spreads)
+    weighted = trans * _source(mu)
+    mu_pred = ad.stack_sum(weighted, axis=-4, keepdims=True)
+    w = weighted / mu_pred
+    x_i = _source(x)
+    mean = ad.stack_sum(w * x_i, axis=-4, keepdims=True)
+    d = x_i - mean
+    cov = ad.stack_sum(w * (_source(p) + d @ ad.transpose(d)), axis=-4)
+    return _target(mu_pred), _target(mean), cov
 
 
-def _floor_probs(mu: list, floor: float) -> list:
-    """Probabilities below floor raised to it, all renormalized; rows with none below keep theirs."""
-    hit = np.logical_or.reduce([ad.detach(v) < floor for v in mu])
+def _floor_probs(mu, floor: float):
+    """Probabilities below floor raised to it, all renormalized; batch rows
+    with none below keep theirs."""
+    value = ad.value_of(mu)
+    hit = (value < floor).any(axis=-3, keepdims=True)
     if not hit.any():
         return mu
-    taped = isinstance(mu[0], Var)
-    floored = [(v if ad.scalar(v) >= floor else ad.const_like(v, floor)) if taped
-               else np.where(v >= floor, v, floor) for v in mu]
-    total = sum(floored[1:], floored[0])
-    return [f / total if taped else np.where(hit, f / total, v) for f, v in zip(floored, mu)]
+    keep = value >= floor
+    floored = mu * keep + np.where(keep, 0.0, floor)
+    out = floored / ad.stack_sum(floored, keepdims=True)
+    return out if isinstance(mu, Var) else np.where(hit, out, mu)
 
 
 class ImmGraph:
     """The IMM recursion over a measurement sequence.  With record=True the
     parameters are leaves on self.tape and every step records its nodes there,
     for imm_nll's backward pass; otherwise they are arrays and the tape stays empty.
-    Every mode starts from init, the two-point (mean, cov) of ekf.init_track."""
+    Every mode starts from init, the two-point (mean, cov) of ekf.init_track.
+
+    The m modes are one stack: means x (m, 4, 1), covariances p (m, 4, 4) and
+    probabilities mu (m, 1, 1), or (B, m, ., .) for a batch, so a step
+    records the same nodes at any m."""
 
     def __init__(self, params: ImmParams, init: tuple, dt: float,
                  origin: np.ndarray, cfg: ImmConfig, record: bool = False):
@@ -209,8 +208,7 @@ class ImmGraph:
         self.leaves = {"trans_logits": leaf(params.trans_logits),
                        "log_q": leaf(params.log_q.reshape(1, -1))}
         like = self.leaves["trans_logits"]
-        ct_present = any(k == MODE_CT for k in params.modes)
-        if ct_present:
+        if any(k == MODE_CT for k in params.modes):
             self.leaves["omega"] = leaf(params.omega.reshape(1, -1))
         if cfg.train_r:
             self.leaves["log_r"] = leaf([[params.log_sigma_r, params.log_sigma_a]])
@@ -219,60 +217,54 @@ class ImmGraph:
         else:
             sr = ad.const_like(like, np.exp(params.log_sigma_r))
             sa = ad.const_like(like, np.exp(params.log_sigma_a))
-        self.r_var = ad.scale_template(sr * sr, np.diag([1.0, 0.0])) + ad.scale_template(
-            sa * sa, np.diag([0.0, 1.0])
-        )
+        self.r_var = (sr * sr) * np.diag([1.0, 0.0]) + (sa * sa) * np.diag([0.0, 1.0])
 
-        self.p_rows = _softmax_rows(self.leaves["trans_logits"])
-        self.f_vars, self.q_vars = [], []
-        wna = wna_template(dt)
-        for j in range(m):
-            omega_var = ad.item(self.leaves["omega"], 0, j) if params.modes[j] == MODE_CT else None
-            self.f_vars.append(_transition_vars(like, params, j, dt, omega_var))
-            q_scale = ad.exp(ad.item(self.leaves["log_q"], 0, j))
-            self.q_vars.append(ad.scale_template(q_scale, wna))
+        # p_ij as an (m, m, 1, 1) stack: row i of the logits through a softmax
+        logits = ad.reshape(self.leaves["trans_logits"], (m, m, 1, 1))
+        exps = ad.exp(logits - ad.value_of(logits).max(axis=-3, keepdims=True))
+        self.trans = exps / ad.stack_sum(exps, keepdims=True)
+        f = ad.concat_rows([
+            _transition_vars(like, params, j, dt, ad.item(self.leaves["omega"], 0, j)
+                             if params.modes[j] == MODE_CT else None) for j in range(m)])
+        self.f = ad.reshape(f, (m, 4, 4))
+        self.f_t = ad.transpose(self.f)
+        self.q = ad.reshape(ad.exp(self.leaves["log_q"]), (m, 1, 1)) * wna_template(dt)
 
         mean, cov = init
-        self.modes_x = [ad.const_like(like, mean[..., None]) for _ in range(m)]
-        self.modes_p = [ad.const_like(like, cov) for _ in range(m)]
-        self.mu = [ad.const_like(like, 1.0 / m) for _ in range(m)]
+        modes = cov.shape[:-2] + (m,)
+        self.x = ad.const_like(like, np.broadcast_to(mean[..., None, :, None], modes + (4, 1)))
+        self.p = ad.const_like(like, np.broadcast_to(cov[..., None, :, :], modes + (4, 4)))
+        self.mu = ad.const_like(like, np.full(modes + (1, 1), 1.0 / m))
         self.loss_terms = []
 
     # one full IMM cycle against measurement (z_range, z_bearing), one per batch row on stacks
     def step(self, z_range, z_bearing):
-        m = len(self.modes_x)
-        # -- mixing
-        mu_pred = [_weighted_sum([row[j] for row in self.p_rows], self.mu) for j in range(m)]
-        mixed = [_moment_match([row[j] * mu / mu_pred[j] for row, mu in zip(self.p_rows, self.mu)],
-                               self.modes_x, self.modes_p) for j in range(m)]
+        mu_pred, mixed_x, mixed_p = _mix(self.trans, self.mu, self.x, self.p)
 
-        # -- mode-matched prediction and update
-        modes = []
-        for f, q, (mixed_x, mixed_p) in zip(self.f_vars, self.q_vars, mixed):
-            xp = f @ mixed_x
-            x_post, p_post, nu, s = joseph_update(xp, f @ mixed_p @ f.T + q, z_range, z_bearing,
-                                                  self.r_var, self.origin)
-            modes.append((xp, x_post, p_post, gaussian_nll(nu, s)))
-        pred_x, post_x, post_p, nlls = zip(*modes)
+        # -- mode-matched prediction and update, every mode at once
+        pred_x = self.f @ mixed_x
+        post_x, post_p, nu, s = joseph_update(pred_x, self.f @ mixed_p @ self.f_t + self.q,
+                                              z_range, z_bearing, self.r_var, self.origin)
 
         # -- predictive log-density of this measurement, the exact mixture's
-        joint = [ad.log(mu_pred[j]) - nlls[j] for j in range(m)]
+        joint = ad.log(mu_pred) - gaussian_nll(nu, s)
         log_norm = ad.logsumexp(joint)
         self.loss_terms.append(-log_norm)
 
         # -- mode probability update (normalized by construction)
-        mu_post = _floor_probs([ad.exp(joint[j] - log_norm) for j in range(m)],
-                               self.cfg.prob_floor)
+        mu_post = _floor_probs(ad.exp(joint - log_norm), self.cfg.prob_floor)
+        self.x, self.p, self.mu = post_x, post_p, mu_post
 
-        # -- combination
-        x_comb, p_comb = _moment_match(mu_post, post_x, post_p)
-        pred_comb = _weighted_sum(mu_pred, pred_x)
-
-        self.modes_x, self.modes_p, self.mu = post_x, post_p, mu_post
-        return pred_comb, x_comb, p_comb
+        # -- combination, from the node values: no loss term reaches it
+        mu, x = ad.value_of(mu_post), ad.value_of(post_x)
+        x_comb = ad.stack_sum(mu * x)
+        d = x - x_comb[..., None, :, :]
+        p_comb = ad.stack_sum(mu * (ad.value_of(post_p) + d @ d.swapaxes(-1, -2)))
+        return ad.stack_sum(ad.value_of(mu_pred) * ad.value_of(pred_x)), x_comb, p_comb
 
     def loss(self) -> Var:
-        return sum(self.loss_terms[1:], self.loss_terms[0])
+        total = sum(self.loss_terms[1:], self.loss_terms[0])
+        return ad.reshape(total, total.shape[:-3] + (1, 1))
 
 
 def _filter(params: ImmParams, tracklets, sensor: SensorConfig, cfg: ImmConfig, record: bool):
@@ -280,7 +272,7 @@ def _filter(params: ImmParams, tracklets, sensor: SensorConfig, cfg: ImmConfig, 
 
     def step(graph, z):
         pred, post, cov = graph.step(*z)
-        return graph, ad.value_of(pred)[..., 0], ad.value_of(post)[..., 0], ad.value_of(cov)
+        return graph, pred[..., 0], post[..., 0], cov
 
     return filter_tracklet(
         tracklets, sensor,

@@ -103,31 +103,35 @@ def _tape_weights(tape, w: LstmWeights) -> dict:
     return {name: ad.var(tape, getattr(w, name)) for name in WEIGHT_NAMES}
 
 
+def _cell(gates, c, hidden: int):
+    """The LSTM cell from its pre-activations gates (1x4H per row, gate layout
+    [input, forget, cell, output]) and cell state c; returns (h, c)."""
+    act = ad.sigmoid(gates)
+    i, f, o = (ad.cols(act, k * hidden, (k + 1) * hidden) for k in (0, 1, 3))
+    g = ad.tanh(ad.cols(gates, 2 * hidden, 3 * hidden))
+    c_new = f * c + i * g
+    return o * ad.tanh(c_new), c_new
+
+
+def _head(weights: dict, h):
+    """The dense output head, one row per row of h: [v1, v2, log c00, log
+    c11, c10], the velocity and the entries of its covariance's Cholesky factor."""
+    return ad.tanh(h @ weights["wd"] + weights["bd"]) @ weights["wo"] + weights["bo"]
+
+
 def lstm_step(weights: dict, h, c, x):
     """One LSTM cell step and its output head, on Vars or on plain arrays.
 
     weights maps WEIGHT_NAMES to their values; h and c are the 1xH state and
-    x the scaled 1x2 input.  Gate layout along the 4H axis is [input, forget,
-    cell, output].  Returns (h, c, 1x2 velocity, 2x2 lower-triangular
+    x the scaled 1x2 input.  Returns (h, c, 1x2 velocity, 2x2 lower-triangular
     Cholesky factor of its covariance).
     """
     hidden = weights["wh"].shape[0]
-    gates = x @ weights["wx"] + h @ weights["wh"] + weights["b"]
-    i = ad.sigmoid(ad.cols(gates, 0, hidden))
-    f = ad.sigmoid(ad.cols(gates, hidden, 2 * hidden))
-    g = ad.tanh(ad.cols(gates, 2 * hidden, 3 * hidden))
-    o = ad.sigmoid(ad.cols(gates, 3 * hidden, 4 * hidden))
-    c_new = f * c + i * g
-    h_new = o * ad.tanh(c_new)
-    dense = ad.tanh(h_new @ weights["wd"] + weights["bd"])
-    out = dense @ weights["wo"] + weights["bo"]
-    v = ad.cols(out, 0, 2)
-    chol = (
-        ad.scale_template(ad.exp(ad.item(out, 0, 2)), _E00)
-        + ad.scale_template(ad.exp(ad.item(out, 0, 3)), _E11)
-        + ad.scale_template(ad.item(out, 0, 4), _E10)
-    )
-    return h_new, c_new, v, chol
+    h_new, c_new = _cell(x @ weights["wx"] + h @ weights["wh"] + weights["b"], c, hidden)
+    out = _head(weights, h_new)
+    chol = (ad.exp(ad.item(out, 0, 2)) * _E00 + ad.exp(ad.item(out, 0, 3)) * _E11
+            + ad.item(out, 0, 4) * _E10)
+    return h_new, c_new, ad.cols(out, 0, 2), chol
 
 
 def mkf_predict(mean, cov, state: tuple, w: LstmWeights, dt: float, q_reg: float = 1e-2):
@@ -160,22 +164,27 @@ def training_sequences(tracklet: Tracklet, sensor: SensorConfig, scale: float):
 
 
 def mkf_loss(wvars: dict, inputs: np.ndarray, labels: np.ndarray, hidden: int) -> Var:
-    """Sequence Gaussian NLL on the tape: 0.5 r'(CC')^-1 r + log det C + log 2pi
-    per step, for the residual r of the predicted velocity against its label."""
+    """Sequence Gaussian NLL on the tape: 0.5 |C^-1 r|^2 + log c00 + log c11 +
+    log 2pi per step, for the residual r of the predicted velocity against
+    its label and the head's lower-triangular factor C of its covariance.
+
+    The inputs pass through wx in one product and the head runs once on all
+    the hidden rows, so only the recurrent cell is recorded per step."""
     tape = next(iter(wvars.values())).tape
-    h = ad.const(tape, np.zeros((1, hidden)))
-    c = ad.const(tape, np.zeros((1, hidden)))
-    total = None
-    for x_row, y_row in zip(inputs, labels):
-        h, c, v, chol = lstm_step(wvars, h, c, ad.const(tape, x_row.reshape(1, 2)))
-        residual = ad.transpose(v) - ad.const(tape, y_row.reshape(2, 1))
-        cov = chol @ chol.T
-        solve = ad.cho_solve(cov, residual)
-        quad = ad.vsum(residual * solve)
-        log_det_chol = ad.log(ad.item(chol, 0, 0)) + ad.log(ad.item(chol, 1, 1))
-        term = quad * 0.5 + log_det_chol + LOG_2PI
-        total = term if total is None else total + term
-    return total
+    gates_x = ad.const(tape, inputs) @ wvars["wx"] + wvars["b"]
+    h = c = ad.const(tape, np.zeros((1, hidden)))
+    rows = []
+    for t in range(len(inputs)):
+        h, c = _cell(ad.block(gates_x, t, t + 1, 0, 4 * hidden) + h @ wvars["wh"], c, hidden)
+        rows.append(h)
+    out = _head(wvars, ad.concat_rows(rows))
+    residual = ad.cols(out, 0, 2) - labels
+    log_c00, log_c11, c10 = (ad.cols(out, k, k + 1) for k in (2, 3, 4))
+    # C^-1 r by forward substitution, one column per entry
+    y0 = ad.cols(residual, 0, 1) / ad.exp(log_c00)
+    y1 = (ad.cols(residual, 1, 2) - c10 * y0) / ad.exp(log_c11)
+    quad = ad.vsum(y0 * y0 + y1 * y1)
+    return quad * 0.5 + ad.vsum(log_c00 + log_c11) + len(inputs) * LOG_2PI
 
 
 def train_mkf(w0: LstmWeights, tracklets, sensor: SensorConfig, iterations: int,

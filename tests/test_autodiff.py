@@ -53,9 +53,9 @@ def test_logdet_spd_gradient_matches_fd():
         c = ad.var(tape, theta[2])
         c_sq = c * c
         s = (
-            ad.scale_template(ad.exp(a) + c_sq, [[1.0, 0.0], [0.0, 0.0]])
-            + ad.scale_template(ad.exp(b) + c_sq, [[0.0, 0.0], [0.0, 1.0]])
-            + ad.scale_template(c, [[0.0, 1.0], [1.0, 0.0]])
+            (ad.exp(a) + c_sq) * np.array([[1.0, 0.0], [0.0, 0.0]])
+            + (ad.exp(b) + c_sq) * np.array([[0.0, 0.0], [0.0, 1.0]])
+            + c * np.array([[0.0, 1.0], [1.0, 0.0]])
         )
         return ad.logdet(s), (a, b, c)
 
@@ -135,7 +135,7 @@ ARITHMETIC = {
     "const_mul": lambda x, y, s: 2.5 * x,
     "add_const": lambda x, y, s: x + 2.5,
     "const_add": lambda x, y, s: 2.5 + x,
-    "scale_template": lambda x, y, s: ad.scale_template(s, [[1.0, -2.0], [0.5, 3.0]]),
+    "1x1_times_const_matrix": lambda x, y, s: s * np.array([[1.0, -2.0], [0.5, 3.0]]),
     "concat_rows_unequal": lambda x, y, s: ad.concat_rows([ad.block(x, 1, 2, 0, 3), y]),
 }
 
@@ -159,6 +159,72 @@ def test_arithmetic_gradients_match_fd(name):
     theta0 = np.concatenate([x0.ravel(), y0.ravel(), s0.ravel()])
     grad = np.concatenate([leaf.grad.ravel() for leaf in leaves])
     assert np.allclose(grad, finite_difference(f, theta0), rtol=1e-6, atol=1e-8)
+
+
+def _spd(a):
+    return a @ ad.transpose(a) + 3.0 * np.eye(3)
+
+
+# every backward rule on (m, r, c) stacks, m = 3: (fn, operand shapes), where
+# a 2-D or smaller operand is broadcast against the stack
+STACK_RULES = {
+    "add": (lambda x, y: x + y, (3, 2, 3), (2, 3)),
+    "sub": (lambda x, y: y - x, (3, 2, 3), (2, 3)),
+    "neg": (lambda x: -x, (3, 2, 3)),
+    "mul": (lambda x, y: x * y, (3, 2, 3), (2, 3)),
+    "mul_by_1x1_stack": (lambda x, s: x * s, (3, 2, 3), (3, 1, 1)),
+    "1x1_times_stack": (lambda s, x: s * x, (1, 1), (3, 2, 3)),
+    "div": (lambda x, y: x / y, (3, 2, 3), (2, 3)),
+    "div_by_stack": (lambda x, y: y / x, (3, 2, 3), (2, 3)),
+    "constants": (lambda x: (2.0 - x * 0.3 + 1.5) / 0.7, (3, 2, 3)),
+    "const_div": (lambda x: 1.0 / x, (3, 2, 3)),
+    "const_matrix": (lambda x: x * np.array([[1.0, -2.0, 0.5], [3.0, 0.25, -1.0]]) - np.ones(3),
+                     (3, 2, 3)),
+    "matmul": (lambda x, y: x @ y, (3, 2, 3), (3, 2)),
+    "matmul_left": (lambda x, y: y @ x, (3, 3, 2), (2, 3)),
+    "atan2": (ad.atan2, (3, 2, 3), (2, 3)),
+    "cho_solve": (lambda a, r: ad.cho_solve(_spd(a), r), (3, 3, 3), (3, 3, 2)),
+    "logdet": (lambda a: ad.logdet(_spd(a)), (3, 3, 3)),
+    "block": (lambda x: ad.block(x, 0, 2, 1, 3), (3, 3, 3)),
+    "cols": (lambda x: ad.cols(x, 1, 3), (3, 2, 3)),
+    "item": (lambda x: ad.item(x, 1, 2), (3, 2, 3)),
+    "concat_rows": (lambda x, y: ad.concat_rows([x, y, x]), (3, 2, 3), (3, 1, 3)),
+    "reshape": (lambda x: ad.reshape(x, (3, 1, 2, 3)) * np.arange(1.0, 7.0).reshape(2, 1, 3),
+                (3, 2, 3)),
+    "stack_sum": (ad.stack_sum, (3, 2, 3)),
+    "stack_sum_kept": (lambda x: ad.stack_sum(x, axis=-4, keepdims=True), (2, 3, 2, 3)),
+    "logsumexp": (ad.logsumexp, (3, 1, 1)),
+    **{name: (getattr(ad, name), (3, 2, 3)) for name in
+       ("exp", "log", "tanh", "sigmoid", "sqrt", "sin", "cos", "transpose", "vsum")},
+}
+
+
+@pytest.mark.parametrize("name", list(STACK_RULES))
+def test_stacked_gradients_match_fd(name):
+    """Each rule's gradient on stacks, summed by the tape over every axis an
+    operand was broadcast along, against central differences of the array path."""
+    fn, *shapes = STACK_RULES[name]
+    rng = np.random.default_rng(13)
+    operands = [rng.uniform(0.5, 2.0, shape) for shape in shapes]
+    weights = rng.uniform(-1.0, 1.0, np.shape(fn(*operands)))
+
+    def total(out):  # a weighted sum of every entry, as a 1x1 value
+        out = ad.vsum(out * weights)
+        while len(out.shape) > 2:
+            out = ad.stack_sum(out)
+        return out
+
+    def f(theta):
+        at = np.cumsum([0] + [op.size for op in operands])
+        return ad.scalar(total(fn(*(theta[a:b].reshape(op.shape)
+                                    for a, b, op in zip(at, at[1:], operands)))))
+
+    tape = ad.make_tape()
+    leaves = [ad.var(tape, op) for op in operands]
+    ad.backward(total(fn(*leaves)))
+    grad = np.concatenate([leaf.grad.ravel() for leaf in leaves])
+    fd = finite_difference(f, np.concatenate([op.ravel() for op in operands]))
+    assert np.allclose(grad, fd, rtol=1e-6, atol=1e-8)
 
 
 def test_cho_solve_gradient_matches_fd():
@@ -256,7 +322,8 @@ def test_negative_lml_factors_its_gram_once(monkeypatch):
 
 
 def test_imm_step_factors_each_innovation_covariance_once(monkeypatch):
-    """Each mode's S feeds joseph_update's gain and gaussian_nll's solve and log det."""
+    """The modes' S, one stacked node, feeds joseph_update's gain and
+    gaussian_nll's solve and log det, and is factored once for all three."""
     sensor = SensorConfig(origin=(0.0, 0.0), sigma_r=1.5, sigma_a=0.00523)
     rng = np.random.default_rng(0)
     trk = simulate_measurements(generate_gct(GctConfig(n_steps=3), rng), sensor, rng)
@@ -266,7 +333,8 @@ def test_imm_step_factors_each_innovation_covariance_once(monkeypatch):
     given = _count_factorizations(monkeypatch)
     graph.step(*trk.meas[2])
     ad.backward(graph.loss())
-    _assert_each_factored_once(graph.tape, given, len(cfg.modes))
+    _assert_each_factored_once(graph.tape, given, 1)
+    assert given[0].shape == (len(cfg.modes), 2, 2)
 
 
 def test_a_stored_factor_still_checks_the_next_operand():
@@ -361,7 +429,7 @@ def test_unreachable_nodes_have_zero_gradient():
 def test_logsumexp_matches_dense():
     tape = ad.make_tape()
     xs = [ad.var(tape, v) for v in (-3.0, 1.2, 0.5)]
-    out = ad.logsumexp(xs)
+    out = ad.reshape(ad.logsumexp(ad.reshape(ad.concat_rows(xs), (3, 1, 1))), (1, 1))
     expected = np.log(np.sum(np.exp([-3.0, 1.2, 0.5])))
     assert out.value[0, 0] == pytest.approx(expected, abs=1e-12)
     ad.backward(out)
@@ -499,9 +567,12 @@ def _op_cases(rng):
         "block": (lambda x: ad.block(x, 0, 2, 1, 3), a),
         "cols": (lambda x: ad.cols(x, 0, 2), a),
         "item": (lambda x: ad.item(x, 2, 1), a),
-        "scale_template": (lambda x: ad.scale_template(x, a), s),
+        "const_matrix_mul": (lambda x: x * a, s),
+        "reshape": (lambda x: ad.reshape(x, x.shape[:-1] + (1, 3)), a),
+        "stack_sum": (lambda x, y: ad.stack_sum(ad.reshape(x @ y, x.shape[:-1] + (1, 3))), a, b),
         "concat_rows": (lambda x, y: ad.concat_rows([x, y]), a, b),
-        "logsumexp": (lambda x, y: ad.logsumexp([x, y]), s, t),
+        "logsumexp": (lambda x, y: ad.logsumexp(ad.reshape(ad.concat_rows([x, y]),
+                                                           x.shape[:-2] + (2, 1, 1))), s, t),
     }
     for name in ("exp", "tanh", "sigmoid", "sin", "cos", "transpose", "vsum"):
         cases[name] = (getattr(ad, name), a)

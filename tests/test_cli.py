@@ -450,6 +450,21 @@ def test_simulate_refuses_a_dataset_no_filter_can_run(tmp_path, capsys, gps_csv,
     assert not (out / "manifest.json").exists()
 
 
+@pytest.mark.parametrize("fraction", ["nan", "0", "1", "1.7", "-0.2"])
+def test_simulate_refuses_a_train_fraction_outside_the_unit_interval(tmp_path, capsys, fraction):
+    csv_path = tmp_path / "track.csv"  # 20 rows: four 5-row tracklets, off the sensor origin
+    csv_path.write_text("t,x,y,vx,vy\n" + "".join(f"{k},{100 + k},50,1,0\n" for k in range(20)))
+    cfg = write_config(tmp_path / "exp.ini", {
+        ("dataset", "kind"): "csv", ("dataset", "csv_path"): str(csv_path),
+        ("dataset", "tracklet_len"): "5", ("dataset", "train_fraction"): fraction})
+    out = tmp_path / "data"
+    code = main(["simulate", "--config", str(cfg), "--out", str(out), "--seed", "1"])
+    assert code == 2
+    assert capsys.readouterr().err.strip().splitlines() == [
+        f"error: [dataset] train_fraction must be in (0, 1), got {float(fraction)}"]
+    assert not (out / "manifest.json").exists()
+
+
 def test_report_needs_the_records_of_an_evaluate_run(tmp_path, capsys):
     code = main(["report", "--out", str(tmp_path)])
     assert code == 2

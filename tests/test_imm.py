@@ -5,6 +5,7 @@ from conftest import cv_ekf_reference, finite_difference
 import tracklearn.autodiff as ad
 from tracklearn import imm
 from tracklearn.ekf import EVAL_START, init_track
+from tracklearn.errors import NumericsError
 from tracklearn.imm import (
     ImmConfig,
     ImmGraph,
@@ -107,30 +108,21 @@ def test_mixing_spread_scalar_hand_oracle():
     params.trans_logits = np.zeros((2, 2))  # uniform rows
     init = np.array([100.0, 0.0, 1.0, 0.0]), np.eye(4)
     graph = ImmGraph(params, init, 1.0, SENSOR.origin, cfg, record=True)
-    # override per-mode states with distinct means
-    xa = np.array([[1.0], [0.0], [0.0], [0.0]])
-    xb = np.array([[3.0], [0.0], [0.0], [0.0]])
-    graph.modes_x = [ad.const(graph.tape, xa), ad.const(graph.tape, xb)]
-    graph.modes_p = [ad.const(graph.tape, np.eye(4)), ad.const(graph.tape, 2.0 * np.eye(4))]
-    graph.mu = [ad.const(graph.tape, 0.5), ad.const(graph.tape, 0.5)]
+    # the mode stacks, with distinct means
+    x = ad.const(graph.tape, np.array([[1.0, 0.0, 0.0, 0.0], [3.0, 0.0, 0.0, 0.0]])[..., None])
+    p = ad.const(graph.tape, np.stack([np.eye(4), 2.0 * np.eye(4)]))
+    mu = ad.const(graph.tape, np.full((2, 1, 1), 0.5))
 
     # hand computation: mu_pred = (0.5, 0.5); cond weights all 0.5
     # x0 = 2.0; spread per mode: (1-2)^2 = 1 and (3-2)^2 = 1
     # P0[0,0] = 0.5*(1 + 1) + 0.5*(2 + 1) = 2.5; other diag = 1.5
-    mu_pred = []
-    for j in range(2):
-        acc = graph.p_rows[0][j] * graph.mu[0] + graph.p_rows[1][j] * graph.mu[1]
-        mu_pred.append(acc)
-    cond = [[graph.p_rows[i][j] * graph.mu[i] / mu_pred[j] for i in range(2)] for j in range(2)]
-    x0 = cond[0][0] * graph.modes_x[0] + cond[0][1] * graph.modes_x[1]
-    assert x0.value[0, 0] == pytest.approx(2.0)
-    p0 = None
-    for i in range(2):
-        diff = graph.modes_x[i] - x0
-        term = cond[0][i] * (graph.modes_p[i] + diff @ diff.T)
-        p0 = term if p0 is None else p0 + term
-    assert p0.value[0, 0] == pytest.approx(2.5)
-    assert p0.value[1, 1] == pytest.approx(1.5)
+    mu_pred, x_mixed, p_mixed = imm._mix(graph.trans, mu, x, p)
+    assert (mu_pred.shape, x_mixed.shape, p_mixed.shape) == ((2, 1, 1), (2, 4, 1), (2, 4, 4))
+    assert np.allclose(mu_pred.value, 0.5, rtol=1e-15)
+    for j in range(2):  # uniform rows: both modes start from the same mixture
+        assert x_mixed.value[j, 0, 0] == pytest.approx(2.0)
+        assert p_mixed.value[j, 0, 0] == pytest.approx(2.5)
+        assert p_mixed.value[j, 1, 1] == pytest.approx(1.5)
 
 
 def test_combination_scalar_hand_oracle():
@@ -280,9 +272,58 @@ def test_mode_probabilities_sum_to_one_and_floored():
     graph = ImmGraph(params, init, trk.dt, SENSOR.origin, cfg)
     for t in range(2, len(trk)):
         graph.step(trk.meas[t, 0], trk.meas[t, 1])
-        mu = np.array([ad.scalar(m) for m in graph.mu])
+        assert graph.mu.shape == (len(cfg.modes), 1, 1)  # one stack of the modes' probabilities
+        mu = graph.mu[:, 0, 0]
         assert abs(mu.sum() - 1.0) <= 1e-12
         assert np.all(mu >= cfg.prob_floor * (1 - 1e-9))
+
+
+def _recorded_steps(modes, n_steps=6, seed=10):
+    """A taped graph over a GCT tracklet, and the (first, end) node range of each step."""
+    trk = gct_tracklet(seed=seed, n_steps=n_steps)
+    cfg = ImmConfig(modes=modes)
+    graph = ImmGraph(default_params(SENSOR, cfg), two_point_init(trk), trk.dt, SENSOR.origin,
+                     cfg, record=True)
+    spans = []
+    for t in range(EVAL_START, len(trk)):
+        first = len(graph.tape)
+        graph.step(*trk.meas[t])
+        spans.append((first, len(graph.tape)))
+    return graph, spans
+
+
+@pytest.mark.parametrize("modes", [(MODE_CV,), (MODE_CV, MODE_CT), (MODE_CV, MODE_CT, MODE_CT)],
+                         ids=["cv", "cv,ct", "cv,ct,ct"])
+def test_a_recorded_step_adds_the_same_nodes_at_any_mode_count(modes):
+    counts = [end - first for first, end in _recorded_steps(modes)[1]]
+    one_mode = [end - first for first, end in _recorded_steps((MODE_CV,))[1]]
+    assert counts == one_mode
+    assert counts[0] <= 110
+
+
+def test_every_node_of_a_step_before_the_last_reaches_the_loss():
+    """Each step's nodes feed the loss, through its own term or the next step's
+    mixing; the combined estimate is read off the tape, so it records none."""
+    graph, spans = _recorded_steps((MODE_CV, MODE_CT))
+    ad.backward(graph.loss())
+    unreached = [i for first, end in spans[:-1] for i in range(first, end)
+                 if graph.tape._grads[i] is None]
+    assert unreached == []
+
+
+def test_a_failing_step_names_the_tracklet_never_a_mode():
+    """A non-finite range fails both modes of tracklet 1 at step 5: the (B, m)
+    verdict names batch row 1, and one tracklet's message names no row."""
+    cfg = ImmConfig()
+    params = default_params(SENSOR, cfg)
+    tracklets = [gct_tracklet(seed=seed, n_steps=8) for seed in (12, 13, 14)]
+    tracklets[1].meas[5, 0] = np.nan
+    with pytest.raises(NumericsError, match=r"^step 5: row 1: non-finite operand"):
+        run_imm(params, tracklets, SENSOR, cfg)
+    for filtered in (lambda: run_imm(params, tracklets[1], SENSOR, cfg),
+                     lambda: imm_nll(params, tracklets[1], SENSOR, cfg)):
+        with pytest.raises(NumericsError, match=r"^step 5: non-finite operand"):
+            filtered()
 
 
 def test_combined_covariance_dominates_weighted_average():

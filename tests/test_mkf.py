@@ -134,6 +134,24 @@ def test_loss_zero_residual_identity_chol():
     assert loss.scalar() == pytest.approx(6 * np.log(2 * np.pi), rel=1e-12)
 
 
+def test_loss_equals_the_filter_time_network_stepped_row_by_row():
+    """mkf_loss records the cell per row and the head once on all rows; the
+    same network stepped by lstm_step, as filtering runs it, gives the same
+    NLL, 0.5 r'(CC')^-1 r + log det C + log 2pi per row."""
+    w = init_weights(seed=4, hidden=6, dense=5)
+    rng = np.random.default_rng(8)
+    inputs, labels = rng.standard_normal((15, 2)), rng.standard_normal((15, 2))
+    h, c = zero_state(6)
+    expected = 0.0
+    for x, y in zip(inputs, labels):
+        h, c, v, chol = lstm_step(w.to_dict(), h, c, x[None, :])
+        r = v[0] - y
+        expected += (0.5 * r @ np.linalg.solve(chol @ chol.T, r)
+                     + np.log(np.linalg.det(chol)) + np.log(2 * np.pi))
+    loss = mkf_loss(_tape_weights(ad.make_tape(), w), inputs, labels, hidden=6)
+    assert loss.scalar() == pytest.approx(expected, rel=1e-12)
+
+
 def test_loss_gradient_matches_finite_differences():
     """20-step sequence, 50 randomly selected weights against central FD."""
     w = init_weights(seed=12, hidden=6, dense=5)
