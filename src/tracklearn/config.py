@@ -53,10 +53,10 @@ _DEFAULTS = {
         "sigma_p": "0.5",
     },
     "imm": {
-        "modes": "cv,ct",
+        "modes": "cv,ct,ct",
         "train_r": "true",
         "init_q": "0.08",
-        "init_omega": "0.1",
+        "init_omega": "0.22",
         "steps": "10000",
         "lr": "5e-4",
     },

@@ -155,8 +155,8 @@ def filter_tracklet(tracklets, sensor: SensorConfig, start, step):
 
     start(init, dt) turns the init_track (mean, cov) into the filter's state,
     and step(state, z) filters the (range, bearing) row z into (state,
-    predicted mean, posterior mean, posterior covariance).  Rows before
-    EVAL_START hold the initialization.  check_estimate checks the
+    predicted mean, posterior mean, posterior covariance).  The outputs hold
+    the filtered rows, EVAL_START on.  check_estimate checks the
     initialization and every step's row, so each filter's output is held to
     the same test.  A step's NumericsError, ValueError or LinAlgError, the
     check's included, is raised again as NumericsError("step <row>: ..."),
@@ -170,9 +170,11 @@ def filter_tracklet(tracklets, sensor: SensorConfig, start, step):
     dt = (tracklets if single else tracklets[0]).dt
     # row t unpacks into (range, bearing): two floats, or two (B,) arrays from (T, 2, B)
     meas = tracklets.meas if single else np.stack([trk.meas for trk in tracklets], axis=-1)
+    if len(meas) <= EVAL_START:
+        raise ValueError(f"need at least {EVAL_START + 1} measurements")
     mean, cov = init_track(meas[0], meas[1], sensor, dt)
     check_estimate(mean, cov)
-    rows = [(mean, mean, cov)] * EVAL_START
+    rows = []
     state = start((mean, cov), dt)
     for t in range(EVAL_START, len(meas)):
         try:

@@ -14,9 +14,7 @@ stream, in the order it would alone, and decides for itself when to
 reseed (pf_reweight flags the clouds whose every weight underflows).
 Every cloud is resampled at every step, which leaves it with runs of equal
 velocities side by side; the GP posterior is predicted once per run
-(predict_axes) and spread back to its particles.  The mean is still taken
-on the full-width kernel, whose summation order keeps the bits of
-predicting every particle.
+(predict_axes) and spread back to its particles.
 """
 
 from __future__ import annotations
@@ -132,13 +130,9 @@ def predict_axes(models, queries: np.ndarray) -> list:
     one's hyperparameters reuses its kernel and variances; only its mean is new.
 
     A query row equal to the row before it is a copy: the posterior is a pure
-    function of the query, so the distances, kernel, triangular solve and
-    variances are computed once per run of copies (after pf_resample, copies of
-    a particle sit side by side) and spread back to every row.  Copies that are
-    not adjacent are computed twice, which gives the same values.  The mean's
-    GEMV sums in an order that depends on the width of the kernel it is given,
-    so it runs on the kernel gathered back to full width, which keeps the bits
-    of predicting every row on its own.
+    function of the query, so it is computed once per run of copies (after
+    pf_resample, copies of a particle sit side by side) and spread back to
+    every row.  Copies that are not adjacent are computed twice.
     """
     new = np.ones(len(queries), dtype=bool)  # the first row of each run of copies
     new[1:] = ~(queries[1:] == queries[:-1]).all(axis=1)
@@ -148,18 +142,14 @@ def predict_axes(models, queries: np.ndarray) -> list:
     out, hyper = [], None
     for model in models:
         if model.hyper != hyper:
-            hyper, k_full = model.hyper, None  # free the last kernel before the next
+            hyper = model.hyper
             k_star = kernel_matrix(model.inputs, distinct, hyper, sq)
             # half = L^-1 k_star: chol.T is L' in Fortran order, so BLAS takes it
             # uncopied as an upper factor, transposed (as solve_triangular did)
             half = dtrsm(1.0, model.chol.T, k_star, trans_a=1)
             variances = np.clip(hyper.sigma0_sq - np.einsum("nm,nm->m", half, half),
                                 0.0, hyper.sigma0_sq)[run]
-            # np.take keeps C order (k_star[:, run] would not, and the GEMV would
-            # sum differently); half is freed before the gather, k_star after it
-            half = None
-            k_full, k_star = np.take(k_star, run, axis=1), None
-        out.append((k_full.T @ model.solve_vector, variances))
+        out.append(((k_star.T @ model.solve_vector)[run], variances))
     return out
 
 
@@ -250,8 +240,7 @@ def gp_fit(tracklets, hyper0: GpHyper | None = None, max_pairs: int = 2000,
 def save_gp(path, models: tuple[GpModel, GpModel], dt: float, sensor: SensorConfig) -> None:
     tagged = tuple(zip("xy", models))
     lines = ["GPM1", f"n_pairs {len(models[0])}", f"dt {dt:.17g}",
-             f"sensor {sensor.origin[0]:.17g} {sensor.origin[1]:.17g} "
-             f"{sensor.sigma_r:.17g} {sensor.sigma_a:.17g}"]
+             "sensor " + " ".join(f"{v:.17g}" for v in sensor.to_row())]
     lines += [f"hyper_{tag} {m.hyper.sigma0_sq:.17g} {m.hyper.length_sq:.17g} "
               f"{m.hyper.noise_sq:.17g}" for tag, m in tagged]
     lines += [f"u {u0:.17g} {u1:.17g}" for u0, u1 in models[0].inputs]
@@ -272,8 +261,6 @@ def load_gp(path):
             fields[tag].append(values)
         else:
             fields[tag] = values
-    sensor = SensorConfig(origin=fields["sensor"][:2], sigma_r=fields["sensor"][2],
-                          sigma_a=fields["sensor"][3])
     models = []
     for tag in "xy":
         outputs, stored_alpha = np.array(fields[f"z_{tag}"]).reshape(-1, 2).T
@@ -281,7 +268,7 @@ def load_gp(path):
         if not np.allclose(model.solve_vector, stored_alpha, rtol=1e-8, atol=1e-10):
             raise ValueError(f"{path}: stored solve vector inconsistent with K and outputs")
         models.append(model)
-    return (models[0], models[1]), fields["dt"][0], sensor
+    return (models[0], models[1]), fields["dt"][0], SensorConfig.from_row(fields["sensor"])
 
 
 # -- SIR particle filter -----------------------------------------------------
@@ -329,9 +316,9 @@ def systematic_resample(weights: np.ndarray, rng) -> np.ndarray:
 def pf_propagate(particles: np.ndarray, models, sigma_p: float, dt: float, rng) -> np.ndarray:
     """Draw per-particle velocities from the GP posterior, then move positions."""
     *batch, m, _ = particles.shape
-    # predict_axes cloud by cloud: one call on all B*M queries gives the same
-    # bits and finds no more copies (they are adjacent within a cloud), but its
-    # mean's full-width (N, B*M) kernel gather outgrows the cache when N*M is large
+    # predict_axes cloud by cloud: the mean's GEMV sums in an order that depends
+    # on how many distinct columns it is given, so one call on all B*M queries
+    # would make a cloud's bits depend on its batch-mates' copies
     pred = np.empty((*batch, 2, 2, m))  # (..., axis, mean/variance, particle)
     for cloud, velocities in zip(pred.reshape(-1, 2, 2, m), particles[..., 2:].reshape(-1, m, 2)):
         cloud[...] = predict_axes(models, velocities)

@@ -36,10 +36,12 @@ _T_C = np.zeros((4, 4)); _T_C[2, 2] = 1.0; _T_C[3, 3] = 1.0
 _T_S = np.zeros((4, 4)); _T_S[2, 3] = -1.0; _T_S[3, 2] = 1.0
 
 
+PROB_FLOOR = 1e-12  # the least mode probability a step leaves
+
+
 @dataclass(frozen=True)
 class ImmConfig:
     modes: tuple = (MODE_CV, MODE_CT)
-    prob_floor: float = 1e-12
     train_r: bool = True
 
     def __post_init__(self):
@@ -102,9 +104,12 @@ class ImmParams:
 def default_params(sensor: SensorConfig, cfg: ImmConfig = ImmConfig(),
                    init_q: float = 1.0, init_omega: float = 0.1,
                    diag_prob: float = 0.95) -> ImmParams:
+    """Untrained parameters: the k-th ct mode (k = 0, 1, ... over the ct modes)
+    turns at (-1)^k init_omega, so cv,ct,ct covers both turn directions."""
     if not init_q > 0.0:
         raise ValueError(f"init_q must be positive, got {init_q}")
     m = len(cfg.modes)
+    is_ct = np.array(cfg.modes) == MODE_CT
     if m == 1:
         trans = np.zeros((1, 1))
     else:
@@ -114,7 +119,7 @@ def default_params(sensor: SensorConfig, cfg: ImmConfig = ImmConfig(),
         modes=tuple(cfg.modes),
         trans_logits=trans,
         log_q=np.log(np.full(m, init_q)),
-        omega=np.array([init_omega if mode == MODE_CT else 0.0 for mode in cfg.modes]),
+        omega=np.where(is_ct, init_omega * (-1.0) ** (np.cumsum(is_ct) - 1), 0.0),
         log_sigma_r=float(np.log(sensor.sigma_r)),
         log_sigma_a=float(np.log(sensor.sigma_a)),
     )
@@ -199,7 +204,6 @@ class ImmGraph:
 
     def __init__(self, params: ImmParams, init: tuple, dt: float,
                  origin: np.ndarray, cfg: ImmConfig, record: bool = False):
-        self.cfg = cfg
         self.origin = np.asarray(origin, dtype=float)
         self.tape = ad.make_tape()
         leaf = (lambda v: ad.var(self.tape, v)) if record else (lambda v: ad.const_like(None, v))
@@ -252,7 +256,7 @@ class ImmGraph:
         self.loss_terms.append(-log_norm)
 
         # -- mode probability update (normalized by construction)
-        mu_post = _floor_probs(ad.exp(joint - log_norm), self.cfg.prob_floor)
+        mu_post = _floor_probs(ad.exp(joint - log_norm), PROB_FLOOR)
         self.x, self.p, self.mu = post_x, post_p, mu_post
 
         # -- combination, from the node values: no loss term reaches it
@@ -286,8 +290,6 @@ def imm_nll(params: ImmParams, tracklet: Tracklet, sensor: SensorConfig,
     Returns (loss Var, leaves dict) with the recursion initialized from the
     first two measurements; the loss sums the filtered rows (ekf.EVAL_START on).
     """
-    if len(tracklet) < 3:
-        raise ValueError("need at least 3 measurements")
     graph = _filter(params, tracklet, sensor, cfg, record=True)[3]
     return graph.loss(), graph.leaves
 
@@ -328,8 +330,7 @@ def save_imm(path, params: ImmParams, dt: float, sensor: SensorConfig) -> None:
     lines = ["IMM1"]
     lines.append("modes " + " ".join(params.modes))
     lines.append(f"dt {dt:.17g}")
-    lines.append(f"sensor {sensor.origin[0]:.17g} {sensor.origin[1]:.17g} "
-                 f"{sensor.sigma_r:.17g} {sensor.sigma_a:.17g}")
+    lines.append("sensor " + " ".join(f"{v:.17g}" for v in sensor.to_row()))
     for i, row in enumerate(params.trans_logits):
         lines.append(f"logits_{i} " + " ".join(f"{v:.17g}" for v in row))
     lines.append("log_q " + " ".join(f"{v:.17g}" for v in params.log_q))
@@ -359,7 +360,6 @@ def load_imm(path):
     modes = tuple(fields["modes"])
     m = len(modes)
     logits = np.array([[float(v) for v in fields[f"logits_{i}"]] for i in range(m)])
-    sensor_vals = [float(v) for v in fields["sensor"]]
     params = ImmParams(
         modes=modes,
         trans_logits=logits,
@@ -368,5 +368,4 @@ def load_imm(path):
         log_sigma_r=float(fields["log_sigma_r"][0]),
         log_sigma_a=float(fields["log_sigma_a"][0]),
     )
-    sensor = SensorConfig(origin=sensor_vals[:2], sigma_r=sensor_vals[2], sigma_a=sensor_vals[3])
-    return params, float(fields["dt"][0]), sensor
+    return params, float(fields["dt"][0]), SensorConfig.from_row(fields["sensor"])

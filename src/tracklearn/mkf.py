@@ -154,12 +154,15 @@ def mkf_predict(mean, cov, state: tuple, w: LstmWeights, dt: float, q_reg: float
     return pred, 0.5 * (pred_cov + pred_cov.swapaxes(-1, -2)), (h, c)
 
 
+def _fd_velocities(tracklet: Tracklet, sensor: SensorConfig) -> np.ndarray:
+    """(T - 1, 2) finite-difference velocities of the Cartesian-converted returns."""
+    return np.diff(polar_to_cartesian(*tracklet.meas.T, sensor), axis=0) / tracklet.dt
+
+
 def training_sequences(tracklet: Tracklet, sensor: SensorConfig, scale: float):
     """Inputs and labels from measurements only: scaled finite-difference
     velocities of the Cartesian-converted returns, shifted by one step."""
-    cart = polar_to_cartesian(*tracklet.meas.T, sensor)
-    fd_vel = np.diff(cart, axis=0) / tracklet.dt
-    scaled = fd_vel / scale
+    scaled = _fd_velocities(tracklet, sensor) / scale
     return scaled[:-1], scaled[1:]
 
 
@@ -213,10 +216,7 @@ def train_mkf(w0: LstmWeights, tracklets, sensor: SensorConfig, iterations: int,
 
 def input_scale_from(tracklets, sensor: SensorConfig) -> float:
     """Pooled std of measurement-derived velocity components; 1.0 floor."""
-    samples = []
-    for trk in tracklets[:64]:
-        cart = polar_to_cartesian(*trk.meas.T, sensor)
-        samples.append(np.diff(cart, axis=0).ravel() / trk.dt)
+    samples = [_fd_velocities(trk, sensor).ravel() for trk in tracklets[:64]]
     scale = float(np.std(np.concatenate(samples)))
     return max(scale, 1.0)
 
@@ -245,7 +245,7 @@ def save_mkf(path, w: LstmWeights, dt: float, sensor: SensorConfig) -> None:
         format=np.array("MKF1"),
         input_scale=np.array(w.input_scale),
         dt=np.array(dt),
-        sensor=np.array([sensor.origin[0], sensor.origin[1], sensor.sigma_r, sensor.sigma_a]),
+        sensor=sensor.to_row(),
         **w.to_dict(),
     )
 
@@ -257,7 +257,4 @@ def load_mkf(path):
             raise ValueError(f"{path}: not an MKF1 container")
         tensors = {name: data[name] for name in WEIGHT_NAMES}
         weights = LstmWeights(**tensors, input_scale=float(data["input_scale"]))
-        sensor_vals = data["sensor"]
-        sensor = SensorConfig(origin=sensor_vals[:2], sigma_r=float(sensor_vals[2]),
-                              sigma_a=float(sensor_vals[3]))
-        return weights, float(data["dt"]), sensor
+        return weights, float(data["dt"]), SensorConfig.from_row(data["sensor"])

@@ -5,11 +5,12 @@ Every filter runs through ekf.filter_tracklet, which consumes the first two
 measurements for track initialization.  The EKF benchmark is the IMM with
 one cv mode and the sensor's own noise: mixing and combination then pass
 the one mode's estimate through unchanged.  Each run_*_method returns the
-(pred, post) state means of the whole test set, (B, T, 4) arrays from
-ekf.EVAL_START on, so all methods see identical indices; batch row b is
-dataset tracklet b, and a failure names it so.  The GP particle filter steps
-the batch's clouds together too, each cloud drawing from its own tracklet's
-random stream, so its records match the tracklet's filtered alone.
+(pred, post) state means of the whole test set's filtered rows, ekf.EVAL_START
+on, as (B, T - EVAL_START, 4) arrays, so all methods see identical indices;
+batch row b is dataset tracklet b, and a failure names it so.  The GP
+particle filter steps the batch's clouds together too, each cloud drawing
+from its own tracklet's random stream, so its records match the tracklet's
+filtered alone.
 """
 
 from __future__ import annotations
@@ -18,16 +19,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ekf import EVAL_START, filter_tracklet
+from .ekf import filter_tracklet
 from .gp import init_particles, pf_step
 from .imm import MODE_CV, ImmConfig, ImmParams, default_params, run_imm
 from .mkf import LstmWeights, MkfConfig, run_mkf
-from .simulate import Dataset
-
-
-def _scored(pred, post, *_):
-    """The rows of pred and post means that are scored: EVAL_START on."""
-    return pred[:, EVAL_START:], post[:, EVAL_START:]
+from .simulate import Dataset, tracklet_rngs
 
 
 def run_ekf_method(dataset: Dataset, q: float):
@@ -35,15 +31,15 @@ def run_ekf_method(dataset: Dataset, q: float):
     with the one mode cv."""
     cfg = ImmConfig(modes=(MODE_CV,), train_r=False)
     params = default_params(dataset.sensor, cfg, init_q=q)
-    return _scored(*run_imm(params, dataset.tracklets, dataset.sensor, cfg))
+    return run_imm(params, dataset.tracklets, dataset.sensor, cfg)[:2]
 
 
 def run_imm_method(dataset: Dataset, params: ImmParams, cfg: ImmConfig):
-    return _scored(*run_imm(params, dataset.tracklets, dataset.sensor, cfg))
+    return run_imm(params, dataset.tracklets, dataset.sensor, cfg)[:2]
 
 
 def run_mkf_method(dataset: Dataset, weights: LstmWeights, cfg: MkfConfig):
-    return _scored(*run_mkf(dataset.tracklets, dataset.sensor, weights, cfg))
+    return run_mkf(dataset.tracklets, dataset.sensor, weights, cfg)[:2]
 
 
 @dataclass
@@ -62,10 +58,10 @@ def run_gp_method(dataset: Dataset, models, settings: PfSettings, seed: int):
     """SIR particle filter (gp.pf_step) over the test set; weight collapse
     re-seeds a cloud from its current measurement and continues.  A lockstep
     step runs pf_step once on the batch of clouds; the cloud of dataset
-    tracklet i draws from SeedSequence(seed).spawn(n)[i], as it would alone."""
-    rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(len(dataset))]
-    return _scored(*filter_tracklet(
+    tracklet i draws from tracklet_rngs(seed, n)[i], as it would alone."""
+    rngs = tracklet_rngs(seed, len(dataset))
+    return filter_tracklet(
         dataset.tracklets, dataset.sensor,
         lambda init, dt: init_particles(init, settings.n_particles, rngs),
         lambda clouds, z: pf_step(clouds, z, models, dataset.sensor, settings.sigma_p, rngs,
-                                  dataset.dt)))
+                                  dataset.dt))[:2]

@@ -70,7 +70,8 @@ class Dataset:
         return self.tracklets[0].dt if self.tracklets else float("nan")
 
 
-def _tracklet_rngs(seed: int, n: int):
+def tracklet_rngs(seed: int, n: int):
+    """One Generator per tracklet: tracklet i draws from SeedSequence(seed).spawn(n)[i]."""
     return [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(n)]
 
 
@@ -120,7 +121,7 @@ def make_dataset(n_tracklets: int, cfg: GctConfig, sensor: SensorConfig, seed: i
     so any subset can be regenerated independently.
     """
     tracklets = []
-    for rng in _tracklet_rngs(seed, n_tracklets):
+    for rng in tracklet_rngs(seed, n_tracklets):
         truth = generate_gct(cfg, rng)
         tracklets.append(simulate_measurements(truth, sensor, rng))
     return Dataset(tracklets=tracklets, sensor=sensor)
@@ -185,7 +186,7 @@ def ingest_csv(traj_path, sensor: SensorConfig, tracklet_len: int, rng_seed: int
                              f"{steps[k]:g} s differs from dt = {dt:g} s")
     n_tracklets = n // tracklet_len
     tracklets = []
-    rngs = _tracklet_rngs(rng_seed, n_tracklets)
+    rngs = tracklet_rngs(rng_seed, n_tracklets)
     for i in range(n_tracklets):
         chunk = states[i * tracklet_len : (i + 1) * tracklet_len]
         truth = Tracklet(dt=dt, truth=chunk, meas=np.full((tracklet_len, 2), np.nan))

@@ -52,6 +52,16 @@ class SensorConfig:
     def noise_cov(self) -> np.ndarray:
         return np.diag([self.sigma_r**2, self.sigma_a**2])
 
+    def to_row(self) -> np.ndarray:
+        """(origin x, origin y, sigma_r, sigma_a): the sensor row model files store."""
+        return np.array([self.origin[0], self.origin[1], self.sigma_r, self.sigma_a])
+
+    @classmethod
+    def from_row(cls, row) -> "SensorConfig":
+        """The sensor of a to_row row."""
+        x, y, sigma_r, sigma_a = (float(v) for v in row)
+        return cls(origin=(x, y), sigma_r=sigma_r, sigma_a=sigma_a)
+
 
 @dataclass
 class Tracklet:

@@ -10,10 +10,12 @@ Each learned method gains its case here once it beats the measurements.
 import numpy as np
 import pytest
 
+from tracklearn.config import _DEFAULTS
 from tracklearn.ekf import EVAL_START
 from tracklearn.evaluate import pooled_rmse, position_errors
+from tracklearn.imm import ImmConfig, default_params
 from tracklearn.mkf import MkfConfig, init_weights, input_scale_from
-from tracklearn.runner import run_ekf_method, run_mkf_method
+from tracklearn.runner import run_ekf_method, run_imm_method, run_mkf_method
 from tracklearn.simulate import GctConfig, make_dataset
 from tracklearn.statespace import SensorConfig, polar_to_cartesian
 
@@ -47,3 +49,15 @@ def test_untrained_mkf_beats_the_raw_measurements(scenario):
     post = run_mkf_method(scenario, weights, MkfConfig())[1]
     post_rmse, raw_rmse = post_and_raw_rmse(scenario, post)
     assert post_rmse < raw_rmse
+
+
+def test_untrained_imm_beats_the_raw_measurements_and_the_ekf(scenario):
+    """The IMM at the CLI's [imm] defaults, untrained: a cv mode and one ct
+    mode per turn direction, which the EKF's single model cannot follow."""
+    imm = _DEFAULTS["imm"]
+    cfg = ImmConfig(modes=tuple(imm["modes"].split(",")))
+    params = default_params(scenario.sensor, cfg, init_q=float(imm["init_q"]),
+                            init_omega=float(imm["init_omega"]))
+    post_rmse, raw_rmse = post_and_raw_rmse(scenario, run_imm_method(scenario, params, cfg)[1])
+    ekf_rmse = post_and_raw_rmse(scenario, run_ekf_method(scenario, q=1.0)[1])[0]
+    assert post_rmse < min(raw_rmse, ekf_rmse)

@@ -69,7 +69,7 @@ def test_single_mode_imm_matches_ekf():
     pred_imm, post_imm, covs_imm, nll_imm = run_imm(params, trk, SENSOR, cfg)
     pred_ekf, post_ekf, nll_ekf = cv_ekf_reference(trk, SENSOR, q)
     for rows, ref in ((pred_imm, pred_ekf), (post_imm, post_ekf)):
-        assert np.max(np.abs(rows[EVAL_START:] - ref) / np.maximum(1.0, np.abs(ref))) < 1e-12
+        assert np.max(np.abs(rows - ref) / np.maximum(1.0, np.abs(ref))) < 1e-12
     assert nll_imm == pytest.approx(nll_ekf, rel=1e-12)
 
 
@@ -96,7 +96,7 @@ def test_identical_modes_share_everything():
     params.trans_logits = np.log(np.array([[0.7, 0.3], [0.2, 0.8]]))
     _, post_imm, _, nll_imm = run_imm(params, trk, SENSOR, cfg)
     _, post_ekf, nll_ekf = cv_ekf_reference(trk, SENSOR, 0.7)
-    assert np.allclose(post_imm[EVAL_START:], post_ekf, rtol=1e-9, atol=1e-9)
+    assert np.allclose(post_imm, post_ekf, rtol=1e-9, atol=1e-9)
     assert nll_imm == pytest.approx(nll_ekf, rel=1e-9)
 
 
@@ -210,7 +210,7 @@ def test_array_path_matches_taped_recursion_bit_for_bit(modes):
         assert nll == ad.scalar(taped.loss())
         assert len(taped.tape) > 0
 
-    # the floored case does reach prob_floor, and the array path records nothing
+    # the floored case does reach PROB_FLOOR, and the array path records nothing
     params, trk = cases[1]
     graph = ImmGraph(params, two_point_init(trk),
                      trk.dt, SENSOR.origin, cfg)
@@ -218,7 +218,7 @@ def test_array_path_matches_taped_recursion_bit_for_bit(modes):
     for t in range(2, len(trk)):
         graph.step(trk.meas[t, 0], trk.meas[t, 1])
         lowest.append(min(ad.scalar(m) for m in graph.mu))
-    assert min(lowest) == pytest.approx(cfg.prob_floor, rel=1e-9)
+    assert min(lowest) == pytest.approx(imm.PROB_FLOOR, rel=1e-9)
     assert len(graph.tape) == 0
 
 
@@ -275,7 +275,7 @@ def test_mode_probabilities_sum_to_one_and_floored():
         assert graph.mu.shape == (len(cfg.modes), 1, 1)  # one stack of the modes' probabilities
         mu = graph.mu[:, 0, 0]
         assert abs(mu.sum() - 1.0) <= 1e-12
-        assert np.all(mu >= cfg.prob_floor * (1 - 1e-9))
+        assert np.all(mu >= imm.PROB_FLOOR * (1 - 1e-9))
 
 
 def _recorded_steps(modes, n_steps=6, seed=10):
@@ -331,8 +331,15 @@ def test_combined_covariance_dominates_weighted_average():
     cfg = ImmConfig()
     params = default_params(SENSOR, cfg, init_q=0.3, init_omega=0.15)
     _, _, covs, _ = run_imm(params, trk, SENSOR, cfg)
-    for cov in covs[2:]:
+    for cov in covs:
         assert np.min(np.linalg.eigvalsh(cov)) >= -1e-9 * np.trace(cov)
+
+
+@pytest.mark.parametrize("modes, signs", [((MODE_CV, MODE_CT, MODE_CT), (0.0, 1.0, -1.0)),
+                                          ((MODE_CV, MODE_CT), (0.0, 1.0))])
+def test_ct_modes_start_at_alternating_turn_rates(modes, signs):
+    params = default_params(SENSOR, ImmConfig(modes=modes), init_omega=0.22)
+    assert np.array_equal(params.omega, 0.22 * np.array(signs))
 
 
 def test_softmax_logit_shift_invariance():

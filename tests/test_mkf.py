@@ -307,8 +307,8 @@ def test_run_mkf_long_chain_stays_psd():
     trk = simulate_measurements(generate_gct(cfg_sim, rng), SENSOR, rng)
     w = init_weights(seed=2, input_scale=20.0)
     pred, post, covs = run_mkf(trk, SENSOR, w)
-    assert not np.any(np.isnan(post[2:]))
-    for cov in covs[2:]:
+    assert not np.any(np.isnan(post))
+    for cov in covs:
         assert np.allclose(cov, cov.T, atol=1e-9 * max(1.0, np.abs(cov).max()))
         assert np.min(np.linalg.eigvalsh(cov)) >= -1e-9 * np.trace(cov)
 
@@ -326,8 +326,8 @@ def test_pipeline_matches_composed_calls():
     pred, cov, _ = mkf_predict(mean, cov, zero_state(w.hidden), w, trk.dt, MkfConfig().q_reg)
     post, _, _, _ = joseph_update(pred[:, None], cov, *trk.meas[2], SENSOR.noise_cov,
                                   SENSOR.origin)
-    assert np.allclose(pred_all[2], pred, rtol=0, atol=0)
-    assert np.allclose(post_all[2], post[:, 0], rtol=0, atol=0)
+    assert np.allclose(pred_all[0], pred, rtol=0, atol=0)
+    assert np.allclose(post_all[0], post[:, 0], rtol=0, atol=0)
 
 
 def test_checkpoint_roundtrip(tmp_path):

@@ -71,8 +71,8 @@ def assert_records_equal_alone(method, train, test):
     assert pred.shape == post.shape == (len(test), len(test.tracklets[0]) - EVAL_START, 4)
     for k in range(len(test)):
         pred_alone, post_alone = run_alone(method, train, test, k)
-        assert np.array_equal(pred[k], pred_alone[EVAL_START:]), (method, k)
-        assert np.array_equal(post[k], post_alone[EVAL_START:]), (method, k)
+        assert np.array_equal(pred[k], pred_alone), (method, k)
+        assert np.array_equal(post[k], post_alone), (method, k)
 
 
 @pytest.mark.parametrize("method", METHODS)
