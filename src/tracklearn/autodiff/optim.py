@@ -55,12 +55,10 @@ class GradientOptimizer:
     (a tape leaf is 2-D).
     """
 
-    def __init__(self, lr: float, beta1: float = 0.9, beta2: float = 0.999,
-                 eps: float = 1e-8):
+    BETA1, BETA2, EPS = 0.9, 0.999, 1e-8  # the moment decays and epsilon of Kingma & Ba
+
+    def __init__(self, lr: float):
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.step_count = 0
         self._m: dict = {}
         self._v: dict = {}
@@ -75,11 +73,11 @@ class GradientOptimizer:
             if m is None:
                 m = np.zeros_like(theta)
                 v = np.zeros_like(theta)
-            m = self.beta1 * m + (1.0 - self.beta1) * g
-            v = self.beta2 * v + (1.0 - self.beta2) * g * g
+            m = self.BETA1 * m + (1.0 - self.BETA1) * g
+            v = self.BETA2 * v + (1.0 - self.BETA2) * g * g
             self._m[name] = m
             self._v[name] = v
-            m_hat = m / (1.0 - self.beta1**self.step_count)
-            v_hat = v / (1.0 - self.beta2**self.step_count)
-            out[name] = theta - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            m_hat = m / (1.0 - self.BETA1**self.step_count)
+            v_hat = v / (1.0 - self.BETA2**self.step_count)
+            out[name] = theta - self.lr * m_hat / (np.sqrt(v_hat) + self.EPS)
         return out

@@ -24,10 +24,9 @@ from .config import ExperimentConfig, build
 from .ekf import EVAL_START
 from .errors import ConfigError, CsvFormatError, EmptyDatasetError, GeometryError
 from .evaluate import make_report
-from .gp import GpHyper, gp_fit, load_gp, save_gp
-from .imm import ImmConfig, default_params, load_imm, save_imm, train_imm
-from .mkf import MkfConfig, init_weights, input_scale_from, load_mkf, save_mkf, train_mkf
-from .runner import PfSettings, run_ekf_method, run_gp_method, run_imm_method, run_mkf_method
+from .gp import GpHyper, PfSettings, gp_fit, load_gp, run_pf, save_gp
+from .imm import ImmConfig, default_params, load_imm, run_ekf, run_imm, save_imm, train_imm
+from .mkf import MkfConfig, init_weights, input_scale_from, load_mkf, run_mkf, save_mkf, train_mkf
 from .simulate import Dataset, ingest_csv, load_dataset, make_dataset, save_dataset
 from .statespace import SensorConfig, polar_to_cartesian
 
@@ -320,15 +319,15 @@ def cmd_evaluate(args) -> int:
         if m not in METHODS:
             raise ConfigError(f"unknown method {m!r}")
     started = time.time()
-    truth = np.stack([trk.truth[EVAL_START:] for trk in test.tracklets])
-    meas = np.stack([polar_to_cartesian(*trk.meas.T, test.sensor)[EVAL_START:]
-                     for trk in test.tracklets])
+    tracklets, sensor = test.tracklets, test.sensor
+    truth = np.stack([trk.truth[EVAL_START:] for trk in tracklets])
+    meas = np.stack([polar_to_cartesian(*trk.meas.T, sensor)[EVAL_START:] for trk in tracklets])
     estimates = {}
     failures = {}
     for method in methods:
         try:
             if method == "ekf":
-                estimates["ekf"] = run_ekf_method(test, q=_positive(cfg, "ekf", "q"))
+                estimates["ekf"] = run_ekf(tracklets, sensor, _positive(cfg, "ekf", "q"))[:2]
                 continue
             model_text = cfg.text("models", method)
             if not model_text:
@@ -338,8 +337,8 @@ def cmd_evaluate(args) -> int:
                 raise ConfigError(f"[models] {method} missing: {model_path}")
             inputs[str(model_path)] = _sha256(model_path)
             load = {"gp": load_gp, "imm": load_imm, "mkf": load_mkf}[method]
-            model, dt, sensor = load(model_path)
-            _check_sensor_match(test.sensor, sensor, f"model {model_path}")
+            model, dt, model_sensor = load(model_path)
+            _check_sensor_match(sensor, model_sensor, f"model {model_path}")
             if not _close(test.dt, dt):  # a learned model maps one step to the next
                 raise ConfigError(f"dt {dt:g} s of model {model_path} does not match the "
                                   f"dataset's dt {test.dt:g} s")
@@ -349,12 +348,12 @@ def cmd_evaluate(args) -> int:
                     n_particles=cfg.inum("gp", "n_particles"),
                     sigma_p=cfg.fnum("gp", "sigma_p"),
                 )
-                estimates["gp"] = run_gp_method(test, model, settings, seed=args.seed)
+                estimates["gp"] = run_pf(tracklets, sensor, model, settings, args.seed)[:2]
             elif method == "imm":
-                estimates["imm"] = run_imm_method(test, model, ImmConfig(modes=model.modes))
+                estimates["imm"] = run_imm(model, tracklets, sensor, ImmConfig(model.modes))[:2]
             elif method == "mkf":
                 mkf_cfg = build("mkf", MkfConfig, q_reg=cfg.fnum("mkf", "q_reg"))
-                estimates["mkf"] = run_mkf_method(test, model, mkf_cfg)
+                estimates["mkf"] = run_mkf(tracklets, sensor, model, mkf_cfg)[:2]
         except ConfigError:
             raise
         except Exception as exc:  # keep other methods alive, report at the end
@@ -388,6 +387,13 @@ def cmd_report(args) -> int:
     return 0
 
 
+def _seed(text: str) -> int:
+    """--seed's type: numpy's SeedSequence takes non-negative integers only."""
+    if not text.strip().isdecimal():
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="tracklearn",
@@ -396,12 +402,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, need_config=True, need_seed=True):
-        if need_config:
-            p.add_argument("--config", required=True, help="experiment INI file")
+    def common(p):
+        p.add_argument("--config", required=True, help="experiment INI file")
         p.add_argument("--out", required=True, help="output directory")
-        if need_seed:
-            p.add_argument("--seed", type=int, required=True, help="RNG seed (mandatory)")
+        p.add_argument("--seed", type=_seed, required=True, help="RNG seed (mandatory)")
         p.add_argument("--data", help="dataset directory (overrides [dataset] path)")
 
     p_sim = sub.add_parser("simulate", help="generate a dataset directory")

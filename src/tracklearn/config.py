@@ -106,8 +106,11 @@ class ExperimentConfig:
         path = Path(path)
         if not path.exists():
             raise ConfigError(f"config file {path} does not exist")
-        parser = configparser.ConfigParser()
-        parser.read(path)
+        parser = configparser.ConfigParser(interpolation=None)  # a value may hold "%"
+        try:
+            parser.read_string(path.read_text(encoding="utf-8"), source=str(path))
+        except (OSError, UnicodeDecodeError, configparser.Error) as exc:
+            raise ConfigError(f"config file {path}: {' '.join(str(exc).split())}") from exc
         values = {sec: dict(opts) for sec, opts in _DEFAULTS.items()}
         for section in parser.sections():
             if section not in values:

@@ -6,8 +6,8 @@ functions.  The IMM runs them once per step on its stack of modes
 (imm.ImmGraph.step), on arrays to filter and on its tape to train, and the
 LSTM filter calls joseph_update on arrays.  Their numerical hygiene
 therefore carries the whole package.  There is no separate EKF filter: the
-EKF benchmark is the IMM with one cv mode (runner.run_ekf_method), whose
-mixing weight is 1 and spread term 0.
+EKF benchmark is the IMM with one cv mode (imm.run_ekf), whose mixing
+weight is 1 and spread term 0.
 
 The step loop is also written once, here: filter_tracklet owns the
 two-point initialization, the rows every filter reports and the first

@@ -28,7 +28,9 @@ from scipy.linalg.blas import dtrsm
 
 from . import autodiff as ad
 from .autodiff import GradientOptimizer
+from .ekf import filter_tracklet
 from .errors import NumericsError
+from .simulate import tracklet_rngs
 from .statespace import (
     LOG_2PI,
     SensorConfig,
@@ -52,6 +54,8 @@ class GpHyper:
 
 # the largest argument at which np.exp returns exactly 0.0 (exp(x) < 2**-1075)
 EXP_ZERO_AT = -745.1332191019412
+# fit_hyper's Adam steps and rate, and the most pairs its O(N^3) exact LML sees
+HYPER_STEPS, HYPER_LR, HYPER_MAX_POINTS = 200, 1e-2, 400
 
 
 def sq_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -184,7 +188,6 @@ def _subsample(inputs: np.ndarray, outputs: np.ndarray, size: int, seed: int):
 
 
 def fit_hyper(inputs: np.ndarray, outputs: np.ndarray, hyper0: GpHyper,
-              steps: int = 200, lr: float = 1e-2, max_points: int = 400,
               seed: int = 0) -> HyperFit:
     """Refine hyperparameters by LML ascent (Adam on the log-parameters).
 
@@ -192,7 +195,7 @@ def fit_hyper(inputs: np.ndarray, outputs: np.ndarray, hyper0: GpHyper,
     back to hyper0 when the ascent fails to improve the objective or hits a
     numerical failure.
     """
-    inputs, outputs = _subsample(inputs, outputs, max_points, seed)
+    inputs, outputs = _subsample(inputs, outputs, HYPER_MAX_POINTS, seed)
     sq = sq_distances(inputs, inputs)
     y_col = outputs.reshape(-1, 1)
 
@@ -206,7 +209,8 @@ def fit_hyper(inputs: np.ndarray, outputs: np.ndarray, hyper0: GpHyper,
         return negative_lml(s0, l2, sv, sq, y_col), {"rho": leaf}
 
     rho0 = np.log([hyper0.sigma0_sq, hyper0.length_sq, hyper0.noise_sq])
-    _, history, stopped = ad.minimize(record, {"rho": rho0}, GradientOptimizer(lr=lr).step, steps)
+    _, history, stopped = ad.minimize(record, {"rho": rho0}, GradientOptimizer(HYPER_LR).step,
+                                      HYPER_STEPS)
     losses = [loss for _, loss in history]
     if stopped or not losses or min(losses) >= losses[0]:
         return HyperFit(hyper0, history, stopped, fell_back=True)
@@ -402,3 +406,25 @@ def pf_step(particles: np.ndarray, z, models, sensor: SensorConfig, sigma_p: flo
     if np.any(collapsed):
         particles, weights = pf_reseed(particles, weights, z, sensor, rng, collapsed)
     return pf_resample(particles, weights, rng), prior_mean, *pf_estimate(particles, weights)
+
+
+@dataclass
+class PfSettings:
+    n_particles: int = 1000
+    sigma_p: float = 0.5
+
+    def __post_init__(self):
+        if not isinstance(self.n_particles, (int, np.integer)) or self.n_particles < 1:
+            raise ValueError(f"n_particles must be an integer >= 1, got {self.n_particles!r}")
+        if not (np.isfinite(self.sigma_p) and self.sigma_p >= 0.0):
+            raise ValueError(f"sigma_p must be finite and >= 0, got {self.sigma_p!r}")
+
+
+def run_pf(tracklets, sensor: SensorConfig, models, settings: PfSettings, seed: int):
+    """pf_step over a list of tracklets in lockstep (see ekf.filter_tracklet); the
+    cloud of tracklet i draws from tracklet_rngs(seed, n)[i], as it would alone."""
+    rngs = tracklet_rngs(seed, len(tracklets))
+    dt = tracklets[0].dt
+    return filter_tracklet(
+        tracklets, sensor, lambda init, _: init_particles(init, settings.n_particles, rngs),
+        lambda clouds, z: pf_step(clouds, z, models, sensor, settings.sigma_p, rngs, dt))

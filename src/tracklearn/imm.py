@@ -7,7 +7,7 @@ records it on a tape, whose backward pass gives exact gradients of the
 measurement negative log-likelihood; filtering runs the same recursion on
 plain arrays, with no tape, for a batch of tracklets in lockstep.  With the
 one mode cv it is the constant-velocity EKF: the mixing weight is 1 and the
-spread term 0, so the EKF benchmark runs here (runner.run_ekf_method).
+spread term 0, so the EKF benchmark runs here (run_ekf).
 
 Constrained parameters are optimized through smooth bijections: transition
 rows through a softmax, variances through exp.
@@ -73,17 +73,14 @@ class ImmParams:
 
     @property
     def transition_matrix(self) -> np.ndarray:
-        z = self.trans_logits - self.trans_logits.max(axis=1, keepdims=True)
-        e = np.exp(z)
-        return e / e.sum(axis=1, keepdims=True)
+        return _softmax(self.trans_logits.reshape(self.n_modes, self.n_modes, 1, 1))[..., 0, 0]
 
     def to_dict(self, train_r: bool = True) -> dict:
         out = {
             "trans_logits": np.asarray(self.trans_logits, dtype=float),
             "log_q": np.asarray(self.log_q, dtype=float),
         }
-        ct_idx = [k for k, m in enumerate(self.modes) if m == MODE_CT]
-        if ct_idx:
+        if MODE_CT in self.modes:
             out["omega"] = np.asarray(self.omega, dtype=float)
         if train_r:
             out["log_r"] = np.array([self.log_sigma_r, self.log_sigma_a])
@@ -149,6 +146,19 @@ def _transition_vars(like, params: ImmParams, mode_idx: int, dt: float,
             + ad.cos(theta) * _T_C + ad.sin(theta) * _T_S)
 
 
+def _softmax(logits):
+    """p_ij, row i of the (m, m, 1, 1) logits stack through a softmax over j (axis -3)."""
+    exps = ad.exp(logits - ad.value_of(logits).max(axis=-3, keepdims=True))
+    return exps / ad.stack_sum(exps, keepdims=True)
+
+
+def _moment_match(w, x, p, axis):
+    """Moment match over axis: (mean = sum_i w_i x_i, keeping axis; sum_i w_i (P_i + d_i d_i'))."""
+    mean = ad.stack_sum(w * x, axis=axis, keepdims=True)
+    d = x - mean
+    return mean, ad.stack_sum(w * (p + d @ ad.transpose(d)), axis=axis)
+
+
 def _source(v):
     """A (..., m, r, c) mode stack as (..., m, 1, r, c): mode i on axis -4."""
     return ad.reshape(v, v.shape[:-2] + (1,) + v.shape[-2:])
@@ -171,11 +181,7 @@ def _mix(trans, mu, x, p):
     """
     weighted = trans * _source(mu)
     mu_pred = ad.stack_sum(weighted, axis=-4, keepdims=True)
-    w = weighted / mu_pred
-    x_i = _source(x)
-    mean = ad.stack_sum(w * x_i, axis=-4, keepdims=True)
-    d = x_i - mean
-    cov = ad.stack_sum(w * (_source(p) + d @ ad.transpose(d)), axis=-4)
+    mean, cov = _moment_match(weighted / mu_pred, _source(x), _source(p), axis=-4)
     return _target(mu_pred), _target(mean), cov
 
 
@@ -209,24 +215,16 @@ class ImmGraph:
         leaf = (lambda v: ad.var(self.tape, v)) if record else (lambda v: ad.const_like(None, v))
         m = params.n_modes
 
-        self.leaves = {"trans_logits": leaf(params.trans_logits),
-                       "log_q": leaf(params.log_q.reshape(1, -1))}
+        self.leaves = {name: leaf(np.atleast_2d(value))
+                       for name, value in params.to_dict(cfg.train_r).items()}
         like = self.leaves["trans_logits"]
-        if any(k == MODE_CT for k in params.modes):
-            self.leaves["omega"] = leaf(params.omega.reshape(1, -1))
-        if cfg.train_r:
-            self.leaves["log_r"] = leaf([[params.log_sigma_r, params.log_sigma_a]])
-            sr = ad.exp(ad.item(self.leaves["log_r"], 0, 0))
-            sa = ad.exp(ad.item(self.leaves["log_r"], 0, 1))
-        else:
-            sr = ad.const_like(like, np.exp(params.log_sigma_r))
-            sa = ad.const_like(like, np.exp(params.log_sigma_a))
+        log_r = self.leaves.get("log_r")
+        if log_r is None:  # train_r is off: the stored stds, as constants
+            log_r = ad.const_like(like, [[params.log_sigma_r, params.log_sigma_a]])
+        sr, sa = (ad.exp(ad.item(log_r, 0, k)) for k in (0, 1))
         self.r_var = (sr * sr) * np.diag([1.0, 0.0]) + (sa * sa) * np.diag([0.0, 1.0])
 
-        # p_ij as an (m, m, 1, 1) stack: row i of the logits through a softmax
-        logits = ad.reshape(self.leaves["trans_logits"], (m, m, 1, 1))
-        exps = ad.exp(logits - ad.value_of(logits).max(axis=-3, keepdims=True))
-        self.trans = exps / ad.stack_sum(exps, keepdims=True)
+        self.trans = _softmax(ad.reshape(self.leaves["trans_logits"], (m, m, 1, 1)))
         f = ad.concat_rows([
             _transition_vars(like, params, j, dt, ad.item(self.leaves["omega"], 0, j)
                              if params.modes[j] == MODE_CT else None) for j in range(m)])
@@ -260,11 +258,10 @@ class ImmGraph:
         self.x, self.p, self.mu = post_x, post_p, mu_post
 
         # -- combination, from the node values: no loss term reaches it
-        mu, x = ad.value_of(mu_post), ad.value_of(post_x)
-        x_comb = ad.stack_sum(mu * x)
-        d = x - x_comb[..., None, :, :]
-        p_comb = ad.stack_sum(mu * (ad.value_of(post_p) + d @ d.swapaxes(-1, -2)))
-        return ad.stack_sum(ad.value_of(mu_pred) * ad.value_of(pred_x)), x_comb, p_comb
+        x_comb, p_comb = _moment_match(ad.value_of(mu_post), ad.value_of(post_x),
+                                       ad.value_of(post_p), axis=-3)
+        pred = ad.stack_sum(ad.value_of(mu_pred) * ad.value_of(pred_x))
+        return pred, x_comb[..., 0, :, :], p_comb
 
     def loss(self) -> Var:
         total = sum(self.loss_terms[1:], self.loss_terms[0])
@@ -301,6 +298,13 @@ def run_imm(params: ImmParams, tracklets, sensor: SensorConfig, cfg: ImmConfig =
     pred_means, post_means, post_covs, graph = _filter(params, tracklets, sensor, cfg,
                                                        record=False)
     return pred_means, post_means, post_covs, graph.loss()[..., 0, 0][()]  # a float for one
+
+
+def run_ekf(tracklets, sensor: SensorConfig, q: float):
+    """The CV-EKF with white-noise-acceleration intensity q and the sensor's
+    own noise: run_imm with the one mode cv."""
+    cfg = ImmConfig(modes=(MODE_CV,), train_r=False)
+    return run_imm(default_params(sensor, cfg, init_q=q), tracklets, sensor, cfg)
 
 
 def train_imm(params0: ImmParams, tracklets, sensor: SensorConfig, steps: int,

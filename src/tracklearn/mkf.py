@@ -24,6 +24,7 @@ _E11 = np.array([[0.0, 0.0], [0.0, 1.0]])
 _E10 = np.array([[0.0, 0.0], [1.0, 0.0]])
 
 WEIGHT_NAMES = ("wx", "wh", "b", "wd", "bd", "wo", "bo")
+D_IN = 2  # the network's input: one velocity (v1, v2)
 
 
 @dataclass
@@ -76,7 +77,7 @@ class LstmWeights:
                            input_scale=self.input_scale)
 
 
-def init_weights(seed: int, d_in: int = 2, hidden: int = 32, dense: int = 32,
+def init_weights(seed: int, hidden: int = 32, dense: int = 32,
                  input_scale: float = 1.0) -> LstmWeights:
     """Uniform +-1/sqrt(fan_in) init; forget-gate bias starts at 1."""
     rng = np.random.default_rng(seed)
@@ -88,7 +89,7 @@ def init_weights(seed: int, d_in: int = 2, hidden: int = 32, dense: int = 32,
     b = np.zeros((1, 4 * hidden))
     b[0, hidden : 2 * hidden] = 1.0
     return LstmWeights(
-        wx=uniform((d_in, 4 * hidden), d_in),
+        wx=uniform((D_IN, 4 * hidden), D_IN),
         wh=uniform((hidden, 4 * hidden), hidden),
         b=b,
         wd=uniform((hidden, dense), hidden),

@@ -13,9 +13,8 @@ import pytest
 from tracklearn.config import _DEFAULTS
 from tracklearn.ekf import EVAL_START
 from tracklearn.evaluate import pooled_rmse, position_errors
-from tracklearn.imm import ImmConfig, default_params
-from tracklearn.mkf import MkfConfig, init_weights, input_scale_from
-from tracklearn.runner import run_ekf_method, run_imm_method, run_mkf_method
+from tracklearn.imm import ImmConfig, default_params, run_ekf, run_imm
+from tracklearn.mkf import MkfConfig, init_weights, input_scale_from, run_mkf
 from tracklearn.simulate import GctConfig, make_dataset
 from tracklearn.statespace import SensorConfig, polar_to_cartesian
 
@@ -37,7 +36,8 @@ def post_and_raw_rmse(dataset, post):
 
 
 def test_ekf_beats_the_raw_measurements(scenario):
-    post_rmse, raw_rmse = post_and_raw_rmse(scenario, run_ekf_method(scenario, q=1.0)[1])
+    post = run_ekf(scenario.tracklets, scenario.sensor, q=1.0)[1]
+    post_rmse, raw_rmse = post_and_raw_rmse(scenario, post)
     assert post_rmse < raw_rmse
 
 
@@ -46,7 +46,7 @@ def test_untrained_mkf_beats_the_raw_measurements(scenario):
     must keep it below the measurements, whatever the network predicts."""
     train = make_dataset(32, GctConfig(n_steps=50), SensorConfig(), seed=1000)
     weights = init_weights(seed=7, input_scale=input_scale_from(train.tracklets, train.sensor))
-    post = run_mkf_method(scenario, weights, MkfConfig())[1]
+    post = run_mkf(scenario.tracklets, scenario.sensor, weights, MkfConfig())[1]
     post_rmse, raw_rmse = post_and_raw_rmse(scenario, post)
     assert post_rmse < raw_rmse
 
@@ -58,6 +58,8 @@ def test_untrained_imm_beats_the_raw_measurements_and_the_ekf(scenario):
     cfg = ImmConfig(modes=tuple(imm["modes"].split(",")))
     params = default_params(scenario.sensor, cfg, init_q=float(imm["init_q"]),
                             init_omega=float(imm["init_omega"]))
-    post_rmse, raw_rmse = post_and_raw_rmse(scenario, run_imm_method(scenario, params, cfg)[1])
-    ekf_rmse = post_and_raw_rmse(scenario, run_ekf_method(scenario, q=1.0)[1])[0]
+    post = run_imm(params, scenario.tracklets, scenario.sensor, cfg)[1]
+    post_rmse, raw_rmse = post_and_raw_rmse(scenario, post)
+    ekf_post = run_ekf(scenario.tracklets, scenario.sensor, q=1.0)[1]
+    ekf_rmse = post_and_raw_rmse(scenario, ekf_post)[0]
     assert post_rmse < min(raw_rmse, ekf_rmse)

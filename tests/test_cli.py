@@ -18,6 +18,9 @@ from tracklearn import gp
 from tracklearn.cli import main
 from tracklearn.ekf import EVAL_START
 from tracklearn.errors import NumericsError
+from tracklearn.gp import PfSettings, load_gp, run_pf
+from tracklearn.imm import ImmConfig, load_imm, run_ekf, run_imm
+from tracklearn.mkf import MkfConfig, load_mkf, run_mkf
 from tracklearn.simulate import load_dataset
 from tracklearn.statespace import SensorConfig
 
@@ -116,6 +119,36 @@ def test_same_data_gives_the_same_input_hashes(gct_runs):
     assert set(inputs(a, "model/gp")) == {"data/train"}
     assert set(inputs(a, "eval")) == {"data/test", *(f"model/{m}/{f}" for m, f in TRAINED.items())}
     assert inputs(a, "eval")["data/test"] != inputs(a, "model/gp")["data/train"]
+
+
+def test_evaluate_passes_its_settings_to_each_filter(gct_runs, tmp_path):
+    """cmd_evaluate is where the INI meets the filters: with settings off their
+    defaults and a --seed other than train's 7, each method's records are its
+    filter's, called here on the same split and model files."""
+    root, _ = gct_runs[0]
+    settings = {("ekf", "q"): "0.3", ("gp", "n_particles"): "37", ("gp", "sigma_p"): "0.9",
+                ("mkf", "q_reg"): "0.05"}
+    cfg = str(experiment(tmp_path / "exp.ini", root, settings))
+    out = tmp_path / "eval"
+    assert main(["evaluate", "--config", cfg, "--out", str(out), "--data", str(root / "data"),
+                 "--seed", "11"]) == 0
+    records = load_records(out / "records.npz")
+    test = load_dataset(root / "data" / "test", SensorConfig(), dt=1.0)
+    trk, sensor = test.tracklets, test.sensor
+    models = {m: load(root / "model" / m / TRAINED[m])[0]
+              for m, load in (("gp", load_gp), ("imm", load_imm), ("mkf", load_mkf))}
+    direct = {
+        "ekf": run_ekf(trk, sensor, 0.3),
+        "gp": run_pf(trk, sensor, models["gp"], PfSettings(n_particles=37, sigma_p=0.9), 11),
+        "imm": run_imm(models["imm"], trk, sensor, ImmConfig(modes=models["imm"].modes)),
+        "mkf": run_mkf(trk, sensor, models["mkf"], MkfConfig(q_reg=0.05)),
+    }
+    defaults = load_records(root / "eval" / "records.npz")
+    for method, (pred, post, *_) in direct.items():
+        assert np.array_equal(records[f"{method}_pred"], pred), method
+        assert np.array_equal(records[f"{method}_post"], post), method
+        if method != "imm":  # the IMM has no evaluate setting: imm.txt holds its modes
+            assert not np.array_equal(post, defaults[f"{method}_post"]), method
 
 
 def test_report_rewrites_evaluates_files_from_its_records(gct_runs):
@@ -463,6 +496,51 @@ def test_simulate_refuses_a_train_fraction_outside_the_unit_interval(tmp_path, c
     assert capsys.readouterr().err.strip().splitlines() == [
         f"error: [dataset] train_fraction must be in (0, 1), got {float(fraction)}"]
     assert not (out / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("case, cause", [
+    ("directory", "Is a directory"),
+    ("undecodable", "'utf-8' codec can't decode byte 0xff"),
+    ("before_section", "File contains no section headers"),
+    ("duplicate_key", "option 'q' in section 'ekf' already exists"),
+    ("no_equals", "Source contains parsing errors"),
+    ("negative_seed", "argument --seed: expected a non-negative integer, got '-1'"),
+])
+def test_bad_command_line_input_exits_2_with_one_error_line(tmp_path, capsys, case, cause):
+    cfg = write_config(tmp_path / "exp.ini")
+    texts = {"undecodable": b"[models]\ngp = \xff.gpm\n", "before_section": b"q = 1\n[ekf]\n",
+             "duplicate_key": b"[ekf]\nq = 1\nq = 2\n", "no_equals": b"[ekf]\nq\n"}
+    if case == "directory":
+        cfg = tmp_path / "configs"
+        cfg.mkdir()
+    elif case in texts:
+        cfg.write_bytes(texts[case])
+    out = tmp_path / "data"
+    argv = ["simulate", "--config", str(cfg), "--out", str(out),
+            "--seed", "-1" if case == "negative_seed" else "1"]
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse refuses the arguments after its usage lines
+        code = exc.code
+    err = capsys.readouterr().err.strip().splitlines()
+    assert code == 2
+    assert [line for line in err if "error:" in line] == [err[-1]]
+    assert cause in err[-1]
+    if case != "negative_seed":
+        assert len(err) == 1 and err[0].startswith(f"error: config file {cfg}: ")
+    assert not (out / "manifest.json").exists()
+
+
+def test_a_config_value_may_hold_a_percent_sign(tmp_path, gps_csv):
+    csv_path = gps_csv.rename(tmp_path / "traj%1.csv")
+    cfg = write_config(tmp_path / "exp.ini", {("dataset", "kind"): "csv",
+                                              ("dataset", "csv_path"): str(csv_path),
+                                              ("dataset", "dt"): "0.1", **OFF_PATH_ORIGIN})
+    out = tmp_path / "data"
+    assert main(["simulate", "--config", str(cfg), "--out", str(out), "--seed", "1"]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["config"]["dataset"]["csv_path"] == str(csv_path)
+    assert str(csv_path) in manifest["inputs"]
 
 
 def test_report_needs_the_records_of_an_evaluate_run(tmp_path, capsys):

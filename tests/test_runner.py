@@ -1,6 +1,6 @@
-"""The evaluation runner: lockstep filtering of a whole test set gives every
-tracklet the records it gets alone, and every filter reports the step and
-the tracklet where it fails."""
+"""Evaluation's filters on a whole test set (imm.run_ekf, run_imm, run_mkf
+and gp.run_pf): lockstep filtering gives every tracklet the records it gets
+alone, and every filter reports the step and the tracklet where it fails."""
 
 import numpy as np
 import pytest
@@ -9,16 +9,9 @@ from conftest import cv_ekf_reference
 from tracklearn import gp
 from tracklearn.ekf import EVAL_START, filter_tracklet
 from tracklearn.errors import NumericsError
-from tracklearn.gp import gp_fit, init_particles, pf_step
-from tracklearn.imm import MODE_CV, ImmConfig, default_params, run_imm
+from tracklearn.gp import PfSettings, gp_fit, init_particles, pf_step, run_pf
+from tracklearn.imm import MODE_CV, ImmConfig, default_params, run_ekf, run_imm
 from tracklearn.mkf import MkfConfig, init_weights, run_mkf
-from tracklearn.runner import (
-    PfSettings,
-    run_ekf_method,
-    run_gp_method,
-    run_imm_method,
-    run_mkf_method,
-)
 from tracklearn.simulate import GctConfig, make_dataset
 from tracklearn.statespace import SensorConfig, polar_to_cartesian
 
@@ -35,12 +28,12 @@ def gp_models(train):
 
 def run_method(method, train, test):
     if method == "ekf":
-        return run_ekf_method(test, q=1.0)
+        return run_ekf(test.tracklets, test.sensor, q=1.0)[:2]
     if method == "imm":
-        return run_imm_method(test, default_params(test.sensor), ImmConfig())
+        return run_imm(default_params(test.sensor), test.tracklets, test.sensor, ImmConfig())[:2]
     if method == "mkf":
-        return run_mkf_method(test, WEIGHTS, MKF_CFG)
-    return run_gp_method(test, gp_models(train), PF, seed=0)
+        return run_mkf(test.tracklets, test.sensor, WEIGHTS, MKF_CFG)[:2]
+    return run_pf(test.tracklets, test.sensor, gp_models(train), PF, seed=0)[:2]
 
 
 def run_alone(method, train, test, k):
@@ -84,7 +77,7 @@ def test_lockstep_records_equal_filtering_each_tracklet_alone(method):
 
 def test_ekf_method_equals_the_reference_cv_ekf():
     test = make_dataset(4, GctConfig(n_steps=30), SENSOR, seed=3)
-    pred, post = run_ekf_method(test, q=0.6)
+    pred, post = run_ekf(test.tracklets, test.sensor, q=0.6)[:2]
     for k, trk in enumerate(test.tracklets):
         for rows, ref in zip((pred[k], post[k]), cv_ekf_reference(trk, SENSOR, 0.6)):
             assert np.max(np.abs(rows - ref) / np.maximum(1.0, np.abs(ref))) < 1e-12
