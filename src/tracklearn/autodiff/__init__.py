@@ -51,4 +51,4 @@ from .api import (
     vsum,
 )
 from .optim import GradientOptimizer, clip_by_global_norm, minimize
-from .pure import PyTape
+from .pure import PyTape, inv_lower

@@ -24,10 +24,9 @@ stack_sum move between stack layouts and reduce a stack axis.
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg.blas import dtrsm
 
 from ..errors import NumericsError
-from .pure import PyTape, as_matrix, per_matrix, potrs
+from .pure import PyTape, as_matrix, inv_lower
 
 
 def _t(v: np.ndarray) -> np.ndarray:
@@ -244,19 +243,22 @@ def _cholesky(spd: np.ndarray, *operands) -> np.ndarray:
         raise NumericsError(f"matrix is not positive definite: {exc}", bad) from exc
 
 
-def _factor(spd, *operands) -> np.ndarray:
-    """_cholesky of spd's value.  A Var's factor is stored on its tape by the
-    first call and returned by every later one, whose operands are still
-    checked; an array has no node to key on and is factored each time."""
+def _factor(spd, *operands) -> tuple:
+    """(L, L^-1): the _cholesky factor of spd's value and its inverse.  A Var's
+    pair is stored on its tape by the first call and returned by every later
+    one, whose operands are still checked; an array has no node to key on and
+    is factored each time."""
     if not isinstance(spd, Var):
-        return _cholesky(spd, *operands)
+        low = _cholesky(spd, *operands)
+        return low, inv_lower(low)
     factors = spd.tape.factors
-    low = factors.get(spd.i)
-    if low is None:
-        low = factors[spd.i] = _cholesky(spd.tape.values[spd.i], *operands)
+    pair = factors.get(spd.i)
+    if pair is None:
+        low = _cholesky(spd.tape.values[spd.i], *operands)
+        pair = factors[spd.i] = low, inv_lower(low)
     else:
         _check_finite(*operands)
-    return low
+    return pair
 
 
 def _unary(forward, grad):
@@ -292,40 +294,39 @@ def atan2(a, b):
     return _record(a, np.arctan2(value_of(a), value_of(b)), _atan2_back, other=b)
 
 
+def _solve(inv_low: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """X with L L' X = rhs, given L^-1: X = L^-T (L^-1 rhs)."""
+    return _t(inv_low) @ (inv_low @ rhs)
+
+
 def _cho_solve_back(g, vals, i, rhs, spd, aux):
-    low, sol = aux
-    g_rhs = potrs(low, g)
+    inv_low, sol = aux
+    g_rhs = _solve(inv_low, g)
     return g_rhs, -g_rhs @ _t(sol)
 
 
 def cho_solve(spd, rhs):
     """Solve spd @ X = rhs for symmetric positive definite spd (one Cholesky
-    factor per tape node, shared with logdet)."""
+    factor and its inverse per tape node, shared with logdet)."""
     rhs_v = value_of(rhs)
-    low = _factor(spd, rhs_v)
-    sol = potrs(low, rhs_v)
-    return _record(rhs, sol, _cho_solve_back, (low, sol), spd)
+    inv_low = _factor(spd, rhs_v)[1]
+    sol = _solve(inv_low, rhs_v)
+    return _record(rhs, sol, _cho_solve_back, (inv_low, sol), spd)
 
 
-def _inv_lower(low: np.ndarray) -> np.ndarray:
-    """L^-1 of a lower triangular L by one triangular solve (dtrsm)."""
-    return dtrsm(1.0, low, np.eye(len(low)), lower=1)
-
-
-def _logdet_back(g, vals, i, a, b, low):
-    # d log det S = S^-1 = L^-T L^-1, with L^-1 by one triangular solve: half
-    # the flops of an LU inverse, and the same bits at any BLAS thread count
-    # (LAPACK's dtrtri and dpotri are not)
-    inv_low = per_matrix(_inv_lower, low)
-    return g * (_t(inv_low) @ inv_low), None
+def _logdet_back(g, vals, i, a, b, inv_low):
+    return g * (_t(inv_low) @ inv_low), None  # d log det S = S^-1 = L^-T L^-1
 
 
 def logdet(spd):
     """log det of a symmetric positive definite matrix, via its Cholesky factor
     (shared with cho_solve on a tape)."""
-    low = _factor(spd)
+    if isinstance(spd, Var):
+        low, inv_low = _factor(spd)
+    else:  # no backward, so no L^-1
+        low, inv_low = _cholesky(spd), None
     log_diag = np.log(np.diagonal(low, axis1=-2, axis2=-1))
-    return _record(spd, (2.0 * log_diag.sum(axis=-1))[..., None, None], _logdet_back, low)
+    return _record(spd, (2.0 * log_diag.sum(axis=-1))[..., None, None], _logdet_back, inv_low)
 
 
 def _block_back(g, vals, i, a, b, aux):

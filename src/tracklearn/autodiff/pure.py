@@ -17,9 +17,6 @@ any other shape mismatch raises.
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg.lapack import dpotrs
-
-from ..errors import NumericsError
 
 
 def as_matrix(value) -> np.ndarray:
@@ -41,29 +38,23 @@ def _sum_to(g: np.ndarray, shape: tuple, i: int) -> np.ndarray:
     return np.add.reduce(g, axis=axes).reshape(shape)
 
 
-def per_matrix(fn, *stacks: np.ndarray) -> np.ndarray:
-    """fn, a function of matrices that returns a matrix, applied to the
-    matrices of equal-layout stacks one by one; fn itself on matrices."""
-    if stacks[0].ndim == 2:
-        return fn(*stacks)
-    flat = [s.reshape((-1,) + s.shape[-2:]) for s in stacks]
-    first = fn(*(f[0] for f in flat))
-    out = np.empty((len(flat[0]),) + first.shape)
-    out[0] = first
-    for k in range(1, len(out)):
-        out[k] = fn(*(f[k] for f in flat))
-    return out.reshape(stacks[0].shape[:-2] + first.shape)
+def inv_lower(low: np.ndarray) -> np.ndarray:
+    """L^-1 of a lower triangular L, or of each L of a stack.
 
-
-def potrs(low: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve L L' X = rhs given the lower Cholesky factor L (LAPACK dpotrs,
-    without scipy.linalg.cho_solve's per-call validation), per matrix on stacks."""
-    if low.ndim > 2:
-        return per_matrix(potrs, low, rhs)
-    sol, info = dpotrs(low, rhs, lower=1)
-    if info != 0:
-        raise NumericsError(f"dpotrs: illegal value in argument {-info}")
-    return sol
+    A stack, or a matrix of at most 32 rows, goes to numpy's batched LU
+    inverse in one call.  A larger matrix is split in two by rows, and
+    [[A, 0], [B, C]]^-1 = [[A^-1, 0], [-C^-1 B A^-1, C^-1]]: two half-size
+    inverses and two GEMMs, about a third of an LU inverse's flops.
+    """
+    n = low.shape[-1]
+    if low.ndim > 2 or n <= 32:
+        return np.linalg.inv(low)
+    h = n // 2
+    out = np.zeros_like(low)
+    a = out[:h, :h] = inv_lower(low[:h, :h])
+    c = out[h:, h:] = inv_lower(low[h:, h:])
+    out[h:, :h] = -(c @ (low[h:, :h] @ a))
+    return out
 
 
 class PyTape:
@@ -76,15 +67,15 @@ class PyTape:
     one gradient per operand in place of a's.
 
     factors maps a symmetric positive definite node to its lower Cholesky
-    factor, stored by the node's first cho_solve or logdet, so every later
-    solve or log det on that node reuses it (api._factor).
+    factor L and L^-1, stored by the node's first cho_solve or logdet, so
+    every later solve or log det on that node reuses them (api._factor).
     """
 
     def __init__(self):
         self.values: list[np.ndarray] = []  # node values, in record order
         self._nodes: list[tuple] = []  # (back, a, b, aux) per node
         self._grads: list[np.ndarray | None] | None = None
-        self.factors: dict[int, np.ndarray] = {}  # node index -> lower factor
+        self.factors: dict[int, tuple] = {}  # node index -> (L, L^-1)
 
     def __len__(self) -> int:
         return len(self.values)

@@ -1,8 +1,8 @@
 """Command-line entry point: simulate, train, evaluate, report.
 
 Every command writes a manifest.json holding the resolved configuration,
-the seeds, SHA-256 hashes of inputs and outputs, and the BLAS thread
-counts, so a run can be reproduced exactly from its output directory.
+the seeds, SHA-256 hashes of inputs and outputs, and numpy's BLAS thread
+count, so a run can be reproduced exactly from its output directory.
 """
 
 from __future__ import annotations
@@ -11,7 +11,6 @@ import argparse
 import ctypes
 import functools
 import hashlib
-import importlib
 import json
 import sys
 import time
@@ -56,10 +55,9 @@ def _hash_split(directory: Path) -> str:
     return hashlib.sha256(listing.encode()).hexdigest()
 
 
-def _openblas(package: str, pattern: str):
-    """The OpenBLAS library that an installed package bundles, or None."""
-    libs = Path(importlib.import_module(package).__file__).parents[1] / f"{package}.libs"
-    found = sorted(libs.glob(pattern))
+def _numpy_openblas():
+    """The OpenBLAS library that the installed numpy bundles, or None."""
+    found = sorted((Path(np.__file__).parents[1] / "numpy.libs").glob("libscipy_openblas64_*.so"))
     try:
         return ctypes.CDLL(str(found[0])) if found else None
     except OSError:
@@ -69,25 +67,21 @@ def _openblas(package: str, pattern: str):
 @functools.cache
 def _pin_blas() -> dict:
     """Pin numpy's OpenBLAS to one thread, once per process.  Returns the
-    thread counts that numpy's and scipy's OpenBLAS report, "unpinned" where
-    the library or its symbol is missing.
+    thread count it reports, "unpinned" where the library or its symbol is
+    missing.
 
     numpy's LAPACK factors a GP gram differently at each thread count, so
     its pool is pinned: the records then do not depend on the machine.
-    scipy's pool keeps its threads: its dtrsm, the particle filter's
-    triangular solve, gives the same bits at any count and runs faster.
     """
-    counts = {"numpy": "unpinned", "scipy": "unpinned"}
-    numpy_blas = _openblas("numpy", "libscipy_openblas64_*.so")
-    set_threads = getattr(numpy_blas, "scipy_openblas_set_num_threads64_", None)
-    get_threads = getattr(numpy_blas, "scipy_openblas_get_num_threads64_", None)
-    if set_threads and get_threads:
-        set_threads(1)
-        counts["numpy"] = get_threads()
-    scipy_blas = _openblas("scipy", "libscipy_openblas-*.so")
-    if get_threads := getattr(scipy_blas, "scipy_openblas_get_num_threads", None):
-        counts["scipy"] = get_threads()
-    return counts
+    blas = _numpy_openblas()
+    set_threads = getattr(blas, "scipy_openblas_set_num_threads64_", None)
+    get_threads = getattr(blas, "scipy_openblas_get_num_threads64_", None)
+    if not (set_threads and get_threads):
+        return {"numpy": "unpinned"}
+    set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+    get_threads.argtypes, get_threads.restype = [], ctypes.c_int
+    set_threads(1)
+    return {"numpy": get_threads()}
 
 
 def _write_manifest(out_dir: Path, command: str, cfg: ExperimentConfig, seed: int,

@@ -106,7 +106,9 @@ class ExperimentConfig:
         path = Path(path)
         if not path.exists():
             raise ConfigError(f"config file {path} does not exist")
-        parser = configparser.ConfigParser(interpolation=None)  # a value may hold "%"
+        # a value may hold "%", and [DEFAULT] is a section like any other: no
+        # header can name the empty default section
+        parser = configparser.ConfigParser(interpolation=None, default_section="")
         try:
             parser.read_string(path.read_text(encoding="utf-8"), source=str(path))
         except (OSError, UnicodeDecodeError, configparser.Error) as exc:

@@ -23,11 +23,9 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.linalg import cho_solve as _np_cho_solve
-from scipy.linalg.blas import dtrsm
 
 from . import autodiff as ad
-from .autodiff import GradientOptimizer
+from .autodiff import GradientOptimizer, inv_lower
 from .ekf import filter_tracklet
 from .errors import NumericsError
 from .simulate import tracklet_rngs
@@ -52,8 +50,9 @@ class GpHyper:
             raise ValueError(f"GP hyperparameters must be positive and finite, got {values}")
 
 
-# the largest argument at which np.exp returns exactly 0.0 (exp(x) < 2**-1075)
-EXP_ZERO_AT = -745.1332191019412
+# the least argument at which np.exp is a normal float (exp(x) >= 2**-1022);
+# below it, exp is subnormal or 0.0
+EXP_NORMAL_AT = -708.3964185322641
 # fit_hyper's Adam steps and rate, and the most pairs its O(N^3) exact LML sees
 HYPER_STEPS, HYPER_LR, HYPER_MAX_POINTS = 200, 1e-2, 400
 
@@ -73,13 +72,15 @@ def kernel_matrix(a: np.ndarray, b: np.ndarray, hyper: GpHyper, sq=None) -> np.n
     """Kernel between the rows of a and b; sq, their squared distances, if known.
     Computed in place, so no (N, M) temporary outlives the expression.
 
-    exp is taken only where it does not underflow to 0.0, and 0.0 is written
-    elsewhere: the same bits, but np.exp is many times slower on an argument
-    whose result underflows, and with a short fitted length scale most do.
+    exp is taken only where its result is a normal float, and 0.0 is written
+    where it would be subnormal or zero.  np.exp is many times slower on such
+    an argument, and with a short fitted length scale many are.  A GEMM that
+    reads subnormal entries is several times slower too, and flushing them to
+    0.0 left a fitted model's posterior means and variances bit-identical.
     """
     arg = -0.5 * (sq_distances(a, b) if sq is None else sq)
     arg /= hyper.length_sq
-    zero = arg <= EXP_ZERO_AT  # false for NaN, whose exp stays NaN
+    zero = arg < EXP_NORMAL_AT  # false for NaN, whose exp stays NaN
     np.exp(arg, out=arg, where=~zero)
     np.copyto(arg, 0.0, where=zero)
     arg *= hyper.sigma0_sq
@@ -96,7 +97,7 @@ class HyperFit:
 
 
 class GpModel:
-    """One fitted per-axis GP: cached Cholesky factor and solve vector.
+    """One fitted per-axis GP: cached Cholesky factor L, its inverse and the solve vector.
     hyper_fit is the ascent that chose hyper (None when hyper was given or loaded)."""
 
     def __init__(self, inputs: np.ndarray, outputs: np.ndarray, hyper: GpHyper,
@@ -118,7 +119,8 @@ class GpModel:
                 "K + noise_sq*I is not positive definite; raise noise_sq "
                 f"(jitter of {1e-8 * gram[0, 0]:.3g} would likely suffice): {exc}"
             ) from exc
-        self.solve_vector = _np_cho_solve((self.chol, True), self.outputs)
+        self.inv_chol = inv_lower(self.chol)
+        self.solve_vector = self.inv_chol.T @ (self.inv_chol @ self.outputs)
 
     def __len__(self) -> int:
         return len(self.outputs)
@@ -148,9 +150,7 @@ def predict_axes(models, queries: np.ndarray) -> list:
         if model.hyper != hyper:
             hyper = model.hyper
             k_star = kernel_matrix(model.inputs, distinct, hyper, sq)
-            # half = L^-1 k_star: chol.T is L' in Fortran order, so BLAS takes it
-            # uncopied as an upper factor, transposed (as solve_triangular did)
-            half = dtrsm(1.0, model.chol.T, k_star, trans_a=1)
+            half = model.inv_chol @ k_star  # L^-1 k_star, one GEMM
             variances = np.clip(hyper.sigma0_sq - np.einsum("nm,nm->m", half, half),
                                 0.0, hyper.sigma0_sq)[run]
         out.append(((k_star.T @ model.solve_vector)[run], variances))

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
+from scipy.linalg import solve_triangular
 
 from conftest import finite_difference
 import tracklearn.autodiff as ad
-from tracklearn.autodiff import GradientOptimizer, Var, clip_by_global_norm
+from tracklearn.autodiff import GradientOptimizer, Var, clip_by_global_norm, inv_lower
 from tracklearn.ekf import gaussian_nll, init_track, joseph_update
 from tracklearn.errors import NumericsError
 from tracklearn.gp import negative_lml, sq_distances
@@ -289,6 +290,33 @@ def test_domain_errors():
             if np.isfinite(rhs).all():  # the matrix itself is bad
                 with pytest.raises(NumericsError):
                     ad.logdet(s)
+
+
+@pytest.mark.parametrize("n", [1, 31, 32, 33, 65, 160, 400])
+def test_inv_lower_matches_a_triangular_solve(n):
+    """inv_lower of a GP gram's Cholesky factor, either side of its 32-row
+    base case and split into halves of odd and even size, against scipy's
+    triangular solve of L X = I."""
+    rng = np.random.default_rng(n)
+    inputs = rng.standard_normal((n, 2)) * 1.5
+    gram = np.exp(-0.5 * sq_distances(inputs, inputs) / 0.7) + 0.02 * np.eye(n)
+    low = np.linalg.cholesky(gram)
+    ref = solve_triangular(low, np.eye(n), lower=True)
+    got = inv_lower(low)
+    assert got.shape == (n, n)
+    assert np.allclose(got, ref, rtol=0.0, atol=1e-13 * np.abs(ref).max())
+
+
+@pytest.mark.parametrize("shape", [(5, 3, 2, 2), (7, 4, 4)])
+def test_inv_lower_inverts_each_matrix_of_a_stack(shape):
+    rng = np.random.default_rng(len(shape))
+    m = rng.standard_normal(shape)
+    low = np.linalg.cholesky(m @ m.swapaxes(-1, -2) + 0.1 * np.eye(shape[-1]))
+    got = inv_lower(low)
+    assert got.shape == shape
+    for k in np.ndindex(shape[:-2]):
+        ref = solve_triangular(low[k], np.eye(shape[-1]), lower=True)
+        assert np.allclose(got[k], ref, rtol=0.0, atol=1e-13 * np.abs(ref).max())
 
 
 def _count_factorizations(monkeypatch) -> list:

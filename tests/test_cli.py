@@ -162,6 +162,21 @@ def test_report_rewrites_evaluates_files_from_its_records(gct_runs):
         assert (root / "report" / name).read_bytes() == (root / "eval" / name).read_bytes(), name
 
 
+@pytest.mark.parametrize("argv", [["-c", "import tracklearn.cli"], ["-m", "tracklearn", "--help"]],
+                         ids=["import", "help"])
+def test_the_cli_loads_no_scipy_module(argv):
+    """numpy alone does the linear algebra: importing the CLI, or running it,
+    loads no scipy module (-X importtime lists every module a process loads)."""
+    src = str(Path(tracklearn.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, "-X", "importtime", *argv], env=env, check=True,
+                          capture_output=True, text=True)
+    loaded = [line.rsplit("|", 1)[-1].strip() for line in done.stderr.splitlines()
+              if line.startswith("import time:")]
+    assert "tracklearn.cli" in loaded
+    assert [name for name in loaded if name.split(".")[0] == "scipy"] == []
+
+
 def test_records_do_not_depend_on_the_blas_thread_count(gct_runs, tmp_path):
     """The GP's fitted hyperparameters and the particle filter's records are
     the same bytes whatever OPENBLAS_NUM_THREADS says."""
@@ -505,11 +520,13 @@ def test_simulate_refuses_a_train_fraction_outside_the_unit_interval(tmp_path, c
     ("duplicate_key", "option 'q' in section 'ekf' already exists"),
     ("no_equals", "Source contains parsing errors"),
     ("negative_seed", "argument --seed: expected a non-negative integer, got '-1'"),
+    ("default_section", "unknown config section [DEFAULT]"),
 ])
 def test_bad_command_line_input_exits_2_with_one_error_line(tmp_path, capsys, case, cause):
     cfg = write_config(tmp_path / "exp.ini")
     texts = {"undecodable": b"[models]\ngp = \xff.gpm\n", "before_section": b"q = 1\n[ekf]\n",
-             "duplicate_key": b"[ekf]\nq = 1\nq = 2\n", "no_equals": b"[ekf]\nq\n"}
+             "duplicate_key": b"[ekf]\nq = 1\nq = 2\n", "no_equals": b"[ekf]\nq\n",
+             "default_section": b"[DEFAULT]\nn_train = 2\nn_test = 1\n"}
     if case == "directory":
         cfg = tmp_path / "configs"
         cfg.mkdir()
@@ -526,7 +543,9 @@ def test_bad_command_line_input_exits_2_with_one_error_line(tmp_path, capsys, ca
     assert code == 2
     assert [line for line in err if "error:" in line] == [err[-1]]
     assert cause in err[-1]
-    if case != "negative_seed":
+    if case == "default_section":  # parsed, then refused like any unknown section
+        assert err == [f"error: {cause}"]
+    elif case != "negative_seed":
         assert len(err) == 1 and err[0].startswith(f"error: config file {cfg}: ")
     assert not (out / "manifest.json").exists()
 

@@ -7,7 +7,7 @@ from conftest import finite_difference
 import tracklearn.autodiff as ad
 from tracklearn import gp
 from tracklearn.gp import (
-    EXP_ZERO_AT,
+    EXP_NORMAL_AT,
     GpHyper,
     GpModel,
     gp_fit,
@@ -61,22 +61,32 @@ def test_kernel_examples():
     assert kernel_matrix(x, x2, hyper)[0, 0] == pytest.approx(2.5 / np.e)
 
 
-def test_kernel_writes_zero_only_where_exp_underflows_to_it():
-    """kernel_matrix skips exp where it returns exactly 0.0 and keeps the bits
-    of the plain formula everywhere: ulp by ulp across that threshold, through
-    the subnormal results, and at infinite and NaN distances."""
-    assert np.exp(EXP_ZERO_AT) == 0.0 < np.exp(np.nextafter(EXP_ZERO_AT, 0.0))
-    below, above = [EXP_ZERO_AT], [EXP_ZERO_AT]
+def test_kernel_writes_zero_where_exp_is_not_a_normal_float():
+    """kernel_matrix writes 0.0 where exp would be subnormal or zero, and keeps
+    the bits of the plain formula everywhere else: ulp by ulp across that
+    threshold, and at infinite and NaN distances."""
+    tiny = np.finfo(float).tiny
+    assert np.exp(EXP_NORMAL_AT) >= tiny > np.exp(np.nextafter(EXP_NORMAL_AT, -np.inf))
+    below, above = [np.nextafter(EXP_NORMAL_AT, -np.inf)], [EXP_NORMAL_AT]
     for _ in range(64):
         below.append(np.nextafter(below[-1], -np.inf))
         above.append(np.nextafter(above[-1], 0.0))
     args = np.concatenate([below, above, np.linspace(-746.0, -708.0, 4001),
                            [-1e300, -800.0, -708.4, -1.0, -0.0]])
     # length_sq = 0.5 makes the kernel's argument exactly -sq
-    for hyper in (GpHyper(sigma0_sq=2.5, length_sq=0.5), GpHyper(sigma0_sq=5.29, length_sq=0.1885)):
+    for hyper in (GpHyper(sigma0_sq=5.29, length_sq=0.1885), GpHyper(sigma0_sq=2.5, length_sq=0.5)):
         sq = np.append(-2.0 * hyper.length_sq * args, [np.inf, np.nan]).reshape(1, -1)
-        expected = hyper.sigma0_sq * np.exp(-0.5 * sq / hyper.length_sq)
-        assert np.array_equal(kernel_matrix(None, None, hyper, sq), expected, equal_nan=True)
+        arg = -0.5 * sq / hyper.length_sq
+        plain = hyper.sigma0_sq * np.exp(arg)
+        got = kernel_matrix(None, None, hyper, sq)
+        flushed = arg < EXP_NORMAL_AT
+        assert flushed.sum() > 4001 // 2  # the linspace is mostly below the threshold
+        assert np.array_equal(got[flushed], np.zeros(flushed.sum()))
+        assert np.array_equal(got[~flushed], plain[~flushed], equal_nan=True)
+        assert np.isnan(got[0, -1]) and got[0, -2] == 0.0
+    # at length_sq = 0.5, the 65 arguments below the threshold are flushed and
+    # the 65 from it up are not
+    assert np.array_equal(flushed[0, :130], np.arange(130) < 65)
 
 
 def test_kernel_symmetry():
@@ -161,9 +171,10 @@ def _copies_queries(rng):
 @pytest.mark.parametrize("repeats", [True, False], ids=["copies", "no-copies"])
 @pytest.mark.parametrize("shared", [True, False], ids=["shared-hyper", "per-axis-hyper"])
 def test_predict_axes_keeps_the_bits_of_predicting_every_row(monkeypatch, repeats, shared):
-    """Variances keep the bits of predicting every row.  Means agree to 1e-12
-    of the largest |mean|: their GEMV runs on the distinct columns only, and
-    its summation order depends on how many there are."""
+    """Means and variances agree with predicting every row by a triangular
+    solve, to 1e-12 of the largest |mean| and variance: predict_axes takes
+    L^-1 k_star by a GEMM and the mean by a GEMV on the distinct columns only,
+    and their summation order depends on how many there are."""
     rng = np.random.default_rng(17)
     inputs = rng.standard_normal((160, 2)) * 1.5
     outputs = np.stack([np.sin(inputs[:, 0]), np.cos(inputs[:, 1])], axis=1)
@@ -186,7 +197,7 @@ def test_predict_axes_keeps_the_bits_of_predicting_every_row(monkeypatch, repeat
     for (mean, var), (ref_mean, ref_var) in zip(got, predict_every_row(models, queries)):
         assert np.allclose(mean, ref_mean, rtol=0.0, atol=1e-12 * np.nanmax(np.abs(ref_mean)),
                            equal_nan=True)
-        assert np.array_equal(var, ref_var, equal_nan=True)
+        assert np.allclose(var, ref_var, rtol=0.0, atol=1e-12 * np.nanmax(ref_var), equal_nan=True)
     assert np.isnan(got[0][0]).sum() == 2 * repeats
     # the kernel sees each run of copies once, and once per distinct hyperparameters
     assert len(kernel_queries) == (1 if shared else 2)
