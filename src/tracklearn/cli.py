@@ -218,9 +218,10 @@ def _train_gp(cfg: ExperimentConfig, train: Dataset, out: Path, seed: int):
     fits = {axis: model.hyper_fit for axis, model in zip("xy", models) if model.hyper_fit}
     history = [(axis, step, loss) for axis, fit in fits.items() for step, loss in fit.history]
     if not fits:  # the hyperparameters were given, not fitted
-        return history, {"stopped_early": None, "hyper_fallback": None}
+        return history, {"stopped_early": None, "hyper_fallback": None, "gp_workers": 1}
     return history, {"stopped_early": {axis: fit.stopped for axis, fit in fits.items()},
-                     "hyper_fallback": {axis: fit.fell_back for axis, fit in fits.items()}}
+                     "hyper_fallback": {axis: fit.fell_back for axis, fit in fits.items()},
+                     "gp_workers": fits["x"].workers}
 
 
 def _train_imm(cfg: ExperimentConfig, train: Dataset, out: Path, seed: int):
@@ -264,8 +265,10 @@ def cmd_train(args) -> int:
     The manifest's stopped_early is None after every step ran, else
     ad.minimize's {"step", "reason"}.  For the GP it is {axis: that} per axis,
     and hyper_fallback is {axis: whether the axis kept the configured
-    hyperparameters}; both are None when the GP is not fitted.  The manifest's
-    inputs identify the train split by content (_hash_split).
+    hyperparameters}; both are None when the GP is not fitted.  gp_workers is
+    the number of processes the GP's two ascents ran on (gp.gp_fit; 1 when
+    serial or not fitted).  The manifest's inputs identify the train split by
+    content (_hash_split).
     """
     cfg = ExperimentConfig.load(args.config)
     if args.method not in ("gp", "imm", "mkf"):
@@ -304,6 +307,11 @@ def load_records(directory) -> dict:
 
 
 def cmd_evaluate(args) -> int:
+    """Filter the test split with each method into --out: records.npz, the
+    report files, failure_report.txt when a method failed, and a manifest.
+    The manifest's gp_workers is the number of processes the particle
+    filter's clouds ran on (gp.run_pf; 1 when serial), None when it did not
+    run to the end."""
     cfg = ExperimentConfig.load(args.config)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -318,6 +326,7 @@ def cmd_evaluate(args) -> int:
     meas = np.stack([polar_to_cartesian(*trk.meas.T, sensor)[EVAL_START:] for trk in tracklets])
     estimates = {}
     failures = {}
+    gp_workers = None
     for method in methods:
         try:
             if method == "ekf":
@@ -342,7 +351,8 @@ def cmd_evaluate(args) -> int:
                     n_particles=cfg.inum("gp", "n_particles"),
                     sigma_p=cfg.fnum("gp", "sigma_p"),
                 )
-                estimates["gp"] = run_pf(tracklets, sensor, model, settings, args.seed)[:2]
+                pred, post, _, _, gp_workers = run_pf(tracklets, sensor, model, settings, args.seed)
+                estimates["gp"] = pred, post
             elif method == "imm":
                 estimates["imm"] = run_imm(model, tracklets, sensor, ImmConfig(model.modes))[:2]
             elif method == "mkf":
@@ -363,7 +373,7 @@ def cmd_evaluate(args) -> int:
         report = "\n".join(f"{m}: {msg}" for m, msg in sorted(failures.items()))
         (out / "failure_report.txt").write_text(report + "\n")
     _write_manifest(out, f"evaluate --method {','.join(methods)}", cfg, args.seed, inputs,
-                    time.time() - started)
+                    time.time() - started, gp_workers=gp_workers)
     print((out / "summary.txt").read_text() if estimates else "evaluate: nothing ran")
     if failures:
         print(f"evaluate: {len(failures)} method(s) failed, see failure_report.txt",

@@ -148,6 +148,12 @@ def init_track(z0, z1, sensor: SensorConfig, dt: float):
     return mean, cov
 
 
+def check_lockstep(tracklets) -> None:
+    """Raise ValueError unless a list of tracklets shares one length and one dt."""
+    if len({(len(trk), trk.dt) for trk in tracklets}) != 1:
+        raise ValueError("tracklets filtered in lockstep must share one length and one dt")
+
+
 def filter_tracklet(tracklets, sensor: SensorConfig, start, step):
     """Run one filter from the two-point initialization over one Tracklet, or
     over a list of B Tracklets in lockstep, with a leading batch axis on init,
@@ -165,8 +171,8 @@ def filter_tracklet(tracklets, sensor: SensorConfig, start, step):
     (pred_means, post_means, post_covs, state).
     """
     single = isinstance(tracklets, Tracklet)
-    if not single and len({(len(trk), trk.dt) for trk in tracklets}) != 1:
-        raise ValueError("tracklets filtered in lockstep must share one length and one dt")
+    if not single:
+        check_lockstep(tracklets)
     dt = (tracklets if single else tracklets[0]).dt
     # row t unpacks into (range, bearing): two floats, or two (B,) arrays from (T, 2, B)
     meas = tracklets.meas if single else np.stack([trk.meas for trk in tracklets], axis=-1)

@@ -383,16 +383,21 @@ def test_train_gp_records_each_axis_ascent(gct_runs, tmp_path):
 
 def test_train_gp_says_which_axis_stopped_and_fell_back(gct_runs, tmp_path, capsys, monkeypatch):
     root, _ = gct_runs[0]
+    train = load_dataset(root / "data" / "train", SensorConfig(), dt=1.0)
+    x_velocities = np.concatenate([trk.truth[:, 2] for trk in train.tracklets])
     calls = []
     negative_lml = gp.negative_lml
 
-    def failing_fourth_call(*args):  # the x axis's step 3
-        calls.append(None)
-        if len(calls) == 4:
-            raise NumericsError("matrix is not positive definite")
+    def failing_fourth_x_call(*args):  # the x axis's step 3
+        # keyed on the outputs, not on a count over the process: the y axis's
+        # ascent may run in a forked child, which inherits the count
+        if np.isin(args[-1], x_velocities).all():
+            calls.append(None)
+            if len(calls) == 4:
+                raise NumericsError("matrix is not positive definite")
         return negative_lml(*args)
 
-    monkeypatch.setattr(gp, "negative_lml", failing_fourth_call)
+    monkeypatch.setattr(gp, "negative_lml", failing_fourth_x_call)
     code, out, manifest, rows = _train_gp(root, tmp_path)
     assert code == 0
     reason = "matrix is not positive definite"
@@ -404,6 +409,60 @@ def test_train_gp_says_which_axis_stopped_and_fell_back(gct_runs, tmp_path, caps
     assert mx.hyper == gp.GpHyper(1.0, 1.0, 0.01) != my.hyper  # the configured hyperparameters
     assert f"train gp: axis x stopped early at training step 3: {reason}" in (
         capsys.readouterr().out.splitlines())
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_manifests_record_the_gp_workers(gct_runs, tmp_path, monkeypatch, workers):
+    """gp_workers is the number of processes the GP's work ran on: 1 for the
+    unfitted GP and for the small pipeline's clouds, which stay below the
+    split gate, and, with the gate lowered, as many as the CPUs allow, with
+    the records of the serial run."""
+    root, _ = gct_runs[0]
+    for stage in ("model/gp", "eval"):
+        assert json.loads((root / stage / "manifest.json").read_text())["gp_workers"] == 1
+    monkeypatch.setattr(gp, "_usable_cpus", lambda: workers)
+    monkeypatch.setattr(gp, "PF_SPLIT_WORK", 0)
+    code, _, manifest, _ = _train_gp(root, tmp_path)
+    assert code == 0 and manifest["gp_workers"] == workers
+    out = tmp_path / "eval"
+    assert main(["evaluate", "--config", str(tmp_path / "exp.ini"), "--out", str(out),
+                 "--data", str(root / "data"), "--seed", "7", "--method", "gp"]) == 0
+    assert json.loads((out / "manifest.json").read_text())["gp_workers"] == workers
+    serial = load_records(root / "eval" / "records.npz")
+    records = load_records(out / "records.npz")
+    assert list(records["methods"]) == ["gp"]
+    for key in ("gp_pred", "gp_post"):
+        assert np.array_equal(records[key], serial[key]), key
+
+
+def test_a_cloud_failing_in_a_child_is_reported_and_the_others_still_score(
+        gct_runs, tmp_path, monkeypatch):
+    """Test tracklet 3's cloud fails at row 6 in a forked child: evaluate
+    records the serial run's error for gp, scores the other methods, and
+    leaves no child behind."""
+    root, _ = gct_runs[0]
+    z_lost = load_dataset(root / "data" / "test", SensorConfig(), dt=1.0).tracklets[3].meas[6]
+    pf_step = gp.pf_step
+
+    def losing_cloud(particles, z, *args):
+        lost = (z[0] == z_lost[0]) & (z[1] == z_lost[1])
+        if lost.any():
+            raise NumericsError("cloud lost", lost)
+        return pf_step(particles, z, *args)
+
+    monkeypatch.setattr(gp, "pf_step", losing_cloud)
+    monkeypatch.setattr(gp, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(gp, "PF_SPLIT_WORK", 0)
+    out = tmp_path / "eval"
+    code = main(["evaluate", "--config", str(experiment(tmp_path / "exp.ini", root)),
+                 "--out", str(out), "--data", str(root / "data"), "--seed", "7"])
+    assert code == 1
+    assert (out / "failure_report.txt").read_text() == (
+        "gp: NumericsError: step 6: row 3: cloud lost\n")
+    assert scored_methods(out) == {"ekf", "imm", "mkf"}
+    assert json.loads((out / "manifest.json").read_text())["gp_workers"] is None
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # diverges on purpose

@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 from scipy.linalg.blas import dtrsm
@@ -6,6 +8,7 @@ from scipy.spatial.distance import cdist
 from conftest import finite_difference
 import tracklearn.autodiff as ad
 from tracklearn import gp
+from tracklearn.cli import _pin_blas
 from tracklearn.gp import (
     EXP_NORMAL_AT,
     GpHyper,
@@ -283,6 +286,28 @@ def test_gp_fit_subsamples_to_budget():
     mx, my = gp_fit([trk], max_pairs=50, optimize=False)
     assert len(mx) == 50
     assert len(my) == 50
+
+
+def test_gp_fit_gives_the_same_models_when_the_axes_run_in_two_processes(monkeypatch):
+    """With two usable CPUs, the y axis's ascent runs in a forked child beside
+    the x axis's; models and ascents keep the bits of running both here."""
+    _pin_blas()
+    rng = np.random.default_rng(4)
+    trk = make_tracklet(np.cumsum(0.3 * rng.standard_normal((90, 2)), axis=0) + [5.0, 0.0])
+    fitted = {}
+    for workers in (1, 2):
+        monkeypatch.setattr(gp, "_usable_cpus", lambda: workers)
+        fitted[workers] = gp_fit([trk], max_pairs=60, seed=3)
+    with pytest.raises(ChildProcessError):  # the child was reaped
+        os.waitpid(-1, os.WNOHANG)
+    for serial, forked in zip(fitted[1], fitted[2]):
+        assert not serial.hyper_fit.fell_back
+        assert forked.hyper == serial.hyper
+        assert np.array_equal(forked.hyper_fit.history, serial.hyper_fit.history)
+        assert forked.hyper_fit.stopped == serial.hyper_fit.stopped
+        for name in ("chol", "inv_chol", "solve_vector"):
+            assert np.array_equal(getattr(forked, name), getattr(serial, name)), name
+        assert (serial.hyper_fit.workers, forked.hyper_fit.workers) == (1, 2)
 
 
 @pytest.mark.parametrize("max_pairs", [0, 1])

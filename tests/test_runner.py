@@ -2,11 +2,14 @@
 and gp.run_pf): lockstep filtering gives every tracklet the records it gets
 alone, and every filter reports the step and the tracklet where it fails."""
 
+import os
+
 import numpy as np
 import pytest
 
 from conftest import cv_ekf_reference
 from tracklearn import gp
+from tracklearn.cli import _pin_blas
 from tracklearn.ekf import EVAL_START, filter_tracklet
 from tracklearn.errors import NumericsError
 from tracklearn.gp import PfSettings, gp_fit, init_particles, pf_step, run_pf
@@ -83,11 +86,17 @@ def test_ekf_method_equals_the_reference_cv_ekf():
             assert np.max(np.abs(rows - ref) / np.maximum(1.0, np.abs(ref))) < 1e-12
 
 
-def test_lockstep_needs_one_length():
+def test_lockstep_needs_one_length(monkeypatch):
     short = make_dataset(1, GctConfig(n_steps=12), SENSOR, seed=2).tracklets
     long = make_dataset(1, GctConfig(n_steps=15), SENSOR, seed=3).tracklets
     with pytest.raises(ValueError, match="one length and one dt"):
         run_imm(default_params(SENSOR), short + long, SENSOR)
+    # split across processes, each chunk would have one length
+    monkeypatch.setattr(gp, "PF_SPLIT_WORK", 0)
+    monkeypatch.setattr(gp, "_usable_cpus", lambda: 2)
+    with pytest.raises(ValueError, match="one length and one dt"):
+        run_pf(short + long, SENSOR, gp_models(make_dataset(2, GctConfig(n_steps=12), SENSOR, 1)),
+               PF, seed=0)
 
 
 @pytest.mark.parametrize("method, row", [("ekf", 5), ("imm", 5), ("gp", 5), ("mkf", 5)])
@@ -128,3 +137,51 @@ def test_only_a_collapsed_cloud_is_reseeded(monkeypatch):
     z = polar_to_cartesian(*test.tracklets[1].meas[8], SENSOR)
     assert np.linalg.norm(post[1, 8 - EVAL_START, :2] - z) < 50.0  # the track is 5 km off
     assert_records_equal_alone("gp", train, test)
+
+
+def test_gp_clouds_split_across_processes_keep_their_records(monkeypatch):
+    """Past the gate, run_pf filters contiguous chunks of its clouds in forked
+    processes.  With 5 clouds on 2 and 3 processes (uneven chunks), and
+    tracklet 3's cloud reseeded in a child's chunk, every output is that of
+    filtering all the clouds in this process."""
+    _pin_blas()
+    train = make_dataset(2, GctConfig(n_steps=12), SENSOR, seed=1)
+    test = make_dataset(5, GctConfig(n_steps=20), SENSOR, seed=2)
+    test.tracklets[3].meas[8, 0] += 5000.0
+    models = gp_models(train)
+    monkeypatch.setattr(gp, "PF_SPLIT_WORK", 0)
+    calls = spy_on(monkeypatch, "pf_reseed")  # sees this process's calls only
+    outs, reseeds = {}, {}
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(gp, "_usable_cpus", lambda: workers)
+        before = len(calls)
+        outs[workers] = run_pf(test.tracklets, SENSOR, models, PF, seed=0)
+        reseeds[workers] = calls[before:]
+    assert reseeds[1]
+    assert all(list(args[-1]) == [False, False, False, True, False] for args in reseeds[1])
+    assert reseeds[2] == reseeds[3] == []  # tracklet 3 was filtered in a child
+    for workers, (*arrays, ran_on) in outs.items():
+        assert ran_on == workers
+        for array, serial in zip(arrays, outs[1][:-1]):
+            assert np.array_equal(array, serial), workers
+
+
+def test_a_gp_cloud_failing_in_a_child_raises_the_serial_error(monkeypatch):
+    """A NaN range in a child's chunk: the child fails, the parent filters
+    every cloud again itself, and raises what a serial run raises, naming the
+    tracklet's row in the whole batch; no child is left behind."""
+    _pin_blas()
+    train = make_dataset(2, GctConfig(n_steps=12), SENSOR, seed=1)
+    test = make_dataset(5, GctConfig(n_steps=12), SENSOR, seed=2)
+    test.tracklets[3].meas[6, 0] = np.nan
+    monkeypatch.setattr(gp, "PF_SPLIT_WORK", 0)
+    errors = []
+    for workers in (1, 3):
+        monkeypatch.setattr(gp, "_usable_cpus", lambda: workers)
+        with pytest.raises(NumericsError) as info:
+            run_pf(test.tracklets, SENSOR, gp_models(train), PF, seed=0)
+        errors.append((type(info.value), str(info.value)))
+    assert errors[0] == errors[1]
+    assert errors[0][1].startswith("step 6: row 3: ")
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
