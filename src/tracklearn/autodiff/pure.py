@@ -27,14 +27,22 @@ def as_matrix(value) -> np.ndarray:
     return np.ascontiguousarray(arr)
 
 
+# (gradient shape, operand shape) -> the axes _sum_to reduces, for pairs
+# numpy can have broadcast; one IMM training step looks up hundreds
+_SUM_AXES: dict[tuple, tuple] = {}
+
+
 def _sum_to(g: np.ndarray, shape: tuple, i: int) -> np.ndarray:
     """g summed over the axes along which an operand of this shape (node i)
     was broadcast to g's shape; ValueError when it cannot have been."""
-    lead = g.ndim - len(shape)
-    if lead < 0 or any(n != 1 and n != k for n, k in zip(shape, g.shape[lead:])):
-        raise ValueError(f"gradient of shape {g.shape} for node {i} of shape {shape}")
-    axes = tuple(range(lead)) + tuple(lead + d for d, n in enumerate(shape)
-                                      if n != g.shape[lead + d])
+    key = (g.shape, shape)
+    axes = _SUM_AXES.get(key)
+    if axes is None:
+        lead = g.ndim - len(shape)
+        if lead < 0 or any(n != 1 and n != k for n, k in zip(shape, g.shape[lead:])):
+            raise ValueError(f"gradient of shape {g.shape} for node {i} of shape {shape}")
+        axes = _SUM_AXES[key] = tuple(range(lead)) + tuple(
+            lead + d for d, n in enumerate(shape) if n != g.shape[lead + d])
     return np.add.reduce(g, axis=axes).reshape(shape)
 
 

@@ -1,8 +1,9 @@
 """Command-line entry point: simulate, train, evaluate, report.
 
 Every command writes a manifest.json holding the resolved configuration,
-the seeds, SHA-256 hashes of inputs and outputs, and numpy's BLAS thread
-count, so a run can be reproduced exactly from its output directory.
+the seeds, SHA-256 hashes of inputs and outputs, numpy's BLAS thread count
+and the allocator's thresholds, so a run can be reproduced exactly from its
+output directory.
 """
 
 from __future__ import annotations
@@ -84,6 +85,37 @@ def _pin_blas() -> dict:
     return {"numpy": get_threads()}
 
 
+# glibc's mallopt parameters, and the values _pin_malloc gives them
+M_TRIM_THRESHOLD, M_MMAP_THRESHOLD = -1, -3
+MMAP_THRESHOLD = 32 << 20  # the ceiling glibc accepts on 64-bit
+TRIM_THRESHOLD = 2 * MMAP_THRESHOLD  # the ratio glibc's own sliding rule keeps
+
+
+@functools.cache
+def _pin_malloc():
+    """Keep freed arrays below 32 MiB in the heap, once per process.  Returns
+    the two thresholds it set, "unpinned" where libc has no mallopt or
+    refuses a value.
+
+    With glibc's defaults, every N x N temporary of a GP ascent step (200 KB
+    at N = 160) is unmapped or trimmed when freed and faulted in again: about
+    212 minor faults per step.  Pinned, a step makes none once the heap has
+    grown to hold them.  Both thresholds are needed: setting either one
+    switches off glibc's sliding mmap threshold, so the trim threshold alone
+    mmaps every N x N array.  The processes that gp._in_processes forks
+    inherit the setting.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):  # no mallopt, or no C library to ask
+        return "unpinned"
+    mallopt.argtypes, mallopt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
+    # the mmap threshold first: it is the value glibc can refuse
+    if mallopt(M_MMAP_THRESHOLD, MMAP_THRESHOLD) and mallopt(M_TRIM_THRESHOLD, TRIM_THRESHOLD):
+        return {"mmap_threshold": MMAP_THRESHOLD, "trim_threshold": TRIM_THRESHOLD}
+    return "unpinned"
+
+
 def _write_manifest(out_dir: Path, command: str, cfg: ExperimentConfig, seed: int,
                     inputs: dict, wallclock: float, **fields) -> None:
     manifest = {
@@ -95,6 +127,7 @@ def _write_manifest(out_dir: Path, command: str, cfg: ExperimentConfig, seed: in
         "outputs": _hash_tree(out_dir),
         "wallclock_s": round(wallclock, 3),
         "blas_threads": _pin_blas(),
+        "malloc": _pin_malloc(),
         **fields,
     }
     (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
@@ -161,9 +194,20 @@ def _load_split(cfg: ExperimentConfig, args, name: str) -> tuple[Dataset, dict]:
 # -- subcommands -----------------------------------------------------------------
 
 
+def _refuse_another_commands_out(out: Path, command: str) -> None:
+    """ConfigError when --out holds the manifest of a command other than this one."""
+    if (out / "manifest.json").exists() and (previous := _load_manifest(out)["command"]) != command:
+        raise ConfigError(f"--out {out} holds the outputs of '{previous}'; "
+                          f"give {command} a directory of its own")
+
+
 def cmd_simulate(args) -> int:
+    """Write a dataset into --out: train/ and test/ splits of truth_*.csv and
+    meas_*.csv, and a manifest.  A rerun into the same --out replaces the
+    earlier run's tracklets."""
     cfg = ExperimentConfig.load(args.config)
     out = Path(args.out)
+    _refuse_another_commands_out(out, "simulate")
     out.mkdir(parents=True, exist_ok=True)
     started = time.time()
     sensor = cfg.sensor()
@@ -197,8 +241,10 @@ def cmd_simulate(args) -> int:
         test = Dataset(tracklets=whole.tracklets[n_train:], sensor=sensor)
     else:
         raise ConfigError(f"unknown dataset kind {kind!r}")
-    save_dataset(out / "train", train)
-    save_dataset(out / "test", test)
+    for name, split in (("train", train), ("test", test)):
+        for stale in (*(out / name).glob("truth_*.csv"), *(out / name).glob("meas_*.csv")):
+            stale.unlink()
+        save_dataset(out / name, split)
     cfg.values["dataset"]["path"] = str(out)
     _write_manifest(out, "simulate", cfg, args.seed, inputs, time.time() - started)
     print(f"simulate: {len(train)} train / {len(test)} test tracklets -> {out}")
@@ -275,9 +321,7 @@ def cmd_train(args) -> int:
         raise ConfigError(f"--method must be gp, imm or mkf, got {args.method!r}")
     out = Path(args.out)
     command = f"train --method {args.method}"
-    if (out / "manifest.json").exists() and (previous := _load_manifest(out)["command"]) != command:
-        raise ConfigError(f"--out {out} holds the outputs of '{previous}'; "
-                          f"give {command} a directory of its own")
+    _refuse_another_commands_out(out, command)
     out.mkdir(parents=True, exist_ok=True)
     train, inputs = _load_split(cfg, args, "train")
     started = time.time()
@@ -308,7 +352,8 @@ def load_records(directory) -> dict:
 
 def cmd_evaluate(args) -> int:
     """Filter the test split with each method into --out: records.npz, the
-    report files, failure_report.txt when a method failed, and a manifest.
+    report files, failure_report.txt when a method failed (a run in which
+    none fails deletes an earlier one), and a manifest.
     The manifest's gp_workers is the number of processes the particle
     filter's clouds ran on (gp.run_pf; 1 when serial), None when it did not
     run to the end."""
@@ -372,6 +417,8 @@ def cmd_evaluate(args) -> int:
     if failures:
         report = "\n".join(f"{m}: {msg}" for m, msg in sorted(failures.items()))
         (out / "failure_report.txt").write_text(report + "\n")
+    else:
+        (out / "failure_report.txt").unlink(missing_ok=True)
     _write_manifest(out, f"evaluate --method {','.join(methods)}", cfg, args.seed, inputs,
                     time.time() - started, gp_workers=gp_workers)
     print((out / "summary.txt").read_text() if estimates else "evaluate: nothing ran")
@@ -434,6 +481,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     _pin_blas()
+    _pin_malloc()
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

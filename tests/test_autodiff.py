@@ -4,7 +4,7 @@ from scipy.linalg import solve_triangular
 
 from conftest import finite_difference
 import tracklearn.autodiff as ad
-from tracklearn.autodiff import GradientOptimizer, Var, clip_by_global_norm, inv_lower
+from tracklearn.autodiff import GradientOptimizer, Var, clip_by_global_norm, inv_lower, pure
 from tracklearn.ekf import gaussian_nll, init_track, joseph_update
 from tracklearn.errors import NumericsError
 from tracklearn.gp import negative_lml, sq_distances
@@ -441,6 +441,17 @@ def test_gradient_of_the_wrong_shape_raises():
     t = Var(tape, tape.push(np.ones((2, 3)), transpose_back, x.i))
     with pytest.raises(ValueError):
         ad.backward(ad.vsum(t))
+
+
+def test_broadcast_axes_are_cached_for_valid_shapes_only():
+    g = np.arange(24.0).reshape(2, 3, 4)
+    for _ in range(2):  # computed, then looked up
+        assert np.array_equal(pure._sum_to(g, (1, 4), 0), g.sum(axis=(0, 1)).reshape(1, 4))
+    assert pure._SUM_AXES[(2, 3, 4), (1, 4)] == (0, 1)
+    for _ in range(2):  # a shape numpy cannot have broadcast raises every time
+        with pytest.raises(ValueError, match=r"gradient of shape \(2, 3, 4\) for node 0"):
+            pure._sum_to(g, (2, 4), 0)
+    assert ((2, 3, 4), (2, 4)) not in pure._SUM_AXES
 
 
 def test_unreachable_nodes_have_zero_gradient():

@@ -27,6 +27,8 @@ from tracklearn.statespace import SensorConfig
 TRAINED = {"gp": "gp.gpm", "imm": "imm.txt", "mkf": "mkf.npz"}
 # the GPS-like CSV path starts at the default sensor origin (0, 0)
 OFF_PATH_ORIGIN = {("sensor", "origin_x"): "-2000", ("sensor", "origin_y"): "-1500"}
+# what cli._pin_malloc reports where libc's mallopt takes both thresholds
+PINNED_MALLOC = {"mmap_threshold": 32 << 20, "trim_threshold": 64 << 20}
 
 
 def experiment(path, root, overrides=None):
@@ -81,6 +83,12 @@ def assert_pipeline_outputs(root, codes):
 def load_records(path):
     with np.load(path, allow_pickle=False) as data:
         return {k: data[k] for k in data.files}
+
+
+def _subprocess_env():
+    """os.environ with this checkout's tracklearn first on PYTHONPATH."""
+    src = str(Path(tracklearn.__file__).parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
 
 
 @pytest.fixture(scope="module")
@@ -167,41 +175,97 @@ def test_report_rewrites_evaluates_files_from_its_records(gct_runs):
 def test_the_cli_loads_no_scipy_module(argv):
     """numpy alone does the linear algebra: importing the CLI, or running it,
     loads no scipy module (-X importtime lists every module a process loads)."""
-    src = str(Path(tracklearn.__file__).parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    done = subprocess.run([sys.executable, "-X", "importtime", *argv], env=env, check=True,
-                          capture_output=True, text=True)
+    done = subprocess.run([sys.executable, "-X", "importtime", *argv], env=_subprocess_env(),
+                          check=True, capture_output=True, text=True)
     loaded = [line.rsplit("|", 1)[-1].strip() for line in done.stderr.splitlines()
               if line.startswith("import time:")]
     assert "tracklearn.cli" in loaded
     assert [name for name in loaded if name.split(".")[0] == "scipy"] == []
 
 
+# the CLI in a fresh process; "off" as the first argument patches
+# cli._pin_malloc to a no-op
+RUN_CLI = ("import sys; from tracklearn import cli\n"
+           "if sys.argv[1] == 'off': cli._pin_malloc = lambda: 'unpinned'\n"
+           "sys.exit(cli.main(sys.argv[2:]))")
+
+
+def _fit_and_filter(root, out, pin="on", env=None):
+    """train --method gp with fitted hyperparameters into out/gp, then
+    evaluate into out/eval, each in a fresh process (RUN_CLI) under env."""
+    cfg = str(experiment(out.with_suffix(".ini"), root, {
+        ("gp", "optimize_hyper"): "true", ("models", "gp"): str(out / "gp" / "gp.gpm")}))
+    common = ["--config", cfg, "--data", str(root / "data"), "--seed", "7"]
+    for argv in (["train", "--out", str(out / "gp"), "--method", "gp", *common],
+                 ["evaluate", "--out", str(out / "eval"), *common]):
+        subprocess.run([sys.executable, "-c", RUN_CLI, pin, *argv],
+                       env={**_subprocess_env(), **(env or {})}, check=True,
+                       stdout=subprocess.DEVNULL)
+    return out
+
+
 def test_records_do_not_depend_on_the_blas_thread_count(gct_runs, tmp_path):
     """The GP's fitted hyperparameters and the particle filter's records are
     the same bytes whatever OPENBLAS_NUM_THREADS says."""
     root, _ = gct_runs[0]
-    src = str(Path(tracklearn.__file__).parents[1])
-    outs = []
-    for threads in ("1", "2"):
-        out = tmp_path / f"threads-{threads}"
-        cfg = str(experiment(tmp_path / f"exp-{threads}.ini", root, {
-            ("gp", "optimize_hyper"): "true", ("models", "gp"): str(out / "gp" / "gp.gpm")}))
-        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
-               "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-        common = ["--config", cfg, "--data", str(root / "data"), "--seed", "7"]
-        for argv in (["train", "--out", str(out / "gp"), "--method", "gp", *common],
-                     ["evaluate", "--out", str(out / "eval"), *common]):
-            subprocess.run([sys.executable, "-m", "tracklearn", *argv], env=env, check=True,
-                           stdout=subprocess.DEVNULL)
-        outs.append(out)
+    outs = [_fit_and_filter(root, tmp_path / f"threads-{threads}",
+                            env={"OPENBLAS_NUM_THREADS": threads}) for threads in ("1", "2")]
     for out in outs:
         for stage in ("gp", "eval"):
-            pinned = json.loads((out / stage / "manifest.json").read_text())["blas_threads"]
+            manifest = json.loads((out / stage / "manifest.json").read_text())
+            assert manifest["malloc"] in ("unpinned", PINNED_MALLOC)
+            pinned = manifest["blas_threads"]
             if pinned["numpy"] == "unpinned":
                 pytest.skip("numpy's OpenBLAS exports no thread-count setter to pin")
             assert pinned["numpy"] == 1
     for name in ("gp/gp.gpm", "eval/records.npz", "eval/scores.csv"):
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+
+
+# a 20-step ascent on 160 synthetic pairs, after cli._pin_malloc; prints what
+# the pin reported and the minor page faults of each of two fits
+FIT_FAULTS = """
+import json, resource
+import numpy as np
+from tracklearn import cli, gp
+cli._pin_blas()
+pinned = cli._pin_malloc()
+gp.HYPER_STEPS = 20
+rng = np.random.default_rng(0)
+inputs, outputs = rng.normal(size=(160, 2)), rng.normal(size=160)
+faults = []
+for _ in range(2):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    gp.fit_hyper(inputs, outputs, gp.GpHyper(1.0, 1.0, 0.01))
+    faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+print(json.dumps({"pinned": pinned, "faults": faults}))
+"""
+
+
+def test_the_pinned_allocator_keeps_an_ascents_arrays_in_the_heap():
+    """With glibc's defaults every freed N x N temporary is unmapped or
+    trimmed and faulted in again, about 212 minor faults per ascent step at
+    N = 160.  Pinned, a fit after the first, which grows the heap to its
+    working size, makes fewer than 20 per step."""
+    done = subprocess.run([sys.executable, "-c", FIT_FAULTS], env=_subprocess_env(), check=True,
+                          capture_output=True, text=True)
+    result = json.loads(done.stdout)
+    if result["pinned"] == "unpinned":
+        pytest.skip("libc has no mallopt that takes both thresholds")
+    assert result["pinned"] == PINNED_MALLOC
+    assert result["faults"][1] < 20 * 20, result["faults"]
+
+
+def test_records_do_not_depend_on_the_allocator_pin(gct_runs, tmp_path):
+    """A fitted GP and the particle filter's records are the same bytes with
+    cli._pin_malloc and with it patched to a no-op."""
+    root, _ = gct_runs[0]
+    outs = [_fit_and_filter(root, tmp_path / f"pin-{pin}", pin) for pin in ("on", "off")]
+    on, off = (json.loads((out / "eval" / "manifest.json").read_text())["malloc"] for out in outs)
+    if on == "unpinned":
+        pytest.skip("libc has no mallopt that takes both thresholds")
+    assert (on, off) == (PINNED_MALLOC, "unpinned")
+    for name in ("gp/gp.gpm", "eval/records.npz"):
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
 
 
@@ -235,6 +299,13 @@ def test_corrupt_model_is_reported_and_the_others_still_score(gct_runs, tmp_path
     assert code == 1
     assert (out / "failure_report.txt").read_text().startswith("gp: ")
     assert scored_methods(out) == {"ekf", "imm", "mkf"}
+    # the model restored, a rerun into the same --out leaves no stale report
+    shutil.copy(root / "model" / "gp" / "gp.gpm", bad)
+    assert main(["evaluate", "--config", str(cfg), "--out", str(out),
+                 "--data", str(root / "data"), "--seed", "7"]) == 0
+    assert not (out / "failure_report.txt").exists()
+    assert "failure_report.txt" not in json.loads((out / "manifest.json").read_text())["outputs"]
+    assert scored_methods(out) == {"ekf", "gp", "imm", "mkf"}
 
 
 @pytest.mark.parametrize("case, cause", [
@@ -499,6 +570,41 @@ def test_train_refuses_another_methods_output_directory(gct_runs, tmp_path, caps
     assert (out / "manifest.json").read_text() == manifest
     assert not (out / "imm.txt").exists()
     assert main(train + ["gp"]) == 0  # the same method may retrain into it
+
+
+def test_simulate_into_an_earlier_dataset_replaces_its_tracklets(tmp_path):
+    """A smaller dataset simulated over a larger one leaves none of the
+    larger one's tracklets: every split file is the one a fresh directory gets."""
+    def simulate(out, n_train, n_test, seed):
+        cfg = write_config(tmp_path / f"exp-{n_train}.ini", {
+            ("dataset", "n_train"): str(n_train), ("dataset", "n_test"): str(n_test)})
+        assert main(["simulate", "--config", str(cfg), "--out", str(out),
+                     "--seed", str(seed)]) == 0
+
+    simulate(tmp_path / "data", 4, 3, seed=1)
+    simulate(tmp_path / "data", 2, 1, seed=2)
+    simulate(tmp_path / "fresh", 2, 1, seed=2)
+    for split, n in (("train", 2), ("test", 1)):
+        names = sorted(p.name for p in (tmp_path / "data" / split).iterdir())
+        assert names == sorted(p.name for p in (tmp_path / "fresh" / split).iterdir())
+        assert len(names) == 2 * n
+        for name in names:
+            assert (tmp_path / "data" / split / name).read_bytes() == (
+                tmp_path / "fresh" / split / name).read_bytes(), name
+        assert len(load_dataset(tmp_path / "data" / split, SensorConfig(), dt=1.0)) == n
+
+
+def test_simulate_refuses_another_commands_output_directory(gct_runs, tmp_path, capsys):
+    root, _ = gct_runs[0]
+    out = tmp_path / "model"
+    shutil.copytree(root / "model" / "gp", out)
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    cfg = str(experiment(tmp_path / "exp.ini", root))
+    assert main(["simulate", "--config", cfg, "--out", str(out), "--seed", "1"]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == [f"error: --out {out} holds the outputs of 'train --method gp'; "
+                   "give simulate a directory of its own"]
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
 
 @pytest.mark.parametrize("section, key, value, command, cause", [
