@@ -195,8 +195,11 @@ def _load_split(cfg: ExperimentConfig, args, name: str) -> tuple[Dataset, dict]:
 
 
 def _refuse_another_commands_out(out: Path, command: str) -> None:
-    """ConfigError when --out holds the manifest of a command other than this one."""
-    if (out / "manifest.json").exists() and (previous := _load_manifest(out)["command"]) != command:
+    """ConfigError when --out holds the manifest of a command other than this
+    one: one whose command string is neither command nor command followed by
+    more arguments (evaluate's command is "evaluate", whatever its methods)."""
+    previous = _load_manifest(out)["command"] if (out / "manifest.json").exists() else command
+    if not f"{previous} ".startswith(f"{command} "):
         raise ConfigError(f"--out {out} holds the outputs of '{previous}'; "
                           f"give {command} a directory of its own")
 
@@ -261,13 +264,10 @@ def _train_gp(cfg: ExperimentConfig, train: Dataset, out: Path, seed: int):
     models = gp_fit(train.tracklets, hyper0, max_pairs=_at_least(cfg, "gp", "max_pairs", 2),
                     optimize=cfg.flag("gp", "optimize_hyper"), seed=seed)
     save_gp(out / "gp.gpm", models, dt=train.dt, sensor=train.sensor)
-    fits = {axis: model.hyper_fit for axis, model in zip("xy", models) if model.hyper_fit}
-    history = [(axis, step, loss) for axis, fit in fits.items() for step, loss in fit.history]
-    if not fits:  # the hyperparameters were given, not fitted
-        return history, {"stopped_early": None, "hyper_fallback": None, "gp_workers": 1}
-    return history, {"stopped_early": {axis: fit.stopped for axis, fit in fits.items()},
-                     "hyper_fallback": {axis: fit.fell_back for axis, fit in fits.items()},
-                     "gp_workers": fits["x"].workers}
+    fit = models[0].hyper_fit
+    if fit is None:  # the hyperparameters were given, not fitted
+        return [], {"stopped_early": None, "hyper_fallback": None}
+    return fit.history, {"stopped_early": fit.stopped, "hyper_fallback": fit.fell_back}
 
 
 def _train_imm(cfg: ExperimentConfig, train: Dataset, out: Path, seed: int):
@@ -305,16 +305,13 @@ def _train_mkf(cfg: ExperimentConfig, train: Dataset, out: Path, seed: int):
 def cmd_train(args) -> int:
     """Train one method into --out: its model file, loss_history.csv and a manifest.
 
-    loss_history.csv has one row per training step, "iter,loss" for imm and
-    mkf.  The GP fits each axis apart, so its rows are "axis,iter,loss", every
-    x row before every y row, and none when its hyperparameters are not fitted.
-    The manifest's stopped_early is None after every step ran, else
-    ad.minimize's {"step", "reason"}.  For the GP it is {axis: that} per axis,
-    and hyper_fallback is {axis: whether the axis kept the configured
-    hyperparameters}; both are None when the GP is not fitted.  gp_workers is
-    the number of processes the GP's two ascents ran on (gp.gp_fit; 1 when
-    serial or not fitted).  The manifest's inputs identify the train split by
-    content (_hash_split).
+    loss_history.csv has one "iter,loss" row per training step; the GP's are
+    the steps of its one hyperparameter ascent for both axes (gp.gp_fit), and
+    it has none when its hyperparameters are not fitted.  The manifest's
+    stopped_early is None after every step ran, else ad.minimize's {"step",
+    "reason"}.  The GP's hyper_fallback says whether the ascent kept the
+    configured hyperparameters; both are None when the GP is not fitted.  The
+    manifest's inputs identify the train split by content (_hash_split).
     """
     cfg = ExperimentConfig.load(args.config)
     if args.method not in ("gp", "imm", "mkf"):
@@ -330,16 +327,13 @@ def cmd_train(args) -> int:
     )
     wallclock = time.time() - started
     with (out / "loss_history.csv").open("w") as fh:
-        fh.write("axis,iter,loss\n" if args.method == "gp" else "iter,loss\n")
-        for *keys, loss in history:
-            fh.write(",".join(map(str, keys)) + f",{loss:.17g}\n")
+        fh.write("iter,loss\n")
+        for step, loss in history:
+            fh.write(f"{step},{loss:.17g}\n")
     _write_manifest(out, command, cfg, args.seed, inputs, wallclock, **fields)
-    stopped = fields["stopped_early"]
-    for axis, stop in (stopped if args.method == "gp" and stopped else {"": stopped}).items():
-        if stop:
-            where = f" axis {axis}" if axis else ""
-            print(f"train {args.method}:{where} stopped early at training step {stop['step']}: "
-                  f"{stop['reason']}")
+    if stop := fields["stopped_early"]:
+        print(f"train {args.method}: stopped early at training step {stop['step']}: "
+              f"{stop['reason']}")
     print(f"train {args.method}: wallclock {wallclock:.1f} s -> {out}")
     return 0
 
@@ -353,12 +347,15 @@ def load_records(directory) -> dict:
 def cmd_evaluate(args) -> int:
     """Filter the test split with each method into --out: records.npz, the
     report files, failure_report.txt when a method failed (a run in which
-    none fails deletes an earlier one), and a manifest.
+    none fails deletes an earlier one), and a manifest.  An --out that
+    another command wrote is refused; an earlier evaluate's, with any
+    methods, is rewritten.
     The manifest's gp_workers is the number of processes the particle
     filter's clouds ran on (gp.run_pf; 1 when serial), None when it did not
     run to the end."""
     cfg = ExperimentConfig.load(args.config)
     out = Path(args.out)
+    _refuse_another_commands_out(out, "evaluate")
     out.mkdir(parents=True, exist_ok=True)
     test, inputs = _load_split(cfg, args, "test")
     methods = [m.strip() for m in (args.method or "ekf,gp,imm,mkf").split(",")]

@@ -1,13 +1,18 @@
 """Gaussian-process velocity model and the particle filter built on it.
 
-Two independent GPs (one per Cartesian axis) map the previous velocity pair
-to the next per-axis velocity.  A squared-exponential kernel is used; the
-three hyperparameters are refined by log-marginal-likelihood ascent on the
-autodiff tape.  Online, a sequential importance resampling filter draws
-velocity particles from the GP posterior and weighs positions against the
-range-bearing likelihood.  A particle cloud is one (M, 4) array of
-[x1, x2, v1, v2] rows, the filters' state order; its weights exist only
-within pf_step, which starts them uniform and resamples back to uniform.
+Two GPs (one per Cartesian axis) map the previous velocity pair to the next
+per-axis velocity.  They share one squared-exponential kernel, whose three
+hyperparameters are refined by one ascent of the two axes' summed
+log marginal likelihood on the autodiff tape.  This departs from PILCO and
+GP-BayesFilters, which give each output dimension its own hyperparameters:
+here the axes are exchangeable (both scenarios draw headings uniformly),
+fitted apart they came out nearly equal, and one kernel costs one ascent
+and one kernel evaluation per prediction in place of two.  Online, a
+sequential importance resampling filter draws velocity particles from the
+GP posterior and weighs positions against the range-bearing likelihood.
+A particle cloud is one (M, 4) array of [x1, x2, v1, v2] rows, the
+filters' state order; its weights exist only within pf_step, which starts
+them uniform and resamples back to uniform.
 The filter steps one cloud, or a batch of B clouds (one per test tracklet)
 as one (B, M, 4) array in lockstep; each cloud draws from its own random
 stream, in the order it would alone, and decides for itself when to
@@ -16,9 +21,9 @@ Every cloud is resampled at every step, which leaves it with runs of equal
 velocities side by side; the GP posterior is predicted once per run
 (predict_axes) and spread back to its particles.
 
-The two axes' hyperparameter ascents (gp_fit), and the clouds of a large
-batch (run_pf), run in forked processes, one per usable CPU
-(_in_processes), with the bits of running them one after the other.
+The clouds of a large batch (run_pf) run in forked processes, one per
+usable CPU (_in_processes), with the bits of running them one after the
+other.
 """
 
 from __future__ import annotations
@@ -26,7 +31,7 @@ from __future__ import annotations
 import os
 import pickle
 import signal
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
 
@@ -153,17 +158,17 @@ def kernel_matrix(a: np.ndarray, b: np.ndarray, hyper: GpHyper, sq=None) -> np.n
 
 @dataclass(frozen=True)
 class HyperFit:
-    """One axis's hyperparameter ascent (fit_hyper): what it returned, and how it went."""
+    """The hyperparameter ascent (fit_hyper): what it returned, and how it went."""
     hyper: GpHyper
     history: list  # ad.minimize's (step, loss) rows
     stopped: dict | None  # ad.minimize's early stop; None after every step ran
     fell_back: bool  # hyper is hyper0: the ascent stopped or never improved on its first loss
-    workers: int = 1  # the processes gp_fit ran both axes' ascents on (1: one after the other)
 
 
 class GpModel:
     """One fitted per-axis GP: cached Cholesky factor L, its inverse and the solve vector.
-    hyper_fit is the ascent that chose hyper (None when hyper was given or loaded)."""
+    hyper_fit is the ascent that chose hyper, shared by both axes' models (None
+    when hyper was given or loaded)."""
 
     def __init__(self, inputs: np.ndarray, outputs: np.ndarray, hyper: GpHyper,
                  hyper_fit: HyperFit | None = None):
@@ -196,9 +201,10 @@ class GpModel:
 
 
 def predict_axes(models, queries: np.ndarray) -> list:
-    """predict_batch of models fitted on the same inputs (as gp_fit and load_gp
-    make them): the distances are computed once, and a model with the previous
-    one's hyperparameters reuses its kernel and variances; only its mean is new.
+    """predict_batch of models fitted on the same inputs with the same
+    hyperparameters (as gp_fit and load_gp make them): the kernel, L^-1 k_star
+    and the variances are computed once, from models[0]; only each model's
+    mean is its own.
 
     A query row equal to the row before it is a copy: the posterior is a pure
     function of the query, so it is computed once per run of copies (after
@@ -209,17 +215,12 @@ def predict_axes(models, queries: np.ndarray) -> list:
     new[1:] = ~(queries[1:] == queries[:-1]).all(axis=1)
     run = np.cumsum(new) - 1  # row -> its run's distinct row
     distinct = queries[new]
-    sq = sq_distances(models[0].inputs, distinct)  # (N, D)
-    out, hyper = [], None
-    for model in models:
-        if model.hyper != hyper:
-            hyper = model.hyper
-            k_star = kernel_matrix(model.inputs, distinct, hyper, sq)
-            half = model.inv_chol @ k_star  # L^-1 k_star, one GEMM
-            variances = np.clip(hyper.sigma0_sq - np.einsum("nm,nm->m", half, half),
-                                0.0, hyper.sigma0_sq)[run]
-        out.append(((k_star.T @ model.solve_vector)[run], variances))
-    return out
+    first, hyper = models[0], models[0].hyper
+    k_star = kernel_matrix(first.inputs, distinct, hyper)  # (N, D)
+    half = first.inv_chol @ k_star  # L^-1 k_star, one GEMM
+    variances = np.clip(hyper.sigma0_sq - np.einsum("nm,nm->m", half, half),
+                        0.0, hyper.sigma0_sq)[run]
+    return [((k_star.T @ model.solve_vector)[run], variances) for model in models]
 
 
 def velocity_pairs(tracklets) -> tuple[np.ndarray, np.ndarray]:
@@ -228,19 +229,20 @@ def velocity_pairs(tracklets) -> tuple[np.ndarray, np.ndarray]:
     return np.concatenate([v[:-1] for v in vels]), np.concatenate([v[1:] for v in vels])
 
 
-def negative_lml(s0, l2, sv, sq: np.ndarray, y_col: np.ndarray):
-    """Negative log marginal likelihood of the N x 1 outputs y_col under the
-    squared-exponential GP, given the N x N squared input distances sq.
+def negative_lml(s0, l2, sv, sq: np.ndarray, y: np.ndarray):
+    """Negative log marginal likelihood of the N x k outputs y, k independent
+    columns under one squared-exponential GP, given the N x N squared input
+    distances sq: the sum of the k columns' values, from one factored gram.
 
     s0, l2 and sv (signal variance, squared length scale, noise variance) are
     1x1 Vars, which record the objective on their tape, or 1x1 arrays.
     """
-    n_pts = len(y_col)
+    n_pts, half_k = len(y), 0.5 * y.shape[1]
     arg = ad.const_like(l2, -0.5 * sq) * (1.0 / l2)
     gram = s0 * ad.exp(arg) + sv * np.eye(n_pts)
-    alpha = ad.cho_solve(gram, ad.const_like(s0, y_col))
-    quad = ad.vsum(ad.const_like(s0, y_col) * alpha)
-    return 0.5 * quad + 0.5 * ad.logdet(gram) + 0.5 * n_pts * LOG_2PI
+    alpha = ad.cho_solve(gram, ad.const_like(s0, y))
+    quad = ad.vsum(ad.const_like(s0, y) * alpha)
+    return 0.5 * quad + half_k * ad.logdet(gram) + half_k * n_pts * LOG_2PI
 
 
 def _subsample(inputs: np.ndarray, outputs: np.ndarray, size: int, seed: int):
@@ -254,7 +256,9 @@ def _subsample(inputs: np.ndarray, outputs: np.ndarray, size: int, seed: int):
 
 def fit_hyper(inputs: np.ndarray, outputs: np.ndarray, hyper0: GpHyper,
               seed: int = 0) -> HyperFit:
-    """Refine hyperparameters by LML ascent (Adam on the log-parameters).
+    """Refine one set of hyperparameters by LML ascent (Adam on the
+    log-parameters), on the summed LML of the output columns (see negative_lml;
+    1-D outputs are one column).
 
     The fit's hyper is that of the first step whose loss is least; it falls
     back to hyper0 when the ascent fails to improve the objective or hits a
@@ -262,7 +266,7 @@ def fit_hyper(inputs: np.ndarray, outputs: np.ndarray, hyper0: GpHyper,
     """
     inputs, outputs = _subsample(inputs, outputs, HYPER_MAX_POINTS, seed)
     sq = sq_distances(inputs, inputs)
-    y_col = outputs.reshape(-1, 1)
+    y = outputs.reshape(len(outputs), -1)
 
     rhos = []  # the log-parameters of each step, in history order
 
@@ -271,7 +275,7 @@ def fit_hyper(inputs: np.ndarray, outputs: np.ndarray, hyper0: GpHyper,
         tape = ad.make_tape()
         leaf = ad.var(tape, params["rho"].reshape(1, 3))
         s0, l2, sv = (ad.exp(ad.item(leaf, 0, k)) for k in range(3))
-        return negative_lml(s0, l2, sv, sq, y_col), {"rho": leaf}
+        return negative_lml(s0, l2, sv, sq, y), {"rho": leaf}
 
     rho0 = np.log([hyper0.sigma0_sq, hyper0.length_sq, hyper0.noise_sq])
     _, history, stopped = ad.minimize(record, {"rho": rho0}, GradientOptimizer(HYPER_LR).step,
@@ -286,28 +290,20 @@ def fit_hyper(inputs: np.ndarray, outputs: np.ndarray, hyper0: GpHyper,
 
 def gp_fit(tracklets, hyper0: GpHyper | None = None, max_pairs: int = 2000,
            optimize: bool = True, seed: int = 0) -> tuple[GpModel, GpModel]:
-    """Fit the per-axis velocity GPs from training tracklets; with optimize,
-    each model's hyper_fit holds its axis's hyperparameter ascent.
+    """Fit the per-axis velocity GPs from training tracklets, with one set of
+    hyperparameters: hyper0, or with optimize the one ascent of both axes'
+    summed LML (fit_hyper), which both models hold as hyper_fit.
 
     Training pairs beyond max_pairs are subsampled uniformly (the cubic
     factorization cost is on the caller otherwise); at least 2 must remain.
-    The two ascents are independent, so with two usable CPUs the y axis's
-    runs in a forked process beside the x axis's (_in_processes), with the
-    bits and the errors of running them in turn; hyper_fit.workers says how
-    many processes they ran on.
     """
     inputs, outputs = _subsample(*velocity_pairs(tracklets), max_pairs, seed)
     if len(inputs) < 2:
         raise ValueError(f"need at least 2 training pairs, got {len(inputs)}")
     hyper0 = hyper0 or GpHyper()
-    fits = [None, None]
-    if optimize:
-        jobs = [partial(fit_hyper, inputs, outputs[:, axis], hyper0, seed=seed + axis)
-                for axis in range(2)]
-        fits, workers = _in_processes(jobs, lambda: [job() for job in jobs])
-        fits = [replace(fit, workers=workers) for fit in fits]
+    fit = fit_hyper(inputs, outputs, hyper0, seed=seed) if optimize else None
     return tuple(GpModel(inputs, outputs[:, axis], fit.hyper if fit else hyper0, fit)
-                 for axis, fit in enumerate(fits))
+                 for axis in range(2))
 
 
 # -- serialization (GPM1) ----------------------------------------------------
@@ -326,7 +322,8 @@ def save_gp(path, models: tuple[GpModel, GpModel], dt: float, sensor: SensorConf
 
 
 def load_gp(path):
-    """Returns (models, dt, sensor); the factorization is rebuilt on load."""
+    """Returns (models, dt, sensor); the factorization is rebuilt on load.  A
+    file whose hyper_x and hyper_y differ is refused (see predict_axes)."""
     lines = Path(path).read_text().splitlines()
     if not lines or lines[0] != "GPM1":
         raise ValueError(f"{path}: not a GPM1 document")
@@ -337,10 +334,12 @@ def load_gp(path):
             fields[tag].append(values)
         else:
             fields[tag] = values
-    models = []
+    if fields["hyper_x"] != fields["hyper_y"]:
+        raise ValueError(f"{path}: hyper_x and hyper_y differ; both axes must share one kernel")
+    hyper, models = GpHyper(*fields["hyper_x"]), []
     for tag in "xy":
         outputs, stored_alpha = np.array(fields[f"z_{tag}"]).reshape(-1, 2).T
-        model = GpModel(np.asarray(fields["u"]), outputs, GpHyper(*fields[f"hyper_{tag}"]))
+        model = GpModel(np.asarray(fields["u"]), outputs, hyper)
         if not np.allclose(model.solve_vector, stored_alpha, rtol=1e-8, atol=1e-10):
             raise ValueError(f"{path}: stored solve vector inconsistent with K and outputs")
         models.append(model)

@@ -437,66 +437,66 @@ def _train_gp(root, tmp_path):
 
 
 def test_train_gp_records_each_axis_ascent(gct_runs, tmp_path):
+    """The GP's one ascent, of both axes' summed LML, is recorded like imm's
+    and mkf's training: "iter,loss" rows and single manifest values; both
+    axes' models hold its hyperparameters."""
     root, _ = gct_runs[0]
     unfitted = root / "model" / "gp"
     assert json.loads((unfitted / "manifest.json").read_text())["hyper_fallback"] is None
-    assert (unfitted / "loss_history.csv").read_text() == "axis,iter,loss\n"
+    assert (unfitted / "loss_history.csv").read_text() == "iter,loss\n"
 
     code, out, manifest, rows = _train_gp(root, tmp_path)
     assert code == 0
-    assert manifest["stopped_early"] == {"x": None, "y": None}
-    assert manifest["hyper_fallback"] == {"x": False, "y": False}
-    assert rows[0] == ["axis", "iter", "loss"]
-    assert [(axis, int(step)) for axis, step, _ in rows[1:]] == [
-        (axis, step) for axis in "xy" for step in range(200)]
-    assert all(np.isfinite(float(loss)) for *_, loss in rows[1:])
+    assert manifest["stopped_early"] is None
+    assert manifest["hyper_fallback"] is False
+    assert "gp_workers" not in manifest
+    assert rows[0] == ["iter", "loss"]
+    assert [int(step) for step, _ in rows[1:]] == list(range(200))
+    assert all(np.isfinite(float(loss)) for _, loss in rows[1:])
+    (mx, my), _, _ = gp.load_gp(out / "gp.gpm")
+    assert mx.hyper == my.hyper != gp.GpHyper(1.0, 1.0, 0.01)
 
 
 def test_train_gp_says_which_axis_stopped_and_fell_back(gct_runs, tmp_path, capsys, monkeypatch):
+    """The ascent's step 3 fails: it stops there and both axes keep the
+    configured hyperparameters."""
     root, _ = gct_runs[0]
-    train = load_dataset(root / "data" / "train", SensorConfig(), dt=1.0)
-    x_velocities = np.concatenate([trk.truth[:, 2] for trk in train.tracklets])
     calls = []
     negative_lml = gp.negative_lml
 
-    def failing_fourth_x_call(*args):  # the x axis's step 3
-        # keyed on the outputs, not on a count over the process: the y axis's
-        # ascent may run in a forked child, which inherits the count
-        if np.isin(args[-1], x_velocities).all():
-            calls.append(None)
-            if len(calls) == 4:
-                raise NumericsError("matrix is not positive definite")
+    def failing_fourth_call(*args):  # the ascent's step 3
+        calls.append(None)
+        if len(calls) == 4:
+            raise NumericsError("matrix is not positive definite")
         return negative_lml(*args)
 
-    monkeypatch.setattr(gp, "negative_lml", failing_fourth_x_call)
+    monkeypatch.setattr(gp, "negative_lml", failing_fourth_call)
     code, out, manifest, rows = _train_gp(root, tmp_path)
     assert code == 0
     reason = "matrix is not positive definite"
-    assert manifest["stopped_early"] == {"x": {"step": 3, "reason": reason}, "y": None}
-    assert manifest["hyper_fallback"] == {"x": True, "y": False}
-    assert [(axis, int(step)) for axis, step, _ in rows[1:]] == (
-        [("x", step) for step in range(3)] + [("y", step) for step in range(200)])
+    assert manifest["stopped_early"] == {"step": 3, "reason": reason}
+    assert manifest["hyper_fallback"] is True
+    assert [int(step) for step, _ in rows[1:]] == [0, 1, 2]
     (mx, my), _, _ = gp.load_gp(out / "gp.gpm")
-    assert mx.hyper == gp.GpHyper(1.0, 1.0, 0.01) != my.hyper  # the configured hyperparameters
-    assert f"train gp: axis x stopped early at training step 3: {reason}" in (
+    assert mx.hyper == my.hyper == gp.GpHyper(1.0, 1.0, 0.01)  # the configured hyperparameters
+    assert f"train gp: stopped early at training step 3: {reason}" in (
         capsys.readouterr().out.splitlines())
 
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_manifests_record_the_gp_workers(gct_runs, tmp_path, monkeypatch, workers):
-    """gp_workers is the number of processes the GP's work ran on: 1 for the
-    unfitted GP and for the small pipeline's clouds, which stay below the
+    """Evaluate's gp_workers is the number of processes the particle filter's
+    clouds ran on: 1 for the small pipeline's clouds, which stay below the
     split gate, and, with the gate lowered, as many as the CPUs allow, with
-    the records of the serial run."""
+    the records of the serial run.  Train fits in this process, so its
+    manifest holds no gp_workers."""
     root, _ = gct_runs[0]
-    for stage in ("model/gp", "eval"):
-        assert json.loads((root / stage / "manifest.json").read_text())["gp_workers"] == 1
+    assert "gp_workers" not in json.loads((root / "model/gp/manifest.json").read_text())
+    assert json.loads((root / "eval/manifest.json").read_text())["gp_workers"] == 1
     monkeypatch.setattr(gp, "_usable_cpus", lambda: workers)
     monkeypatch.setattr(gp, "PF_SPLIT_WORK", 0)
-    code, _, manifest, _ = _train_gp(root, tmp_path)
-    assert code == 0 and manifest["gp_workers"] == workers
-    out = tmp_path / "eval"
-    assert main(["evaluate", "--config", str(tmp_path / "exp.ini"), "--out", str(out),
+    cfg, out = experiment(tmp_path / "exp.ini", root), tmp_path / "eval"
+    assert main(["evaluate", "--config", str(cfg), "--out", str(out),
                  "--data", str(root / "data"), "--seed", "7", "--method", "gp"]) == 0
     assert json.loads((out / "manifest.json").read_text())["gp_workers"] == workers
     serial = load_records(root / "eval" / "records.npz")
@@ -592,6 +592,38 @@ def test_simulate_into_an_earlier_dataset_replaces_its_tracklets(tmp_path):
             assert (tmp_path / "data" / split / name).read_bytes() == (
                 tmp_path / "fresh" / split / name).read_bytes(), name
         assert len(load_dataset(tmp_path / "data" / split, SensorConfig(), dt=1.0)) == n
+
+
+@pytest.mark.parametrize("stage, command", [("model/gp", "train --method gp"),
+                                            ("data", "simulate")])
+def test_evaluate_refuses_another_commands_output_directory(gct_runs, tmp_path, capsys,
+                                                            stage, command):
+    """Evaluating into a copy of a train or simulate directory exits 2 with
+    one error line and leaves its manifest as it was."""
+    root, _ = gct_runs[0]
+    out = tmp_path / "out"
+    shutil.copytree(root / stage, out)
+    manifest = (out / "manifest.json").read_bytes()
+    cfg = str(experiment(tmp_path / "exp.ini", root))
+    assert main(["evaluate", "--config", cfg, "--out", str(out), "--data", str(root / "data"),
+                 "--seed", "7", "--method", "ekf"]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == [f"error: --out {out} holds the outputs of '{command}'; "
+                   "give evaluate a directory of its own"]
+    assert (out / "manifest.json").read_bytes() == manifest
+    assert not (out / "records.npz").exists()
+
+
+def test_evaluate_reruns_into_its_own_directory_with_other_methods(gct_runs, tmp_path):
+    root, _ = gct_runs[0]
+    cfg = str(experiment(tmp_path / "exp.ini", root))
+    out = tmp_path / "eval"
+    evaluate = ["evaluate", "--config", cfg, "--out", str(out), "--data", str(root / "data"),
+                "--seed", "7", "--method"]
+    assert main(evaluate + ["ekf,imm"]) == 0
+    assert main(evaluate + ["mkf"]) == 0
+    assert json.loads((out / "manifest.json").read_text())["command"] == "evaluate --method mkf"
+    assert scored_methods(out) == {"mkf"}
 
 
 def test_simulate_refuses_another_commands_output_directory(gct_runs, tmp_path, capsys):

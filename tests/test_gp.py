@@ -1,5 +1,3 @@
-import os
-
 import numpy as np
 import pytest
 from scipy.linalg.blas import dtrsm
@@ -8,7 +6,6 @@ from scipy.spatial.distance import cdist
 from conftest import finite_difference
 import tracklearn.autodiff as ad
 from tracklearn import gp
-from tracklearn.cli import _pin_blas
 from tracklearn.gp import (
     EXP_NORMAL_AT,
     GpHyper,
@@ -52,7 +49,7 @@ def predict(model, u):
 def log_marginal_likelihood(inputs, outputs, hyper):
     hypers = (np.array([[v]]) for v in (hyper.sigma0_sq, hyper.length_sq, hyper.noise_sq))
     sq = cdist(inputs, inputs, "sqeuclidean")
-    return -ad.scalar(negative_lml(*hypers, sq, np.reshape(outputs, (-1, 1))))
+    return -ad.scalar(negative_lml(*hypers, sq, np.reshape(outputs, (len(outputs), -1))))
 
 
 def test_kernel_examples():
@@ -172,8 +169,7 @@ def _copies_queries(rng):
 
 
 @pytest.mark.parametrize("repeats", [True, False], ids=["copies", "no-copies"])
-@pytest.mark.parametrize("shared", [True, False], ids=["shared-hyper", "per-axis-hyper"])
-def test_predict_axes_keeps_the_bits_of_predicting_every_row(monkeypatch, repeats, shared):
+def test_predict_axes_keeps_the_bits_of_predicting_every_row(monkeypatch, repeats):
     """Means and variances agree with predicting every row by a triangular
     solve, to 1e-12 of the largest |mean| and variance: predict_axes takes
     L^-1 k_star by a GEMM and the mean by a GEMV on the distinct columns only,
@@ -181,9 +177,7 @@ def test_predict_axes_keeps_the_bits_of_predicting_every_row(monkeypatch, repeat
     rng = np.random.default_rng(17)
     inputs = rng.standard_normal((160, 2)) * 1.5
     outputs = np.stack([np.sin(inputs[:, 0]), np.cos(inputs[:, 1])], axis=1)
-    hypers = [GpHyper(1.3, 0.7, 0.02)] * 2 if shared else [GpHyper(1.3, 0.7, 0.02),
-                                                           GpHyper(0.9, 1.6, 0.05)]
-    models = [GpModel(inputs, outputs[:, k], h) for k, h in enumerate(hypers)]
+    models = [GpModel(inputs, outputs[:, k], GpHyper(1.3, 0.7, 0.02)) for k in range(2)]
     if repeats:
         queries, distinct = _copies_queries(rng)
     else:
@@ -202,10 +196,9 @@ def test_predict_axes_keeps_the_bits_of_predicting_every_row(monkeypatch, repeat
                            equal_nan=True)
         assert np.allclose(var, ref_var, rtol=0.0, atol=1e-12 * np.nanmax(ref_var), equal_nan=True)
     assert np.isnan(got[0][0]).sum() == 2 * repeats
-    # the kernel sees each run of copies once, and once per distinct hyperparameters
-    assert len(kernel_queries) == (1 if shared else 2)
-    for seen in kernel_queries:
-        assert np.array_equal(seen, distinct, equal_nan=True)
+    # the kernel sees each run of copies once, for both axes
+    assert len(kernel_queries) == 1
+    assert np.array_equal(kernel_queries[0], distinct, equal_nan=True)
     assert len(distinct) < len(queries) / 2 if repeats else len(distinct) == len(queries)
 
 
@@ -252,32 +245,39 @@ def test_fit_hyper_improves_marginal_likelihood():
     trk = make_tracklet(np.asarray(vels))
     inputs, outputs = velocity_pairs([trk])
     hyper0 = GpHyper(sigma0_sq=1.0, length_sq=1.0, noise_sq=0.01)
-    mx, _ = gp_fit([trk], hyper0, optimize=True, seed=0)
-    lml0 = log_marginal_likelihood(mx.inputs, mx.outputs, hyper0)
-    lml1 = log_marginal_likelihood(mx.inputs, mx.outputs, mx.hyper)
+    mx, my = gp_fit([trk], hyper0, optimize=True, seed=0)
+    assert my.hyper_fit is mx.hyper_fit and my.hyper == mx.hyper  # one ascent for both axes
+    assert not mx.hyper_fit.fell_back
+    both = np.stack([mx.outputs, my.outputs], axis=1)
+    lml0 = log_marginal_likelihood(mx.inputs, both, hyper0)
+    lml1 = log_marginal_likelihood(mx.inputs, both, mx.hyper)
     assert lml1 >= lml0
 
 
 def test_negative_lml_gradient_matches_fd_on_a_sparse_gram():
     """The tape gradient of the objective fit_hyper descends, at N = 80 with a
-    length scale so short that about half of the gram is exactly zero."""
+    length scale so short that about half of the gram is exactly zero, on one
+    axis's outputs and on both axes' (the N x 2 y that gp_fit gives it), whose
+    value is the sum of each column's."""
     rng = np.random.default_rng(17)
     inputs = rng.uniform(0.0, 60.0, (80, 2))
-    y_col = np.sin(inputs[:, :1] / 4.0) + 0.1 * rng.standard_normal((80, 1))
+    both = np.sin(inputs / 4.0) + 0.1 * rng.standard_normal((80, 2))
     sq = cdist(inputs, inputs, "sqeuclidean")
     rho0 = np.log([1.5, 0.5, 0.05])  # log signal variance, squared length scale, noise
-
-    tape = ad.make_tape()
-    leaf = ad.var(tape, rho0.reshape(1, 3))
-    loss = negative_lml(*(ad.exp(ad.item(leaf, 0, k)) for k in range(3)), sq, y_col)
-    ad.backward(loss)
     assert np.mean(kernel_matrix(inputs, inputs, GpHyper(*np.exp(rho0))) == 0.0) > 0.4
 
-    def f(rho):
-        return ad.scalar(negative_lml(*(np.exp(r).reshape(1, 1) for r in rho), sq, y_col))
+    def f(rho, y):
+        return ad.scalar(negative_lml(*(np.exp(r).reshape(1, 1) for r in rho), sq, y))
 
-    fd = finite_difference(f, rho0)
-    assert np.allclose(leaf.grad.ravel(), fd, rtol=1e-6, atol=1e-6)
+    for y in (both[:, :1], both):
+        tape = ad.make_tape()
+        leaf = ad.var(tape, rho0.reshape(1, 3))
+        ad.backward(negative_lml(*(ad.exp(ad.item(leaf, 0, k)) for k in range(3)), sq, y))
+        fd = finite_difference(lambda rho: f(rho, y), rho0)
+        assert np.allclose(leaf.grad.ravel(), fd, rtol=1e-6, atol=1e-6), y.shape
+    # logdet and the 2 pi term count once per column, the quadratic term sums over both
+    assert f(rho0, both) == pytest.approx(f(rho0, both[:, :1]) + f(rho0, both[:, 1:]),
+                                          rel=1e-12, abs=0.0)
 
 
 def test_gp_fit_subsamples_to_budget():
@@ -286,28 +286,6 @@ def test_gp_fit_subsamples_to_budget():
     mx, my = gp_fit([trk], max_pairs=50, optimize=False)
     assert len(mx) == 50
     assert len(my) == 50
-
-
-def test_gp_fit_gives_the_same_models_when_the_axes_run_in_two_processes(monkeypatch):
-    """With two usable CPUs, the y axis's ascent runs in a forked child beside
-    the x axis's; models and ascents keep the bits of running both here."""
-    _pin_blas()
-    rng = np.random.default_rng(4)
-    trk = make_tracklet(np.cumsum(0.3 * rng.standard_normal((90, 2)), axis=0) + [5.0, 0.0])
-    fitted = {}
-    for workers in (1, 2):
-        monkeypatch.setattr(gp, "_usable_cpus", lambda: workers)
-        fitted[workers] = gp_fit([trk], max_pairs=60, seed=3)
-    with pytest.raises(ChildProcessError):  # the child was reaped
-        os.waitpid(-1, os.WNOHANG)
-    for serial, forked in zip(fitted[1], fitted[2]):
-        assert not serial.hyper_fit.fell_back
-        assert forked.hyper == serial.hyper
-        assert np.array_equal(forked.hyper_fit.history, serial.hyper_fit.history)
-        assert forked.hyper_fit.stopped == serial.hyper_fit.stopped
-        for name in ("chol", "inv_chol", "solve_vector"):
-            assert np.array_equal(getattr(forked, name), getattr(serial, name)), name
-        assert (serial.hyper_fit.workers, forked.hyper_fit.workers) == (1, 2)
 
 
 @pytest.mark.parametrize("max_pairs", [0, 1])
@@ -335,6 +313,20 @@ def test_serialization_roundtrip(tmp_path):
         m1, v1 = back.predict_batch(queries)
         assert np.allclose(m0, m1, rtol=1e-12)
         assert np.allclose(v0, v1, rtol=1e-12)
+
+
+def test_load_gp_refuses_axes_with_different_hyperparameters(tmp_path):
+    """Both axes predict through one kernel, so a file whose hyper_x and
+    hyper_y differ is refused, naming the file."""
+    trk = make_tracklet(np.random.default_rng(13).standard_normal((40, 2)) * 3.0)
+    path = tmp_path / "model.gpm"
+    save_gp(path, gp_fit([trk], optimize=False), dt=1.0, sensor=SensorConfig())
+    lines = path.read_text().splitlines()
+    k = next(i for i, line in enumerate(lines) if line.startswith("hyper_y "))
+    lines[k] = "hyper_y 0.9 1.6 0.05"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=f"{path}: hyper_x and hyper_y differ"):
+        load_gp(path)
 
 
 # -- particle machinery -------------------------------------------------------
