@@ -33,17 +33,22 @@ from .api import (
     const_like,
     cos,
     exp,
+    gaussian_nll,
     item,
     log,
     logdet,
     logsumexp,
+    lstm_cell,
     make_tape,
+    quad_form,
+    range_bearing,
     reshape,
     scalar,
     sigmoid,
     sin,
     sqrt,
     stack_sum,
+    symmetrize,
     tanh,
     transpose,
     value_of,

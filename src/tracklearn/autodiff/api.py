@@ -19,9 +19,16 @@ the tape sums them over the axes an operand was broadcast along
 (PyTape.backward).  The filters step a whole test set in lockstep on a
 leading batch axis, and the IMM records its modes as one stack; reshape and
 stack_sum move between stack layouts and reduce a stack axis.
+
+The pieces every filter step repeats (the range-bearing model, the quadratic
+form A P A', the symmetrisation, the Gaussian innovation NLL, logsumexp and
+the LSTM cell) are one node each, with a closed-form rule: a recorded IMM
+step holds about half the nodes of their composed form, with the same values.
 """
 
 from __future__ import annotations
+
+from functools import reduce
 
 import numpy as np
 
@@ -204,12 +211,11 @@ def _sqrt(v: np.ndarray) -> np.ndarray:
 
 
 def _logistic(v: np.ndarray) -> np.ndarray:
-    out = np.empty_like(v)
-    pos = v >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-v[pos]))
-    ev = np.exp(v[~pos])
-    out[~pos] = ev / (1.0 + ev)
-    return out
+    """1 / (1 + exp(-v)), from the exp of -|v| so that it never overflows: the
+    bits of that formula for v >= 0 and of exp(v) / (1 + exp(v)) below."""
+    e = np.exp(-np.abs(v))
+    denom = 1.0 + e
+    return np.where(v >= 0, 1.0 / denom, e / denom)
 
 
 def _transpose(v: np.ndarray) -> np.ndarray:
@@ -221,7 +227,8 @@ def _vsum(v: np.ndarray) -> np.ndarray:
 
 
 def _check_finite(*operands) -> None:
-    bad = ~np.logical_and.reduce([np.isfinite(x).all(axis=(-2, -1)) for x in operands])
+    # each operand's verdicts, broadcast against the others' as the operands are
+    bad = ~reduce(np.logical_and, [np.isfinite(x).all(axis=(-2, -1)) for x in operands], np.True_)
     if bad.any():
         raise NumericsError("non-finite operand of a Cholesky solve", bad)
 
@@ -329,6 +336,127 @@ def logdet(spd):
     return _record(spd, (2.0 * log_diag.sum(axis=-1))[..., None, None], _logdet_back, inv_low)
 
 
+# -- the filter step's recurring pieces, one node each ---------------------------
+# Each value is the expression the composed nodes computed, in their order, so
+# fusing them moves no bits; each rule is the piece's gradient in closed form.
+
+_LOG_2PI = np.log(2.0 * np.pi)
+
+
+def _measure_back(g, vals, i, x, b, jac):
+    return _t(jac) @ g, None
+
+
+def _jacobian_back(g, vals, i, x, b, aux):
+    # the second derivatives of range and bearing in the offsets (dx, dy),
+    # with (ux, uy) = (dx, dy) / r: d(ux)/d(dx) = uy^2 / r, d(-dy/r^2)/d(dx) =
+    # 2 ux uy / r^2, and so on, contracted with the Jacobian's gradient
+    ux, uy, r = aux
+    g_ux, g_uy, g_vx, g_vy = g[..., 0, 0], g[..., 0, 1], g[..., 1, 0], g[..., 1, 1]
+    tangent = (g_ux * uy - g_uy * ux) / r
+    twice, diff = 2.0 * ux * uy, uy * uy - ux * ux
+    gx = np.zeros(g.shape[:-2] + vals[x].shape[-2:])
+    gx[..., 0, 0] = uy * tangent + (g_vx * twice + g_vy * diff) / (r * r)
+    gx[..., 1, 0] = -ux * tangent + (g_vx * diff - g_vy * twice) / (r * r)
+    return gx, None
+
+
+def range_bearing(x, origin: np.ndarray):
+    """([range; bearing], Jacobian) of a state column x (rows 0 and 1 the
+    position), or of each column of a stack, seen from origin: a 2x1 value and
+    a 2xn one.  On a tape, one forward pass records both, the measurement with
+    the rule J'g and the Jacobian with the second derivatives.
+
+    Raises NumericsError when the position coincides with the origin.
+    """
+    value = value_of(x)
+    dx = value[..., 0, 0] - float(origin[0])
+    dy = value[..., 1, 0] - float(origin[1])
+    r_sq = dx * dx + dy * dy
+    at_origin = r_sq == 0.0
+    if at_origin.any():
+        raise NumericsError("state coincides with the sensor origin", at_origin)
+    r = np.sqrt(r_sq)
+    meas = np.empty(value.shape[:-2] + (2, 1))
+    meas[..., 0, 0] = r
+    meas[..., 1, 0] = np.arctan2(dy, dx)
+    jac = np.zeros(value.shape[:-2] + (2, value.shape[-2]))
+    jac[..., 0, 0] = ux = dx / r
+    jac[..., 0, 1] = uy = dy / r
+    jac[..., 1, 0] = -(dy / r_sq)
+    jac[..., 1, 1] = dx / r_sq
+    if not isinstance(x, Var):
+        return meas, jac
+    return x._push(meas, _measure_back, aux=jac), x._push(jac, _jacobian_back, aux=(ux, uy, r))
+
+
+def _quad_form_back(g, vals, i, a, p, a_p):
+    av = vals[a]
+    return g @ (av @ _t(vals[p])) + _t(g) @ a_p, _t(av) @ g @ av
+
+
+def quad_form(a, p):
+    """a @ p @ a', as one node: F P F', H P H', (I - KH) P (I - KH)', K R K'."""
+    av = value_of(a)
+    a_p = av @ value_of(p)
+    return _record(a, a_p @ _transpose(av), _quad_form_back, a_p, p)
+
+
+def _symmetrize_back(g, vals, i, a, b, aux):
+    return (g + _t(g)) * 0.5, None
+
+
+def symmetrize(p):
+    """(p + p') / 2, as one node."""
+    value = value_of(p)
+    return _record(p, (value + _t(value)) * 0.5, _symmetrize_back)
+
+
+def _gaussian_nll_back(g, vals, i, nu, s, aux):
+    inv_low, sol = aux
+    return g * sol, (g * 0.5) * (_t(inv_low) @ inv_low - sol @ _t(sol))
+
+
+def gaussian_nll(nu, s):
+    """Negative log density of a kx1 Gaussian innovation nu with covariance s,
+    0.5 (nu' s^-1 nu + log det s + k log 2pi), as one node: one factor of s
+    serves the solve and the log det (on a tape, the factor cho_solve stored)."""
+    nu_v = value_of(nu)
+    low, inv_low = _factor(s, nu_v)
+    sol = _solve(inv_low, nu_v)
+    log_det = (2.0 * np.log(np.diagonal(low, axis1=-2, axis2=-1)).sum(axis=-1))[..., None, None]
+    value = (_vsum(nu_v * sol) + log_det + nu_v.shape[-2] * _LOG_2PI) * 0.5
+    return _record(nu, value, _gaussian_nll_back, (inv_low, sol), s)
+
+
+def _lstm_cell_back(g, vals, i, gates, c, aux):
+    act, cand, tanh_c = aux
+    n = tanh_c.shape[-1]
+    gate_i, gate_f, gate_o = act[..., :n], act[..., n:2 * n], act[..., 3 * n:]
+    g_h = g[..., :n]
+    g_c = g[..., n:] + g_h * gate_o * (1.0 - tanh_c * tanh_c)
+    g_gates = np.empty(g.shape[:-1] + act.shape[-1:])
+    g_gates[..., :n] = g_c * cand * gate_i * (1.0 - gate_i)
+    g_gates[..., n:2 * n] = g_c * vals[c] * gate_f * (1.0 - gate_f)
+    g_gates[..., 2 * n:3 * n] = g_c * gate_i * (1.0 - cand * cand)
+    g_gates[..., 3 * n:] = g_h * tanh_c * gate_o * (1.0 - gate_o)
+    return g_gates, g_c * gate_f
+
+
+def lstm_cell(gates, c):
+    """The LSTM cell as one node: from the pre-activations gates (4H columns,
+    gate layout [input, forget, cell, output]) and the cell state c (H
+    columns), the row [h | c'] with c' = f c + i g and h = o tanh(c')."""
+    gv, cv = value_of(gates), value_of(c)
+    n = cv.shape[-1]
+    act = _logistic(gv)
+    cand = np.tanh(gv[..., 2 * n:3 * n])
+    c_new = act[..., n:2 * n] * cv + act[..., :n] * cand
+    tanh_c = np.tanh(c_new)
+    out = np.concatenate([act[..., 3 * n:] * tanh_c, c_new], axis=-1)
+    return _record(gates, out, _lstm_cell_back, (act, cand, tanh_c), c)
+
+
 def _block_back(g, vals, i, a, b, aux):
     r0, r1, c0, c1 = aux
     ga = np.zeros_like(vals[a])
@@ -396,11 +524,19 @@ def stack_sum(v, axis: int = -3, keepdims: bool = False):
     return _record(v, _stack_sum(value_of(v), axis, keepdims), _stack_sum_back, (axis, keepdims))
 
 
+def _logsumexp_back(g, vals, i, a, b, aux):
+    e, total = aux
+    return (g / total) * e, None
+
+
 def logsumexp(v):
     """Stable log(sum(exp(v))) over the stack axis -3 of a stack of 1x1 values,
-    kept as a unit axis; the max is a constant, so the gradient is exact."""
-    peak = value_of(v).max(axis=-3, keepdims=True)
-    return log(stack_sum(exp(v - peak), keepdims=True)) + peak
+    kept as a unit axis: one node, whose rule is the softmax of v times g."""
+    value = value_of(v)
+    peak = value.max(axis=-3, keepdims=True)
+    e = np.exp(value - peak)
+    total = _stack_sum(e, -3, True)
+    return _record(v, _log(total) + peak, _logsumexp_back, (e, total))
 
 
 def backward(root: Var) -> None:

@@ -44,6 +44,7 @@ def minimize(record, params, update, steps: int):
         good = params
         history.append((step, value))
         params = update(params, {name: leaf.grad for name, leaf in leaves.items()})
+        del loss, leaves  # free this tape before the next one is recorded
     return params, history, None
 
 

@@ -1,10 +1,12 @@
 """The shared constant-velocity model, range-bearing update and step loop.
 
-The CV model, the range-bearing measurement model, the Joseph-form update
-and the Gaussian innovation NLL are written once here, against the autodiff
-functions.  The IMM runs them once per step on its stack of modes
-(imm.ImmGraph.step), on arrays to filter and on its tape to train, and the
-LSTM filter calls joseph_update on arrays.  Their numerical hygiene
+The CV model and the Joseph-form update are written once here, against the
+autodiff functions; the range-bearing measurement model and the Gaussian
+innovation NLL are autodiff nodes themselves (ad.range_bearing and
+ad.gaussian_nll), as are the update's quadratic forms and symmetrisation, so
+a recorded step stays small.  The IMM runs them once per step on its stack
+of modes (imm.ImmGraph.step), on arrays to filter and on its tape to train,
+and the LSTM filter calls joseph_update on arrays.  Their numerical hygiene
 therefore carries the whole package.  There is no separate EKF filter: the
 EKF benchmark is the IMM with one cv mode (imm.run_ekf), whose mixing
 weight is 1 and spread term 0.
@@ -12,7 +14,8 @@ weight is 1 and spread term 0.
 The step loop is also written once, here: filter_tracklet owns the
 two-point initialization, the rows every filter reports and the first
 filtered row EVAL_START, for the EKF, the IMM, the LSTM filter and the GP
-particle filter alike, and checks every row they report (check_estimate).
+particle filter alike, and checks every row they report (check_estimate,
+once per run).
 Given B tracklets, it steps them in lockstep: states, measurements and
 outputs gain a leading batch axis, so each step runs once on stacks of B
 matrices, with the bits of filtering each tracklet alone.
@@ -23,9 +26,11 @@ from __future__ import annotations
 import numpy as np
 
 from . import autodiff as ad
+# the range-bearing sensor model and the innovation NLL are autodiff nodes; the
+# filters import them from here
+from .autodiff import gaussian_nll, range_bearing
 from .errors import NumericsError, row_prefix
 from .statespace import (
-    LOG_2PI,
     SensorConfig,
     Tracklet,
     measurement_noise_cartesian,
@@ -33,11 +38,6 @@ from .statespace import (
     wrap_angle,
 )
 
-# templates for assembling the 2x4 range-bearing Jacobian from its entries
-_H00 = np.zeros((2, 4)); _H00[0, 0] = 1.0
-_H01 = np.zeros((2, 4)); _H01[0, 1] = 1.0
-_H10 = np.zeros((2, 4)); _H10[1, 0] = 1.0
-_H11 = np.zeros((2, 4)); _H11[1, 1] = 1.0
 _EYE4 = np.eye(4)
 
 EVAL_START = 2  # first filtered and scored row; rows 0 and 1 feed init_track
@@ -59,24 +59,6 @@ def wna_template(dt: float) -> np.ndarray:
     return q
 
 
-def range_bearing(x, origin: np.ndarray):
-    """(range, bearing, 2x4 Jacobian) of a 4x1 state column x, or of each
-    column of a stack, seen from origin.
-
-    Raises NumericsError when the state coincides with the origin.
-    """
-    dx = ad.item(x, 0, 0) - float(origin[0])
-    dy = ad.item(x, 1, 0) - float(origin[1])
-    r_sq = dx * dx + dy * dy
-    at_origin = ad.value_of(r_sq)[..., 0, 0] == 0.0
-    if at_origin.any():
-        raise NumericsError("state coincides with the sensor origin", at_origin)
-    r = ad.sqrt(r_sq)
-    bearing = ad.atan2(dy, dx)
-    jac = (dx / r) * _H00 + (dy / r) * _H01 + (-(dy / r_sq)) * _H10 + (dx / r_sq) * _H11
-    return r, bearing, jac
-
-
 def joseph_update(x, p, z_range, z_bearing, r_noise, origin: np.ndarray):
     """Range-bearing EKF update of a 4x1 mean x and 4x4 covariance p.
 
@@ -86,28 +68,19 @@ def joseph_update(x, p, z_range, z_bearing, r_noise, origin: np.ndarray):
     Joseph form.  Returns (posterior mean, posterior covariance, 2x1
     innovation, S).
     """
-    if np.ndim(z_range):
-        unit = (1,) * (len(x.shape) - np.ndim(z_range))
-        z_range, z_bearing = (np.reshape(z, np.shape(z) + unit) for z in (z_range, z_bearing))
-    r, bearing, jac = range_bearing(x, origin)
-    dr = -(r - z_range)
-    raw = z_bearing - ad.value_of(bearing)
-    da = (-(bearing - z_bearing)) + (wrap_angle(raw) - raw)
-    nu = ad.concat_rows([dr, da])
-    s = jac @ p @ ad.transpose(jac) + r_noise
+    h, jac = range_bearing(x, origin)
+    z = np.stack([z_range, z_bearing], axis=-1)  # one (range, bearing) per batch row
+    z = z.reshape(z.shape[:-1] + (1,) * (len(x.shape) - z.ndim - 1) + (2, 1))
+    raw = z[..., 1:, :] - ad.value_of(h)[..., 1:, :]  # the bearing residual
+    wrap = np.zeros(raw.shape[:-2] + (2, 1))  # what wrapping it adds, as a constant
+    wrap[..., 1:, :] = wrap_angle(raw) - raw
+    nu = -(h - z) + wrap
+    s = ad.quad_form(jac, p) + r_noise
     k = ad.transpose(ad.cho_solve(s, jac @ p))
     x_post = x + k @ nu
     i_kh = ad.const_like(x, _EYE4) - k @ jac
-    p_post = i_kh @ p @ ad.transpose(i_kh) + k @ r_noise @ ad.transpose(k)
-    p_post = (p_post + ad.transpose(p_post)) * 0.5
+    p_post = ad.symmetrize(ad.quad_form(i_kh, p) + ad.quad_form(k, r_noise))
     return x_post, p_post, nu, s
-
-
-def gaussian_nll(nu, s):
-    """Negative log density of a 2x1 Gaussian innovation nu with covariance s:
-    0.5 (nu' s^-1 nu + log det s + 2 log 2pi)."""
-    quad = ad.vsum(nu * ad.cho_solve(s, nu))
-    return (quad + ad.logdet(s) + 2.0 * LOG_2PI) * 0.5
 
 
 def check_estimate(mean, cov, pred=None):
@@ -126,7 +99,7 @@ def check_estimate(mean, cov, pred=None):
     bad = ~(np.abs(cov - cov_t).max(axis=(-2, -1)) <= 1e-9 * np.maximum(1.0, peak))
     if bad.any():
         raise ValueError(f"{row_prefix(bad)}covariance is not symmetric")
-    min_eig = np.linalg.eigvalsh(0.5 * (cov + cov_t)).min(axis=-1)
+    min_eig = np.linalg.eigvalsh(ad.symmetrize(cov)).min(axis=-1)
     bad = min_eig < -1e-9 * np.maximum(np.trace(cov, axis1=-2, axis2=-1), 1.0)
     if bad.any():
         raise ValueError(f"{row_prefix(bad)}covariance is not PSD "
@@ -163,12 +136,13 @@ def filter_tracklet(tracklets, sensor: SensorConfig, start, step):
     and step(state, z) filters the (range, bearing) row z into (state,
     predicted mean, posterior mean, posterior covariance).  The outputs hold
     the filtered rows, EVAL_START on.  check_estimate checks the
-    initialization and every step's row, so each filter's output is held to
-    the same test.  A step's NumericsError, ValueError or LinAlgError, the
-    check's included, is raised again as NumericsError("step <row>: ..."),
-    then "row <b>: " when a check names tracklet b, and no row for one
-    tracklet, whatever further stack axes its check had.  Returns
-    (pred_means, post_means, post_covs, state).
+    initialization, and then every step's row in one call after the loop, so
+    each filter's output is held to the same test.  The first fault in step
+    order, a step's NumericsError, ValueError or LinAlgError or a row the
+    check refuses (each row before a step that raised is checked), is raised
+    again as NumericsError("step <row>: ..."), then "row <b>: " when a check
+    names tracklet b, and no row for one tracklet, whatever further stack
+    axes its check had.  Returns (pred_means, post_means, post_covs, state).
     """
     single = isinstance(tracklets, Tracklet)
     if not single:
@@ -180,16 +154,30 @@ def filter_tracklet(tracklets, sensor: SensorConfig, start, step):
         raise ValueError(f"need at least {EVAL_START + 1} measurements")
     mean, cov = init_track(meas[0], meas[1], sensor, dt)
     check_estimate(mean, cov)
-    rows = []
+    rows, fault = [], None
     state = start((mean, cov), dt)
     for t in range(EVAL_START, len(meas)):
         try:
             state, pred, post, post_cov = step(state, meas[t])
-            check_estimate(post, post_cov, pred)
         except (NumericsError, ValueError, np.linalg.LinAlgError) as exc:
-            cause = exc.cause if single and getattr(exc, "rows", None) is not None else exc
-            raise NumericsError(f"step {t}: {cause}") from exc
+            fault = t, exc
+            break
         rows.append((pred, post, post_cov))
     time_axis = mean.ndim - 1  # after the batch axis, if any
-    pred_means, post_means, post_covs = (np.stack(column, axis=time_axis) for column in zip(*rows))
-    return pred_means, post_means, post_covs, state
+    columns = [np.stack(column, axis=time_axis) for column in zip(*rows)]
+    if fault is None:
+        try:
+            check_estimate(columns[1], columns[2], columns[0])
+        except ValueError:
+            pass
+        else:
+            return (*columns, state)
+    for t, (pred, post, post_cov) in enumerate(rows, EVAL_START):  # the first row refused
+        try:
+            check_estimate(post, post_cov, pred)
+        except ValueError as exc:
+            fault = t, exc
+            break
+    t, exc = fault
+    cause = exc.cause if single and getattr(exc, "rows", None) is not None else exc
+    raise NumericsError(f"step {t}: {cause}") from exc

@@ -168,10 +168,11 @@ class HyperFit:
 class GpModel:
     """One fitted per-axis GP: cached Cholesky factor L, its inverse and the solve vector.
     hyper_fit is the ascent that chose hyper, shared by both axes' models (None
-    when hyper was given or loaded)."""
+    when hyper was given or loaded).  factor, when given, is the (L, L^-1) of
+    another model on the same inputs and hyper, whose gram is this one's."""
 
     def __init__(self, inputs: np.ndarray, outputs: np.ndarray, hyper: GpHyper,
-                 hyper_fit: HyperFit | None = None):
+                 hyper_fit: HyperFit | None = None, factor: tuple | None = None):
         self.inputs = np.asarray(inputs, dtype=float)
         self.outputs = np.asarray(outputs, dtype=float).reshape(-1)
         if self.inputs.ndim != 2 or self.inputs.shape[1] != 2:
@@ -180,16 +181,18 @@ class GpModel:
             raise ValueError("inputs and outputs must align")
         self.hyper = hyper
         self.hyper_fit = hyper_fit
-        gram = kernel_matrix(self.inputs, self.inputs, hyper)
-        gram[np.diag_indices_from(gram)] += hyper.noise_sq
-        try:
-            self.chol = np.linalg.cholesky(gram)
-        except np.linalg.LinAlgError as exc:
-            raise NumericsError(
-                "K + noise_sq*I is not positive definite; raise noise_sq "
-                f"(jitter of {1e-8 * gram[0, 0]:.3g} would likely suffice): {exc}"
-            ) from exc
-        self.inv_chol = inv_lower(self.chol)
+        if factor is None:
+            gram = kernel_matrix(self.inputs, self.inputs, hyper)
+            gram[np.diag_indices_from(gram)] += hyper.noise_sq
+            try:
+                chol = np.linalg.cholesky(gram)
+            except np.linalg.LinAlgError as exc:
+                raise NumericsError(
+                    "K + noise_sq*I is not positive definite; raise noise_sq "
+                    f"(jitter of {1e-8 * gram[0, 0]:.3g} would likely suffice): {exc}"
+                ) from exc
+            factor = chol, inv_lower(chol)
+        self.chol, self.inv_chol = factor
         self.solve_vector = self.inv_chol.T @ (self.inv_chol @ self.outputs)
 
     def __len__(self) -> int:
@@ -302,8 +305,9 @@ def gp_fit(tracklets, hyper0: GpHyper | None = None, max_pairs: int = 2000,
         raise ValueError(f"need at least 2 training pairs, got {len(inputs)}")
     hyper0 = hyper0 or GpHyper()
     fit = fit_hyper(inputs, outputs, hyper0, seed=seed) if optimize else None
-    return tuple(GpModel(inputs, outputs[:, axis], fit.hyper if fit else hyper0, fit)
-                 for axis in range(2))
+    x_model = GpModel(inputs, outputs[:, 0], fit.hyper if fit else hyper0, fit)
+    return x_model, GpModel(inputs, outputs[:, 1], x_model.hyper, fit,
+                            (x_model.chol, x_model.inv_chol))
 
 
 # -- serialization (GPM1) ----------------------------------------------------
@@ -322,8 +326,9 @@ def save_gp(path, models: tuple[GpModel, GpModel], dt: float, sensor: SensorConf
 
 
 def load_gp(path):
-    """Returns (models, dt, sensor); the factorization is rebuilt on load.  A
-    file whose hyper_x and hyper_y differ is refused (see predict_axes)."""
+    """Returns (models, dt, sensor); the factorization is rebuilt on load, once
+    for both axes.  A file whose hyper_x and hyper_y differ is refused (see
+    predict_axes)."""
     lines = Path(path).read_text().splitlines()
     if not lines or lines[0] != "GPM1":
         raise ValueError(f"{path}: not a GPM1 document")
@@ -336,10 +341,11 @@ def load_gp(path):
             fields[tag] = values
     if fields["hyper_x"] != fields["hyper_y"]:
         raise ValueError(f"{path}: hyper_x and hyper_y differ; both axes must share one kernel")
-    hyper, models = GpHyper(*fields["hyper_x"]), []
+    hyper, models, factor = GpHyper(*fields["hyper_x"]), [], None
     for tag in "xy":
         outputs, stored_alpha = np.array(fields[f"z_{tag}"]).reshape(-1, 2).T
-        model = GpModel(np.asarray(fields["u"]), outputs, hyper)
+        model = GpModel(np.asarray(fields["u"]), outputs, hyper, factor=factor)
+        factor = model.chol, model.inv_chol  # the y axis's gram is the x axis's
         if not np.allclose(model.solve_vector, stored_alpha, rtol=1e-8, atol=1e-10):
             raise ValueError(f"{path}: stored solve vector inconsistent with K and outputs")
         models.append(model)
@@ -434,7 +440,7 @@ def pf_estimate(particles: np.ndarray, weights: np.ndarray):
     mean = (weights[..., None, :] @ particles)[..., 0, :]
     centred = particles - mean[..., None, :]
     cov = (weights[..., None] * centred).swapaxes(-1, -2) @ centred
-    return mean, 0.5 * (cov + cov.swapaxes(-1, -2))
+    return mean, ad.symmetrize(cov)
 
 
 def pf_resample(particles: np.ndarray, weights: np.ndarray, rng) -> np.ndarray:

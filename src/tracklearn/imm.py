@@ -229,7 +229,6 @@ class ImmGraph:
             _transition_vars(like, params, j, dt, ad.item(self.leaves["omega"], 0, j)
                              if params.modes[j] == MODE_CT else None) for j in range(m)])
         self.f = ad.reshape(f, (m, 4, 4))
-        self.f_t = ad.transpose(self.f)
         self.q = ad.reshape(ad.exp(self.leaves["log_q"]), (m, 1, 1)) * wna_template(dt)
 
         mean, cov = init
@@ -245,7 +244,7 @@ class ImmGraph:
 
         # -- mode-matched prediction and update, every mode at once
         pred_x = self.f @ mixed_x
-        post_x, post_p, nu, s = joseph_update(pred_x, self.f @ mixed_p @ self.f_t + self.q,
+        post_x, post_p, nu, s = joseph_update(pred_x, ad.quad_form(self.f, mixed_p) + self.q,
                                               z_range, z_bearing, self.r_var, self.origin)
 
         # -- predictive log-density of this measurement, the exact mixture's

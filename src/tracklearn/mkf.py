@@ -105,13 +105,10 @@ def _tape_weights(tape, w: LstmWeights) -> dict:
 
 
 def _cell(gates, c, hidden: int):
-    """The LSTM cell from its pre-activations gates (1x4H per row, gate layout
-    [input, forget, cell, output]) and cell state c; returns (h, c)."""
-    act = ad.sigmoid(gates)
-    i, f, o = (ad.cols(act, k * hidden, (k + 1) * hidden) for k in (0, 1, 3))
-    g = ad.tanh(ad.cols(gates, 2 * hidden, 3 * hidden))
-    c_new = f * c + i * g
-    return o * ad.tanh(c_new), c_new
+    """The LSTM cell (ad.lstm_cell) from its pre-activations gates (1x4H per
+    row, gate layout [input, forget, cell, output]) and cell state c; returns (h, c)."""
+    out = ad.lstm_cell(gates, c)
+    return ad.cols(out, 0, hidden), ad.cols(out, hidden, 2 * hidden)
 
 
 def _head(weights: dict, h):
@@ -152,7 +149,7 @@ def mkf_predict(mean, cov, state: tuple, w: LstmWeights, dt: float, q_reg: float
     g = np.vstack([dt * np.eye(2), np.eye(2)])
     pred_cov = g @ c_phys @ c_phys.swapaxes(-1, -2) @ g.T + np.eye(4) * q_reg
     pred_cov[..., :2, :2] += cov[..., :2, :2]
-    return pred, 0.5 * (pred_cov + pred_cov.swapaxes(-1, -2)), (h, c)
+    return pred, ad.symmetrize(pred_cov), (h, c)
 
 
 def _fd_velocities(tracklet: Tracklet, sensor: SensorConfig) -> np.ndarray:

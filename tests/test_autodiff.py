@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 from scipy.linalg import solve_triangular
@@ -5,12 +7,12 @@ from scipy.linalg import solve_triangular
 from conftest import finite_difference
 import tracklearn.autodiff as ad
 from tracklearn.autodiff import GradientOptimizer, Var, clip_by_global_norm, inv_lower, pure
-from tracklearn.ekf import gaussian_nll, init_track, joseph_update
+from tracklearn.ekf import EVAL_START, gaussian_nll, init_track, joseph_update
 from tracklearn.errors import NumericsError
 from tracklearn.gp import negative_lml, sq_distances
-from tracklearn.imm import ImmConfig, ImmGraph, default_params
-from tracklearn.mkf import init_weights, lstm_step
-from tracklearn.simulate import GctConfig, generate_gct, simulate_measurements
+from tracklearn.imm import ImmConfig, ImmGraph, default_params, imm_nll
+from tracklearn.mkf import init_weights, lstm_step, mkf_loss, training_sequences
+from tracklearn.simulate import GctConfig, generate_gct, make_dataset, simulate_measurements
 from tracklearn.statespace import SensorConfig
 
 
@@ -204,7 +206,10 @@ STACK_RULES = {
 def test_stacked_gradients_match_fd(name):
     """Each rule's gradient on stacks, summed by the tape over every axis an
     operand was broadcast along, against central differences of the array path."""
-    fn, *shapes = STACK_RULES[name]
+    _assert_gradient_matches_fd(*STACK_RULES[name])
+
+
+def _assert_gradient_matches_fd(fn, *shapes):
     rng = np.random.default_rng(13)
     operands = [rng.uniform(0.5, 2.0, shape) for shape in shapes]
     weights = rng.uniform(-1.0, 1.0, np.shape(fn(*operands)))
@@ -226,6 +231,36 @@ def test_stacked_gradients_match_fd(name):
     grad = np.concatenate([leaf.grad.ravel() for leaf in leaves])
     fd = finite_difference(f, np.concatenate([op.ravel() for op in operands]))
     assert np.allclose(grad, fd, rtol=1e-6, atol=1e-8)
+
+
+_ORIGIN = np.array([0.3, -0.4])
+
+
+def _spd2(a):
+    return a @ ad.transpose(a) + 0.5 * np.eye(2)
+
+
+# the filter step's fused nodes on (B, m, r, c) stacks, B = 2 and m = 3: (fn,
+# operand shapes), where a smaller operand is broadcast against the stack, as
+# the IMM's parameters are against its batch of modes
+FUSED_RULES = {
+    "range_bearing_measurement": (lambda x: ad.range_bearing(x, _ORIGIN)[0], (2, 3, 4, 1)),
+    "range_bearing_jacobian": (lambda x: ad.range_bearing(x, _ORIGIN)[1], (2, 3, 4, 1)),
+    "quad_form": (ad.quad_form, (2, 3, 2, 4), (2, 3, 4, 4)),
+    "quad_form_of_a_shared_matrix": (ad.quad_form, (3, 4, 4), (2, 3, 4, 4)),
+    "quad_form_about_a_shared_matrix": (ad.quad_form, (2, 3, 4, 2), (2, 2)),
+    "symmetrize": (ad.symmetrize, (2, 3, 4, 4)),
+    "gaussian_nll": (lambda nu, a: ad.gaussian_nll(nu - 1.25, _spd2(a)), (2, 3, 2, 1), (3, 2, 2)),
+    "logsumexp": (ad.logsumexp, (2, 3, 1, 1)),
+    "lstm_cell": (lambda gates, c: ad.lstm_cell(gates - 1.25, c - 1.25), (2, 3, 1, 8), (3, 1, 2)),
+}
+
+
+@pytest.mark.parametrize("name", list(FUSED_RULES))
+def test_fused_gradients_match_fd(name):
+    """Each fused node's closed-form rule on batched mode stacks, against
+    central differences of its array path."""
+    _assert_gradient_matches_fd(*FUSED_RULES[name])
 
 
 def test_cho_solve_gradient_matches_fd():
@@ -363,6 +398,40 @@ def test_imm_step_factors_each_innovation_covariance_once(monkeypatch):
     ad.backward(graph.loss())
     _assert_each_factored_once(graph.tape, given, 1)
     assert given[0].shape == (len(cfg.modes), 2, 2)
+
+
+def test_the_filter_step_keeps_its_node_budget():
+    """With the filter step's pieces fused, imm_nll at cv,ct,ct records at most
+    48 nodes per filtered row (86 per step unfused), its setup and loss sum
+    included, and mkf_loss at most 7 per row (14.8 unfused)."""
+    sensor = SensorConfig()
+    trk = make_dataset(1, GctConfig(n_steps=50), sensor, seed=2000).tracklets[0]
+    cfg = ImmConfig(modes=("cv", "ct", "ct"))
+    params = default_params(sensor, cfg, init_q=0.08, init_omega=0.22)
+    assert len(imm_nll(params, trk, sensor, cfg)[0].tape) <= 48 * (len(trk) - EVAL_START)
+    weights = init_weights(seed=3, hidden=32, dense=32, input_scale=5.0)
+    inputs, labels = training_sequences(trk, sensor, weights.input_scale)
+    tape = ad.make_tape()
+    wvars = {name: ad.var(tape, w) for name, w in weights.to_dict().items()}
+    assert len(mkf_loss(wvars, inputs, labels, weights.hidden).tape) <= 7 * len(inputs)
+
+
+def test_sigmoid_keeps_the_bits_of_the_masked_formula():
+    """sigmoid's one np.where gives the bits of the masked two-branch formula
+    it replaced, at signed zeros, infinities and large |v|, and NaN at NaN
+    (whose sign bit carries no value)."""
+    rng = np.random.default_rng(8)
+    v = np.concatenate([[0.0, -0.0, np.inf, -np.inf, np.nan, 1e-300, -1e-300],
+                        np.linspace(-800.0, 800.0, 3201), rng.standard_normal(500) * 40.0])
+    v = v.reshape(1, -1)
+    masked = np.empty_like(v)
+    pos = v >= 0
+    masked[pos] = 1.0 / (1.0 + np.exp(-v[pos]))
+    ev = np.exp(v[~pos])
+    masked[~pos] = ev / (1.0 + ev)
+    out = ad.sigmoid(v)
+    assert np.array_equal(out, masked, equal_nan=True)
+    assert np.array_equal(np.signbit(out[v == v]), np.signbit(masked[v == v]))
 
 
 def test_a_stored_factor_still_checks_the_next_operand():
@@ -569,6 +638,22 @@ def test_minimize_reports_a_numerics_error_from_record():
     assert len(history) == 2 and out is seen[1]
 
 
+def test_minimize_frees_each_tape_before_recording_the_next():
+    """One loss tape and its gradients are alive at a time, so training's
+    peak memory is one tape's."""
+    record, update, seen = _quadratic()
+    tapes = []
+
+    def recording_alone(params):
+        assert [ref() for ref in tapes] == [None] * len(tapes)
+        loss, leaves = record(params)
+        tapes.append(weakref.ref(loss.tape))
+        return loss, leaves
+
+    ad.minimize(recording_alone, {"w": np.array([3.0, -2.0])}, update, 4)
+    assert len(tapes) == 4
+
+
 def _assert_same(on_arrays, on_tape, what):
     assert type(on_arrays) is np.ndarray, what
     assert np.array_equal(on_arrays, on_tape.value), what
@@ -617,6 +702,16 @@ def _op_cases(rng):
         cases[name] = (getattr(ad, name), a)
     for name in ("log", "sqrt"):
         cases[name] = (getattr(ad, name), pos)
+    column, nu = rng.standard_normal((4, 1)) * 100.0, rng.standard_normal((3, 1))
+    gates, cell = rng.standard_normal((1, 8)) * 3.0, rng.standard_normal((1, 2))
+    cases.update({
+        "range_bearing_measurement": (lambda x: ad.range_bearing(x, _ORIGIN)[0], column),
+        "range_bearing_jacobian": (lambda x: ad.range_bearing(x, _ORIGIN)[1], column),
+        "quad_form": (ad.quad_form, a, b),
+        "symmetrize": (ad.symmetrize, a),
+        "gaussian_nll": (ad.gaussian_nll, nu, spd),
+        "lstm_cell": (ad.lstm_cell, gates, cell),
+    })
     return cases, m
 
 

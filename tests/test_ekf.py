@@ -136,7 +136,7 @@ def test_update_reduces_measured_directions():
         r, a = measure(mean[:2], sensor)
         z = np.array([r + rng.normal(), a + rng.normal(0, 0.005)])
         _, post_cov, _, _ = update(mean, cov, z, sensor)
-        h = range_bearing(mean.reshape(4, 1), sensor.origin)[2]
+        h = range_bearing(mean.reshape(4, 1), sensor.origin)[-1]
         assert np.trace(h @ post_cov @ h.T) <= np.trace(h @ cov @ h.T) + 1e-12
 
 
@@ -219,3 +219,28 @@ def test_filter_tracklet_checks_every_step(pred, cov, reason):
 
     with pytest.raises(NumericsError, match=f"^step 4: row 1: .*{reason}"):
         filter_tracklet(tracklets, SensorConfig(), lambda init, dt: (EVAL_START, init), step)
+
+
+@pytest.mark.parametrize("then_raise", [False, True], ids=["then_clean", "then_raises"])
+@pytest.mark.parametrize("batch", [False, True], ids=["one_tracklet", "batch"])
+def test_a_refused_row_is_the_error_whatever_follows_it(batch, then_raise):
+    """The rows are checked once, after the loop, yet a non-PSD posterior at
+    step 4 (of batch row 1) is reported as a check after each step would
+    report it, word for word: whether the later steps run clean or step 6
+    raises, and before step 6's own error."""
+    tracklets = make_dataset(3, GctConfig(n_steps=9), SensorConfig(), seed=1).tracklets
+
+    def step(state, z):
+        t, (means, covs) = state
+        if then_raise and t == 6:
+            raise NumericsError("matrix is not positive definite", np.array([False, True, False]))
+        if t == 4:
+            covs = covs.copy()
+            covs[1 if batch else ...] = np.diag([1.0, 1.0, 1.0, -1.0])
+        return (t + 1, state[1]), means, means, covs
+
+    with pytest.raises(NumericsError) as caught:
+        filter_tracklet(tracklets if batch else tracklets[0], SensorConfig(),
+                        lambda init, dt: (EVAL_START, init), step)
+    row = "row 1: " if batch else ""
+    assert str(caught.value) == f"step 4: {row}covariance is not PSD (min eigenvalue -1)"

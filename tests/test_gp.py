@@ -315,6 +315,32 @@ def test_serialization_roundtrip(tmp_path):
         assert np.allclose(v0, v1, rtol=1e-12)
 
 
+def test_both_axes_share_one_factorization(monkeypatch, tmp_path):
+    """gp_fit and load_gp factor the gram once per model pair, and the pair
+    predicts exactly as two models built apart."""
+    rng = np.random.default_rng(13)
+    trk = make_tracklet(rng.standard_normal((40, 2)) * 3.0)
+    hyper = GpHyper(sigma0_sq=4.0, length_sq=2.0, noise_sq=0.05)
+    inputs, outputs = velocity_pairs([trk])
+    apart = [GpModel(inputs, outputs[:, axis], hyper) for axis in range(2)]
+    queries = rng.standard_normal((6, 2)) * 3.0
+    factored = []
+    cholesky = np.linalg.cholesky
+    monkeypatch.setattr(np.linalg, "cholesky", lambda a: factored.append(a) or cholesky(a))
+    models = gp_fit([trk], hyper, optimize=False)
+    assert len(factored) == 1
+    path = tmp_path / "model.gpm"
+    save_gp(path, models, dt=1.0, sensor=SensorConfig())
+    loaded = load_gp(path)[0]
+    assert len(factored) == 2
+    for pair in (models, loaded):
+        for model, alone in zip(pair, apart):
+            assert np.array_equal(model.solve_vector, alone.solve_vector)
+        for (mean, var), alone in zip(predict_axes(pair, queries), apart):
+            expected = alone.predict_batch(queries)
+            assert np.array_equal(mean, expected[0]) and np.array_equal(var, expected[1])
+
+
 def test_load_gp_refuses_axes_with_different_hyperparameters(tmp_path):
     """Both axes predict through one kernel, so a file whose hyper_x and
     hyper_y differ is refused, naming the file."""

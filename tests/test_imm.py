@@ -207,7 +207,7 @@ def test_array_path_matches_taped_recursion_bit_for_bit(modes):
         pred, post, covs, nll = run_imm(params, trk, SENSOR, cfg)
         for rows, taped_row in zip((pred, post, covs), taped_rows):
             assert np.array_equal(rows, taped_row)
-        assert nll == ad.scalar(taped.loss())
+        assert nll == ad.scalar(taped.loss()) == ad.scalar(imm_nll(params, trk, SENSOR, cfg)[0])
         assert len(taped.tape) > 0
 
     # the floored case does reach PROB_FLOOR, and the array path records nothing

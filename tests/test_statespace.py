@@ -46,7 +46,7 @@ def test_measure_degenerate(origin_sensor):
 
 def measure_jacobian(mean, sensor):
     """The Jacobian half of the filters' range-bearing model, on arrays."""
-    return range_bearing(np.reshape(mean, (4, 1)).astype(float), sensor.origin)[2]
+    return range_bearing(np.reshape(mean, (4, 1)).astype(float), sensor.origin)[-1]
 
 
 def test_jacobian_on_axis_closed_form(origin_sensor):
