@@ -23,7 +23,6 @@ from __future__ import annotations
 
 from .api import (
     Var,
-    atan2,
     backward,
     block,
     cho_solve,
@@ -36,7 +35,6 @@ from .api import (
     gaussian_nll,
     item,
     log,
-    logdet,
     logsumexp,
     lstm_cell,
     make_tape,
@@ -44,9 +42,7 @@ from .api import (
     range_bearing,
     reshape,
     scalar,
-    sigmoid,
     sin,
-    sqrt,
     stack_sum,
     symmetrize,
     tanh,

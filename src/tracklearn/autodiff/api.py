@@ -24,6 +24,8 @@ The pieces every filter step repeats (the range-bearing model, the quadratic
 form A P A', the symmetrisation, the Gaussian innovation NLL, logsumexp and
 the LSTM cell) are one node each, with a closed-form rule: a recorded IMM
 step holds about half the nodes of their composed form, with the same values.
+The same Gaussian NLL node, on n x c columns, is the GP's negative log
+marginal likelihood, so no log det has a node of its own.
 """
 
 from __future__ import annotations
@@ -204,12 +206,6 @@ def _log(v: np.ndarray) -> np.ndarray:
     return np.log(v)
 
 
-def _sqrt(v: np.ndarray) -> np.ndarray:
-    if (v <= 0.0).any():
-        raise ValueError("sqrt of non-positive value")
-    return np.sqrt(v)
-
-
 def _logistic(v: np.ndarray) -> np.ndarray:
     """1 / (1 + exp(-v)), from the exp of -|v| so that it never overflows: the
     bits of that formula for v >= 0 and of exp(v) / (1 + exp(v)) below."""
@@ -251,10 +247,10 @@ def _cholesky(spd: np.ndarray, *operands) -> np.ndarray:
 
 
 def _factor(spd, *operands) -> tuple:
-    """(L, L^-1): the _cholesky factor of spd's value and its inverse.  A Var's
-    pair is stored on its tape by the first call and returned by every later
-    one, whose operands are still checked; an array has no node to key on and
-    is factored each time."""
+    """(L, L^-1): the _cholesky factor of spd's value and its inverse, for
+    cho_solve and gaussian_nll.  A Var's pair is stored on its tape by the
+    first call and returned by every later one, whose operands are still
+    checked; an array has no node to key on and is factored each time."""
     if not isinstance(spd, Var):
         low = _cholesky(spd, *operands)
         return low, inv_lower(low)
@@ -284,21 +280,10 @@ def _unary(forward, grad):
 exp = _unary(np.exp, lambda g, x, y: g * y)
 log = _unary(_log, lambda g, x, y: g / x)
 tanh = _unary(np.tanh, lambda g, x, y: g * (1.0 - y ** 2))
-sigmoid = _unary(_logistic, lambda g, x, y: g * y * (1.0 - y))
-sqrt = _unary(_sqrt, lambda g, x, y: g * 0.5 / y)
 sin = _unary(np.sin, lambda g, x, y: g * np.cos(x))
 cos = _unary(np.cos, lambda g, x, y: -g * np.sin(x))
 transpose = _unary(_transpose, lambda g, x, y: _transpose(g))
 vsum = _unary(_vsum, lambda g, x, y: _spread(g, x.shape))
-
-
-def _atan2_back(g, vals, i, a, b, aux):
-    denom = vals[a] ** 2 + vals[b] ** 2
-    return g * vals[b] / denom, -g * vals[a] / denom
-
-
-def atan2(a, b):
-    return _record(a, np.arctan2(value_of(a), value_of(b)), _atan2_back, other=b)
 
 
 def _solve(inv_low: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -314,26 +299,11 @@ def _cho_solve_back(g, vals, i, rhs, spd, aux):
 
 def cho_solve(spd, rhs):
     """Solve spd @ X = rhs for symmetric positive definite spd (one Cholesky
-    factor and its inverse per tape node, shared with logdet)."""
+    factor and its inverse per tape node, shared with gaussian_nll)."""
     rhs_v = value_of(rhs)
     inv_low = _factor(spd, rhs_v)[1]
     sol = _solve(inv_low, rhs_v)
     return _record(rhs, sol, _cho_solve_back, (inv_low, sol), spd)
-
-
-def _logdet_back(g, vals, i, a, b, inv_low):
-    return g * (_t(inv_low) @ inv_low), None  # d log det S = S^-1 = L^-T L^-1
-
-
-def logdet(spd):
-    """log det of a symmetric positive definite matrix, via its Cholesky factor
-    (shared with cho_solve on a tape)."""
-    if isinstance(spd, Var):
-        low, inv_low = _factor(spd)
-    else:  # no backward, so no L^-1
-        low, inv_low = _cholesky(spd), None
-    log_diag = np.log(np.diagonal(low, axis1=-2, axis2=-1))
-    return _record(spd, (2.0 * log_diag.sum(axis=-1))[..., None, None], _logdet_back, inv_low)
 
 
 # -- the filter step's recurring pieces, one node each ---------------------------
@@ -414,18 +384,22 @@ def symmetrize(p):
 
 def _gaussian_nll_back(g, vals, i, nu, s, aux):
     inv_low, sol = aux
-    return g * sol, (g * 0.5) * (_t(inv_low) @ inv_low - sol @ _t(sol))
+    return g * sol, (g * 0.5) * (sol.shape[-1] * (_t(inv_low) @ inv_low) - sol @ _t(sol))
 
 
 def gaussian_nll(nu, s):
-    """Negative log density of a kx1 Gaussian innovation nu with covariance s,
-    0.5 (nu' s^-1 nu + log det s + k log 2pi), as one node: one factor of s
-    serves the solve and the log det (on a tape, the factor cho_solve stored)."""
+    """Negative log density of the c columns of an n x c nu, each an independent
+    Gaussian draw with covariance s: 0.5 (sum of nu * s^-1 nu + c log det s +
+    c n log 2pi), as one node.  One factor of s serves the solve and the log
+    det (on a tape, the one factor per node, shared with cho_solve).  A
+    filter's innovation is one column; the GP's marginal likelihood
+    (Rasmussen and Williams, 2006, eq. 2.30) has one per output axis."""
     nu_v = value_of(nu)
     low, inv_low = _factor(s, nu_v)
     sol = _solve(inv_low, nu_v)
     log_det = (2.0 * np.log(np.diagonal(low, axis1=-2, axis2=-1)).sum(axis=-1))[..., None, None]
-    value = (_vsum(nu_v * sol) + log_det + nu_v.shape[-2] * _LOG_2PI) * 0.5
+    n, c = nu_v.shape[-2:]
+    value = (_vsum(nu_v * sol) + c * log_det + c * n * _LOG_2PI) * 0.5
     return _record(nu, value, _gaussian_nll_back, (inv_low, sol), s)
 
 

@@ -75,8 +75,8 @@ class PyTape:
     one gradient per operand in place of a's.
 
     factors maps a symmetric positive definite node to its lower Cholesky
-    factor L and L^-1, stored by the node's first cho_solve or logdet, so
-    every later solve or log det on that node reuses them (api._factor).
+    factor L and L^-1, stored by the node's first cho_solve or gaussian_nll,
+    so every later one on that node reuses them (api._factor).
     """
 
     def __init__(self):

@@ -345,11 +345,11 @@ def load_records(directory) -> dict:
 
 
 def cmd_evaluate(args) -> int:
-    """Filter the test split with each method into --out: records.npz, the
-    report files, failure_report.txt when a method failed (a run in which
-    none fails deletes an earlier one), and a manifest.  An --out that
-    another command wrote is refused; an earlier evaluate's, with any
-    methods, is rewritten.
+    """Filter the test split with each method into --out: records.npz and the
+    report files when a method ran, failure_report.txt when one failed, and
+    a manifest; the files of an earlier run that this one does not write are
+    deleted.  An --out that another command wrote is refused; an earlier
+    evaluate's, with any methods, is rewritten.
     The manifest's gp_workers is the number of processes the particle
     filter's clouds ran on (gp.run_pf; 1 when serial), None when it did not
     run to the end."""
@@ -411,6 +411,10 @@ def cmd_evaluate(args) -> int:
                         f"{method}_truth": truth, f"{method}_meas": meas}
         np.savez(out / "records.npz", **records)
         make_report(out, records)
+    else:  # an earlier run's records and report would pass for this run's outputs
+        for name in ("records.npz", "scores.csv", "summary.txt", "noise_level.csv", "series_*.csv"):
+            for path in out.glob(name):
+                path.unlink()
     if failures:
         report = "\n".join(f"{m}: {msg}" for m, msg in sorted(failures.items()))
         (out / "failure_report.txt").write_text(report + "\n")

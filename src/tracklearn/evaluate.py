@@ -97,6 +97,8 @@ def make_report(out_dir, records: dict) -> dict:
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    for stale in out.glob("series_*.csv"):  # an earlier report's methods may not be these
+        stale.unlink()
     rows = score_table(records)
     write_scores_csv(out / "scores.csv", rows)
 

@@ -42,13 +42,7 @@ from .autodiff import GradientOptimizer, inv_lower
 from .ekf import check_lockstep, filter_tracklet
 from .errors import NumericsError
 from .simulate import tracklet_rngs
-from .statespace import (
-    LOG_2PI,
-    SensorConfig,
-    measurement_noise_cartesian,
-    polar_to_cartesian,
-    wrap_angle,
-)
+from .statespace import SensorConfig, measurement_noise_cartesian, polar_to_cartesian, wrap_angle
 
 
 @dataclass(frozen=True)
@@ -235,17 +229,15 @@ def velocity_pairs(tracklets) -> tuple[np.ndarray, np.ndarray]:
 def negative_lml(s0, l2, sv, sq: np.ndarray, y: np.ndarray):
     """Negative log marginal likelihood of the N x k outputs y, k independent
     columns under one squared-exponential GP, given the N x N squared input
-    distances sq: the sum of the k columns' values, from one factored gram.
+    distances sq: the sum of the k columns' values, as the Gaussian NLL of y
+    under the gram (ad.gaussian_nll).
 
     s0, l2 and sv (signal variance, squared length scale, noise variance) are
     1x1 Vars, which record the objective on their tape, or 1x1 arrays.
     """
-    n_pts, half_k = len(y), 0.5 * y.shape[1]
     arg = ad.const_like(l2, -0.5 * sq) * (1.0 / l2)
-    gram = s0 * ad.exp(arg) + sv * np.eye(n_pts)
-    alpha = ad.cho_solve(gram, ad.const_like(s0, y))
-    quad = ad.vsum(ad.const_like(s0, y) * alpha)
-    return 0.5 * quad + half_k * ad.logdet(gram) + half_k * n_pts * LOG_2PI
+    gram = s0 * ad.exp(arg) + sv * np.eye(len(y))
+    return ad.gaussian_nll(ad.const_like(s0, y), gram)
 
 
 def _subsample(inputs: np.ndarray, outputs: np.ndarray, size: int, seed: int):
@@ -339,6 +331,11 @@ def load_gp(path):
             fields[tag].append(values)
         else:
             fields[tag] = values
+    n_pairs = fields.get("n_pairs", [0])[0]
+    missing = [tag for tag in ("n_pairs", "dt", "sensor", "hyper_x", "hyper_y") if tag not in fields]
+    missing += [tag for tag in ("u", "z_x", "z_y") if len(fields[tag]) < n_pairs]
+    if missing:  # a truncated file
+        raise ValueError(f"{path}: {missing[0]} line missing")
     if fields["hyper_x"] != fields["hyper_y"]:
         raise ValueError(f"{path}: hyper_x and hyper_y differ; both axes must share one kernel")
     hyper, models, factor = GpHyper(*fields["hyper_x"]), [], None

@@ -360,15 +360,17 @@ def load_imm(path):
     for line in lines[1:]:
         parts = line.split()
         fields[parts[0]] = parts[1:]
-    modes = tuple(fields["modes"])
-    m = len(modes)
-    logits = np.array([[float(v) for v in fields[f"logits_{i}"]] for i in range(m)])
-    params = ImmParams(
-        modes=modes,
-        trans_logits=logits,
-        log_q=np.array([float(v) for v in fields["log_q"]]),
-        omega=np.array([float(v) for v in fields["omega"]]),
-        log_sigma_r=float(fields["log_sigma_r"][0]),
-        log_sigma_a=float(fields["log_sigma_a"][0]),
-    )
-    return params, float(fields["dt"][0]), SensorConfig.from_row(fields["sensor"])
+    try:
+        modes = tuple(fields["modes"])
+        logits = np.array([[float(v) for v in fields[f"logits_{i}"]] for i in range(len(modes))])
+        params = ImmParams(
+            modes=modes,
+            trans_logits=logits,
+            log_q=np.array([float(v) for v in fields["log_q"]]),
+            omega=np.array([float(v) for v in fields["omega"]]),
+            log_sigma_r=float(fields["log_sigma_r"][0]),
+            log_sigma_a=float(fields["log_sigma_a"][0]),
+        )
+        return params, float(fields["dt"][0]), SensorConfig.from_row(fields["sensor"])
+    except KeyError as exc:
+        raise ValueError(f"{path}: {exc.args[0]} line missing") from None

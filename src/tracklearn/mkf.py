@@ -19,10 +19,6 @@ from .autodiff import GradientOptimizer, Var, clip_by_global_norm
 from .ekf import filter_tracklet, joseph_update
 from .statespace import LOG_2PI, SensorConfig, Tracklet, polar_to_cartesian
 
-_E00 = np.array([[1.0, 0.0], [0.0, 0.0]])
-_E11 = np.array([[0.0, 0.0], [0.0, 1.0]])
-_E10 = np.array([[0.0, 0.0], [1.0, 0.0]])
-
 WEIGHT_NAMES = ("wx", "wh", "b", "wd", "bd", "wo", "bo")
 D_IN = 2  # the network's input: one velocity (v1, v2)
 
@@ -118,17 +114,19 @@ def _head(weights: dict, h):
 
 
 def lstm_step(weights: dict, h, c, x):
-    """One LSTM cell step and its output head, on Vars or on plain arrays.
+    """One LSTM cell step and its output head, on arrays.
 
     weights maps WEIGHT_NAMES to their values; h and c are the 1xH state and
-    x the scaled 1x2 input.  Returns (h, c, 1x2 velocity, 2x2 lower-triangular
-    Cholesky factor of its covariance).
+    x the scaled 1x2 input, or stacks of them.  Returns (h, c, 1x2 velocity,
+    2x2 lower-triangular Cholesky factor of its covariance).
     """
     hidden = weights["wh"].shape[0]
     h_new, c_new = _cell(x @ weights["wx"] + h @ weights["wh"] + weights["b"], c, hidden)
     out = _head(weights, h_new)
-    chol = (ad.exp(ad.item(out, 0, 2)) * _E00 + ad.exp(ad.item(out, 0, 3)) * _E11
-            + ad.item(out, 0, 4) * _E10)
+    chol = np.zeros(out.shape[:-2] + (2, 2))
+    chol[..., 0, 0] = np.exp(out[..., 0, 2])
+    chol[..., 1, 1] = np.exp(out[..., 0, 3])
+    chol[..., 1, 0] = out[..., 0, 4]
     return h_new, c_new, ad.cols(out, 0, 2), chol
 
 

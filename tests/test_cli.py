@@ -626,6 +626,41 @@ def test_evaluate_reruns_into_its_own_directory_with_other_methods(gct_runs, tmp
     assert scored_methods(out) == {"mkf"}
 
 
+def test_evaluate_with_fewer_methods_leaves_no_earlier_series(gct_runs, tmp_path):
+    """evaluate --method ekf into an all-method evaluate's --out deletes the
+    other methods' series files, so its manifest hashes only its own outputs."""
+    root, _ = gct_runs[0]
+    out = tmp_path / "eval"
+    shutil.copytree(root / "eval", out)
+    assert (out / "series_gp_post.csv").exists()
+    cfg = str(experiment(tmp_path / "exp.ini", root))
+    assert main(["evaluate", "--config", cfg, "--out", str(out), "--data", str(root / "data"),
+                 "--seed", "7", "--method", "ekf"]) == 0
+    outputs = json.loads((out / "manifest.json").read_text())["outputs"]
+    assert sorted(outputs) == ["noise_level.csv", "records.npz", "scores.csv",
+                               "series_ekf_post.csv", "series_ekf_pred.csv", "summary.txt"]
+    assert sorted(p.name for p in out.iterdir()) == sorted([*outputs, "manifest.json"])
+
+
+def test_evaluate_in_which_every_method_fails_leaves_no_earlier_report(gct_runs, tmp_path):
+    """A run in which no method ran deletes an earlier run's records.npz and
+    report files: its manifest hashes its failure report alone, which names
+    the truncated model file and the line it lacks."""
+    root, _ = gct_runs[0]
+    out = tmp_path / "eval"
+    shutil.copytree(root / "eval", out)
+    bad = tmp_path / "imm.txt"
+    bad.write_text("IMM1\n")
+    cfg = str(experiment(tmp_path / "exp.ini", root, {("models", "imm"): str(bad)}))
+    assert main(["evaluate", "--config", cfg, "--out", str(out), "--data", str(root / "data"),
+                 "--seed", "7", "--method", "imm"]) == 1
+    outputs = json.loads((out / "manifest.json").read_text())["outputs"]
+    assert sorted(outputs) == ["failure_report.txt"]
+    assert sorted(p.name for p in out.iterdir()) == ["failure_report.txt", "manifest.json"]
+    report = (out / "failure_report.txt").read_text()
+    assert report == f"imm: ValueError: {bad}: modes line missing\n"
+
+
 def test_simulate_refuses_another_commands_output_directory(gct_runs, tmp_path, capsys):
     root, _ = gct_runs[0]
     out = tmp_path / "model"

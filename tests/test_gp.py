@@ -275,7 +275,7 @@ def test_negative_lml_gradient_matches_fd_on_a_sparse_gram():
         ad.backward(negative_lml(*(ad.exp(ad.item(leaf, 0, k)) for k in range(3)), sq, y))
         fd = finite_difference(lambda rho: f(rho, y), rho0)
         assert np.allclose(leaf.grad.ravel(), fd, rtol=1e-6, atol=1e-6), y.shape
-    # logdet and the 2 pi term count once per column, the quadratic term sums over both
+    # the log det and the 2 pi term count once per column, the quadratic term sums over both
     assert f(rho0, both) == pytest.approx(f(rho0, both[:, :1]) + f(rho0, both[:, 1:]),
                                           rel=1e-12, abs=0.0)
 
@@ -352,6 +352,20 @@ def test_load_gp_refuses_axes_with_different_hyperparameters(tmp_path):
     lines[k] = "hyper_y 0.9 1.6 0.05"
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(ValueError, match=f"{path}: hyper_x and hyper_y differ"):
+        load_gp(path)
+
+
+@pytest.mark.parametrize("tag, rows", [("hyper_x", 0), ("z_y", 1)])
+def test_load_gp_names_the_first_missing_line_of_a_truncated_file(tmp_path, tag, rows):
+    """A file cut after `rows` lines of the tag (hyper_x: none; z_y: one of
+    its n_pairs rows) is refused with a ValueError naming the file and the tag."""
+    trk = make_tracklet(np.random.default_rng(13).standard_normal((40, 2)) * 3.0)
+    path = tmp_path / "model.gpm"
+    save_gp(path, gp_fit([trk], optimize=False), dt=1.0, sensor=SensorConfig())
+    lines = path.read_text().splitlines()
+    start = next(i for i, line in enumerate(lines) if line.startswith(tag + " "))
+    path.write_text("\n".join(lines[:start + rows]) + "\n")
+    with pytest.raises(ValueError, match=f"^{path}: {tag} line missing$"):
         load_gp(path)
 
 

@@ -401,6 +401,17 @@ def test_serialization_roundtrip(tmp_path):
     assert loaded.log_sigma_r == pytest.approx(params.log_sigma_r)
 
 
+@pytest.mark.parametrize("keep, missing", [(1, "modes"), (9, "log_sigma_a")])
+def test_load_imm_names_the_first_missing_line_of_a_truncated_file(tmp_path, keep, missing):
+    """A file cut after its first `keep` lines is refused with a ValueError
+    that names the file and a line it lacks."""
+    path = tmp_path / "model.imm"
+    save_imm(path, default_params(SENSOR, ImmConfig()), dt=1.0, sensor=SENSOR)
+    path.write_text("\n".join(path.read_text().splitlines()[:keep]) + "\n")
+    with pytest.raises(ValueError, match=f"^{path}: {missing} line missing$"):
+        load_imm(path)
+
+
 @pytest.mark.parametrize("text", ["", "# only a comment\n", "GPM1\n"])
 def test_load_imm_rejects_a_document_that_is_not_imm1(tmp_path, text):
     path = tmp_path / "model.imm"
